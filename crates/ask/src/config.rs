@@ -88,22 +88,6 @@ pub struct AskConfig {
     /// pure function of the policy seed, the packet key, and the attempt
     /// number, so schedules stay reproducible.
     pub backoff_jitter_permille: u32,
-    /// Forces the switch onto the legacy materializing (scalar) datapath:
-    /// every frame is decoded into owned `KvTuple` slots before
-    /// aggregation, instead of the zero-materialization
-    /// [`ask_wire::view::FrameView`] path. The two paths are byte-identical
-    /// on the wire; this escape hatch exists for differential testing and
-    /// can also be forced at runtime with `ASK_SWITCH_SCALAR=1`.
-    pub switch_scalar: bool,
-    /// Forces the host daemons onto the legacy materializing (scalar)
-    /// receive path: every inbound frame is decoded into owned packets
-    /// through the pool and residual tuples merge via materialized keys,
-    /// instead of the zero-materialization
-    /// [`ask_wire::view::FrameView`] ingest with borrowed slot reads. The
-    /// two paths are byte-identical on the wire; this escape hatch exists
-    /// for differential testing and can also be forced at runtime with
-    /// `ASK_HOST_SCALAR=1`.
-    pub host_scalar: bool,
     /// After this many retransmissions of a single packet the sender
     /// declares the aggregation path suspect (dead or restarting switch) and
     /// enters degraded pass-through mode: data packets are stamped
@@ -136,8 +120,6 @@ impl AskConfig {
             backoff_factor: 1,
             backoff_cap: SimDuration::from_micros(100).saturating_mul(64),
             backoff_jitter_permille: 0,
-            switch_scalar: false,
-            host_scalar: false,
             escalate_after: None,
         }
     }

@@ -16,7 +16,7 @@ use crate::switch::aggregator::Observation;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
 use ask_simnet::time::{SimDuration, SimTime};
-use ask_wire::codec::{decode_envelope_pooled, encode_envelope_parts, Envelope, FLAG_NO_AGGREGATE};
+use ask_wire::codec::{encode_envelope_parts, FLAG_NO_AGGREGATE};
 use ask_wire::pool::PacketPool;
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::key::Key;
@@ -25,7 +25,6 @@ use ask_wire::packet::{
 };
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 pub use ask_wire::packet::CHANNEL_STRIDE;
 
@@ -196,18 +195,14 @@ pub struct AskDaemon {
     /// `Cell` so the hot send path can add to it while channel state is
     /// mutably borrowed.
     packetize_ns: std::cell::Cell<u64>,
-    /// False on the default zero-materialization receive path; true when
-    /// [`AskConfig::host_scalar`](crate::config::AskConfig) or
-    /// `ASK_HOST_SCALAR=1` forces the legacy materializing path.
-    scalar: bool,
-    /// First-delivery data views awaiting a grouped residual merge (view
-    /// path only). Each deferred view is a refcount on the frame bytes;
-    /// flushing groups consecutive same-task views so task resolution
-    /// amortizes over a burst. Always drained before any state that reads
-    /// residual tables is touched and at the end of every delivery.
+    /// First-delivery data views awaiting a grouped residual merge. Each
+    /// deferred view is a refcount on the frame bytes; flushing groups
+    /// consecutive same-task views so task resolution amortizes over a
+    /// burst. Always drained before any state that reads residual tables is
+    /// touched and at the end of every delivery.
     merge_batch: Vec<DataPacketView>,
-    /// Scratch for batched receive-window observations (view path only),
-    /// kept across bursts to avoid reallocating.
+    /// Scratch for batched receive-window observations, kept across bursts
+    /// to avoid reallocating.
     obs_scratch: Vec<Observation>,
 }
 
@@ -218,10 +213,6 @@ impl AskDaemon {
         let packetizer = Packetizer::new(config.layout, config.long_kv_batch);
         let trace = TraceLog::new(config.trace_capacity);
         let backoff = BackoffPolicy::from_config(&config, 0);
-        let scalar = config.host_scalar
-            || std::env::var("ASK_HOST_SCALAR")
-                .map(|v| v != "0")
-                .unwrap_or(false);
         AskDaemon {
             config,
             switch,
@@ -244,7 +235,6 @@ impl AskDaemon {
             backoff,
             time_phases: false,
             packetize_ns: std::cell::Cell::new(0),
-            scalar,
             merge_batch: Vec::new(),
             obs_scratch: Vec::new(),
         }
@@ -439,12 +429,6 @@ impl AskDaemon {
     /// The highest switch epoch this daemon has synchronized against.
     pub fn known_epoch(&self) -> u32 {
         self.known_epoch
-    }
-
-    /// True when this daemon receives through the legacy materializing
-    /// (scalar) path instead of the zero-materialization view path.
-    pub fn is_scalar(&self) -> bool {
-        self.scalar
     }
 
     /// True while the daemon is in degraded no-aggregate pass-through mode.
@@ -1021,45 +1005,6 @@ impl AskDaemon {
         }
     }
 
-    fn on_fetch_reply(
-        &mut self,
-        task: TaskId,
-        fetch_seq: u32,
-        entries: Arc<Vec<KvTuple>>,
-        ctx: &mut Context<'_>,
-    ) {
-        let Some(rt) = self.recv_tasks.get_mut(&task) else {
-            return;
-        };
-        let FetchState::Pending {
-            fetch_seq: pending,
-            is_final,
-            ..
-        } = rt.fetch
-        else {
-            return; // stray or already-handled reply
-        };
-        if fetch_seq != pending {
-            return;
-        }
-        rt.fetch = FetchState::Idle;
-        let n = entries.len() as u64;
-        self.trace
-            .record(ctx.now(), TraceEvent::FetchMerged { task, entries: n });
-        self.stats.tuples_fetched += n;
-        // The decoded reply normally holds the only reference, so this is a
-        // move; a deep copy happens only if something else still shares it.
-        let entries = Arc::try_unwrap(entries).unwrap_or_else(|a| (*a).clone());
-        self.merge_residual(task, entries);
-        let rt = self.recv_tasks.get_mut(&task).expect("task present");
-        let want_final = rt.want_final;
-        if is_final {
-            self.complete(task, ctx);
-        } else if want_final {
-            self.begin_final_fetch(task, ctx);
-        }
-    }
-
     fn on_fetch_timer(&mut self, task: TaskId, fetch_seq_low: u32, ctx: &mut Context<'_>) {
         let Some(rt) = self.recv_tasks.get(&task) else {
             return;
@@ -1185,192 +1130,55 @@ impl AskDaemon {
     }
 
     // ------------------------------------------------------------------
-    // Scalar (materializing) receive path — the escape hatch, and the
-    // fallback for frames the view path cannot serve.
-    // ------------------------------------------------------------------
-
-    /// The scalar receive path for one decoded envelope: epoch gate, then
-    /// packet dispatch.
-    fn handle_envelope_scalar(&mut self, ecn: bool, envelope: Envelope, ctx: &mut Context<'_>) {
-        let src = envelope.src;
-        // Epoch gate: a newer epoch means the switch restarted — resync
-        // fully before processing this frame; an older epoch is a leftover
-        // of a dead incarnation (late verdict, ACK, or fetch reply computed
-        // against wiped switch state) and must not touch anything.
-        if envelope.epoch != self.known_epoch {
-            if envelope.epoch > self.known_epoch {
-                self.resync_to_epoch(envelope.epoch, ctx);
-            } else {
-                self.stats.stale_epoch_drops += 1;
-                match envelope.packet {
-                    AskPacket::Data(pkt) => self.pool.recycle_slots(pkt.slots),
-                    AskPacket::LongKv { entries, .. } => self.pool.recycle_tuples(entries),
-                    _ => {}
-                }
-                return;
-            }
-        }
-        self.handle_packet_scalar(src, ecn, envelope.packet, ctx);
-    }
-
-    /// Post-epoch-gate handling of one materialized packet. Shared by the
-    /// scalar path and the view path's materializing fallback (long-kv
-    /// bodies, foreign-layout data).
-    fn handle_packet_scalar(
-        &mut self,
-        src: u32,
-        ecn: bool,
-        packet: AskPacket,
-        ctx: &mut Context<'_>,
-    ) {
-        match packet {
-            AskPacket::Ack { channel, seq, ece } => {
-                if self.degraded && src == self.switch.index() as u32 {
-                    // The switch is absorbing again; resume aggregation.
-                    self.degraded = false;
-                }
-                self.on_ack(channel, seq, ece, ctx)
-            }
-            AskPacket::Data(mut pkt) => {
-                self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(pkt.channel, pkt.seq) {
-                    Observation::Stale => {
-                        self.pool.recycle_slots(pkt.slots);
-                    }
-                    Observation::Duplicate => {
-                        self.stats.duplicates_dropped += 1;
-                        self.trace.record(
-                            ctx.now(),
-                            TraceEvent::DuplicateDropped {
-                                channel: pkt.channel,
-                                seq: pkt.seq,
-                            },
-                        );
-                        self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
-                        self.pool.recycle_slots(pkt.slots);
-                    }
-                    Observation::First => {
-                        self.stats.packets_received += 1;
-                        self.trace.record(
-                            ctx.now(),
-                            TraceEvent::Received {
-                                channel: pkt.channel,
-                                seq: pkt.seq,
-                            },
-                        );
-                        let task = pkt.task;
-                        let mut slots = std::mem::take(&mut pkt.slots);
-                        self.merge_residual(task, slots.drain(..).flatten());
-                        self.pool.recycle_slots(slots);
-                        self.reply_ack(src, pkt.channel, pkt.seq, ecn, ctx);
-                        if let Some(rt) = self.recv_tasks.get_mut(&task) {
-                            rt.packets_since_swap += 1;
-                        }
-                        self.maybe_swap(task, ctx);
-                    }
-                }
-            }
-            AskPacket::LongKv {
-                task,
-                channel,
-                seq,
-                mut entries,
-            } => {
-                self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(channel, seq) {
-                    Observation::Stale => {
-                        self.pool.recycle_tuples(entries);
-                    }
-                    Observation::Duplicate => {
-                        self.stats.duplicates_dropped += 1;
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                        self.pool.recycle_tuples(entries);
-                    }
-                    Observation::First => {
-                        self.stats.packets_received += 1;
-                        self.merge_residual(task, entries.drain(..));
-                        self.pool.recycle_tuples(entries);
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                    }
-                }
-            }
-            AskPacket::Fin { task, channel, seq } => {
-                self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(channel, seq) {
-                    Observation::Stale => {}
-                    Observation::Duplicate => {
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                    }
-                    Observation::First => {
-                        let sender_host = channel.host();
-                        self.reply_ack(src, channel, seq, ecn, ctx);
-                        if let Some(rt) = self.recv_tasks.get_mut(&task) {
-                            rt.fins.insert(sender_host);
-                        }
-                        self.check_completion(task, ctx);
-                    }
-                }
-            }
-            AskPacket::FetchReply {
-                task,
-                fetch_seq,
-                entries,
-            } => self.on_fetch_reply(task, fetch_seq, entries, ctx),
-            AskPacket::Control(ControlMsg::RegionGrant { task, .. }) => {
-                self.on_region_reply(task, true, ctx)
-            }
-            AskPacket::Control(ControlMsg::RegionDeny { task }) => {
-                self.on_region_reply(task, false, ctx)
-            }
-            AskPacket::Control(ControlMsg::TaskAnnounce { task, receiver }) => {
-                self.on_announce(task, receiver, ctx)
-            }
-            // The epoch gate already did all the work for a notify.
-            AskPacket::Control(ControlMsg::EpochNotify { .. }) => {}
-            // Packets a daemon never receives (switch-bound kinds).
-            AskPacket::Swap { .. }
-            | AskPacket::FetchRequest { .. }
-            | AskPacket::Control(
-                ControlMsg::RegionRequest { .. } | ControlMsg::RegionRelease { .. },
-            ) => {}
-        }
-    }
-
-    /// The materializing burst path: the whole burst is decoded through the
-    /// pool up front — one pool drain per burst instead of interleaving
-    /// decode with handling — then handled in arrival order. Only
-    /// pool-counter timing differs from per-frame decode; every protocol
-    /// action is identical.
-    fn on_frames_scalar(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        let mut decoded: Vec<(bool, Envelope)> = Vec::with_capacity(burst.len());
-        for (_, frame) in burst.drain(..) {
-            let ecn = frame.ecn_marked();
-            if let Ok(env) = decode_envelope_pooled(frame.into_payload(), &mut self.pool) {
-                decoded.push((ecn, env));
-            }
-        }
-        for (ecn, env) in decoded {
-            self.handle_envelope_scalar(ecn, env, ctx);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Zero-materialization receive path (the default).
+    // The receive datapath.
     //
-    // Inbound frames parse once into borrowed `FrameView`s; matching-layout
-    // data packets and fetch replies are consumed straight from the wire
-    // bytes with zero pool traffic. First-delivery data views are deferred
-    // into `merge_batch` and merged grouped-by-task — all aggregation
-    // operators are commutative and the merges emit nothing, so deferral
-    // cannot change a single sent byte. Everything that reads residual
-    // state (fins, fetch replies, control, epoch resync, fallbacks)
-    // flushes the batch first.
+    // Inbound frames parse once into borrowed `FrameView`s; data packets
+    // and fetch replies are consumed straight from the wire bytes with zero
+    // pool traffic. First-delivery data views are deferred into
+    // `merge_batch` and merged grouped-by-task — all aggregation operators
+    // are commutative and the merges emit nothing, so deferral cannot
+    // change a single sent byte. Everything that reads residual state
+    // (fins, fetch replies, control, epoch resync, long-kv bodies) flushes
+    // the batch first.
     // ------------------------------------------------------------------
 
-    /// Epoch gate for a parsed view; `false` means drop the frame. Mirrors
-    /// the scalar gate; a newer epoch flushes deferred merges before the
-    /// resync wipes the tables they target, and a stale frame has no
-    /// materialized body to recycle.
+    /// Long-key bypass bodies merge as owned tuples: the one frame kind
+    /// still materialized (through the pool) instead of read in place.
+    fn on_long_kv(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
+        self.flush_merge_batch();
+        self.stats.host_view_fallbacks += 1;
+        let AskPacket::LongKv {
+            task,
+            channel,
+            seq,
+            mut entries,
+        } = view.materialize_pooled(&mut self.pool).packet
+        else {
+            unreachable!("long-kv views materialize to long-kv packets");
+        };
+        let src = view.src();
+        self.cpu_busy += self.config.cpu_per_packet;
+        match self.observe(channel, seq) {
+            Observation::Stale => {}
+            Observation::Duplicate => {
+                self.stats.duplicates_dropped += 1;
+                self.reply_ack(src, channel, seq, ecn, ctx);
+            }
+            Observation::First => {
+                self.stats.packets_received += 1;
+                self.merge_residual(task, entries.drain(..));
+                self.reply_ack(src, channel, seq, ecn, ctx);
+            }
+        }
+        self.pool.recycle_tuples(entries);
+    }
+
+    /// Epoch gate for a parsed view; `false` means drop the frame. A newer
+    /// epoch means the switch restarted — flush deferred merges before the
+    /// resync wipes the tables they target, then resync fully before
+    /// processing this frame; an older epoch is a leftover of a dead
+    /// incarnation (late verdict, ACK, or fetch reply computed against
+    /// wiped switch state) and must not touch anything.
     fn admit_view(&mut self, view: &FrameView, ctx: &mut Context<'_>) -> bool {
         if view.epoch() == self.known_epoch {
             return true;
@@ -1385,10 +1193,9 @@ impl AskDaemon {
         }
     }
 
-    /// Protocol actions for one matching-layout data view whose
-    /// receive-window observation is already known. Packet-IO CPU is
-    /// charged by the caller (per frame on the single path, per run on the
-    /// burst path).
+    /// Protocol actions for one data view whose receive-window observation
+    /// is already known. Packet-IO CPU is charged by the caller (per frame
+    /// on the single path, per run on the burst path).
     fn data_view_action(
         &mut self,
         src: u32,
@@ -1433,8 +1240,8 @@ impl AskDaemon {
 
     /// Applies every deferred first-delivery data view to its task's
     /// residual table, resolving each task once per consecutive same-task
-    /// run. Counter and CPU totals match the scalar path exactly; only the
-    /// (unobservable) merge timing moves.
+    /// run. Counter and CPU totals are those of merging each packet on
+    /// arrival; only the (unobservable) merge timing moves.
     fn flush_merge_batch(&mut self) {
         if self.merge_batch.is_empty() {
             return;
@@ -1476,9 +1283,8 @@ impl AskDaemon {
     }
 
     /// Merges a fetch reply's entries straight off the frame bytes — no
-    /// `Arc<Vec<KvTuple>>` is ever built for the body. State-machine
-    /// behavior mirrors [`AskDaemon::on_fetch_reply`] exactly.
-    fn on_fetch_reply_view(
+    /// `Arc<Vec<KvTuple>>` is ever built for the body.
+    fn on_fetch_reply(
         &mut self,
         task: TaskId,
         fetch_seq: u32,
@@ -1522,9 +1328,9 @@ impl AskDaemon {
         }
     }
 
-    /// Handles one parsed frame on the view path. Deferred merges are not
-    /// flushed on exit — the caller flushes after the frame (or burst).
-    fn on_frame_view(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
+    /// Handles one parsed frame. Deferred merges are not flushed on exit —
+    /// the caller flushes after the frame (or burst).
+    fn handle_frame(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
         if !self.admit_view(view, ctx) {
             return;
         }
@@ -1537,28 +1343,14 @@ impl AskDaemon {
                 }
                 self.on_ack(*channel, *seq, *ece, ctx)
             }
+            // Any declared layout merges in place: the slot walk follows
+            // the frame's own geometry and key hashes do not depend on it.
             PacketView::Data(d) => {
-                if d.matches_layout(&self.config.layout) {
-                    self.cpu_busy += self.config.cpu_per_packet;
-                    let obs = self.observe(d.channel(), d.seq());
-                    self.data_view_action(src, ecn, d, obs, ctx);
-                } else {
-                    // Foreign layout: materialize through the pool and take
-                    // the scalar data arm.
-                    self.flush_merge_batch();
-                    self.stats.host_view_fallbacks += 1;
-                    let envelope = view.materialize_pooled(&mut self.pool);
-                    self.handle_packet_scalar(src, ecn, envelope.packet, ctx);
-                }
+                self.cpu_busy += self.config.cpu_per_packet;
+                let obs = self.observe(d.channel(), d.seq());
+                self.data_view_action(src, ecn, d, obs, ctx);
             }
-            PacketView::LongKv { .. } => {
-                // Long-key bypass bodies merge as owned tuples; materialize
-                // through the pool and take the scalar long-kv arm.
-                self.flush_merge_batch();
-                self.stats.host_view_fallbacks += 1;
-                let envelope = view.materialize_pooled(&mut self.pool);
-                self.handle_packet_scalar(src, ecn, envelope.packet, ctx);
-            }
+            PacketView::LongKv { .. } => self.on_long_kv(ecn, view, ctx),
             PacketView::Fin { task, channel, seq } => {
                 self.flush_merge_batch();
                 self.cpu_busy += self.config.cpu_per_packet;
@@ -1583,7 +1375,7 @@ impl AskDaemon {
                 entry_count,
             } => {
                 self.flush_merge_batch();
-                self.on_fetch_reply_view(*task, *fetch_seq, *entry_count, view, ctx);
+                self.on_fetch_reply(*task, *fetch_seq, *entry_count, view, ctx);
             }
             PacketView::Control(ControlMsg::RegionGrant { task, .. }) => {
                 self.flush_merge_batch();
@@ -1609,8 +1401,7 @@ impl AskDaemon {
         }
     }
 
-    /// Ingests a run of same-channel, matching-layout data views from one
-    /// burst: the receive window resolves once for the whole run, every
+    /// Ingests a run of same-channel data views from one burst: the receive window resolves once for the whole run, every
     /// sequence number is observed into the reusable scratch buffer,
     /// packet-IO CPU is charged in one multiply, and the per-frame protocol
     /// actions replay in arrival order.
@@ -1643,57 +1434,6 @@ impl AskDaemon {
         }
         self.obs_scratch = obs;
     }
-
-    /// The zero-materialization burst path: the burst parses once into
-    /// borrowed views, consecutive same-channel data frames ingest as runs,
-    /// and the deferred merge batch drains exactly once at the end.
-    fn on_frames_view(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        let mut frames: Vec<(bool, FrameView)> = Vec::with_capacity(burst.len());
-        for (_, frame) in burst.drain(..) {
-            let ecn = frame.ecn_marked();
-            if let Ok(view) = FrameView::parse(frame.into_payload()) {
-                frames.push((ecn, view));
-            }
-        }
-        let mut i = 0;
-        while i < frames.len() {
-            let view = &frames[i].1;
-            // A frame joins a run only when it needs no epoch action and
-            // aggregates in place; everything else dispatches singly (and
-            // may resync, ending the grouping epoch).
-            let run_channel = match view.packet() {
-                PacketView::Data(d)
-                    if view.epoch() == self.known_epoch
-                        && d.matches_layout(&self.config.layout) =>
-                {
-                    Some(d.channel())
-                }
-                _ => None,
-            };
-            let Some(channel) = run_channel else {
-                self.on_frame_view(frames[i].0, &frames[i].1, ctx);
-                i += 1;
-                continue;
-            };
-            let mut j = i + 1;
-            while j < frames.len() {
-                let v = &frames[j].1;
-                match v.packet() {
-                    PacketView::Data(d)
-                        if v.epoch() == self.known_epoch
-                            && d.matches_layout(&self.config.layout)
-                            && d.channel() == channel =>
-                    {
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            self.ingest_data_run(&frames[i..j], ctx);
-            i = j;
-        }
-        self.flush_merge_batch();
-    }
 }
 
 impl Node for AskDaemon {
@@ -1704,28 +1444,57 @@ impl Node for AskDaemon {
     fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
         self.ensure_init(ctx);
         let ecn = frame.ecn_marked();
-        if self.scalar {
-            let Ok(envelope) = decode_envelope_pooled(frame.into_payload(), &mut self.pool) else {
-                return;
-            };
-            self.handle_envelope_scalar(ecn, envelope, ctx);
-        } else {
-            let Ok(view) = FrameView::parse(frame.into_payload()) else {
-                return;
-            };
-            self.on_frame_view(ecn, &view, ctx);
-            self.flush_merge_batch();
-        }
+        let Ok(view) = FrameView::parse(frame.into_payload()) else {
+            return;
+        };
+        self.handle_frame(ecn, &view, ctx);
+        self.flush_merge_batch();
     }
 
+    /// Burst ingest: the burst parses once into borrowed views, consecutive
+    /// same-channel data frames ingest as runs, and the deferred merge
+    /// batch drains exactly once at the end.
     fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
         self.ensure_init(ctx);
         self.stats.burst_len[burst_bucket(burst.len() as u64)] += 1;
-        if self.scalar {
-            self.on_frames_scalar(burst, ctx);
-        } else {
-            self.on_frames_view(burst, ctx);
+        let mut frames: Vec<(bool, FrameView)> = Vec::with_capacity(burst.len());
+        for (_, frame) in burst.drain(..) {
+            let ecn = frame.ecn_marked();
+            if let Ok(view) = FrameView::parse(frame.into_payload()) {
+                frames.push((ecn, view));
+            }
         }
+        let mut i = 0;
+        while i < frames.len() {
+            let view = &frames[i].1;
+            // A data frame joins a run only when it needs no epoch action;
+            // everything else dispatches singly (and may resync, ending the
+            // grouping epoch).
+            let run_channel = match view.packet() {
+                PacketView::Data(d) if view.epoch() == self.known_epoch => Some(d.channel()),
+                _ => None,
+            };
+            let Some(channel) = run_channel else {
+                self.handle_frame(frames[i].0, &frames[i].1, ctx);
+                i += 1;
+                continue;
+            };
+            let mut j = i + 1;
+            while j < frames.len() {
+                let v = &frames[j].1;
+                match v.packet() {
+                    PacketView::Data(d)
+                        if v.epoch() == self.known_epoch && d.channel() == channel =>
+                    {
+                        j += 1;
+                    }
+                    _ => break,
+                }
+            }
+            self.ingest_data_run(&frames[i..j], ctx);
+            i = j;
+        }
+        self.flush_merge_batch();
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {

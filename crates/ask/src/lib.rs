@@ -58,6 +58,23 @@ pub mod stats;
 pub mod switch;
 pub mod valuestream;
 
+/// Encodes `pkt` as a frame in `layout` and parses it back into the
+/// borrowed view the receive datapath consumes — how unit tests hand the
+/// engine a data packet.
+#[cfg(test)]
+pub(crate) fn data_view(
+    pkt: ask_wire::packet::DataPacket,
+    layout: &ask_wire::packet::PacketLayout,
+) -> ask_wire::view::DataPacketView {
+    use ask_wire::view::{FrameView, PacketView};
+    let packet = ask_wire::packet::AskPacket::Data(pkt);
+    let bytes = ask_wire::codec::encode_envelope_parts(1, 0, 0, 0, &packet, layout);
+    match FrameView::parse(bytes).expect("freshly encoded").into_packet() {
+        PacketView::Data(d) => d,
+        _ => unreachable!("data frames parse to data views"),
+    }
+}
+
 #[cfg(test)]
 mod engine_proptests {
     //! Engine-level property tests: the switch program plus a software
@@ -66,12 +83,14 @@ mod engine_proptests {
     //! patterns, and shadow-copy swap schedules.
 
     use crate::config::AskConfig;
+    use crate::data_view;
     use crate::host::packetizer::Packetizer;
     use crate::host::receiver::ReceiverWindow;
     use crate::service::reference_aggregate;
-    use crate::switch::aggregator::{AggregatorEngine, DataVerdict, Observation};
+    use crate::switch::aggregator::{AggregatorEngine, Observation, ViewVerdict};
     use ask_wire::key::Key;
     use ask_wire::packet::{ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId};
+    use ask_wire::view::DataPacketView;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -112,12 +131,14 @@ mod engine_proptests {
 
             let mut receiver = ReceiverWindow::new(window);
             let mut residual: HashMap<Key, u32> = HashMap::new();
-            let receive = |pkt: &DataPacket, receiver: &mut ReceiverWindow,
+            // The receiver merges the slots the switch's verdict left in
+            // the frame, once per sequence number.
+            let receive = |pkt: &DataPacketView, kept: u128, receiver: &mut ReceiverWindow,
                                residual: &mut HashMap<Key, u32>| {
-                if receiver.observe(pkt.seq.0) == Observation::First {
-                    for t in pkt.slots.iter().flatten() {
-                        let slot = residual.entry(t.key.clone()).or_insert(0);
-                        *slot = slot.wrapping_add(t.value);
+                if receiver.observe(pkt.seq().0) == Observation::First {
+                    for s in pkt.slots().filter(|s| kept & (1 << s.index()) != 0) {
+                        let slot = residual.entry(s.key()).or_insert(0);
+                        *slot = slot.wrapping_add(s.value());
                     }
                 }
             };
@@ -125,31 +146,32 @@ mod engine_proptests {
             // Long keys bypass: the receiver ingests them directly (with
             // their own dedup), sharing the channel's sequence space.
             let mut seq = 0u64;
-            let mut recent: Vec<DataPacket> = Vec::new();
+            let mut recent: Vec<DataPacketView> = Vec::new();
             let mut fetch_seq = 0u32;
-            let process = |pkt: DataPacket,
+            let process = |pkt: &DataPacketView,
                                engine: &mut AggregatorEngine,
                                receiver: &mut ReceiverWindow,
                                residual: &mut HashMap<Key, u32>| {
-                match engine.process_data(pkt) {
-                    DataVerdict::FullyAggregated | DataVerdict::Stale => {}
-                    DataVerdict::Forward(residual_pkt) => {
-                        receive(&residual_pkt, receiver, residual);
+                match engine.process_data_view(pkt) {
+                    ViewVerdict::FullyAggregated | ViewVerdict::Stale => {}
+                    ViewVerdict::Forward { residual: kept } => {
+                        receive(pkt, kept, receiver, residual);
                     }
                 }
             };
 
             for payload in stream.data_payloads {
                 let pkt = DataPacket { task, channel, seq: SeqNo(seq), slots: payload };
+                let pkt = data_view(pkt, &cfg.layout);
                 seq += 1;
-                process(pkt.clone(), &mut engine, &mut receiver, &mut residual);
+                process(&pkt, &mut engine, &mut receiver, &mut residual);
                 recent.push(pkt);
                 if recent.len() > window / 2 {
                     recent.remove(0);
                 }
                 // Retransmit a random recent (in-window) packet.
                 if !recent.is_empty() && rng.gen_bool(dup_rate) {
-                    let dup = recent[rng.gen_range(0..recent.len())].clone();
+                    let dup = &recent[rng.gen_range(0..recent.len())];
                     process(dup, &mut engine, &mut receiver, &mut residual);
                 }
                 if swap_every > 0 && seq.is_multiple_of(swap_every) {
@@ -218,10 +240,10 @@ mod engine_proptests {
                         slots: payload,
                     };
                     seqs[which] += 1;
-                    match engine.process_data(pkt) {
-                        DataVerdict::FullyAggregated => totals[which] += value as u64,
-                        DataVerdict::Forward(_) => {}
-                        DataVerdict::Stale => unreachable!(),
+                    match engine.process_data_view(&data_view(pkt, &layout)) {
+                        ViewVerdict::FullyAggregated => totals[which] += value as u64,
+                        ViewVerdict::Forward { .. } => {}
+                        ViewVerdict::Stale => unreachable!(),
                     }
                 }
             }
@@ -247,7 +269,7 @@ pub mod prelude {
         reference_aggregate, reference_aggregate_op, AskService, AskServiceBuilder, RunError,
     };
     pub use crate::stats::{HostStats, SwitchTaskStats};
-    pub use crate::switch::{AggregatorEngine, AskSwitch, DataVerdict};
+    pub use crate::switch::{AggregatorEngine, AskSwitch, ViewVerdict};
     pub use crate::valuestream::{decode_vector, encode_vector, DecodeVectorError};
     pub use ask_wire::key::{Key, KeyClass};
     pub use ask_wire::packet::{AggregateOp, KvTuple, PacketLayout, TaskId};

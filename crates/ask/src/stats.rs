@@ -135,11 +135,9 @@ pub struct HostStats {
     /// bytes — first-delivery data packets merged via borrowed slot views
     /// and fetch replies merged via borrowed entry views — with zero pool
     /// traffic (the host-side mirror of the switch's pure-absorb counter).
-    /// Always zero on the scalar receive path.
     pub host_pure_view: u64,
-    /// Inbound frames the view receive path had to materialize through the
-    /// pool after parsing (long-kv bypass bodies, layout-mismatched data).
-    /// Always zero on the scalar receive path.
+    /// Inbound frames the receive path had to materialize through the pool
+    /// after parsing: long-kv bodies.
     pub host_view_fallbacks: u64,
     /// Histogram of delivery burst lengths handed to the daemon by the
     /// simulator's burst drain (log₂ buckets, see [`burst_bucket`]).

@@ -19,9 +19,11 @@
 //!              layouts up to 64 slots keep per-packet state)
 //! ```
 //!
-//! One [`process_data`](AggregatorEngine::process_data) call is one packet
-//! pass: dedup gate first, then one access per aggregator array in stage
-//! order, then the `PktState` read-or-write.
+//! One [`process_data_view`](AggregatorEngine::process_data_view) call is
+//! one packet pass: dedup gate first, then one access per aggregator array
+//! in stage order, then the `PktState` read-or-write. Keys and values are
+//! read in place from the frame bytes ([`DataPacketView`]); the engine never
+//! owns a decoded packet.
 
 use crate::config::AskConfig;
 use crate::stats::{burst_bucket, SwitchTaskStats};
@@ -30,28 +32,19 @@ use ask_pisa::pipeline::{ArrayId, Pass, Pipeline, Violation};
 use ask_pisa::spec::PipelineSpec;
 use ask_pisa::table::TableId;
 use ask_wire::key::Key;
-use ask_wire::packet::{
-    AaRegion, AggregateOp, ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
-};
-use ask_wire::pool::PacketPool;
+use ask_wire::packet::{AaRegion, AggregateOp, ChannelId, FetchScope, KvTuple, SeqNo, TaskId};
 use ask_wire::view::DataPacketView;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Mixes a 64-bit key hash into an aggregator index (splitmix64
 /// finalizer), decorrelated from the subspace-partition hash (which uses
-/// the raw `hash64`). Shared by the materializing path and the borrowed
-/// view lanes, which hash straight off the wire bytes.
+/// the raw `hash64`).
 fn index_mix(h: u64) -> u64 {
     let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// [`index_mix`] over a materialized key.
-fn index_hash(key: &Key) -> u64 {
-    index_mix(key.hash64())
 }
 
 /// Outcome of the dedup gate for one sequenced packet.
@@ -67,24 +60,8 @@ pub enum Observation {
 
 /// Verdict for one data packet.
 ///
-/// The `Forward` packet is the input packet itself, rewritten in place
-/// (aggregated slots blanked) — [`AggregatorEngine::process_data`] takes
-/// the packet by value precisely so no copy is ever made on the data path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DataVerdict {
-    /// Stale packet, dropped without any response.
-    Stale,
-    /// Every tuple aggregated: drop the packet and ACK the sender.
-    FullyAggregated,
-    /// Residual tuples remain: forward this rewritten packet downstream.
-    Forward(DataPacket),
-}
-
-/// Verdict for one data packet processed through the borrowed-view path.
-///
-/// Mirrors [`DataVerdict`] case for case, but a partial absorb reports the
-/// surviving slot bitmap instead of a rewritten packet — the caller
-/// re-frames the original wire bytes with
+/// A partial absorb reports the surviving slot bitmap, not a rewritten
+/// packet — the caller re-frames the original wire bytes with
 /// [`ask_wire::view::DataPacketView::residual_frame`], so nothing is ever
 /// materialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,7 +163,7 @@ const SLOT_NONE: u32 = u32::MAX;
 const MASK_MODULO: u64 = u64::MAX;
 
 /// One line of the direct-mapped per-channel dispatch cache: everything
-/// `process_data` needs that would otherwise cost a `HashMap` probe — the
+/// the data path needs that would otherwise cost a `HashMap` probe — the
 /// channel's reliability slot, the task's match-table action data (region,
 /// indicator, operator), and the task's dense slot for stats updates. The
 /// action data is latched here at fill time, which is sound because it is
@@ -274,10 +251,7 @@ pub struct AggregatorEngine {
     /// [`AskConfig::absorption_audit`] is set. Oracle bookkeeping for the
     /// conformance harness — real hardware has no analogue.
     absorbed_seqs: Option<HashSet<(ChannelId, u64)>>,
-    /// Recycled packet backing stores: the decode path takes slot vectors
-    /// from here and every verdict that consumes a packet returns them.
-    pool: PacketPool,
-    /// SoA scratch for the view ingest path, reused across bursts.
+    /// SoA scratch for burst ingest, reused across bursts.
     view_lanes: ViewLanes,
     /// Violations journaled by pipelines discarded in [`crash_reset`]
     /// (`AggregatorEngine::crash_reset`); added to the live pipeline's count
@@ -332,7 +306,6 @@ impl AggregatorEngine {
             free_regions,
             local_hosts: None,
             absorbed_seqs,
-            pool: PacketPool::new(),
             view_lanes: ViewLanes::default(),
             carried_violations: 0,
         }
@@ -418,17 +391,6 @@ impl AggregatorEngine {
         // The audit journal is per-epoch: sequence spaces restart at zero
         // after a crash, so old (channel, seq) keys would falsely collide.
         self.absorbed_seqs = self.config.absorption_audit.then(HashSet::new);
-    }
-
-    /// The engine's recycled packet-buffer pool.
-    pub fn pool(&self) -> &PacketPool {
-        &self.pool
-    }
-
-    /// Mutable access to the pool, for callers that build the packets they
-    /// feed to [`AggregatorEngine::process_data`] themselves.
-    pub fn pool_mut(&mut self) -> &mut PacketPool {
-        &mut self.pool
     }
 
     /// Restricts reliability state and aggregation to channels owned by
@@ -662,99 +624,53 @@ impl AggregatorEngine {
         }
     }
 
-    /// Processes one data packet through the full pipeline program.
+    /// Processes one data packet through the full pipeline program,
+    /// reading keys and values straight from the frame bytes. A partial
+    /// absorb returns the surviving slot bitmap; the caller re-frames the
+    /// inbound buffer.
     ///
-    /// Takes the packet by value and rewrites it in place: aggregated slots
-    /// are blanked directly, and whatever survives is handed back inside
-    /// [`DataVerdict::Forward`] without ever copying the packet. Verdicts
-    /// that consume the packet ([`DataVerdict::Stale`],
-    /// [`DataVerdict::FullyAggregated`]) recycle its slot vector into the
-    /// engine's [`PacketPool`].
-    pub fn process_data(&mut self, pkt: DataPacket) -> DataVerdict {
-        let ent = self.dispatch_entry(pkt.channel, pkt.task);
-        self.process_resolved(ent, pkt)
-    }
-
-    /// [`AggregatorEngine::process_data`] for a packet flagged no-aggregate
-    /// (degraded pass-through): the dedup gate and `PktState` bookkeeping
-    /// run exactly as usual — so a flagged retransmission of a packet whose
-    /// original *was* absorbed still resolves through the recorded bitmap
-    /// and can never double-count — but first sightings skip the aggregator
-    /// arrays entirely and forward every tuple.
-    pub fn process_data_no_aggregate(&mut self, pkt: DataPacket) -> DataVerdict {
-        let ent = self.dispatch_entry(pkt.channel, pkt.task);
-        self.process_resolved_ex(ent, pkt, false)
-    }
-
-    /// Processes a burst of data packets, returning one verdict per packet
-    /// in input order (appended to `verdicts`).
-    ///
-    /// Equivalent to calling [`AggregatorEngine::process_data`] on each
-    /// packet in order — every verdict, protocol counter, and register state
-    /// is identical (proptest-pinned) — but consecutive packets of the same
-    /// `(channel, task)` group resolve the dispatch entry once for the whole
-    /// run instead of re-probing the cache per packet. Each packet still
-    /// executes its own pipeline pass: a pass models one PISA traversal, and
-    /// two packets sharing a pass would trip same-register access conflicts
-    /// that sequential processing does not have.
-    ///
-    /// The only observable difference is the purely observational
-    /// `burst_len` histogram in [`SwitchTaskStats`], which records one entry
-    /// per same-`(channel, task)` run.
-    pub fn process_batch(
-        &mut self,
-        batch: impl IntoIterator<Item = DataPacket>,
-        verdicts: &mut Vec<DataVerdict>,
-    ) {
-        let mut cur: Option<DispatchEntry> = None;
-        let mut group_len: u64 = 0;
-        for pkt in batch {
-            let ent = match cur {
-                // The data path never touches the control plane, so a
-                // resolved entry stays valid for the rest of the batch.
-                Some(e) if e.channel == pkt.channel && e.task == pkt.task => {
-                    group_len += 1;
-                    e
-                }
-                _ => {
-                    if let Some(prev) = cur {
-                        self.note_burst(prev.task_slot, group_len);
-                    }
-                    group_len = 1;
-                    let e = self.dispatch_entry(pkt.channel, pkt.task);
-                    cur = Some(e);
-                    e
-                }
-            };
-            verdicts.push(self.process_resolved(ent, pkt));
-        }
-        if let Some(prev) = cur {
-            self.note_burst(prev.task_slot, group_len);
-        }
-    }
-
-    /// [`AggregatorEngine::process_data`] over a borrowed view: same
-    /// pipeline program, same verdict and counters, but aggregation reads
-    /// keys and values straight from the frame bytes and the partial-absorb
-    /// outcome is a residual bitmap instead of a rewritten packet. Never
-    /// touches the packet pool.
+    /// The view's declared slot layout must be the engine's
+    /// ([`DataPacketView::matches_layout`]): slot `i` addresses aggregator
+    /// array `i`. [`AskSwitch`](crate::switch::AskSwitch) relays frames in
+    /// any other layout as bypass traffic and never hands them to the
+    /// engine.
     pub fn process_data_view(&mut self, view: &DataPacketView) -> ViewVerdict {
         let ent = self.dispatch_entry(view.channel(), view.task());
         let mut lanes = std::mem::take(&mut self.view_lanes);
         lanes.fill(std::slice::from_ref(view));
-        let v = self.process_resolved_view(ent, view, &lanes, 0);
+        let v = self.process_resolved(ent, view, Some((&lanes, 0)));
         self.view_lanes = lanes;
         v
     }
 
-    /// [`AggregatorEngine::process_batch`] over borrowed views: phase 1
-    /// pre-hashes every slot key in the burst into the SoA lanes, phase 2
-    /// replays each packet's lane range through its own pipeline pass.
-    /// Verdicts, counters (including the burst histogram), register state,
-    /// and pass/violation accounting are identical to feeding the
-    /// materialized packets through [`AggregatorEngine::process_batch`]
-    /// (proptest-pinned); one verdict per view is appended to `verdicts` in
-    /// input order.
+    /// [`AggregatorEngine::process_data_view`] for a packet flagged
+    /// no-aggregate (degraded pass-through): the dedup gate and `PktState`
+    /// bookkeeping run exactly as usual — so a flagged retransmission of a
+    /// packet whose original *was* absorbed still resolves through the
+    /// recorded bitmap and can never double-count — but first sightings
+    /// skip the aggregator arrays entirely and forward every tuple.
+    pub fn process_data_view_no_aggregate(&mut self, view: &DataPacketView) -> ViewVerdict {
+        let ent = self.dispatch_entry(view.channel(), view.task());
+        self.process_resolved(ent, view, None)
+    }
+
+    /// Processes a burst of data packets, appending one verdict per view to
+    /// `verdicts` in input order: phase 1 pre-hashes every slot key in the
+    /// burst into the SoA lanes, phase 2 replays each packet's lane range
+    /// through its own pipeline pass.
+    ///
+    /// Equivalent to calling [`AggregatorEngine::process_data_view`] on
+    /// each view in order — every verdict, protocol counter, and register
+    /// state is identical (proptest-pinned) — but consecutive packets of the
+    /// same `(channel, task)` group resolve the dispatch entry once for the
+    /// whole run instead of re-probing the cache per packet. Each packet
+    /// still executes its own pipeline pass: a pass models one PISA
+    /// traversal, and two packets sharing a pass would trip same-register
+    /// access conflicts that sequential processing does not have.
+    ///
+    /// The only observable difference is the purely observational
+    /// `burst_len` histogram in [`SwitchTaskStats`], which records one entry
+    /// per same-`(channel, task)` run.
     pub fn process_batch_views(
         &mut self,
         views: &[DataPacketView],
@@ -766,6 +682,8 @@ impl AggregatorEngine {
         let mut group_len: u64 = 0;
         for (ix, view) in views.iter().enumerate() {
             let ent = match cur {
+                // The data path never touches the control plane, so a
+                // resolved entry stays valid for the rest of the batch.
                 Some(e) if e.channel == view.channel() && e.task == view.task() => {
                     group_len += 1;
                     e
@@ -780,7 +698,7 @@ impl AggregatorEngine {
                     e
                 }
             };
-            verdicts.push(self.process_resolved_view(ent, view, &lanes, ix));
+            verdicts.push(self.process_resolved(ent, view, Some((&lanes, ix))));
         }
         if let Some(prev) = cur {
             self.note_burst(prev.task_slot, group_len);
@@ -788,18 +706,24 @@ impl AggregatorEngine {
         self.view_lanes = lanes;
     }
 
-    /// The pipeline program for one viewed packet — branch for branch the
-    /// same as [`process_resolved_ex`](Self::process_resolved_ex) with
-    /// aggregation on, so pass counts, register access order, and degraded
-    /// (violation) behavior are indistinguishable from the scalar path.
+    /// The pipeline program for one packet, after dispatch resolution.
+    /// `lanes` is the pre-hashed burst and this packet's index in it;
+    /// `None` is the degraded no-aggregate variant (dedup and `PktState`
+    /// still run, aggregator arrays are skipped).
+    // `drop(pass)` below deliberately ends the pipeline pass (and its
+    // borrow) before control-plane state is updated; the lint misreads
+    // that as a no-op.
     #[allow(clippy::drop_non_drop)]
-    fn process_resolved_view(
+    fn process_resolved(
         &mut self,
         ent: DispatchEntry,
         view: &DataPacketView,
-        lanes: &ViewLanes,
-        pkt_ix: usize,
+        lanes: Option<(&ViewLanes, usize)>,
     ) -> ViewVerdict {
+        debug_assert!(
+            view.matches_layout(&self.config.layout),
+            "frames in a foreign slot layout are bypass traffic, not engine input"
+        );
         let bitmap = view.bitmap();
         if ent.ch_slot == SLOT_NONE {
             // No reliability state available: best-effort pure forwarding.
@@ -809,6 +733,19 @@ impl AggregatorEngine {
         let window = self.config.window;
 
         let mut pass = self.pipeline.begin_pass();
+
+        // Stage 0: the task's match-table action data (region, indicator,
+        // operator) was latched into the dispatch entry at install time —
+        // only the control plane writes it, and install/release invalidate
+        // the cache — so the pass starts at the copy indicator, which does
+        // change mid-task (shadow swaps) and stays a per-packet register
+        // access.
+        //
+        // Any register-access violation below is journaled by the pipeline
+        // and degrades the pass to plain forwarding: the packet goes out
+        // untouched, nothing has been absorbed yet, and the receiver's own
+        // window dedups — the one unsafe act (absorbing twice) never
+        // happens in degraded mode.
         let copy = if ent.task_slot != SLOT_NONE {
             match pass.access(self.copy_indicator, ent.indicator_idx as usize, |v| *v) {
                 Ok(c) => c as usize,
@@ -846,8 +783,8 @@ impl AggregatorEngine {
                 ViewVerdict::Stale
             }
             Observation::First => {
-                let (new_claims, aggregated, forwarded, residual) = if ent.task_slot != SLOT_NONE {
-                    Self::aggregate_lanes(
+                let (new_claims, aggregated, forwarded, residual) = match lanes {
+                    Some((lanes, pkt_ix)) if ent.task_slot != SLOT_NONE => Self::aggregate_lanes(
                         &mut pass,
                         &self.aas,
                         &self.config,
@@ -858,13 +795,17 @@ impl AggregatorEngine {
                         lanes,
                         pkt_ix,
                         bitmap,
-                    )
-                } else {
-                    (Vec::new(), 0, bitmap.count_ones() as u64, bitmap)
+                    ),
+                    _ => (Vec::new(), 0, bitmap.count_ones() as u64, bitmap),
                 };
+                // Final stage: record the post-aggregation bitmap. On a
+                // violation the write is skipped (journaled); a later
+                // duplicate then reads whatever the register held.
                 let _ = pass.access(self.pkt_state, state_idx, |v| *v = residual as u64);
                 drop(pass);
                 let empty = residual == 0;
+                // Conformance audit: absorbing tuples from a sequence the
+                // journal has already seen is an exactly-once violation.
                 let dup_absorb = match self.absorbed_seqs.as_mut() {
                     Some(journal) if aggregated > 0 => {
                         u64::from(!journal.insert((view.channel(), view.seq().0)))
@@ -890,6 +831,9 @@ impl AggregatorEngine {
                 }
             }
             Observation::Duplicate => {
+                // Skip the AAs entirely; restore the recorded bitmap. If the
+                // read itself violates (journaled), fall back to forwarding
+                // the whole packet: never re-aggregate a duplicate.
                 let stored = match pass.access(self.pkt_state, state_idx, |v| *v) {
                     Ok(v) => v as u128,
                     Err(_) => u128::MAX,
@@ -909,9 +853,8 @@ impl AggregatorEngine {
         }
     }
 
-    /// Aggregates one packet's lane range within one pass — the per-lane
-    /// counterpart of [`aggregate_packet`](Self::aggregate_packet), with the
-    /// same per-slot register access sequence. Returns new claims, the
+    /// Aggregates one packet's lane range within one pass: one register
+    /// access per aggregator array, in stage order. Returns new claims, the
     /// aggregated/forwarded tuple counts, and the surviving slot bitmap.
     #[allow(clippy::too_many_arguments)]
     fn aggregate_lanes(
@@ -941,6 +884,9 @@ impl AggregatorEngine {
             let slot_ix = lanes.slot_ix[lane] as usize;
             let value = lanes.value[lane];
             let mix = lanes.mix[lane];
+            // Power-of-two regions reduce the index mix to an AND with the
+            // precomputed mask; the modulo fallback yields the same index
+            // whenever both paths are defined.
             let spread = if index_mask == MASK_MODULO {
                 mix % region.aggregators as u64
             } else {
@@ -1019,158 +965,6 @@ impl AggregatorEngine {
         }
     }
 
-    /// The pipeline program for one packet, after dispatch resolution.
-    fn process_resolved(&mut self, ent: DispatchEntry, pkt: DataPacket) -> DataVerdict {
-        self.process_resolved_ex(ent, pkt, true)
-    }
-
-    /// The pipeline program for one packet, after dispatch resolution;
-    /// `aggregate: false` is the degraded no-aggregate variant (dedup and
-    /// `PktState` still run, aggregator arrays are skipped).
-    // `drop(pass)` below deliberately ends the pipeline pass (and its
-    // borrow) before control-plane state is updated; the lint misreads
-    // that as a no-op.
-    #[allow(clippy::drop_non_drop)]
-    fn process_resolved_ex(
-        &mut self,
-        ent: DispatchEntry,
-        mut pkt: DataPacket,
-        aggregate: bool,
-    ) -> DataVerdict {
-        if ent.ch_slot == SLOT_NONE {
-            // No reliability state available: best-effort pure forwarding.
-            return DataVerdict::Forward(pkt);
-        }
-        let ch_slot = ent.ch_slot as usize;
-        let window = self.config.window;
-
-        let mut pass = self.pipeline.begin_pass();
-
-        // Stage 0: the task's match-table action data (region, indicator,
-        // operator) was latched into the dispatch entry at install time —
-        // only the control plane writes it, and install/release invalidate
-        // the cache — so the pass starts at the copy indicator, which does
-        // change mid-task (shadow swaps) and stays a per-packet register
-        // access.
-        //
-        // Any register-access violation below is journaled by the pipeline
-        // and degrades the pass to plain forwarding: the packet goes out
-        // untouched, nothing has been absorbed yet, and the receiver's own
-        // window dedups — the one unsafe act (absorbing twice) never
-        // happens in degraded mode.
-        let copy = if ent.task_slot != SLOT_NONE {
-            match pass.access(self.copy_indicator, ent.indicator_idx as usize, |v| *v) {
-                Ok(c) => c as usize,
-                Err(_) => {
-                    drop(pass);
-                    return DataVerdict::Forward(pkt);
-                }
-            }
-        } else {
-            0
-        };
-
-        let obs = match Self::observe_in_pass(
-            &mut pass,
-            self.max_seq,
-            self.seen,
-            ch_slot,
-            window,
-            pkt.seq.0,
-        ) {
-            Ok(o) => o,
-            Err(_) => {
-                drop(pass);
-                return DataVerdict::Forward(pkt);
-            }
-        };
-        let state_idx = ch_slot * window + (pkt.seq.0 % window as u64) as usize;
-
-        match obs {
-            Observation::Stale => {
-                drop(pass);
-                if let Some(t) = self.slot_entry_mut(ent.task_slot) {
-                    t.stats.stale_dropped += 1;
-                }
-                self.pool.recycle_slots(std::mem::take(&mut pkt.slots));
-                DataVerdict::Stale
-            }
-            Observation::First => {
-                let (new_claims, aggregated, forwarded) = if aggregate && ent.task_slot != SLOT_NONE
-                {
-                    Self::aggregate_packet(
-                        &mut pass,
-                        &self.aas,
-                        &self.config,
-                        ent.region,
-                        copy,
-                        ent.op,
-                        ent.index_mask,
-                        &mut pkt,
-                    )
-                } else {
-                    (Vec::new(), 0, pkt.occupied() as u64)
-                };
-                // Final stage: record the post-aggregation bitmap. On a
-                // violation the write is skipped (journaled); a later
-                // duplicate then reads whatever the register held.
-                let _ = pass.access(self.pkt_state, state_idx, |v| *v = pkt.bitmap() as u64);
-                drop(pass);
-                let empty = pkt.is_empty();
-                // Conformance audit: absorbing tuples from a sequence the
-                // journal has already seen is an exactly-once violation.
-                let dup_absorb = match self.absorbed_seqs.as_mut() {
-                    Some(journal) if aggregated > 0 => {
-                        u64::from(!journal.insert((pkt.channel, pkt.seq.0)))
-                    }
-                    _ => 0,
-                };
-                if let Some(t) = self.slot_entry_mut(ent.task_slot) {
-                    t.claims[copy].extend(new_claims);
-                    t.stats.data_packets += 1;
-                    t.stats.tuples_aggregated += aggregated;
-                    t.stats.tuples_forwarded += forwarded;
-                    t.stats.duplicate_absorptions += dup_absorb;
-                    if empty {
-                        t.stats.packets_fully_aggregated += 1;
-                    } else {
-                        t.stats.packets_forwarded += 1;
-                    }
-                }
-                if empty {
-                    self.pool.recycle_slots(std::mem::take(&mut pkt.slots));
-                    DataVerdict::FullyAggregated
-                } else {
-                    DataVerdict::Forward(pkt)
-                }
-            }
-            Observation::Duplicate => {
-                // Skip the AAs entirely; restore the recorded bitmap. If the
-                // read itself violates (journaled), fall back to forwarding
-                // the whole packet: never re-aggregate a duplicate.
-                let stored = match pass.access(self.pkt_state, state_idx, |v| *v) {
-                    Ok(v) => v as u128,
-                    Err(_) => u128::MAX,
-                };
-                drop(pass);
-                if let Some(t) = self.slot_entry_mut(ent.task_slot) {
-                    t.stats.duplicates_detected += 1;
-                }
-                if stored == 0 {
-                    self.pool.recycle_slots(std::mem::take(&mut pkt.slots));
-                    DataVerdict::FullyAggregated
-                } else {
-                    for (i, slot) in pkt.slots.iter_mut().enumerate() {
-                        if stored & (1 << i) == 0 {
-                            *slot = None;
-                        }
-                    }
-                    DataVerdict::Forward(pkt)
-                }
-            }
-        }
-    }
-
     /// Builds a dispatch line for `(channel, task)` the slow way — the
     /// hash lookups the cache exists to amortize. Assigns the channel a
     /// dedup slot if it does not have one yet.
@@ -1197,92 +991,6 @@ impl AggregatorEngine {
             };
         }
         ent
-    }
-
-    /// Aggregates every occupied slot of `pkt` within one pass, blanking
-    /// aggregated slots in place. Returns new claims plus the
-    /// aggregated/forwarded tuple counts.
-    #[allow(clippy::too_many_arguments)]
-    fn aggregate_packet(
-        pass: &mut Pass<'_>,
-        aas: &[ArrayId],
-        config: &AskConfig,
-        region: AaRegion,
-        copy: usize,
-        op: AggregateOp,
-        index_mask: u64,
-        pkt: &mut DataPacket,
-    ) -> (Vec<Claim>, u64, u64) {
-        let layout = &config.layout;
-        debug_assert_eq!(pkt.slots.len(), layout.slot_count());
-        let copy_off = copy * config.aggregators_per_aa;
-        let mut claims = Vec::new();
-        let mut aggregated = 0;
-        let mut forwarded = 0;
-
-        for slot_ix in 0..pkt.slots.len() {
-            let Some(tuple) = &pkt.slots[slot_ix] else {
-                continue;
-            };
-            // Power-of-two regions reduce the index mix to an AND with the
-            // precomputed mask; the modulo fallback yields the same index
-            // whenever both paths are defined.
-            let mix = index_hash(&tuple.key);
-            let spread = if index_mask == MASK_MODULO {
-                mix % region.aggregators as u64
-            } else {
-                mix & index_mask
-            };
-            let idx = copy_off + region.base as usize + spread as usize;
-            let ok = if layout.is_short_slot(slot_ix) {
-                let aa = aas[slot_ix];
-                let seg = tuple.key.segment(0);
-                debug_assert_ne!(seg, 0, "valid keys have non-zero segments");
-                let claimed = Self::aggregate_segment(pass, aa, idx, seg, tuple.value, true, op);
-                match claimed {
-                    SegmentOutcome::Claimed => {
-                        claims.push(Claim::Short { aa: slot_ix, idx });
-                        true
-                    }
-                    SegmentOutcome::Matched => true,
-                    SegmentOutcome::Conflict => false,
-                }
-            } else {
-                let group = slot_ix - layout.short_slots();
-                let m = layout.medium_segments();
-                let base_aa = layout.short_slots() + group * m;
-                let mut claimed_any = false;
-                let mut failed = false;
-                for s in 0..m {
-                    if failed {
-                        break;
-                    }
-                    let aa = aas[base_aa + s];
-                    let seg = tuple.key.segment(s);
-                    let is_last = s == m - 1;
-                    match Self::aggregate_segment(pass, aa, idx, seg, tuple.value, is_last, op) {
-                        SegmentOutcome::Claimed => claimed_any = true,
-                        SegmentOutcome::Matched => {}
-                        SegmentOutcome::Conflict => failed = true,
-                    }
-                }
-                debug_assert!(
-                    !(claimed_any && failed),
-                    "coalesced invariant: blanks are all-or-none per index"
-                );
-                if claimed_any {
-                    claims.push(Claim::Medium { group, idx });
-                }
-                !failed
-            };
-            if ok {
-                aggregated += 1;
-                pkt.slots[slot_ix] = None;
-            } else {
-                forwarded += 1;
-            }
-        }
-        (claims, aggregated, forwarded)
     }
 
     /// One stateful-ALU operation on one aggregator register: claim if
@@ -1492,32 +1200,35 @@ enum SegmentOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ask_wire::packet::PacketLayout;
+    use crate::data_view;
+    use ask_wire::packet::DataPacket;
 
     fn engine() -> AggregatorEngine {
         AggregatorEngine::new(AskConfig::tiny())
     }
 
-    fn pkt(task: u32, channel: u32, seq: u64, tuples: &[(usize, &str, u32)]) -> DataPacket {
+    /// A data frame in the tiny layout, as the switch sees it on the wire.
+    fn view(task: u32, channel: u32, seq: u64, tuples: &[(usize, &str, u32)]) -> DataPacketView {
         let layout = AskConfig::tiny().layout;
         let mut slots = vec![None; layout.slot_count()];
         for &(slot, key, value) in tuples {
             slots[slot] = Some(KvTuple::new(Key::from_str(key).unwrap(), value));
         }
-        DataPacket {
+        let pkt = DataPacket {
             task: TaskId(task),
             channel: ChannelId(channel),
             seq: SeqNo(seq),
             slots,
-        }
+        };
+        data_view(pkt, &layout)
     }
 
     #[test]
     fn first_packet_fully_aggregates() {
         let mut e = engine();
         e.register_task(TaskId(1), 9).expect("region");
-        let v = e.process_data(pkt(1, 0, 0, &[(0, "cat", 3), (1, "dog", 4)]));
-        assert_eq!(v, DataVerdict::FullyAggregated);
+        let v = e.process_data_view(&view(1, 0, 0, &[(0, "cat", 3), (1, "dog", 4)]));
+        assert_eq!(v, ViewVerdict::FullyAggregated);
         let got = e.fetch(TaskId(1), FetchScope::All, 1);
         let mut got: Vec<(String, u32)> = got
             .iter()
@@ -1537,8 +1248,8 @@ mod tests {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
         for seq in 0..10 {
-            let v = e.process_data(pkt(1, 0, seq, &[(0, "cat", 2)]));
-            assert_eq!(v, DataVerdict::FullyAggregated);
+            let v = e.process_data_view(&view(1, 0, seq, &[(0, "cat", 2)]));
+            assert_eq!(v, ViewVerdict::FullyAggregated);
         }
         let got = e.fetch(TaskId(1), FetchScope::All, 1);
         assert_eq!(got.len(), 1);
@@ -1554,16 +1265,13 @@ mod tests {
         let mut e2 = AggregatorEngine::new(cfg);
         e2.register_task(TaskId(1), 9).unwrap();
         assert_eq!(
-            e2.process_data(pkt(1, 0, 0, &[(0, "aaa", 1)])),
-            DataVerdict::FullyAggregated
+            e2.process_data_view(&view(1, 0, 0, &[(0, "aaa", 1)])),
+            ViewVerdict::FullyAggregated
         );
-        match e2.process_data(pkt(1, 0, 1, &[(0, "bbb", 7)])) {
-            DataVerdict::Forward(p) => {
-                assert_eq!(p.occupied(), 1);
-                assert_eq!(p.slots[0].as_ref().unwrap().value, 7);
-            }
-            other => panic!("expected forward, got {other:?}"),
-        }
+        assert_eq!(
+            e2.process_data_view(&view(1, 0, 1, &[(0, "bbb", 7)])),
+            ViewVerdict::Forward { residual: 0b1 }
+        );
         let s = e2.task_stats(TaskId(1)).unwrap();
         assert_eq!(s.tuples_aggregated, 1);
         assert_eq!(s.tuples_forwarded, 1);
@@ -1576,9 +1284,9 @@ mod tests {
     fn duplicate_fully_aggregated_is_acked_not_reaggregated() {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
-        let p = pkt(1, 0, 0, &[(0, "cat", 5)]);
-        assert_eq!(e.process_data(p.clone()), DataVerdict::FullyAggregated);
-        assert_eq!(e.process_data(p), DataVerdict::FullyAggregated);
+        let p = view(1, 0, 0, &[(0, "cat", 5)]);
+        assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
+        assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
         let got = e.fetch(TaskId(1), FetchScope::All, 1);
         assert_eq!(got[0].value, 5, "retransmission must not double-count");
         assert_eq!(e.task_stats(TaskId(1)).unwrap().duplicates_detected, 1);
@@ -1591,26 +1299,21 @@ mod tests {
         let mut e = AggregatorEngine::new(cfg);
         e.register_task(TaskId(1), 9).unwrap();
         // Occupy slot-0's only aggregator with "aaa".
-        e.process_data(pkt(1, 0, 0, &[(0, "aaa", 1)]));
+        e.process_data_view(&view(1, 0, 0, &[(0, "aaa", 1)]));
         // Mixed packet: "aaa" aggregates, "bbb" conflicts in slot 0... they
         // share slot 0 across packets; send both in one packet via slots 0/1.
-        let mixed = pkt(1, 0, 1, &[(0, "aaa", 2), (1, "ccc", 3)]);
-        let first = e.process_data(mixed);
+        let mixed = view(1, 0, 1, &[(0, "aaa", 2), (1, "ccc", 3)]);
+        let first = e.process_data_view(&mixed);
         // "aaa" merges into slot0 aggregator; "ccc" claims slot1 aggregator.
-        assert_eq!(first, DataVerdict::FullyAggregated);
+        assert_eq!(first, ViewVerdict::FullyAggregated);
         // Now make slot 1 conflict: occupy then send a different key.
-        let conflict = pkt(1, 0, 2, &[(1, "ddd", 9)]);
-        let v1 = e.process_data(conflict.clone());
-        let DataVerdict::Forward(f1) = v1 else {
-            panic!("expected forward")
-        };
+        let conflict = view(1, 0, 2, &[(1, "ddd", 9)]);
+        let v1 = e.process_data_view(&conflict);
+        assert_eq!(v1, ViewVerdict::Forward { residual: 0b10 });
         // Retransmit the same packet: must carry the same residual without
         // touching the aggregators.
-        let v2 = e.process_data(conflict);
-        let DataVerdict::Forward(f2) = v2 else {
-            panic!("expected forward")
-        };
-        assert_eq!(f1, f2);
+        let v2 = e.process_data_view(&conflict);
+        assert_eq!(v1, v2);
         let total: u32 = e
             .fetch(TaskId(1), FetchScope::All, 1)
             .iter()
@@ -1625,20 +1328,17 @@ mod tests {
         e.register_task(TaskId(1), 9).unwrap();
         let w = e.config().window as u64;
         // Advance max_seq far ahead.
-        e.process_data(pkt(1, 0, 3 * w, &[(0, "cat", 1)]));
-        let v = e.process_data(pkt(1, 0, w, &[(0, "dog", 1)]));
-        assert_eq!(v, DataVerdict::Stale);
+        e.process_data_view(&view(1, 0, 3 * w, &[(0, "cat", 1)]));
+        let v = e.process_data_view(&view(1, 0, w, &[(0, "dog", 1)]));
+        assert_eq!(v, ViewVerdict::Stale);
         assert_eq!(e.task_stats(TaskId(1)).unwrap().stale_dropped, 1);
     }
 
     #[test]
     fn unknown_task_forwards_without_aggregation() {
         let mut e = engine();
-        let v = e.process_data(pkt(42, 0, 0, &[(0, "cat", 1)]));
-        match v {
-            DataVerdict::Forward(p) => assert_eq!(p.occupied(), 1),
-            other => panic!("expected forward, got {other:?}"),
-        }
+        let v = e.process_data_view(&view(42, 0, 0, &[(0, "cat", 1)]));
+        assert_eq!(v, ViewVerdict::Forward { residual: 0b1 });
     }
 
     #[test]
@@ -1646,11 +1346,11 @@ mod tests {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
         // tiny layout: slots 4 and 5 are medium groups (m = 2).
-        let p = pkt(1, 0, 0, &[(4, "maples", 6)]);
-        assert_eq!(e.process_data(p), DataVerdict::FullyAggregated);
+        let p = view(1, 0, 0, &[(4, "maples", 6)]);
+        assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
         assert_eq!(
-            e.process_data(pkt(1, 0, 1, &[(4, "maples", 4)])),
-            DataVerdict::FullyAggregated
+            e.process_data_view(&view(1, 0, 1, &[(4, "maples", 4)])),
+            ViewVerdict::FullyAggregated
         );
         let got = e.fetch(TaskId(1), FetchScope::All, 1);
         assert_eq!(got.len(), 1);
@@ -1668,16 +1368,16 @@ mod tests {
         let mut e = AggregatorEngine::new(cfg);
         e.register_task(TaskId(1), 9).unwrap();
         assert_eq!(
-            e.process_data(pkt(1, 0, 0, &[(4, "yoursa", 1)])),
-            DataVerdict::FullyAggregated
+            e.process_data_view(&view(1, 0, 0, &[(4, "yoursa", 1)])),
+            ViewVerdict::FullyAggregated
         );
         // Same segment 0 ("your"), different key: unified index collides →
         // segment 0 mismatch is impossible (same bytes) BUT segment 1
         // differs → conflict, forwarded.
-        match e.process_data(pkt(1, 0, 1, &[(4, "yourxy", 2)])) {
-            DataVerdict::Forward(p) => assert_eq!(p.occupied(), 1),
-            other => panic!("expected forward, got {other:?}"),
-        }
+        assert_eq!(
+            e.process_data_view(&view(1, 0, 1, &[(4, "yourxy", 2)])),
+            ViewVerdict::Forward { residual: 1 << 4 }
+        );
         let got = e.fetch(TaskId(1), FetchScope::All, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].key.as_bytes(), b"yoursa");
@@ -1689,10 +1389,10 @@ mod tests {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
         assert_eq!(e.active_copy(TaskId(1)), Some(0));
-        e.process_data(pkt(1, 0, 0, &[(0, "cat", 1)]));
+        e.process_data_view(&view(1, 0, 0, &[(0, "cat", 1)]));
         e.swap(TaskId(1));
         assert_eq!(e.active_copy(TaskId(1)), Some(1));
-        e.process_data(pkt(1, 0, 1, &[(0, "cat", 2)]));
+        e.process_data_view(&view(1, 0, 1, &[(0, "cat", 2)]));
         // Inactive copy now holds the pre-swap value.
         let old = e.fetch(TaskId(1), FetchScope::Inactive, 1);
         assert_eq!(old.len(), 1);
@@ -1707,7 +1407,7 @@ mod tests {
     fn fetch_is_idempotent_per_fetch_seq() {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
-        e.process_data(pkt(1, 0, 0, &[(0, "cat", 5)]));
+        e.process_data_view(&view(1, 0, 0, &[(0, "cat", 5)]));
         let a = e.fetch(TaskId(1), FetchScope::All, 1);
         // Retry of the same fetch_seq replays the cache even though the
         // registers were reset.
@@ -1727,8 +1427,8 @@ mod tests {
         let r1 = e.register_task(TaskId(1), 8).unwrap();
         let r2 = e.register_task(TaskId(2), 9).unwrap();
         assert_ne!(r1.base, r2.base);
-        e.process_data(pkt(1, 0, 0, &[(0, "cat", 1)]));
-        e.process_data(pkt(2, 1, 0, &[(0, "cat", 10)]));
+        e.process_data_view(&view(1, 0, 0, &[(0, "cat", 1)]));
+        e.process_data_view(&view(2, 1, 0, &[(0, "cat", 10)]));
         assert_eq!(e.fetch(TaskId(1), FetchScope::All, 1)[0].value, 1);
         assert_eq!(e.fetch(TaskId(2), FetchScope::All, 1)[0].value, 10);
     }
@@ -1753,13 +1453,13 @@ mod tests {
         cfg.region_aggregators = 32;
         let mut e = AggregatorEngine::new(cfg);
         e.register_task(TaskId(1), 1).unwrap();
-        e.process_data(pkt(1, 0, 0, &[(0, "cat", 5)]));
+        e.process_data_view(&view(1, 0, 0, &[(0, "cat", 5)]));
         e.release_task(TaskId(1));
         // A new task reusing the same region must not see stale keys.
         e.register_task(TaskId(2), 2).unwrap();
         assert_eq!(
-            e.process_data(pkt(2, 1, 0, &[(0, "dog", 1)])),
-            DataVerdict::FullyAggregated
+            e.process_data_view(&view(2, 1, 0, &[(0, "dog", 1)])),
+            ViewVerdict::FullyAggregated
         );
         let got = e.fetch(TaskId(2), FetchScope::All, 1);
         assert_eq!(got.len(), 1);
@@ -1774,8 +1474,8 @@ mod tests {
         // Interleave: even seqs are data, odd are bypass, across 3 windows.
         for seq in 0..3 * w {
             if seq % 2 == 0 {
-                let v = e.process_data(pkt(1, 0, seq, &[(0, "cat", 1)]));
-                assert_eq!(v, DataVerdict::FullyAggregated, "seq {seq}");
+                let v = e.process_data_view(&view(1, 0, seq, &[(0, "cat", 1)]));
+                assert_eq!(v, ViewVerdict::FullyAggregated, "seq {seq}");
             } else {
                 let o = e.observe_bypass(ChannelId(0), SeqNo(seq));
                 assert_eq!(o, Observation::First, "seq {seq}");
@@ -1792,15 +1492,15 @@ mod tests {
         let w = e.config().window as u64;
         for seq in 0..w {
             assert_eq!(
-                e.process_data(pkt(1, 0, seq, &[(0, "k", 1)])),
-                DataVerdict::FullyAggregated
+                e.process_data_view(&view(1, 0, seq, &[(0, "k", 1)])),
+                ViewVerdict::FullyAggregated
             );
         }
         for seq in 0..w {
             // All still in window (max_seq = w-1, window (w-1-W, w-1]).
             assert_eq!(
-                e.process_data(pkt(1, 0, seq, &[(0, "k", 1)])),
-                DataVerdict::FullyAggregated,
+                e.process_data_view(&view(1, 0, seq, &[(0, "k", 1)])),
+                ViewVerdict::FullyAggregated,
                 "dup seq {seq}"
             );
         }
@@ -1817,11 +1517,11 @@ mod tests {
         let mut e = AggregatorEngine::new(cfg);
         e.register_task_with_op(TaskId(1), 9, AggregateOp::Max)
             .unwrap();
-        let p = pkt(1, 0, 0, &[(0, "cat", 7)]);
-        assert_eq!(e.process_data(p.clone()), DataVerdict::FullyAggregated);
+        let p = view(1, 0, 0, &[(0, "cat", 7)]);
+        assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
         assert!(e.inject_seen_bit_flip(ChannelId(0), SeqNo(0)));
         // The retransmission now passes the corrupted dedup gate.
-        assert_eq!(e.process_data(p), DataVerdict::FullyAggregated);
+        assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
         assert_eq!(
             e.fetch(TaskId(1), FetchScope::All, 1)[0].value,
             7,
@@ -1838,10 +1538,10 @@ mod tests {
         let mut e = AggregatorEngine::new(cfg);
         e.register_task(TaskId(1), 9).unwrap();
         for seq in 0..20 {
-            e.process_data(pkt(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
+            e.process_data_view(&view(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
             if seq % 3 == 0 {
                 // Honest retransmissions must not trip the audit.
-                e.process_data(pkt(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
+                e.process_data_view(&view(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
             }
         }
         e.swap(TaskId(1));
@@ -1855,54 +1555,35 @@ mod tests {
     fn dispatch_cache_invalidates_on_install_and_release() {
         let mut e = engine();
         // Warm the cache with an "unknown task" line.
-        match e.process_data(pkt(1, 0, 0, &[(0, "cat", 1)])) {
-            DataVerdict::Forward(p) => assert_eq!(p.occupied(), 1),
-            other => panic!("unknown task must forward, got {other:?}"),
-        }
+        assert_eq!(
+            e.process_data_view(&view(1, 0, 0, &[(0, "cat", 1)])),
+            ViewVerdict::Forward { residual: 0b1 },
+            "unknown task must forward"
+        );
         // Installing the task must invalidate that line: the same
         // (channel, task) pair now aggregates.
         e.register_task(TaskId(1), 9).expect("region");
         assert_eq!(
-            e.process_data(pkt(1, 0, 1, &[(0, "cat", 2)])),
-            DataVerdict::FullyAggregated
+            e.process_data_view(&view(1, 0, 1, &[(0, "cat", 2)])),
+            ViewVerdict::FullyAggregated
         );
         // Releasing must invalidate again: back to pure forwarding, even
         // though the warm line still names the released task.
         e.release_task(TaskId(1));
-        match e.process_data(pkt(1, 0, 2, &[(0, "cat", 3)])) {
-            DataVerdict::Forward(p) => assert_eq!(p.occupied(), 1),
-            other => panic!("released task must forward, got {other:?}"),
-        }
+        assert_eq!(
+            e.process_data_view(&view(1, 0, 2, &[(0, "cat", 3)])),
+            ViewVerdict::Forward { residual: 0b1 },
+            "released task must forward"
+        );
         // A different task reusing the freed slot must not inherit stats or
         // claims through a stale cache line.
         e.register_task(TaskId(2), 9).expect("region");
         assert_eq!(
-            e.process_data(pkt(2, 0, 3, &[(0, "dog", 4)])),
-            DataVerdict::FullyAggregated
+            e.process_data_view(&view(2, 0, 3, &[(0, "dog", 4)])),
+            ViewVerdict::FullyAggregated
         );
         assert_eq!(e.task_stats(TaskId(2)).unwrap().data_packets, 1);
         assert_eq!(e.fetch(TaskId(2), FetchScope::All, 1).len(), 1);
-    }
-
-    #[test]
-    fn consumed_packets_recycle_into_pool() {
-        let mut e = engine();
-        e.register_task(TaskId(1), 9).unwrap();
-        assert_eq!(
-            e.process_data(pkt(1, 0, 0, &[(0, "cat", 3)])),
-            DataVerdict::FullyAggregated
-        );
-        assert_eq!(e.pool().retained(), 1, "fully-aggregated slots recycled");
-        let w = e.config().window as u64;
-        e.process_data(pkt(1, 0, 3 * w, &[(0, "cat", 1)]));
-        assert_eq!(
-            e.process_data(pkt(1, 0, w, &[(0, "dog", 1)])),
-            DataVerdict::Stale
-        );
-        assert_eq!(e.pool().retained(), 3, "stale slots recycled too");
-        let v = e.pool_mut().take_slots(4);
-        assert_eq!(e.pool().hits(), 1);
-        e.pool_mut().recycle_slots(v);
     }
 
     #[test]
@@ -1913,26 +1594,30 @@ mod tests {
             e.register_task(TaskId(1), 9).unwrap();
             e
         };
-        // Channel-interleaved runs with a duplicate and a stale mixed in.
-        let mut packets: Vec<DataPacket> = Vec::new();
+        // Channel-interleaved runs with duplicates, a stale packet and an
+        // unknown task mixed in.
+        let w = AskConfig::tiny().window as u64;
+        let mut views: Vec<DataPacketView> = Vec::new();
         for seq in 0..6u64 {
-            packets.push(pkt(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
+            views.push(view(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
         }
         for seq in 0..4u64 {
-            packets.push(pkt(1, 1, seq, &[(1, "dog", 3)]));
+            views.push(view(1, 1, seq, &[(1, "dog", 3)]));
         }
-        packets.push(pkt(1, 0, 2, &[(0, "cat", 1), (4, "maples", 2)])); // dup
-        packets.push(pkt(42, 2, 0, &[(0, "eel", 9)])); // unknown task
+        views.push(view(1, 0, 2, &[(0, "cat", 1), (4, "maples", 2)])); // dup
+        views.push(view(42, 2, 0, &[(0, "eel", 9)])); // unknown task
+        views.push(view(1, 0, 2 * w, &[(0, "cat", 1)]));
+        views.push(view(1, 0, 0, &[(0, "cat", 1)])); // stale behind 2w
         let mut seq_e = mk();
-        let seq_verdicts: Vec<DataVerdict> = packets
-            .iter()
-            .cloned()
-            .map(|p| seq_e.process_data(p))
-            .collect();
+        let seq_verdicts: Vec<ViewVerdict> =
+            views.iter().map(|v| seq_e.process_data_view(v)).collect();
+        assert!(seq_verdicts.contains(&ViewVerdict::Stale));
         let mut bat_e = mk();
         let mut bat_verdicts = Vec::new();
-        bat_e.process_batch(packets, &mut bat_verdicts);
+        bat_e.process_batch_views(&views, &mut bat_verdicts);
         assert_eq!(seq_verdicts, bat_verdicts);
+        assert_eq!(seq_e.passes_executed(), bat_e.passes_executed());
+        assert_eq!(seq_e.constraint_violations(), bat_e.constraint_violations());
         let mut a = seq_e.task_stats(TaskId(1)).unwrap();
         let mut b = bat_e.task_stats(TaskId(1)).unwrap();
         // burst_len is the documented observational exception.
@@ -1949,95 +1634,100 @@ mod tests {
     fn batch_records_burst_histogram() {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
-        let packets: Vec<DataPacket> = (0..4u64)
-            .map(|seq| pkt(1, 0, seq, &[(0, "cat", 1)]))
+        let views: Vec<DataPacketView> = (0..4u64)
+            .map(|seq| view(1, 0, seq, &[(0, "cat", 1)]))
             .collect();
         let mut verdicts = Vec::new();
-        e.process_batch(packets, &mut verdicts);
+        e.process_batch_views(&views, &mut verdicts);
         let s = e.task_stats(TaskId(1)).unwrap();
         assert_eq!(s.burst_len[crate::stats::burst_bucket(4)], 1);
         // Sequential processing records nothing.
-        e.process_data(pkt(1, 0, 4, &[(0, "cat", 1)]));
+        e.process_data_view(&view(1, 0, 4, &[(0, "cat", 1)]));
         let s2 = e.task_stats(TaskId(1)).unwrap();
         assert_eq!(s2.burst_len.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn view_batch_matches_scalar_batch() {
-        use ask_wire::codec::encode_envelope_parts;
-        use ask_wire::packet::AskPacket;
-        use ask_wire::view::{FrameView, PacketView};
-        let layout = AskConfig::tiny().layout;
-        let view_of = |p: &DataPacket| -> DataPacketView {
-            let bytes = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(p.clone()), &layout);
-            match FrameView::parse(bytes).unwrap().into_packet() {
-                PacketView::Data(d) => d,
-                _ => unreachable!("data frames parse to data views"),
-            }
-        };
-        let mk = || {
-            let mut e = engine();
-            e.register_task(TaskId(1), 9).unwrap();
-            e
-        };
-        let mut packets: Vec<DataPacket> = Vec::new();
-        for seq in 0..6u64 {
-            packets.push(pkt(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
-        }
-        for seq in 0..4u64 {
-            packets.push(pkt(1, 1, seq, &[(1, "dog", 3)]));
-        }
-        packets.push(pkt(1, 0, 2, &[(0, "cat", 1), (4, "maples", 2)])); // dup
-        packets.push(pkt(42, 2, 0, &[(0, "eel", 9)])); // unknown task
-        packets.push(pkt(1, 0, 0, &[(0, "cat", 1)])); // stale once seqs advance
-
-        let views: Vec<DataPacketView> = packets.iter().map(&view_of).collect();
-        let mut scalar_e = mk();
-        let mut scalar_verdicts = Vec::new();
-        scalar_e.process_batch(packets.clone(), &mut scalar_verdicts);
-        let mut view_e = mk();
-        let mut view_verdicts = Vec::new();
-        view_e.process_batch_views(&views, &mut view_verdicts);
-
-        assert_eq!(scalar_verdicts.len(), view_verdicts.len());
-        for (s, v) in scalar_verdicts.iter().zip(&view_verdicts) {
-            match (s, v) {
-                (DataVerdict::Stale, ViewVerdict::Stale) => {}
-                (DataVerdict::FullyAggregated, ViewVerdict::FullyAggregated) => {}
-                (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
-                    assert_eq!(p.bitmap(), *residual);
-                }
-                other => panic!("verdicts diverge: {other:?}"),
-            }
-        }
-        assert_eq!(
-            scalar_e.task_stats(TaskId(1)).unwrap(),
-            view_e.task_stats(TaskId(1)).unwrap(),
-            "counters (including burst histogram) must match"
-        );
-        assert_eq!(scalar_e.passes_executed(), view_e.passes_executed());
-        assert_eq!(
-            scalar_e.constraint_violations(),
-            view_e.constraint_violations()
-        );
-        assert_eq!(
-            scalar_e.fetch(TaskId(1), FetchScope::All, 1),
-            view_e.fetch(TaskId(1), FetchScope::All, 1)
-        );
-        assert_eq!(view_e.pool().retained(), 0, "view path never touches the pool");
     }
 
     #[test]
     fn blank_slots_are_skipped() {
         let mut e = engine();
         e.register_task(TaskId(1), 9).unwrap();
-        let layout = PacketLayout::custom(4, 2, 2);
-        let p = DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(0),
-            slots: vec![None; layout.slot_count()],
-        };
-        assert_eq!(e.process_data(p), DataVerdict::FullyAggregated);
+        assert_eq!(
+            e.process_data_view(&view(1, 0, 0, &[])),
+            ViewVerdict::FullyAggregated
+        );
+    }
+
+    /// One-aggregator region with "aaa" parked in slot 0's aggregator, so
+    /// any other key in slot 0 conflicts.
+    fn crowded_engine() -> AggregatorEngine {
+        let mut cfg = AskConfig::tiny();
+        cfg.region_aggregators = 1;
+        let mut e = AggregatorEngine::new(cfg);
+        e.register_task(TaskId(1), 9).unwrap();
+        assert_eq!(
+            e.process_data_view(&view(1, 0, 0, &[(0, "aaa", 1)])),
+            ViewVerdict::FullyAggregated
+        );
+        e
+    }
+
+    #[test]
+    fn no_aggregate_first_sighting_forwards_everything_and_records_state() {
+        let mut e = engine();
+        e.register_task(TaskId(1), 9).unwrap();
+        let p = view(1, 0, 0, &[(0, "cat", 3), (4, "maples", 4)]);
+        let all = ViewVerdict::Forward { residual: p.bitmap() };
+        assert_eq!(e.process_data_view_no_aggregate(&p), all);
+        assert!(
+            e.fetch(TaskId(1), FetchScope::All, 1).is_empty(),
+            "no aggregator register was written"
+        );
+        let s = e.task_stats(TaskId(1)).unwrap();
+        assert_eq!((s.data_packets, s.packets_forwarded), (1, 1));
+        assert_eq!((s.tuples_aggregated, s.tuples_forwarded), (0, 2));
+        // PktState holds the full bitmap: a retransmission — flagged or not
+        // — is a duplicate that forwards every slot and absorbs nothing.
+        assert_eq!(e.process_data_view(&p), all);
+        assert_eq!(e.process_data_view_no_aggregate(&p), all);
+        assert_eq!(e.task_stats(TaskId(1)).unwrap().duplicates_detected, 2);
+        assert!(e.fetch(TaskId(1), FetchScope::All, 2).is_empty());
+    }
+
+    #[test]
+    fn no_aggregate_retransmission_of_partial_absorb_carries_recorded_residual() {
+        let mut e = crowded_engine();
+        // Unflagged original: "zzz" conflicts with "aaa", "bbb" claims slot 1.
+        let p = view(1, 0, 1, &[(0, "zzz", 5), (1, "bbb", 7)]);
+        assert_eq!(
+            e.process_data_view(&p),
+            ViewVerdict::Forward { residual: 0b01 },
+            "slot 0 conflicts, slot 1 is absorbed"
+        );
+        // The sender escalates and retransmits the same sequence flagged.
+        assert_eq!(
+            e.process_data_view_no_aggregate(&p),
+            ViewVerdict::Forward { residual: 0b01 },
+            "only the recorded residual travels; bbb is not delivered twice"
+        );
+        let total: u32 = e
+            .fetch(TaskId(1), FetchScope::All, 1)
+            .iter()
+            .map(|t| t.value)
+            .sum();
+        assert_eq!(total, 1 + 7);
+    }
+
+    #[test]
+    fn no_aggregate_retransmission_of_full_absorb_is_acked() {
+        let mut e = crowded_engine();
+        let p = view(1, 0, 1, &[(0, "aaa", 2)]);
+        assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
+        assert_eq!(
+            e.process_data_view_no_aggregate(&p),
+            ViewVerdict::FullyAggregated
+        );
+        let got = e.fetch(TaskId(1), FetchScope::All, 1);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].value, 3, "absorbed once");
     }
 }

@@ -2,35 +2,29 @@
 
 pub mod aggregator;
 
-pub use aggregator::{AggregatorEngine, DataVerdict, Observation, ViewVerdict};
+pub use aggregator::{AggregatorEngine, Observation, ViewVerdict};
 
 use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
-use ask_wire::codec::{decode_envelope_pooled, encode_envelope, Envelope, FLAG_NO_AGGREGATE};
+use ask_wire::codec::{encode_envelope, Envelope, FLAG_NO_AGGREGATE};
 use ask_wire::constants::PACKET_OVERHEAD;
-use ask_wire::packet::{AskPacket, ChannelId, ControlMsg, DataPacket, SeqNo, TaskId};
+use ask_wire::packet::{AskPacket, ChannelId, ControlMsg, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use bytes::Bytes;
 
-/// Everything needed to emit the response for one data packet's verdict
-/// after the engine pass: the addressing, the original payload bytes (for
-/// the relay-unchanged fast path) and the pre-aggregation occupancy.
+/// What the switch needs to answer or relay one ingress frame that the
+/// packet view does not carry: the envelope addressing, the frame's
+/// link-level attributes, and the original payload bytes (for the
+/// relay-unchanged fast path).
 #[derive(Debug)]
-struct DataMeta {
+struct FrameMeta {
     src: u32,
     dst: u32,
-    channel: ChannelId,
-    seq: SeqNo,
     ecn: bool,
     wire: usize,
-    occupied_before: usize,
     payload: Bytes,
-    /// Sender-stamped envelope epoch/flags, preserved verbatim when the
-    /// switch rewrites the envelope for a residual forward.
-    epoch: u32,
-    flags: u8,
 }
 
 /// The top-of-rack ASK switch as a simulated network node.
@@ -59,28 +53,21 @@ pub struct AskSwitch {
     stale_epoch_drops: u64,
     /// Data packets processed through the degraded no-aggregate path.
     noagg_relayed: u64,
-    /// Scratch buffers for burst ingest, reused across deliveries.
-    batch_pkts: Vec<DataPacket>,
-    batch_meta: Vec<DataMeta>,
-    batch_verdicts: Vec<DataVerdict>,
-    /// Forces the legacy materializing (scalar) datapath instead of the
-    /// zero-materialization view path. Set from
-    /// [`AskConfig::switch_scalar`] or the `ASK_SWITCH_SCALAR` environment
-    /// variable; both paths emit byte-identical traffic.
-    scalar: bool,
-    /// Data frames fully absorbed by the view path: consumed straight from
-    /// the wire bytes with no slot materialization and no pool traffic.
+    /// Data frames relayed as bypass traffic because their declared slot
+    /// layout is not this switch's.
+    foreign_layout_relayed: u64,
+    /// Data frames fully absorbed: consumed straight from the wire bytes,
+    /// answered with an ACK and nothing else.
     pure_absorb: u64,
-    /// Scratch buffers for view-path burst ingest.
+    /// Scratch buffers for burst ingest, reused across deliveries.
     batch_views: Vec<DataPacketView>,
-    batch_view_verdicts: Vec<ViewVerdict>,
+    batch_meta: Vec<FrameMeta>,
+    batch_verdicts: Vec<ViewVerdict>,
 }
 
 impl AskSwitch {
     /// Creates a switch with the given configuration.
     pub fn new(config: AskConfig) -> Self {
-        let scalar = config.switch_scalar
-            || std::env::var("ASK_SWITCH_SCALAR").map(|v| v != "0").unwrap_or(false);
         AskSwitch {
             engine: AggregatorEngine::new(config),
             routes: std::collections::HashMap::new(),
@@ -89,13 +76,11 @@ impl AskSwitch {
             epoch: 0,
             stale_epoch_drops: 0,
             noagg_relayed: 0,
-            batch_pkts: Vec::new(),
-            batch_meta: Vec::new(),
-            batch_verdicts: Vec::new(),
-            scalar,
+            foreign_layout_relayed: 0,
             pure_absorb: 0,
             batch_views: Vec::new(),
-            batch_view_verdicts: Vec::new(),
+            batch_meta: Vec::new(),
+            batch_verdicts: Vec::new(),
         }
     }
 
@@ -108,11 +93,9 @@ impl AskSwitch {
     pub fn crash(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         self.engine.crash_reset();
-        self.batch_pkts.clear();
+        self.batch_views.clear();
         self.batch_meta.clear();
         self.batch_verdicts.clear();
-        self.batch_views.clear();
-        self.batch_view_verdicts.clear();
     }
 
     /// The switch's current incarnation number.
@@ -130,35 +113,30 @@ impl AskSwitch {
         self.noagg_relayed
     }
 
-    /// Data frames the view path fully absorbed without materializing a
-    /// single slot — zero pool traffic, just an ACK back to the sender.
-    /// Always zero on the scalar datapath.
+    /// Data frames in some other slot layout than this switch's, relayed
+    /// unchanged as bypass traffic (never aggregated, never re-framed).
+    pub fn foreign_layout_relayed(&self) -> u64 {
+        self.foreign_layout_relayed
+    }
+
+    /// Data frames fully absorbed without materializing a single slot —
+    /// just an ACK back to the sender.
     pub fn pure_absorb_frames(&self) -> u64 {
         self.pure_absorb
     }
 
-    /// Whether the switch is running the legacy materializing datapath.
-    pub fn is_scalar(&self) -> bool {
-        self.scalar
-    }
-
     /// Epoch gate for one ingress frame: frames from this epoch pass;
-    /// older ones are dropped (packet bodies recycled) and answered with an
+    /// older ones are dropped and answered with an
     /// [`ControlMsg::EpochNotify`] so the sender resynchronizes. Returns
-    /// the packet when the frame should be processed.
-    fn epoch_admit(&mut self, src: u32, envelope_epoch: u32, packet: AskPacket, ctx: &mut Context<'_>) -> Option<AskPacket> {
+    /// whether the frame should be processed.
+    fn epoch_admit(&mut self, src: u32, envelope_epoch: u32, ctx: &mut Context<'_>) -> bool {
         if envelope_epoch >= self.epoch {
-            return Some(packet);
+            return true;
         }
         self.stale_epoch_drops += 1;
-        match packet {
-            AskPacket::Data(pkt) => self.engine.pool_mut().recycle_slots(pkt.slots),
-            AskPacket::LongKv { entries, .. } => self.engine.pool_mut().recycle_tuples(entries),
-            _ => {}
-        }
         let notify = AskPacket::Control(ControlMsg::EpochNotify { epoch: self.epoch });
         self.reply(src, notify, ctx);
-        None
+        false
     }
 
     /// Routes frames for destination node `dst` via `next_hop` instead of
@@ -200,13 +178,6 @@ impl AskSwitch {
         self.undecodable
     }
 
-    fn forward_ecn(&mut self, envelope: &Envelope, ecn: bool, ctx: &mut Context<'_>) {
-        let layout = self.engine.config().layout;
-        let bytes = encode_envelope(envelope, &layout);
-        let wire = envelope.wire_bytes(&layout);
-        self.forward_raw(envelope.dst, bytes, wire, ecn, ctx);
-    }
-
     /// Relays already-encoded envelope bytes unchanged. Used for every
     /// packet the switch does not rewrite: the payload `Bytes` handle from
     /// the incoming frame is reused directly (an O(1) reference-count
@@ -226,197 +197,63 @@ impl AskSwitch {
         }
     }
 
+    /// Sends a packet the switch itself originates, stamped with its epoch.
     fn reply(&mut self, dst: u32, packet: AskPacket, ctx: &mut Context<'_>) {
-        let me = ctx.me().index() as u32;
         let envelope = Envelope {
-            src: me,
+            src: ctx.me().index() as u32,
             dst,
             epoch: self.epoch,
             flags: 0,
             packet,
         };
-        self.forward_ecn(&envelope, false, ctx);
+        let layout = self.engine.config().layout;
+        let bytes = encode_envelope(&envelope, &layout);
+        let wire = envelope.wire_bytes(&layout);
+        self.forward_raw(dst, bytes, wire, false, ctx);
     }
 
-    /// Emits the response for one data packet's verdict: nothing for stale,
-    /// an ACK to the sender for fully aggregated, a forward for residuals —
-    /// recycling the consumed slot vector on the forward paths.
-    fn emit_data_verdict(&mut self, verdict: DataVerdict, m: DataMeta, ctx: &mut Context<'_>) {
-        match verdict {
-            DataVerdict::Stale => {}
-            DataVerdict::FullyAggregated => {
-                // The switch is the consuming endpoint: echo congestion
-                // marks back to the sender on the ACK.
-                let ack = AskPacket::Ack {
-                    channel: m.channel,
-                    seq: m.seq,
-                    ece: m.ecn,
-                };
-                self.reply(m.src, ack, ctx);
-            }
-            DataVerdict::Forward(residual) => {
-                let slots = if residual.occupied() == m.occupied_before {
-                    // Nothing was aggregated out: the packet is
-                    // byte-identical to what arrived, so relay the
-                    // original frame payload without re-encoding.
-                    self.forward_raw(m.dst, m.payload, m.wire, m.ecn, ctx);
-                    residual.slots
-                } else {
-                    let fwd = Envelope {
-                        src: m.src,
-                        dst: m.dst,
-                        epoch: m.epoch,
-                        flags: m.flags,
-                        packet: AskPacket::Data(residual),
-                    };
-                    self.forward_ecn(&fwd, m.ecn, ctx);
-                    match fwd.packet {
-                        AskPacket::Data(d) => d.slots,
-                        _ => unreachable!("constructed as Data just above"),
-                    }
-                };
-                self.engine.pool_mut().recycle_slots(slots);
-            }
-        }
-    }
-
-    /// Runs the accumulated data-packet batch through the engine and emits
-    /// each verdict's response in input order.
-    fn flush_data_batch(
+    /// Bypass traffic (long-kv, FIN, foreign-layout data) shares its
+    /// channel's sequence space but is never aggregated: record it so the
+    /// receive window stays dense, drop only provably-acknowledged (stale)
+    /// packets, and relay the rest unchanged — the receiver is the
+    /// deduplicating endpoint. Returns whether the frame was relayed.
+    fn relay_bypass(
         &mut self,
-        pkts: &mut Vec<DataPacket>,
-        meta: &mut Vec<DataMeta>,
+        channel: ChannelId,
+        seq: SeqNo,
+        m: FrameMeta,
         ctx: &mut Context<'_>,
-    ) {
-        if pkts.is_empty() {
-            return;
-        }
-        let mut verdicts = std::mem::take(&mut self.batch_verdicts);
-        verdicts.clear();
-        self.engine.process_batch(pkts.drain(..), &mut verdicts);
-        for (verdict, m) in verdicts.drain(..).zip(meta.drain(..)) {
-            self.emit_data_verdict(verdict, m, ctx);
-        }
-        self.batch_verdicts = verdicts;
-    }
-
-    /// Handles every packet kind other than data (shared between the
-    /// one-frame and burst entry points).
-    #[allow(clippy::too_many_arguments)] // the decoded frame's full identity
-    fn handle_nondata(
-        &mut self,
-        src: u32,
-        dst: u32,
-        packet: AskPacket,
-        payload: Bytes,
-        ecn: bool,
-        wire: usize,
-        ctx: &mut Context<'_>,
-    ) {
-        match packet {
-            AskPacket::Data(_) => unreachable!("data packets take the batch path"),
-            AskPacket::LongKv {
-                channel,
-                seq,
-                task,
-                entries,
-                ..
-            } => {
-                // Bypass traffic: keep the receive window dense, drop only
-                // provably-acknowledged (stale) packets, forward the rest —
-                // the receiver is the deduplicating endpoint.
-                match self.engine.observe_bypass(channel, seq) {
-                    Observation::Stale => {}
-                    Observation::First | Observation::Duplicate => {
-                        self.engine.note_longkv_forwarded(task, entries.len() as u64);
-                        self.forward_raw(dst, payload, wire, ecn, ctx);
-                    }
-                }
-                // The relay reuses the raw payload bytes; the decoded
-                // entries only served the dedup gate and the counters.
-                self.engine.pool_mut().recycle_tuples(entries);
+    ) -> bool {
+        match self.engine.observe_bypass(channel, seq) {
+            Observation::Stale => false,
+            Observation::First | Observation::Duplicate => {
+                self.forward_raw(m.dst, m.payload, m.wire, m.ecn, ctx);
+                true
             }
-            AskPacket::Fin { channel, seq, .. } => {
-                match self.engine.observe_bypass(channel, seq) {
-                    Observation::Stale => {}
-                    Observation::First | Observation::Duplicate => {
-                        self.forward_raw(dst, payload, wire, ecn, ctx);
-                    }
-                }
-            }
-            AskPacket::Ack { .. } | AskPacket::FetchReply { .. } => {
-                self.forward_raw(dst, payload, wire, false, ctx);
-            }
-            AskPacket::Swap { task } => {
-                self.engine.swap(task);
-            }
-            AskPacket::FetchRequest {
-                task,
-                scope,
-                fetch_seq,
-            } => {
-                let entries = self.engine.fetch(task, scope, fetch_seq);
-                let reply = AskPacket::FetchReply {
-                    task,
-                    fetch_seq,
-                    entries,
-                };
-                self.reply(src, reply, ctx);
-            }
-            AskPacket::Control(msg) => match msg {
-                ControlMsg::RegionRequest { task, op } => {
-                    let reply = match self.engine.register_task_with_op(task, src, op) {
-                        Some(region) => ControlMsg::RegionGrant { task, region },
-                        None => ControlMsg::RegionDeny { task },
-                    };
-                    self.reply(src, AskPacket::Control(reply), ctx);
-                }
-                ControlMsg::RegionRelease { task } => {
-                    self.engine.release_task(task);
-                }
-                // Host-to-host control traffic transits the switch.
-                ControlMsg::TaskAnnounce { .. }
-                | ControlMsg::RegionGrant { .. }
-                | ControlMsg::RegionDeny { .. }
-                | ControlMsg::EpochNotify { .. } => {
-                    self.forward_raw(dst, payload, wire, false, ctx)
-                }
-            },
         }
     }
 
-    /// Epoch gate for the view path: same counter and
-    /// [`ControlMsg::EpochNotify`] reply as [`AskSwitch::epoch_admit`],
-    /// with nothing to recycle because nothing was materialized.
-    fn epoch_admit_view(&mut self, src: u32, envelope_epoch: u32, ctx: &mut Context<'_>) -> bool {
-        if envelope_epoch >= self.epoch {
-            return true;
-        }
-        self.stale_epoch_drops += 1;
-        let notify = AskPacket::Control(ControlMsg::EpochNotify { epoch: self.epoch });
-        self.reply(src, notify, ctx);
-        false
-    }
-
-    /// Emits the response for one view-path verdict. Fully-absorbed frames
-    /// cost an ACK and nothing else. Residual forwards either relay the
-    /// inbound buffer unchanged (nothing was aggregated out) or rewrite it
-    /// with [`DataPacketView::residual_frame`] — byte-identical to the
-    /// scalar decode→clear→re-encode, without the decode.
-    fn emit_view_verdict(
+    /// Emits the response for one data packet's verdict. Fully-absorbed
+    /// frames cost an ACK and nothing else. Residual forwards either relay
+    /// the inbound buffer unchanged (nothing was aggregated out) or rewrite
+    /// it with [`DataPacketView::residual_frame`], which copies the
+    /// sender-stamped envelope header (epoch, flags) verbatim.
+    fn emit_verdict(
         &mut self,
         verdict: ViewVerdict,
         view: &DataPacketView,
-        m: DataMeta,
+        m: FrameMeta,
         ctx: &mut Context<'_>,
     ) {
         match verdict {
             ViewVerdict::Stale => {}
             ViewVerdict::FullyAggregated => {
                 self.pure_absorb += 1;
+                // The switch is the consuming endpoint: echo congestion
+                // marks back to the sender on the ACK.
                 let ack = AskPacket::Ack {
-                    channel: m.channel,
-                    seq: m.seq,
+                    channel: view.channel(),
+                    seq: view.seq(),
                     ece: m.ecn,
                 };
                 self.reply(m.src, ack, ctx);
@@ -440,87 +277,31 @@ impl AskSwitch {
         }
     }
 
-    /// Runs the accumulated view batch through
+    /// Runs the accumulated data-packet batch through
     /// [`AggregatorEngine::process_batch_views`] and emits each verdict's
     /// response in input order.
-    fn flush_view_batch(
+    fn flush_batch(
         &mut self,
         views: &mut Vec<DataPacketView>,
-        meta: &mut Vec<DataMeta>,
+        meta: &mut Vec<FrameMeta>,
         ctx: &mut Context<'_>,
     ) {
         if views.is_empty() {
             return;
         }
-        let mut verdicts = std::mem::take(&mut self.batch_view_verdicts);
+        let mut verdicts = std::mem::take(&mut self.batch_verdicts);
         verdicts.clear();
         self.engine.process_batch_views(views, &mut verdicts);
         for ((verdict, view), m) in verdicts.drain(..).zip(views.drain(..)).zip(meta.drain(..)) {
-            self.emit_view_verdict(verdict, &view, m, ctx);
+            self.emit_verdict(verdict, &view, m, ctx);
         }
-        self.batch_view_verdicts = verdicts;
+        self.batch_verdicts = verdicts;
     }
 
-    /// Fallback for data frames the view path cannot aggregate in place
-    /// (no-aggregate pass-through, forged/mismatched slot layouts):
-    /// materialize through the pool — reusing the view's one-shot CRC
-    /// validation instead of re-checksumming — and run the scalar path for
-    /// this one packet.
-    fn data_fallback_view(
-        &mut self,
-        view: &FrameView,
-        payload: Bytes,
-        ecn: bool,
-        wire: usize,
-        ctx: &mut Context<'_>,
-    ) {
-        let envelope = view.materialize_pooled(self.engine.pool_mut());
-        let Envelope {
-            src,
-            dst,
-            epoch,
-            flags,
-            packet,
-        } = envelope;
-        let AskPacket::Data(pkt) = packet else {
-            unreachable!("fallback only invoked for data views");
-        };
-        let m = DataMeta {
-            src,
-            dst,
-            channel: pkt.channel,
-            seq: pkt.seq,
-            ecn,
-            wire,
-            occupied_before: pkt.occupied(),
-            payload,
-            epoch,
-            flags,
-        };
-        let verdict = if flags & FLAG_NO_AGGREGATE != 0 {
-            self.noagg_relayed += 1;
-            self.engine.process_data_no_aggregate(pkt)
-        } else {
-            self.engine.process_data(pkt)
-        };
-        self.emit_data_verdict(verdict, m, ctx);
-    }
-
-    /// View-path counterpart of [`AskSwitch::handle_nondata`]: identical
-    /// verdicts, counters, and replies with no materialization — relays
-    /// reuse the raw payload bytes and the long-kv counter reads the
+    /// Handles every packet kind other than data. Nothing is materialized:
+    /// relays reuse the raw payload bytes and the long-kv counter reads the
     /// validated entry count straight from the view.
-    #[allow(clippy::too_many_arguments)] // the parsed frame's full identity
-    fn handle_nondata_view(
-        &mut self,
-        src: u32,
-        dst: u32,
-        packet: PacketView,
-        payload: Bytes,
-        ecn: bool,
-        wire: usize,
-        ctx: &mut Context<'_>,
-    ) {
+    fn handle_nondata(&mut self, packet: PacketView, m: FrameMeta, ctx: &mut Context<'_>) {
         match packet {
             PacketView::Data(_) => unreachable!("data packets take the batch path"),
             PacketView::LongKv {
@@ -529,24 +310,15 @@ impl AskSwitch {
                 task,
                 entry_count,
             } => {
-                match self.engine.observe_bypass(channel, seq) {
-                    Observation::Stale => {}
-                    Observation::First | Observation::Duplicate => {
-                        self.engine.note_longkv_forwarded(task, entry_count as u64);
-                        self.forward_raw(dst, payload, wire, ecn, ctx);
-                    }
+                if self.relay_bypass(channel, seq, m, ctx) {
+                    self.engine.note_longkv_forwarded(task, entry_count as u64);
                 }
             }
             PacketView::Fin { channel, seq, .. } => {
-                match self.engine.observe_bypass(channel, seq) {
-                    Observation::Stale => {}
-                    Observation::First | Observation::Duplicate => {
-                        self.forward_raw(dst, payload, wire, ecn, ctx);
-                    }
-                }
+                self.relay_bypass(channel, seq, m, ctx);
             }
             PacketView::Ack { .. } | PacketView::FetchReply { .. } => {
-                self.forward_raw(dst, payload, wire, false, ctx);
+                self.forward_raw(m.dst, m.payload, m.wire, false, ctx);
             }
             PacketView::Swap { task } => {
                 self.engine.swap(task);
@@ -562,280 +334,35 @@ impl AskSwitch {
                     fetch_seq,
                     entries,
                 };
-                self.reply(src, reply, ctx);
+                self.reply(m.src, reply, ctx);
             }
             PacketView::Control(msg) => match msg {
                 ControlMsg::RegionRequest { task, op } => {
-                    let reply = match self.engine.register_task_with_op(task, src, op) {
+                    let reply = match self.engine.register_task_with_op(task, m.src, op) {
                         Some(region) => ControlMsg::RegionGrant { task, region },
                         None => ControlMsg::RegionDeny { task },
                     };
-                    self.reply(src, AskPacket::Control(reply), ctx);
+                    self.reply(m.src, AskPacket::Control(reply), ctx);
                 }
                 ControlMsg::RegionRelease { task } => {
                     self.engine.release_task(task);
                 }
+                // Host-to-host control traffic transits the switch.
                 ControlMsg::TaskAnnounce { .. }
                 | ControlMsg::RegionGrant { .. }
                 | ControlMsg::RegionDeny { .. }
                 | ControlMsg::EpochNotify { .. } => {
-                    self.forward_raw(dst, payload, wire, false, ctx)
+                    self.forward_raw(m.dst, m.payload, m.wire, false, ctx)
                 }
             },
         }
     }
-
-    /// One-frame ingest over the zero-materialization view path: parse the
-    /// frame once (one CRC pass, no slot vectors), aggregate straight out
-    /// of the wire bytes, and answer from the same buffer.
-    fn on_frame_view(&mut self, frame: Frame, ctx: &mut Context<'_>) {
-        let ecn = frame.ecn_marked();
-        let wire = frame.wire_bytes();
-        let payload = frame.into_payload();
-        let view = match FrameView::parse(payload.clone()) {
-            Ok(v) => v,
-            Err(_) => {
-                self.undecodable += 1;
-                return;
-            }
-        };
-        if !self.epoch_admit_view(view.src(), view.epoch(), ctx) {
-            return;
-        }
-        let (src, dst, epoch, flags) = (view.src(), view.dst(), view.epoch(), view.flags());
-        let layout = self.engine.config().layout;
-        match view.packet() {
-            PacketView::Data(d)
-                if flags & FLAG_NO_AGGREGATE == 0 && d.matches_layout(&layout) =>
-            {
-                let m = DataMeta {
-                    src,
-                    dst,
-                    channel: d.channel(),
-                    seq: d.seq(),
-                    ecn,
-                    wire,
-                    occupied_before: d.occupied(),
-                    payload,
-                    epoch,
-                    flags,
-                };
-                let verdict = self.engine.process_data_view(d);
-                self.emit_view_verdict(verdict, d, m, ctx);
-            }
-            PacketView::Data(_) => self.data_fallback_view(&view, payload, ecn, wire, ctx),
-            _ => {
-                let packet = view.into_packet();
-                self.handle_nondata_view(src, dst, packet, payload, ecn, wire, ctx);
-            }
-        }
-    }
-
-    /// Burst ingest over the view path: mirrors
-    /// [`AskSwitch::on_frames_scalar`]'s grouping and flush boundaries, so
-    /// every reply and forward is emitted in the identical order.
-    fn on_frames_view(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        let mut views = std::mem::take(&mut self.batch_views);
-        let mut meta = std::mem::take(&mut self.batch_meta);
-        debug_assert!(views.is_empty() && meta.is_empty());
-        for (_, frame) in burst.drain(..) {
-            let ecn = frame.ecn_marked();
-            let wire = frame.wire_bytes();
-            let payload = frame.into_payload();
-            let view = match FrameView::parse(payload.clone()) {
-                Ok(v) => v,
-                Err(_) => {
-                    self.undecodable += 1;
-                    continue;
-                }
-            };
-            if !self.epoch_admit_view(view.src(), view.epoch(), ctx) {
-                continue;
-            }
-            let (src, dst, epoch, flags) = (view.src(), view.dst(), view.epoch(), view.flags());
-            let layout = self.engine.config().layout;
-            match view.packet() {
-                PacketView::Data(d)
-                    if flags & FLAG_NO_AGGREGATE == 0 && d.matches_layout(&layout) =>
-                {
-                    meta.push(DataMeta {
-                        src,
-                        dst,
-                        channel: d.channel(),
-                        seq: d.seq(),
-                        ecn,
-                        wire,
-                        occupied_before: d.occupied(),
-                        payload,
-                        epoch,
-                        flags,
-                    });
-                    views.push(d.clone());
-                }
-                PacketView::Data(_) => {
-                    // Degraded or layout-mismatched frame: flush the pending
-                    // batch to preserve ordering, then materialize and run
-                    // the scalar path for this one packet.
-                    self.flush_view_batch(&mut views, &mut meta, ctx);
-                    self.data_fallback_view(&view, payload, ecn, wire, ctx);
-                }
-                _ => {
-                    self.flush_view_batch(&mut views, &mut meta, ctx);
-                    let packet = view.into_packet();
-                    self.handle_nondata_view(src, dst, packet, payload, ecn, wire, ctx);
-                }
-            }
-        }
-        self.flush_view_batch(&mut views, &mut meta, ctx);
-        self.batch_views = views;
-        self.batch_meta = meta;
-    }
-
-    /// One-frame ingest over the legacy materializing datapath.
-    fn on_frame_scalar(&mut self, frame: Frame, ctx: &mut Context<'_>) {
-        let ecn = frame.ecn_marked();
-        let wire = frame.wire_bytes();
-        // Keep the raw payload around: packets the switch relays unmodified
-        // are re-sent from these very bytes instead of being re-encoded.
-        let payload = frame.into_payload();
-        let envelope = match decode_envelope_pooled(payload.clone(), self.engine.pool_mut()) {
-            Ok(e) => e,
-            Err(_) => {
-                self.undecodable += 1;
-                return;
-            }
-        };
-        let Envelope {
-            src,
-            dst,
-            epoch,
-            flags,
-            packet,
-        } = envelope;
-        let Some(packet) = self.epoch_admit(src, epoch, packet, ctx) else {
-            return;
-        };
-        match packet {
-            AskPacket::Data(pkt) => {
-                let m = DataMeta {
-                    src,
-                    dst,
-                    channel: pkt.channel,
-                    seq: pkt.seq,
-                    ecn,
-                    wire,
-                    occupied_before: pkt.occupied(),
-                    payload,
-                    epoch,
-                    flags,
-                };
-                let verdict = if flags & FLAG_NO_AGGREGATE != 0 {
-                    // Degraded pass-through: the dedup gate still runs so
-                    // absorbed-but-unacked packets can't double-count, but
-                    // nothing is aggregated — the receiver does all the work.
-                    self.noagg_relayed += 1;
-                    self.engine.process_data_no_aggregate(pkt)
-                } else {
-                    self.engine.process_data(pkt)
-                };
-                self.emit_data_verdict(verdict, m, ctx);
-            }
-            other => self.handle_nondata(src, dst, other, payload, ecn, wire, ctx),
-        }
-    }
-
-    /// Burst ingest over the legacy materializing datapath: consecutive
-    /// data packets in a delivery burst are run through
-    /// [`AggregatorEngine::process_batch`] as one group (keeping the
-    /// dispatch cache hot across the run), with every reply and forward
-    /// emitted in input order — byte-identical traffic to one-at-a-time
-    /// processing. Non-data packets flush the pending group first, so
-    /// cross-kind ordering is preserved exactly.
-    fn on_frames_scalar(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        let mut pkts = std::mem::take(&mut self.batch_pkts);
-        let mut meta = std::mem::take(&mut self.batch_meta);
-        debug_assert!(pkts.is_empty() && meta.is_empty());
-        for (_, frame) in burst.drain(..) {
-            let ecn = frame.ecn_marked();
-            let wire = frame.wire_bytes();
-            let payload = frame.into_payload();
-            let envelope = match decode_envelope_pooled(payload.clone(), self.engine.pool_mut()) {
-                Ok(e) => e,
-                Err(_) => {
-                    self.undecodable += 1;
-                    continue;
-                }
-            };
-            let Envelope {
-                src,
-                dst,
-                epoch,
-                flags,
-                packet,
-            } = envelope;
-            let Some(packet) = self.epoch_admit(src, epoch, packet, ctx) else {
-                continue;
-            };
-            match packet {
-                AskPacket::Data(pkt) if flags & FLAG_NO_AGGREGATE == 0 => {
-                    meta.push(DataMeta {
-                        src,
-                        dst,
-                        channel: pkt.channel,
-                        seq: pkt.seq,
-                        ecn,
-                        wire,
-                        occupied_before: pkt.occupied(),
-                        payload,
-                        epoch,
-                        flags,
-                    });
-                    pkts.push(pkt);
-                }
-                AskPacket::Data(pkt) => {
-                    // Degraded no-aggregate packet: flush the pending batch
-                    // to preserve ordering, then run it through the dedup
-                    // gate individually without aggregation.
-                    self.flush_data_batch(&mut pkts, &mut meta, ctx);
-                    let m = DataMeta {
-                        src,
-                        dst,
-                        channel: pkt.channel,
-                        seq: pkt.seq,
-                        ecn,
-                        wire,
-                        occupied_before: pkt.occupied(),
-                        payload,
-                        epoch,
-                        flags,
-                    };
-                    self.noagg_relayed += 1;
-                    let verdict = self.engine.process_data_no_aggregate(pkt);
-                    self.emit_data_verdict(verdict, m, ctx);
-                }
-                other => {
-                    self.flush_data_batch(&mut pkts, &mut meta, ctx);
-                    self.handle_nondata(src, dst, other, payload, ecn, wire, ctx);
-                }
-            }
-        }
-        self.flush_data_batch(&mut pkts, &mut meta, ctx);
-        self.batch_pkts = pkts;
-        self.batch_meta = meta;
-    }
 }
 
 impl Node for AskSwitch {
-    /// Every frame runs the zero-materialization view datapath unless the
-    /// scalar escape hatch ([`AskConfig::switch_scalar`] or
-    /// `ASK_SWITCH_SCALAR=1`) pins the legacy materializing path. The two
-    /// paths emit byte-identical traffic.
-    fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
-        if self.scalar {
-            self.on_frame_scalar(frame, ctx);
-        } else {
-            self.on_frame_view(frame, ctx);
-        }
+    /// A single frame is a burst of one.
+    fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
+        self.on_frames(&mut vec![(from, frame)], ctx);
     }
 
     /// A restart after a scheduled node-down window is a crash/recovery
@@ -844,13 +371,73 @@ impl Node for AskSwitch {
         self.crash();
     }
 
-    /// Burst ingest, batched through the engine on whichever datapath is
-    /// active; replies and forwards are emitted in input order either way.
+    /// The receive datapath. Each frame is parsed once (one CRC pass, no
+    /// slot vectors) and answered from the same buffer. Consecutive data
+    /// packets in the switch's layout run through
+    /// [`AggregatorEngine::process_batch_views`] as one group (keeping the
+    /// dispatch cache hot across the run), with every reply and forward
+    /// emitted in input order — byte-identical traffic to one-at-a-time
+    /// processing. Every other frame flushes the pending group first, so
+    /// cross-kind ordering is preserved exactly.
     fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        if self.scalar {
-            self.on_frames_scalar(burst, ctx);
-        } else {
-            self.on_frames_view(burst, ctx);
+        let mut views = std::mem::take(&mut self.batch_views);
+        let mut meta = std::mem::take(&mut self.batch_meta);
+        debug_assert!(views.is_empty() && meta.is_empty());
+        let layout = self.engine.config().layout;
+        for (_, frame) in burst.drain(..) {
+            let ecn = frame.ecn_marked();
+            let wire = frame.wire_bytes();
+            // Keep the raw payload around: packets the switch relays
+            // unmodified are re-sent from these very bytes.
+            let payload = frame.into_payload();
+            let view = match FrameView::parse(payload.clone()) {
+                Ok(v) => v,
+                Err(_) => {
+                    self.undecodable += 1;
+                    continue;
+                }
+            };
+            if !self.epoch_admit(view.src(), view.epoch(), ctx) {
+                continue;
+            }
+            let m = FrameMeta {
+                src: view.src(),
+                dst: view.dst(),
+                ecn,
+                wire,
+                payload,
+            };
+            match view.packet() {
+                PacketView::Data(d) if !d.matches_layout(&layout) => {
+                    // Slot `i` of this frame does not address aggregator
+                    // array `i` (which may not even exist): not ours to
+                    // aggregate, so it travels as bypass traffic.
+                    self.flush_batch(&mut views, &mut meta, ctx);
+                    if self.relay_bypass(d.channel(), d.seq(), m, ctx) {
+                        self.foreign_layout_relayed += 1;
+                    }
+                }
+                PacketView::Data(d) if view.flags() & FLAG_NO_AGGREGATE != 0 => {
+                    // Degraded pass-through: the dedup gate still runs so
+                    // absorbed-but-unacked packets can't double-count, but
+                    // nothing is aggregated — the receiver does all the work.
+                    self.flush_batch(&mut views, &mut meta, ctx);
+                    self.noagg_relayed += 1;
+                    let verdict = self.engine.process_data_view_no_aggregate(d);
+                    self.emit_verdict(verdict, d, m, ctx);
+                }
+                PacketView::Data(d) => {
+                    meta.push(m);
+                    views.push(d.clone());
+                }
+                _ => {
+                    self.flush_batch(&mut views, &mut meta, ctx);
+                    self.handle_nondata(view.into_packet(), m, ctx);
+                }
+            }
         }
+        self.flush_batch(&mut views, &mut meta, ctx);
+        self.batch_views = views;
+        self.batch_meta = meta;
     }
 }

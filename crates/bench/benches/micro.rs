@@ -5,18 +5,18 @@
 
 use ask::prelude::*;
 use ask::switch::AggregatorEngine;
+use ask_bench::runners::FrameFeed;
 use ask_wire::codec::{decode, encode};
 use ask_wire::packet::{AskPacket, ChannelId, DataPacket, FetchScope, SeqNo, TaskId};
 use ask_workloads::text::uniform_stream;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-fn engine_with(layout: PacketLayout) -> (AggregatorEngine, Packetizer) {
+fn engine_with(layout: PacketLayout) -> AggregatorEngine {
     let mut cfg = AskConfig::paper_default();
     cfg.layout = layout;
-    let packetizer = Packetizer::new(cfg.layout, 64);
     let mut engine = AggregatorEngine::new(cfg);
     engine.register_task(TaskId(1), 0).expect("region");
-    (engine, packetizer)
+    engine
 }
 
 fn payloads(packetizer: &Packetizer, tuples: u64) -> Vec<Vec<Option<KvTuple>>> {
@@ -32,31 +32,15 @@ fn bench_switch_pass(c: &mut Criterion) {
         ("vectorized_24slot", PacketLayout::paper_default()),
         ("single_key_ablation", PacketLayout::short_only(1)),
     ] {
-        let (mut engine, packetizer) = engine_with(layout);
-        let pkts: Vec<DataPacket> = payloads(&packetizer, 24_000)
-            .into_iter()
-            .enumerate()
-            .map(|(i, slots)| DataPacket {
-                task: TaskId(1),
-                channel: ChannelId(0),
-                seq: SeqNo(i as u64),
-                slots,
-            })
-            .collect();
-        let tuples: usize = pkts.iter().map(|p| p.occupied()).sum();
-        group.throughput(Throughput::Elements(tuples as u64));
-        let mut seq = pkts.len() as u64;
+        let mut engine = engine_with(layout);
+        let mut feed = FrameFeed::new(layout, 24_000);
+        group.throughput(Throughput::Elements(feed.tuples_per_frame()));
         group.bench_function(name, |b| {
-            let mut ix = 0usize;
-            b.iter(|| {
-                // Rotate through pre-built packets with fresh seqs so the
-                // dedup window always classifies First.
-                let mut p = pkts[ix % pkts.len()].clone();
-                p.seq = SeqNo(seq);
-                seq += 1;
-                ix += 1;
-                engine.process_data(p)
-            });
+            b.iter_batched(
+                || feed.next_frame(),
+                |v| engine.process_data_view(&v),
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();
@@ -80,7 +64,7 @@ fn bench_packetizer(c: &mut Criterion) {
 
 /// The compact seen-window dedup gate.
 fn bench_dedup_window(c: &mut Criterion) {
-    let (mut engine, _) = engine_with(PacketLayout::paper_default());
+    let mut engine = engine_with(PacketLayout::paper_default());
     let mut seq = 0u64;
     c.bench_function("dedup_observe_bypass", |b| {
         b.iter(|| {
@@ -111,139 +95,12 @@ fn bench_codec(c: &mut Criterion) {
     });
 }
 
-/// By-value data-packet ingest: the packet moves into the engine, which
-/// blanks aggregated slots in place (no per-packet clone on the fast path).
-fn bench_aggregator_ingest(c: &mut Criterion) {
-    let (mut engine, packetizer) = engine_with(PacketLayout::paper_default());
-    let pkts: Vec<DataPacket> = payloads(&packetizer, 24_000)
-        .into_iter()
-        .enumerate()
-        .map(|(i, slots)| DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(i as u64),
-            slots,
-        })
-        .collect();
-    let tuples: usize = pkts.iter().map(|p| p.occupied()).sum();
-    let mut group = c.benchmark_group("aggregator_ingest");
-    group.throughput(Throughput::Elements(tuples as u64));
-    let mut seq = pkts.len() as u64;
-    let mut ix = 0usize;
-    group.bench_function("single_pass_24slot", |b| {
-        b.iter_batched(
-            || {
-                // Build the owned packet outside the timed region so the
-                // measurement is the ingest pass alone.
-                let mut p = pkts[ix % pkts.len()].clone();
-                p.seq = SeqNo(seq);
-                seq += 1;
-                ix += 1;
-                p
-            },
-            |p| engine.process_data(p),
-            BatchSize::SmallInput,
-        );
-    });
-    group.finish();
-}
-
-/// Burst ingest ablation: the zero-materialization view path (parse →
-/// columnar pre-hash → per-lane aggregation) vs the materializing path
-/// (decode into pooled slot vectors → per-slot aggregation), at burst
-/// sizes 1, 8, and 64. Frame encoding happens in the untimed setup; the
-/// timed region is exactly what the switch does per delivery burst.
-fn bench_batch_view_ingest(c: &mut Criterion) {
-    use ask::switch::{DataVerdict, ViewVerdict};
-    use ask_wire::codec::{decode_envelope_pooled, encode_envelope_parts};
-    use ask_wire::view::{DataPacketView, FrameView, PacketView};
-    use bytes::Bytes;
-
-    let layout = PacketLayout::paper_default();
-    let (mut view_engine, packetizer) = engine_with(layout);
-    let (mut mat_engine, _) = engine_with(layout);
-    let slots = payloads(&packetizer, 96_000);
-    let mut group = c.benchmark_group("batch_view_ingest");
-    for n in [1usize, 8, 64] {
-        group.throughput(Throughput::Elements(n as u64));
-        let mut seq = 0u64;
-        let mut ix = 0usize;
-        let build = |seq: &mut u64, ix: &mut usize| -> Vec<Bytes> {
-            (0..n)
-                .map(|_| {
-                    let p = AskPacket::Data(DataPacket {
-                        task: TaskId(1),
-                        channel: ChannelId(0),
-                        seq: SeqNo(*seq),
-                        slots: slots[*ix % slots.len()].clone(),
-                    });
-                    *seq += 1;
-                    *ix += 1;
-                    encode_envelope_parts(1, 0, 0, 0, &p, &layout)
-                })
-                .collect()
-        };
-        let mut views: Vec<DataPacketView> = Vec::new();
-        let mut view_verdicts: Vec<ViewVerdict> = Vec::new();
-        group.bench_function(&format!("view_burst{n}"), |b| {
-            b.iter_batched(
-                || build(&mut seq, &mut ix),
-                |frames| {
-                    views.clear();
-                    for f in frames {
-                        let v = FrameView::parse(f).expect("valid frame");
-                        if let PacketView::Data(d) = v.into_packet() {
-                            views.push(d);
-                        }
-                    }
-                    view_verdicts.clear();
-                    view_engine.process_batch_views(&views, &mut view_verdicts);
-                },
-                BatchSize::SmallInput,
-            );
-        });
-        let mut seq2 = 0u64;
-        let mut ix2 = 0usize;
-        let mut pkts: Vec<DataPacket> = Vec::new();
-        let mut verdicts: Vec<DataVerdict> = Vec::new();
-        group.bench_function(&format!("materializing_burst{n}"), |b| {
-            b.iter_batched(
-                || build(&mut seq2, &mut ix2),
-                |frames| {
-                    pkts.clear();
-                    for f in frames {
-                        let env =
-                            decode_envelope_pooled(f, mat_engine.pool_mut()).expect("valid frame");
-                        if let AskPacket::Data(p) = env.packet {
-                            pkts.push(p);
-                        }
-                    }
-                    verdicts.clear();
-                    mat_engine.process_batch(pkts.drain(..), &mut verdicts);
-                    for v in verdicts.drain(..) {
-                        if let DataVerdict::Forward(p) = v {
-                            mat_engine.pool_mut().recycle_slots(p.slots);
-                        }
-                    }
-                },
-                BatchSize::SmallInput,
-            );
-        });
-    }
-    group.finish();
-}
-
 /// Shadow-copy swap + inactive-copy harvest.
 fn bench_shadow_swap(c: &mut Criterion) {
-    let (mut engine, packetizer) = engine_with(PacketLayout::paper_default());
-    let pkts = payloads(&packetizer, 48_000);
-    for (seq, slots) in pkts.into_iter().enumerate() {
-        engine.process_data(DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(seq as u64),
-            slots,
-        });
+    let mut engine = engine_with(PacketLayout::paper_default());
+    let mut feed = FrameFeed::new(PacketLayout::paper_default(), 48_000);
+    for _ in 0..feed.cycle_len() {
+        engine.process_data_view(&feed.next_frame());
     }
     let mut fetch_seq = 0u32;
     c.bench_function("shadow_swap_and_fetch", |b| {
@@ -287,31 +144,17 @@ fn bench_aggregate_ops(c: &mut Criterion) {
     ] {
         let mut cfg = AskConfig::paper_default();
         cfg.layout = PacketLayout::paper_default();
-        let packetizer = Packetizer::new(cfg.layout, 64);
+        let mut feed = FrameFeed::new(cfg.layout, 12_000);
         let mut engine = AggregatorEngine::new(cfg);
         engine
             .register_task_with_op(TaskId(1), 0, op)
             .expect("region");
-        let pkts: Vec<DataPacket> = payloads(&packetizer, 12_000)
-            .into_iter()
-            .enumerate()
-            .map(|(i, slots)| DataPacket {
-                task: TaskId(1),
-                channel: ChannelId(0),
-                seq: SeqNo(i as u64),
-                slots,
-            })
-            .collect();
-        let mut seq = pkts.len() as u64;
         group.bench_function(name, |b| {
-            let mut ix = 0usize;
-            b.iter(|| {
-                let mut p = pkts[ix % pkts.len()].clone();
-                p.seq = SeqNo(seq);
-                seq += 1;
-                ix += 1;
-                engine.process_data(p)
-            });
+            b.iter_batched(
+                || feed.next_frame(),
+                |v| engine.process_data_view(&v),
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();
@@ -323,8 +166,6 @@ criterion_group!(
     bench_packetizer,
     bench_dedup_window,
     bench_codec,
-    bench_aggregator_ingest,
-    bench_batch_view_ingest,
     bench_shadow_swap,
     bench_checksum,
     bench_aggregate_ops

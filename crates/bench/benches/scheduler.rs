@@ -8,10 +8,22 @@
 //! refreshes them.
 
 use ask::prelude::*;
+use ask_bench::runners::FrameFeed;
 use ask_simnet::bench_api::BenchEventQueue;
-use ask_wire::packet::{ChannelId, DataPacket, KvTuple, SeqNo, TaskId};
-use ask_workloads::text::uniform_stream;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ask_wire::packet::TaskId;
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+
+/// The paper-layout engine with task 1 registered and its dispatch line
+/// warm (the first pass installs the `(channel, task)` entry), plus the
+/// feed of that task's frames.
+fn warm_engine_and_feed() -> (AggregatorEngine, FrameFeed) {
+    let cfg = AskConfig::paper_default();
+    let mut feed = FrameFeed::new(cfg.layout, 24_000);
+    let mut engine = AggregatorEngine::new(cfg);
+    engine.register_task(TaskId(1), 0).expect("region");
+    engine.process_data_view(&feed.next_frame());
+    (engine, feed)
+}
 
 /// Steady-state push+pop through the timer wheel with the simulator's
 /// event-time mix: ~95% of events land within a few microseconds of *now*
@@ -61,36 +73,15 @@ fn bench_event_queue_push_pop(c: &mut Criterion) {
 /// packet every lookup hits the cached line (generation check + direct
 /// index) instead of the two-map slow path.
 fn bench_switch_dispatch(c: &mut Criterion) {
-    let cfg = AskConfig::paper_default();
-    let packetizer = Packetizer::new(cfg.layout, 64);
-    let mut engine = AggregatorEngine::new(cfg);
-    engine.register_task(TaskId(1), 0).expect("region");
-    let pkts: Vec<DataPacket> = packetizer
-        .packetize(uniform_stream(5, 6_000, 24_000))
-        .data_payloads
-        .into_iter()
-        .enumerate()
-        .map(|(i, slots)| DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(i as u64),
-            slots,
-        })
-        .collect();
-    // Warm the line: the first pass installs the (channel, task) entry.
-    engine.process_data(pkts[0].clone());
-    let mut seq = pkts.len() as u64;
-    let mut ix = 0usize;
+    let (mut engine, mut feed) = warm_engine_and_feed();
     let mut group = c.benchmark_group("switch_dispatch");
     group.throughput(Throughput::Elements(1));
     group.bench_function("switch_dispatch", |b| {
-        b.iter(|| {
-            let mut p = pkts[ix % pkts.len()].clone();
-            p.seq = SeqNo(seq);
-            seq += 1;
-            ix += 1;
-            engine.process_data(p)
-        });
+        b.iter_batched(
+            || feed.next_frame(),
+            |v| engine.process_data_view(&v),
+            BatchSize::SmallInput,
+        );
     });
     group.finish();
 }
@@ -132,55 +123,25 @@ fn bench_burst_drain(c: &mut Criterion) {
     group.finish();
 }
 
-/// A 16-packet single-channel burst through `process_batch` with pooled
-/// slot vectors: the dispatch entry is resolved once per burst and packet
-/// bodies recycle through the engine's pool, so this measures the amortized
-/// per-packet ingest cost the switch pays under burst delivery.
+/// A 16-packet single-channel burst through `process_batch_views`: the
+/// dispatch entry is resolved once per burst and every key is pre-hashed in
+/// one columnar pass, so this measures the amortized per-packet ingest cost
+/// the switch pays under burst delivery.
 fn bench_batch_ingest(c: &mut Criterion) {
     const BURST: usize = 16;
-    let cfg = AskConfig::paper_default();
-    let packetizer = Packetizer::new(cfg.layout, 64);
-    let mut engine = AggregatorEngine::new(cfg);
-    engine.register_task(TaskId(1), 0).expect("region");
-    let payloads: Vec<Vec<Option<KvTuple>>> = packetizer
-        .packetize(uniform_stream(5, 6_000, 24_000))
-        .data_payloads;
-    engine.process_data(DataPacket {
-        task: TaskId(1),
-        channel: ChannelId(0),
-        seq: SeqNo(0),
-        slots: payloads[0].clone(),
-    });
-    let mut seq = 1u64;
-    let mut ix = 0usize;
-    let mut batch: Vec<DataPacket> = Vec::with_capacity(BURST);
+    let (mut engine, mut feed) = warm_engine_and_feed();
     let mut verdicts = Vec::with_capacity(BURST);
     let mut group = c.benchmark_group("batch_ingest");
     group.throughput(Throughput::Elements(BURST as u64));
     group.bench_function("batch_ingest", |b| {
-        b.iter(|| {
-            batch.clear();
-            for _ in 0..BURST {
-                let src = &payloads[ix % payloads.len()];
-                let mut slots = engine.pool_mut().take_slots(src.len());
-                slots.extend(src.iter().cloned());
-                batch.push(DataPacket {
-                    task: TaskId(1),
-                    channel: ChannelId(0),
-                    seq: SeqNo(seq),
-                    slots,
-                });
-                seq += 1;
-                ix += 1;
-            }
-            verdicts.clear();
-            engine.process_batch(batch.drain(..), &mut verdicts);
-            for v in verdicts.drain(..) {
-                if let ask::switch::DataVerdict::Forward(residual) = v {
-                    engine.pool_mut().recycle_slots(residual.slots);
-                }
-            }
-        });
+        b.iter_batched(
+            || (0..BURST).map(|_| feed.next_frame()).collect::<Vec<_>>(),
+            |batch| {
+                verdicts.clear();
+                engine.process_batch_views(&batch, &mut verdicts);
+            },
+            BatchSize::SmallInput,
+        );
     });
     group.finish();
 }

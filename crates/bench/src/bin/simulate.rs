@@ -200,21 +200,14 @@ fn main() {
             *a += b;
         }
     }
-    let rate = |h: u64, m: u64| {
-        if h + m == 0 {
-            "-".to_string()
-        } else {
-            pct(h as f64 / (h + m) as f64)
-        }
+    let host_takes = host_hits + host_misses;
+    let host_rate = if host_takes == 0 {
+        "-".to_string()
+    } else {
+        pct(host_hits as f64 / host_takes as f64)
     };
     println!(
-        "  packet pool             switch {}/{} ({}), hosts {}/{} ({}) hits/misses (rate)",
-        report.switch_pool_hits,
-        report.switch_pool_misses,
-        rate(report.switch_pool_hits, report.switch_pool_misses),
-        host_hits,
-        host_misses,
-        rate(host_hits, host_misses),
+        "  packet pool             hosts {host_hits}/{host_misses} ({host_rate}) hits/misses (rate)"
     );
     let hist = |h: &[u64]| {
         h.iter()

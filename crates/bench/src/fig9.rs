@@ -11,72 +11,68 @@
 //! on-switch aggregation at a 1/16 ratio.
 
 use crate::output::{pct, Table};
-use crate::runners::Scale;
+use crate::runners::{data_view, Scale};
 use ask::prelude::*;
-use ask::switch::DataVerdict;
 use ask_wire::packet::{ChannelId, DataPacket, FetchScope, SeqNo, TaskId};
+use ask_wire::view::DataPacketView;
 use ask_workloads::zipf::{zipf_stream, StreamOrder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const SLOTS: usize = 16;
+const TASK: TaskId = TaskId(1);
 
-/// Packetizes a rank stream once; the resulting payloads depend only on the
-/// ranks and the fixed 16-slot layout, so every engine configuration can
-/// replay the same stream instead of re-materializing keys per config.
-fn packetize_ranks(ranks: &[u64]) -> Vec<Vec<Option<KvTuple>>> {
-    let packetizer = Packetizer::new(PacketLayout::short_only(SLOTS), 64);
+/// Packetizes a rank stream once into the dense in-order frame sequence the
+/// switch would see; the frames depend only on the ranks and the fixed
+/// 16-slot layout, so every engine configuration replays the same stream
+/// instead of re-materializing keys per config.
+fn packetize_ranks(ranks: &[u64]) -> Vec<DataPacketView> {
+    let layout = PacketLayout::short_only(SLOTS);
+    let packetizer = Packetizer::new(layout, 64);
     packetizer
         .packetize(ranks.iter().map(|&r| KvTuple::new(Key::from_u64(r), 1)))
         .data_payloads
+        .into_iter()
+        .enumerate()
+        .map(|(seq, slots)| {
+            let pkt = DataPacket {
+                task: TASK,
+                channel: ChannelId(0),
+                seq: SeqNo(seq as u64),
+                slots,
+            };
+            data_view(pkt, &layout)
+        })
+        .collect()
 }
 
-/// One measured configuration, replaying pre-packetized payloads.
-fn measure(payloads: &[Vec<Option<KvTuple>>], total_aggregators: usize, prioritize: bool) -> f64 {
+/// One measured configuration, replaying pre-packetized frames.
+fn measure(frames: &[DataPacketView], total_aggregators: usize, prioritize: bool) -> f64 {
     let mut cfg = AskConfig::paper_default();
     cfg.layout = PacketLayout::short_only(SLOTS);
     cfg.aggregators_per_aa = (total_aggregators / SLOTS).max(1);
     cfg.region_aggregators = cfg.aggregators_per_aa;
     cfg.max_channels = 4;
     cfg.swap_threshold = 0; // swapping driven manually below
-    let mut engine = AggregatorEngine::new(cfg.clone());
-    let task = TaskId(1);
-    engine.register_task(task, 0).expect("region fits");
+    let mut engine = AggregatorEngine::new(cfg);
+    engine.register_task(TASK, 0).expect("region fits");
 
     // The paper's swap threshold is "tunable" (§3.4); period it so the run
     // sees plenty of eviction rounds regardless of workload size.
-    let total_packets = payloads.len() as u64;
+    let total_packets = frames.len() as u64;
     let swap_every = (total_packets / 128).clamp(16, 4096);
     let mut fetch_seq = 0u32;
-    let mut seq = 0u64;
-    for payload in payloads {
-        // Pooled replay: each packet's slot vector is drawn from the
-        // engine's pool and flows back after the verdict, so the whole
-        // sweep recycles a handful of allocations.
-        let mut slots = engine.pool_mut().take_slots(payload.len());
-        slots.extend(payload.iter().cloned());
-        let pkt = DataPacket {
-            task,
-            channel: ChannelId(0),
-            seq: SeqNo(seq),
-            slots,
-        };
-        seq += 1;
-        match engine.process_data(pkt) {
-            DataVerdict::FullyAggregated => {}
-            DataVerdict::Forward(residual) => {
-                engine.pool_mut().recycle_slots(residual.slots);
-            }
-            DataVerdict::Stale => unreachable!("dense in-order feed"),
-        }
+    for (frame, seq) in frames.iter().zip(1u64..) {
+        let verdict = engine.process_data_view(frame);
+        assert_ne!(verdict, ViewVerdict::Stale, "dense in-order feed");
         if prioritize && seq.is_multiple_of(swap_every) {
-            engine.swap(task);
+            engine.swap(TASK);
             fetch_seq += 1;
-            engine.fetch(task, FetchScope::Inactive, fetch_seq);
+            engine.fetch(TASK, FetchScope::Inactive, fetch_seq);
         }
     }
     engine
-        .task_stats(task)
+        .task_stats(TASK)
         .expect("task registered")
         .tuple_aggregation_ratio()
 }
@@ -124,10 +120,10 @@ pub fn run(scale: Scale) -> String {
                 .flat_map(|prio| {
                     streams
                         .iter()
-                        .map(move |(_, payloads)| (prio, payloads))
+                        .map(move |(_, frames)| (prio, frames))
                         .collect::<Vec<_>>()
                 })
-                .map(|(prio, payloads)| scope.spawn(move || measure(payloads, aggs, prio)))
+                .map(|(prio, frames)| scope.spawn(move || measure(frames, aggs, prio)))
                 .collect();
             handles.into_iter().map(|h| h.join().expect("measure")).collect()
         });
@@ -145,7 +141,7 @@ pub fn run(scale: Scale) -> String {
 mod tests {
     use super::*;
 
-    fn streams(distinct: usize, total: u64) -> [(StreamOrder, Vec<Vec<Option<KvTuple>>>); 2] {
+    fn streams(distinct: usize, total: u64) -> [(StreamOrder, Vec<DataPacketView>); 2] {
         let mut rng = StdRng::seed_from_u64(1);
         [
             (

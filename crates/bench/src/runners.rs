@@ -5,7 +5,9 @@ use ask::prelude::*;
 use ask::service::PhaseTiming;
 use ask_simnet::link::LinkConfig;
 use ask_simnet::time::SimDuration;
-use ask_wire::packet::TaskId;
+use ask_wire::codec::encode_envelope_parts;
+use ask_wire::packet::{AskPacket, ChannelId, DataPacket, SeqNo, TaskId};
+use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -58,6 +60,64 @@ pub fn render_phase_totals() -> String {
     }
     out.push_str(&format!("  {:<10} {:>10.2} ms\n", "total", ms(t.total_ns)));
     out
+}
+
+/// Encodes `pkt` as a frame in `layout` and parses it back into the
+/// borrowed view [`AggregatorEngine`] consumes — for the figures and
+/// benches that drive the switch engine directly, without a network.
+pub fn data_view(pkt: DataPacket, layout: &PacketLayout) -> DataPacketView {
+    let frame = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(pkt), layout);
+    match FrameView::parse(frame).expect("freshly encoded").into_packet() {
+        PacketView::Data(d) => d,
+        _ => unreachable!("data frames parse to data views"),
+    }
+}
+
+/// An endless single-channel feed of task 1's data frames for the engine
+/// benches: a uniform stream packetized once, handed out round-robin with
+/// fresh sequence numbers so the dedup window always classifies First.
+/// Frame building belongs in a bench's untimed setup.
+#[derive(Debug)]
+pub struct FrameFeed {
+    payloads: Vec<Vec<Option<KvTuple>>>,
+    layout: PacketLayout,
+    seq: u64,
+}
+
+impl FrameFeed {
+    /// Packetizes a uniform stream of `tuples` tuples over `tuples / 4`
+    /// keys in `layout`.
+    pub fn new(layout: PacketLayout, tuples: u64) -> Self {
+        let stream = ask_workloads::text::uniform_stream(5, tuples / 4, tuples);
+        FrameFeed {
+            payloads: Packetizer::new(layout, 64).packetize(stream).data_payloads,
+            layout,
+            seq: 0,
+        }
+    }
+
+    /// Distinct payloads the feed cycles through.
+    pub fn cycle_len(&self) -> usize {
+        self.payloads.len()
+    }
+
+    /// Mean occupied slots per frame (one frame is one bench iteration).
+    pub fn tuples_per_frame(&self) -> u64 {
+        let tuples = self.payloads.iter().flatten().flatten().count();
+        (tuples / self.payloads.len()) as u64
+    }
+
+    /// The next frame, as the switch would see it.
+    pub fn next_frame(&mut self) -> DataPacketView {
+        let pkt = DataPacket {
+            task: TaskId(1),
+            channel: ChannelId(0),
+            seq: SeqNo(self.seq),
+            slots: self.payloads[self.seq as usize % self.payloads.len()].clone(),
+        };
+        self.seq += 1;
+        data_view(pkt, &self.layout)
+    }
 }
 
 /// How large a workload the harness generates.
@@ -151,12 +211,8 @@ pub struct AskReport {
     pub receiver_cpu_s: f64,
     /// Per-sender CPU busy time (s).
     pub sender_cpu_s: Vec<f64>,
-    /// Switch-side packet-pool takes served from the free list.
-    pub switch_pool_hits: u64,
-    /// Switch-side packet-pool takes that allocated.
-    pub switch_pool_misses: u64,
-    /// Data frames the switch fully absorbed without materializing a single
-    /// slot — pure view-path absorbs that never touched the packet pool.
+    /// Data frames the switch fully absorbed straight from the wire bytes,
+    /// answered with an ACK and nothing else.
     pub switch_pure_absorb: u64,
 }
 
@@ -246,15 +302,12 @@ pub fn run_ask(run: &AskRun, streams: Vec<Vec<KvTuple>>) -> AskReport {
     if timed {
         PHASE_TOTALS.lock().unwrap().absorb(&service.phase_timing());
     }
-    let switch_pool = service.switch_ref().engine().pool();
     AskReport {
         jct_s,
         sender_elapsed_s: sender_elapsed,
         sender_goodput_bps: sender_goodput,
         sender_wire_bps: sender_wire,
         switch,
-        switch_pool_hits: switch_pool.hits(),
-        switch_pool_misses: switch_pool.misses(),
         switch_pure_absorb: service.switch_ref().pure_absorb_frames(),
         receiver: service.host_stats(receiver),
         senders: senders_stats,

@@ -117,14 +117,6 @@ pub struct Scenario {
     /// Crash-restart the switch mid-run (wipes every register array and
     /// bumps the epoch); `None` leaves the switch up for the whole run.
     pub crash: Option<CrashSpec>,
-    /// Forces the switch onto the legacy materializing datapath instead of
-    /// the zero-materialization view path. The two must be byte-identical;
-    /// differential properties run every scenario under both settings.
-    pub switch_scalar: bool,
-    /// Forces the host daemons onto the legacy materializing receive path
-    /// instead of the zero-materialization view ingest. Same differential
-    /// contract as `switch_scalar`.
-    pub host_scalar: bool,
 }
 
 impl Scenario {
@@ -148,8 +140,6 @@ impl Scenario {
             region_aggregators: 32,
             restart_mid_run: false,
             crash: None,
-            switch_scalar: false,
-            host_scalar: false,
         }
     }
 
@@ -160,8 +150,6 @@ impl Scenario {
         cfg.swap_threshold = self.swap_threshold;
         cfg.region_aggregators = self.region_aggregators;
         cfg.absorption_audit = true;
-        cfg.switch_scalar = self.switch_scalar;
-        cfg.host_scalar = self.host_scalar;
         cfg
     }
 

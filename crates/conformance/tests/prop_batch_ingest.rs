@@ -1,12 +1,12 @@
-//! Property: the switch engine's burst ingest (`process_batch`) is
-//! observationally identical to one-at-a-time `process_data` — same verdicts
-//! in the same order, same per-task counters, same fetchable switch memory —
-//! for arbitrary channel-interleaved bursts including the duplicates and
-//! reorderings a chaotic network produces.
+//! Property: the switch engine's burst ingest (`process_batch_views`) is
+//! observationally identical to one-at-a-time `process_data_view` — same
+//! verdicts in the same order, same per-task counters, same fetchable switch
+//! memory — for arbitrary channel-interleaved bursts including the
+//! duplicates and reorderings a chaotic network produces.
 
 use ask::config::AskConfig;
 use ask::switch::aggregator::AggregatorEngine;
-use ask::switch::{DataVerdict, ViewVerdict};
+use ask::switch::ViewVerdict;
 use ask_wire::codec::encode_envelope_parts;
 use ask_wire::key::Key;
 use ask_wire::packet::{
@@ -40,14 +40,14 @@ fn engine() -> AggregatorEngine {
     e
 }
 
-/// Builds the packet stream: per-(task, channel) in-order sequences, merged
-/// by an arbitrary interleaving, with some packets re-injected later as
-/// retransmission duplicates.
+/// Builds the frame stream the switch sees: per-(task, channel) in-order
+/// sequences, merged by an arbitrary interleaving, with some packets
+/// re-injected later as retransmission duplicates.
 fn build_stream(
     per_channel: &[ChannelPackets],
     interleave: &[usize],
     dup_from: &[(usize, usize)],
-) -> Vec<DataPacket> {
+) -> Vec<DataPacketView> {
     let mut queues: Vec<SendQueue> = Vec::new();
     for (t, channels) in per_channel.iter().enumerate() {
         for (c, fills) in channels.iter().enumerate() {
@@ -89,7 +89,16 @@ fn build_stream(
         let at = at % (out.len() + 1);
         out.insert(at, copy);
     }
-    out
+    let layout = PacketLayout::short_only(SLOTS);
+    out.into_iter()
+        .map(|p| {
+            let frame = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(p), &layout);
+            match FrameView::parse(frame).expect("valid").into_packet() {
+                PacketView::Data(d) => d,
+                _ => unreachable!("data frames parse to data views"),
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -115,8 +124,8 @@ proptest! {
 
         // Sequential reference.
         let mut seq_engine = engine();
-        let seq_verdicts: Vec<DataVerdict> =
-            stream.iter().cloned().map(|p| seq_engine.process_data(p)).collect();
+        let seq_verdicts: Vec<ViewVerdict> =
+            stream.iter().map(|v| seq_engine.process_data_view(v)).collect();
 
         // Batched run over arbitrary burst boundaries.
         let mut bat_engine = engine();
@@ -127,7 +136,7 @@ proptest! {
             let n = (*sizes.next().expect("cycled")).min(rest.len());
             let (burst, tail) = rest.split_at(n);
             let mut verdicts = Vec::new();
-            bat_engine.process_batch(burst.iter().cloned(), &mut verdicts);
+            bat_engine.process_batch_views(burst, &mut verdicts);
             prop_assert_eq!(verdicts.len(), n, "one verdict per packet");
             bat_verdicts.extend(verdicts);
             rest = tail;
@@ -150,91 +159,6 @@ proptest! {
             let sf = seq_engine.fetch(task, FetchScope::All, 1);
             let bf = bat_engine.fetch(task, FetchScope::All, 1);
             prop_assert_eq!(sf, bf);
-        }
-    }
-
-    /// The zero-materialization view batch (`process_batch_views`) is
-    /// observationally identical to the materializing batch
-    /// (`process_batch`) over the same burst boundaries: matching verdicts,
-    /// matching counters (burst histogram included), matching fetchable
-    /// memory — and every partial absorb re-frames to the *byte-identical*
-    /// wire frame the scalar path would re-encode.
-    #[test]
-    fn view_batch_matches_materializing_batch(
-        per_channel in proptest::collection::vec(
-            proptest::collection::vec(
-                proptest::collection::vec(
-                    proptest::collection::vec((0u64..32, 1u32..100), 0..SLOTS),
-                    0..12,
-                ),
-                1..3, // channels per task
-            ),
-            TASKS as usize..=TASKS as usize,
-        ),
-        interleave in proptest::collection::vec(0usize..64, 0..64),
-        dup_from in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
-        burst_sizes in proptest::collection::vec(1usize..9, 1..64),
-        src in any::<u32>(),
-        dst in any::<u32>(),
-    ) {
-        let stream = build_stream(&per_channel, &interleave, &dup_from);
-        let layout = PacketLayout::short_only(SLOTS);
-        let frames: Vec<_> = stream
-            .iter()
-            .map(|p| encode_envelope_parts(src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout))
-            .collect();
-        let views: Vec<DataPacketView> = frames
-            .iter()
-            .map(|f| match FrameView::parse(f.clone()).expect("valid").into_packet() {
-                PacketView::Data(d) => d,
-                _ => unreachable!("data frames parse to data views"),
-            })
-            .collect();
-
-        let mut mat_engine = engine();
-        let mut view_engine = engine();
-        let mut cursor = 0usize;
-        let mut sizes = burst_sizes.iter().cycle();
-        while cursor < stream.len() {
-            let n = (*sizes.next().expect("cycled")).min(stream.len() - cursor);
-            let burst = cursor..cursor + n;
-            let mut mat_verdicts = Vec::new();
-            mat_engine.process_batch(stream[burst.clone()].iter().cloned(), &mut mat_verdicts);
-            let mut view_verdicts = Vec::new();
-            view_engine.process_batch_views(&views[burst.clone()], &mut view_verdicts);
-            prop_assert_eq!(mat_verdicts.len(), view_verdicts.len());
-            for (i, (m, v)) in mat_verdicts.iter().zip(&view_verdicts).enumerate() {
-                let at = cursor + i;
-                match (m, v) {
-                    (DataVerdict::Stale, ViewVerdict::Stale) => {}
-                    (DataVerdict::FullyAggregated, ViewVerdict::FullyAggregated) => {}
-                    (DataVerdict::Forward(p), ViewVerdict::Forward { residual }) => {
-                        prop_assert_eq!(p.bitmap(), *residual, "surviving slot sets diverge");
-                        let reencoded = encode_envelope_parts(
-                            src, dst, 0, 0, &AskPacket::Data(p.clone()), &layout,
-                        );
-                        let reframed = views[at].residual_frame(*residual);
-                        prop_assert_eq!(
-                            reencoded, reframed,
-                            "re-framed residual is not byte-identical at packet {}", at
-                        );
-                    }
-                    other => panic!("verdicts diverge at packet {at}: {other:?}"),
-                }
-            }
-            cursor += n;
-        }
-
-        for t in 0..TASKS {
-            let task = TaskId(t);
-            prop_assert_eq!(
-                mat_engine.task_stats(task).expect("registered"),
-                view_engine.task_stats(task).expect("registered")
-            );
-            prop_assert_eq!(
-                mat_engine.fetch(task, FetchScope::All, 1),
-                view_engine.fetch(task, FetchScope::All, 1)
-            );
         }
     }
 }

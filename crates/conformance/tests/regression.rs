@@ -2,26 +2,34 @@
 //! suite could not catch, plus sweep-level determinism guarantees.
 
 use ask::config::AskConfig;
-use ask::switch::{AggregatorEngine, DataVerdict};
+use ask::switch::{AggregatorEngine, ViewVerdict};
+use ask_wire::codec::encode_envelope_parts;
 use ask_wire::key::Key;
 use ask_wire::packet::{
-    AggregateOp, ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
+    AggregateOp, AskPacket, ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
 };
+use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use conformance::sweep::run_sweep;
 use conformance::{FaultSpec, Scenario, SweepConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-fn pkt(task: u32, seq: u64, slot: usize, key: &str, value: u32) -> DataPacket {
+/// A one-tuple data frame in the tiny layout, as the switch sees it.
+fn pkt(task: u32, seq: u64, slot: usize, key: &str, value: u32) -> DataPacketView {
     let layout = AskConfig::tiny().layout;
     let mut slots = vec![None; layout.slot_count()];
     slots[slot] = Some(KvTuple::new(Key::from_str(key).unwrap(), value));
-    DataPacket {
+    let packet = AskPacket::Data(DataPacket {
         task: TaskId(task),
         channel: ChannelId(0),
         seq: SeqNo(seq),
         slots,
+    });
+    let frame = encode_envelope_parts(1, 0, 0, 0, &packet, &layout);
+    match FrameView::parse(frame).expect("valid").into_packet() {
+        PacketView::Data(d) => d,
+        _ => unreachable!("data frames parse to data views"),
     }
 }
 
@@ -53,7 +61,7 @@ fn seeded_max_bitflip_double_absorption_escapes_value_oracle_but_not_audit() {
             .or_insert(value);
     }
     for p in &packets {
-        assert_eq!(engine.process_data(p.clone()), DataVerdict::FullyAggregated);
+        assert_eq!(engine.process_data_view(p), ViewVerdict::FullyAggregated);
     }
 
     // Chaos: flip the seen bit of one absorbed sequence number, then replay
@@ -61,8 +69,8 @@ fn seeded_max_bitflip_double_absorption_escapes_value_oracle_but_not_audit() {
     let victim = rng.gen_range(0..packets.len());
     assert!(engine.inject_seen_bit_flip(ChannelId(0), SeqNo(victim as u64)));
     assert_eq!(
-        engine.process_data(packets[victim].clone()),
-        DataVerdict::FullyAggregated,
+        engine.process_data_view(&packets[victim]),
+        ViewVerdict::FullyAggregated,
         "replay passed the dedup gate after the bit flip"
     );
 

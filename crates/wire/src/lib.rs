@@ -67,6 +67,51 @@ mod proptests {
             .prop_map(|v| Key::new(Bytes::from(v)).expect("no NUL, non-empty"))
     }
 
+    /// Raw material for one slot: key bytes (clamped to the slot class
+    /// later) and a value.
+    type RawSlot = Option<(Vec<u8>, u32)>;
+
+    fn arb_raw_slots() -> impl Strategy<Value = Vec<RawSlot>> {
+        proptest::collection::vec(
+            proptest::option::of((
+                proptest::collection::vec(1u8..=255, 1..=16),
+                any::<u32>(),
+            )),
+            1..=40,
+        )
+    }
+
+    /// One of the paper-default, short-only, and fully custom layouts
+    /// (mixed short/medium slots), with `raw` fitted to its slot vector.
+    fn layout_and_slots(
+        (pick, short, groups, segments): (u8, usize, usize, usize),
+        mut raw: Vec<RawSlot>,
+    ) -> (PacketLayout, Vec<Option<KvTuple>>) {
+        let layout = match pick {
+            0 => PacketLayout::paper_default(),
+            1 => PacketLayout::short_only(short),
+            _ => PacketLayout::custom(short.min(8), groups, segments),
+        };
+        raw.resize(layout.slot_count(), None);
+        let slots = raw
+            .into_iter()
+            .enumerate()
+            .map(|(i, o)| {
+                o.map(|(mut k, v)| {
+                    // Clamp the key to what the slot class can carry.
+                    let max = if layout.is_short_slot(i) {
+                        4
+                    } else {
+                        layout.medium_max_key_len()
+                    };
+                    k.truncate(max);
+                    KvTuple::new(Key::new(Bytes::from(k)).expect("no NUL, non-empty"), v)
+                })
+            })
+            .collect();
+        (layout, slots)
+    }
+
     proptest! {
         /// Any data packet round-trips through the codec.
         #[test]
@@ -119,39 +164,9 @@ mod proptests {
             task in any::<u32>(),
             channel in any::<u32>(),
             seq in any::<u64>(),
-            raw in proptest::collection::vec(
-                proptest::option::of((
-                    proptest::collection::vec(1u8..=255, 1..=16),
-                    any::<u32>(),
-                )),
-                1..=40,
-            ),
+            raw in arb_raw_slots(),
         ) {
-            let layout = match pick {
-                0 => PacketLayout::paper_default(),
-                1 => PacketLayout::short_only(short),
-                _ => PacketLayout::custom(short.min(8), groups, segments),
-            };
-            let n = layout.slot_count();
-            let mut raw = raw;
-            raw.resize(n, None);
-            raw.truncate(n);
-            let slots: Vec<Option<KvTuple>> = raw
-                .into_iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    o.map(|(mut k, v)| {
-                        // Clamp the key to what the slot class can carry.
-                        let max = if layout.is_short_slot(i) {
-                            4
-                        } else {
-                            layout.medium_max_key_len()
-                        };
-                        k.truncate(max);
-                        KvTuple::new(Key::new(Bytes::from(k)).expect("no NUL, non-empty"), v)
-                    })
-                })
-                .collect();
+            let (layout, slots) = layout_and_slots((pick, short, groups, segments), raw);
             let p = AskPacket::Data(DataPacket {
                 task: TaskId(task),
                 channel: ChannelId(channel),
@@ -160,6 +175,48 @@ mod proptests {
             });
             let bytes = encode(&p, &layout);
             prop_assert_eq!(decode(bytes).unwrap(), p);
+        }
+
+        /// The in-place partial-absorb rewrite agrees with the owned codec:
+        /// for any layout (medium groups included) and any surviving subset
+        /// `r` of the occupied slots, `residual_frame(r)` is byte for byte
+        /// what decoding, clearing the slots outside `r`, and re-encoding
+        /// produces — envelope header, epoch and flags included.
+        #[test]
+        fn residual_frame_matches_owned_reencode(
+            pick in 0u8..3,
+            short in 1usize..=32,
+            groups in 1usize..=4,
+            segments in 2usize..=4,
+            raw in arb_raw_slots(),
+            keep in any::<u128>(),
+            header in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>()),
+        ) {
+            let (src, dst, epoch, flags) = header;
+            let (layout, slots) = layout_and_slots((pick, short, groups, segments), raw);
+            let p = AskPacket::Data(DataPacket {
+                task: TaskId(5),
+                channel: ChannelId(2),
+                seq: SeqNo(99),
+                slots,
+            });
+            let bytes = crate::codec::encode_envelope_parts(src, dst, epoch, flags, &p, &layout);
+            let PacketView::Data(d) = FrameView::parse(bytes.clone()).unwrap().into_packet() else {
+                panic!("data frames parse to data views");
+            };
+            // A random subset, everything (the relay-unchanged case), nothing.
+            for r in [d.bitmap() & keep, d.bitmap(), 0] {
+                let mut owned = decode_envelope(bytes.clone()).unwrap();
+                let AskPacket::Data(pkt) = &mut owned.packet else {
+                    panic!("data frames decode to data packets");
+                };
+                for (i, slot) in pkt.slots.iter_mut().enumerate() {
+                    if r & (1 << i) == 0 {
+                        *slot = None;
+                    }
+                }
+                prop_assert_eq!(d.residual_frame(r), encode_envelope(&owned, &layout));
+            }
         }
 
         /// Decoding arbitrary garbage never panics.

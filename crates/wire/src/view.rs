@@ -498,9 +498,8 @@ impl FrameView {
     }
 
     /// [`FrameView::materialize`] drawing slot/tuple backing stores from
-    /// `pool` — the switch's fallback path for frames the view cannot serve
-    /// (no-aggregate relays, layout mismatches). Skips the second CRC pass
-    /// `decode_envelope_pooled` would pay.
+    /// `pool` — how a host takes ownership of a long-kv body. Skips the
+    /// second CRC pass `decode_envelope_pooled` would pay.
     ///
     /// # Panics
     ///
@@ -584,9 +583,8 @@ impl DataPacketView {
     }
 
     /// True when the frame's declared slot layout equals `layout` — the
-    /// precondition for aggregating in place and for
-    /// [`DataPacketView::residual_frame`] matching a scalar re-encode byte
-    /// for byte.
+    /// precondition for aggregating in place (slot `i` addresses aggregator
+    /// array `i`).
     pub fn matches_layout(&self, layout: &PacketLayout) -> bool {
         self.short_slots as usize == layout.short_slots()
             && self.medium_groups as usize == layout.medium_groups()
@@ -830,31 +828,6 @@ mod tests {
             }
         }
         assert_eq!(view.materialize().packet, pkt);
-    }
-
-    #[test]
-    fn residual_frame_matches_scalar_reencode() {
-        let layout = PacketLayout::paper_default();
-        let pkt = sample_data(&layout);
-        let bytes = encode_envelope_parts(1, 2, 7, 0, &pkt, &layout);
-        let view = FrameView::parse(bytes).unwrap();
-        let PacketView::Data(d) = view.into_packet() else {
-            panic!("expected data view");
-        };
-        let AskPacket::Data(p) = pkt else {
-            unreachable!()
-        };
-        // Drop slot 0, keep the rest — the scalar path would decode, clear
-        // the slot, and re-encode.
-        let residual = p.bitmap() & !1u128;
-        let mut rewritten = p.clone();
-        rewritten.slots[0] = None;
-        let want = encode_envelope_parts(1, 2, 7, 0, &AskPacket::Data(rewritten), &layout);
-        assert_eq!(d.residual_frame(residual), want);
-        // Keeping everything reproduces the original frame.
-        assert_eq!(d.residual_frame(p.bitmap()), encode_envelope_parts(
-            1, 2, 7, 0, &AskPacket::Data(p), &layout
-        ));
     }
 
     #[test]

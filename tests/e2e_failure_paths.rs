@@ -99,6 +99,186 @@ fn misrouted_data_is_orphaned_and_acked() {
 }
 
 // ---------------------------------------------------------------------------
+// Foreign slot layouts: a CRC-valid data frame may declare any slot geometry.
+// The switch can aggregate only its own (slot `i` is aggregator array `i`),
+// so anything else must travel as bypass traffic — untouched, never a panic —
+// while the receiving host merges whatever geometry arrives.
+// ---------------------------------------------------------------------------
+
+mod foreign_layout {
+    use ask::prelude::*;
+    use ask::switch::AskSwitch;
+    use ask_simnet::frame::{Frame, NodeId};
+    use ask_simnet::link::LinkConfig;
+    use ask_simnet::network::{Context, NetworkBuilder, Node};
+    use ask_simnet::time::SimDuration;
+    use ask_wire::codec::encode_envelope_parts;
+    use ask_wire::packet::{
+        AskPacket, ChannelId, DataPacket, FetchScope, SeqNo, CHANNEL_STRIDE,
+    };
+    use bytes::Bytes;
+
+    /// Records every payload it is handed.
+    #[derive(Default)]
+    struct Sink(Vec<Bytes>);
+
+    impl Node for Sink {
+        fn on_frame(&mut self, _from: NodeId, frame: Frame, _ctx: &mut Context<'_>) {
+            self.0.push(frame.into_payload());
+        }
+    }
+
+    /// A data frame from node `src` to node `dst` in `layout`.
+    fn data_frame(
+        (src, dst): (u32, u32),
+        layout: PacketLayout,
+        task: TaskId,
+        channel: ChannelId,
+        seq: u64,
+        tuples: &[(usize, &str, u32)],
+    ) -> Bytes {
+        let mut slots = vec![None; layout.slot_count()];
+        for &(slot, key, value) in tuples {
+            slots[slot] = Some(KvTuple::new(Key::from_str(key).unwrap(), value));
+        }
+        let packet = AskPacket::Data(DataPacket {
+            task,
+            channel,
+            seq: SeqNo(seq),
+            slots,
+        });
+        encode_envelope_parts(src, dst, 0, 0, &packet, &layout)
+    }
+
+    #[test]
+    fn switch_relays_foreign_layout_data_untouched() {
+        // A 6-slot / 8-array switch; one aggregator per task, so the second
+        // key hashed into an array conflicts.
+        let mut cfg = AskConfig::tiny();
+        cfg.region_aggregators = 1;
+        let own = cfg.layout;
+        let mut b = NetworkBuilder::new(1);
+        let receiver = b.add_node(Sink::default());
+        let sender = b.add_node(Sink::default());
+        let switch = b.add_node(AskSwitch::new(cfg));
+        let link = LinkConfig::new(100e9, SimDuration::from_micros(1));
+        b.connect(receiver, switch, link.clone());
+        b.connect(sender, switch, link);
+        let mut net = b.build();
+
+        let (forged, honest) = (TaskId(1), TaskId(2));
+        net.with_node::<AskSwitch, _>(switch, |sw, _| {
+            sw.engine_mut().register_task(forged, 0).expect("region");
+            sw.engine_mut().register_task(honest, 0).expect("region");
+        });
+        let ends = (sender.index() as u32, receiver.index() as u32);
+        let base = ends.0 * CHANNEL_STRIDE;
+        let (ch_f, ch_h) = (ChannelId(base), ChannelId(base + 1));
+        let narrow = PacketLayout::short_only(2);
+        let wide = PacketLayout::short_only(12);
+        let foreign = [
+            // Taken for the switch's own layout, the second of these would
+            // be partially absorbed (slot 0 conflicts, slot 1 claims) and
+            // its residual re-encoded in a layout it does not fit.
+            data_frame(ends, narrow, forged, ch_f, 0, &[(0, "aaa", 1)]),
+            data_frame(ends, narrow, forged, ch_f, 1, &[(0, "bbb", 2), (1, "ccc", 3)]),
+            // Slot 11 addresses an aggregator array the switch does not have.
+            data_frame(ends, wide, forged, ch_f, 2, &[(11, "ddd", 4)]),
+        ];
+        let honest_frames = [
+            data_frame(ends, own, honest, ch_h, 0, &[(0, "cat", 3)]),
+            data_frame(ends, own, honest, ch_h, 1, &[(0, "cat", 4), (1, "dog", 5)]),
+        ];
+        let arrivals = [
+            &honest_frames[0],
+            &foreign[0],
+            &foreign[1],
+            &honest_frames[1],
+            &foreign[2],
+        ];
+        for bytes in arrivals {
+            net.with_node::<AskSwitch, _>(switch, |sw, ctx| {
+                sw.on_frame(sender, Frame::new(bytes.clone()), ctx)
+            });
+        }
+        net.run_to_idle();
+
+        assert_eq!(
+            net.node::<Sink>(receiver).0,
+            foreign,
+            "every foreign frame reaches the receiver byte for byte, and nothing else does"
+        );
+        assert_eq!(net.node::<Sink>(sender).0.len(), 2, "one ACK per absorbed honest frame");
+        let sw = net.node_mut::<AskSwitch>(switch);
+        assert_eq!(sw.foreign_layout_relayed(), 3);
+        assert_eq!(sw.undecodable(), 0);
+        assert_eq!(sw.engine().constraint_violations(), 0);
+        assert!(
+            sw.engine_mut().fetch(forged, FetchScope::All, 1).is_empty(),
+            "foreign frames are never aggregated"
+        );
+        let mut got: Vec<(Vec<u8>, u32)> = sw
+            .engine_mut()
+            .fetch(honest, FetchScope::All, 1)
+            .iter()
+            .map(|t| (t.key.as_bytes().to_vec(), t.value))
+            .collect();
+        got.sort();
+        assert_eq!(got, vec![(b"cat".to_vec(), 7), (b"dog".to_vec(), 5)]);
+
+        // Like any bypass traffic: a retransmission is relayed again (the
+        // receiver dedups), a frame behind the window is dropped.
+        let window = AskConfig::tiny().window as u64;
+        let ahead = data_frame(ends, narrow, forged, ch_f, window, &[(0, "eee", 5)]);
+        for bytes in [&foreign[0], &ahead, &foreign[0]] {
+            net.with_node::<AskSwitch, _>(switch, |sw, ctx| {
+                sw.on_frame(sender, Frame::new(bytes.clone()), ctx)
+            });
+        }
+        net.run_to_idle();
+        assert_eq!(net.node::<Sink>(receiver).0[3..], [foreign[0].clone(), ahead]);
+        assert_eq!(net.node::<AskSwitch>(switch).foreign_layout_relayed(), 5);
+    }
+
+    #[test]
+    fn host_merges_foreign_layout_data_in_place() {
+        let mut service = AskServiceBuilder::new(2)
+            .config(AskConfig::tiny())
+            .seed(4)
+            .build();
+        let hosts = service.hosts().to_vec();
+        let switch = service.switch_id();
+        let task = TaskId(1);
+        service.submit_task(task, hosts[0], &[hosts[1]]);
+
+        // Straight to the receiving daemon, on a channel the real sender
+        // does not use: slot 11 of 12 on a host configured for 6 slots.
+        let ends = (hosts[1].index() as u32, hosts[0].index() as u32);
+        let channel = ChannelId(ends.0 * CHANNEL_STRIDE + 7);
+        let wide = PacketLayout::short_only(12);
+        let frame = data_frame(ends, wide, task, channel, 0, &[(3, "abc", 40), (11, "zz", 2)]);
+        service
+            .network_mut()
+            .with_node::<AskDaemon, _>(hosts[0], |d, ctx| {
+                d.on_frame(switch, Frame::new(frame.clone()), ctx)
+            });
+        let stats = service.host_stats(hosts[0]);
+        assert_eq!(stats.host_pure_view, 1, "merged in place like any data view");
+        assert_eq!(stats.host_view_fallbacks, 0, "not materialized");
+        assert_eq!(stats.tuples_host_aggregated, 2);
+
+        service.submit_stream(task, hosts[1], vec![KvTuple::new(Key::from_str("zz").unwrap(), 5)]);
+        service
+            .run_until_complete(task, hosts[0], 5_000_000)
+            .unwrap();
+        let result = service.result(task, hosts[0]).unwrap();
+        assert_eq!(result[&Key::from_str("abc").unwrap()], 40);
+        assert_eq!(result[&Key::from_str("zz").unwrap()], 7);
+        assert_eq!(service.daemon(hosts[0]).orphan_tuples(), 0);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Switch-crash matrix: the switch dies at a chosen fraction of the clean
 // run's completion time, loses every register array and dedup window, and
 // comes back in a new epoch. Whatever the crash instant, the per-key result
