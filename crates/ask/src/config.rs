@@ -143,9 +143,13 @@ impl AskConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the region exceeds the per-copy aggregator space, the
-    /// window is zero or not a power of two, or the layout needs more than
-    /// 32 slots' worth of `PktState` bitmap.
+    /// Panics if the window is zero (any positive size is accepted, power
+    /// of two or not), the region is empty or exceeds the per-copy
+    /// aggregator space, the layout has more than 64 slots (the width of
+    /// the `PktState` bitmap), any of `max_tasks`, `max_channels`,
+    /// `data_channels` or `long_kv_batch` is zero, the backoff factor is
+    /// zero, the backoff cap undercuts the base timeout, or the jitter
+    /// exceeds 1000 ‰.
     pub fn validate(&self) {
         assert!(self.window > 0, "window must be positive");
         assert!(

@@ -6,25 +6,29 @@ use crate::config::AskConfig;
 use crate::fasthash::FastMap;
 use crate::host::backoff::{splitmix64, BackoffPolicy};
 use crate::host::congestion::CongestionWindow;
-use crate::host::packetizer::{Packetizer, PendingStream};
+use crate::host::packetizer::{BuiltFrame, Packetizer, PendingStream};
 use crate::host::receiver::ReceiverWindow;
 use crate::host::table::TaskTable;
 use crate::host::trace::{TraceEvent, TraceLog};
-use crate::host::window::SenderWindow;
+use crate::host::window::{FrameKind, SenderWindow};
 use crate::stats::{burst_bucket, HostStats};
 use crate::switch::aggregator::Observation;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
 use ask_simnet::time::{SimDuration, SimTime};
-use ask_wire::codec::{encode_envelope_parts, FLAG_NO_AGGREGATE};
-use ask_wire::pool::PacketPool;
+use ask_wire::codec::{
+    ack_frame, encode_envelope_parts, fin_frame, reflag, SendHeader, FLAG_NO_AGGREGATE,
+};
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::key::Key;
 use ask_wire::packet::{
-    AggregateOp, AskPacket, ChannelId, ControlMsg, DataPacket, FetchScope, KvTuple, SeqNo, TaskId,
+    AggregateOp, AskPacket, ChannelId, ControlMsg, FetchScope, KvTuple, SeqNo, TaskId,
 };
+use ask_wire::pool::PacketPool;
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 pub use ask_wire::packet::CHANNEL_STRIDE;
 
@@ -54,11 +58,9 @@ fn token_announce(task: TaskId) -> u64 {
 
 /// An item queued on a data channel, waiting for the window.
 ///
-/// A stream stays classified-but-unpacketized until the window actually
-/// admits each packet ([`PendingStream`]); that way at most a window's worth
-/// of payload vectors is live at a time and ACK-recycled vectors flow
-/// straight back into the next packet, instead of the whole stream being
-/// materialized up front against a cold [`PacketPool`].
+/// A stream stays staged as wire-ready lanes ([`PendingStream`]) and each
+/// frame is built only when the window admits it, so at most a window's
+/// worth of frames is live at a time.
 #[derive(Debug)]
 enum QueuedItem {
     Stream {
@@ -164,8 +166,10 @@ pub struct AskDaemon {
     /// switch restarts under a new epoch. A sender cannot know whether the
     /// receiver already banked its contribution (switch aggregators are
     /// wiped by the crash), so resynchronization replays conservatively;
-    /// receivers dedup via the epoch gate and completion checks.
-    sent_streams: FastMap<TaskId, (u32, Vec<KvTuple>)>,
+    /// receivers dedup via the epoch gate and completion checks. The
+    /// caller's vector itself is kept; a task submitted in several chunks
+    /// keeps their concatenation.
+    sent_streams: FastMap<TaskId, (u32, Arc<Vec<KvTuple>>)>,
     /// Sender side: tasks whose FIN has been acknowledged.
     send_done: FastMap<TaskId, SimTime>,
     /// Receiver side.
@@ -176,8 +180,8 @@ pub struct AskDaemon {
     cpu_busy: SimDuration,
     /// Tuples received for tasks this daemon never registered (misrouted).
     orphan_tuples: u64,
-    /// Recycled packet bodies: decode and packetize draw from here; ACKed
-    /// window entries and merged receive payloads flow back.
+    /// Recycled packet bodies for the one frame kind the receive path
+    /// still materializes (long-kv).
     pool: PacketPool,
     /// Highest switch epoch this daemon has seen. Frames from older epochs
     /// (pre-crash verdicts, ACKs, fetch replies) are dropped at ingress.
@@ -204,6 +208,10 @@ pub struct AskDaemon {
     /// Scratch for batched receive-window observations, kept across bursts
     /// to avoid reallocating.
     obs_scratch: Vec<Observation>,
+    /// Scratch for a burst's parsed views (with their ECN marks), empty
+    /// between bursts; every delivery — each ACK a sender receives
+    /// included — is a burst.
+    view_scratch: Vec<(bool, FrameView)>,
 }
 
 impl AskDaemon {
@@ -237,6 +245,7 @@ impl AskDaemon {
             packetize_ns: std::cell::Cell::new(0),
             merge_batch: Vec::new(),
             obs_scratch: Vec::new(),
+            view_scratch: Vec::new(),
         }
     }
 
@@ -341,7 +350,12 @@ impl AskDaemon {
         if let Some(&receiver) = self.announced.get(&task) {
             self.dispatch_send(task, receiver, tuples, ctx);
         } else {
-            self.pending_sends.entry(task).or_default().extend(tuples);
+            match self.pending_sends.entry(task) {
+                Entry::Vacant(held) => {
+                    held.insert(tuples);
+                }
+                Entry::Occupied(mut held) => held.get_mut().extend(tuples),
+            }
         }
     }
 
@@ -501,13 +515,7 @@ impl AskDaemon {
         self.known_epoch = epoch;
         self.degraded = false;
         for ch in &mut self.channels {
-            for e in ch.window.drain_reset() {
-                match e.packet {
-                    AskPacket::Data(pkt) => self.pool.recycle_slots(pkt.slots),
-                    AskPacket::LongKv { entries, .. } => self.pool.recycle_tuples(entries),
-                    _ => {}
-                }
-            }
+            ch.window.drain_reset();
             ch.queue.clear();
             ch.outstanding.clear();
             ch.pump_armed = false;
@@ -541,10 +549,10 @@ impl AskDaemon {
             );
             ctx.set_timer(self.config.fetch_timeout, token_region(task));
         }
-        let mut replay: Vec<(TaskId, u32, Vec<KvTuple>)> = self
+        let mut replay: Vec<(TaskId, u32, Arc<Vec<KvTuple>>)> = self
             .sent_streams
             .iter()
-            .map(|(&t, (r, tuples))| (t, *r, tuples.clone()))
+            .map(|(&t, (r, tuples))| (t, *r, Arc::clone(tuples)))
             .collect();
         replay.sort_unstable_by_key(|&(t, ..)| t.0);
         for (task, receiver, tuples) in replay {
@@ -557,7 +565,7 @@ impl AskDaemon {
                 continue; // co-located task already finished; nothing lost
             }
             self.send_done.remove(&task);
-            self.dispatch_stream(task, receiver, tuples, ctx);
+            self.dispatch_stream(task, receiver, &tuples, ctx);
         }
     }
 
@@ -573,20 +581,27 @@ impl AskDaemon {
         ctx: &mut Context<'_>,
     ) {
         // Retain the stream for crash-epoch replay before dispatching it.
-        let retained = self
-            .sent_streams
-            .entry(task)
-            .or_insert_with(|| (receiver, Vec::new()));
-        retained.0 = receiver;
-        retained.1.extend(tuples.iter().cloned());
-        self.dispatch_stream(task, receiver, tuples, ctx);
+        let tuples = Arc::new(tuples);
+        match self.sent_streams.entry(task) {
+            Entry::Vacant(kept) => {
+                kept.insert((receiver, Arc::clone(&tuples)));
+            }
+            // A later chunk of a task already sent: a replay packetizes
+            // the concatenation as one stream.
+            Entry::Occupied(mut kept) => {
+                let (to, earlier) = kept.get_mut();
+                *to = receiver;
+                Arc::make_mut(earlier).extend(tuples.iter().cloned());
+            }
+        }
+        self.dispatch_stream(task, receiver, &tuples, ctx);
     }
 
     fn dispatch_stream(
         &mut self,
         task: TaskId,
         receiver: u32,
-        tuples: Vec<KvTuple>,
+        tuples: &[KvTuple],
         ctx: &mut Context<'_>,
     ) {
         if receiver == self.my_index() {
@@ -610,21 +625,6 @@ impl AskDaemon {
         }
         let t0 = self.time_phases.then(std::time::Instant::now);
         let stream = self.packetizer.begin_stream(tuples);
-        // Pre-warm the pool from the stream-size hints. At most a window's
-        // worth of payloads is ever live per channel, so topping the free
-        // lists up to min(stream, W) lets even the *first* window's takes
-        // hit the pool — the bulk-packetize cold spot from the pooled-memory
-        // rework. Steady state is unaffected: recycled vectors already
-        // satisfy the target and the top-up is a no-op.
-        let window = self.config.window;
-        self.pool.prewarm_slots(
-            stream.data_packet_count().min(window),
-            self.packetizer.layout().slot_count(),
-        );
-        self.pool.prewarm_tuples(
-            stream.long_batch_count().min(window),
-            self.config.long_kv_batch,
-        );
         if let Some(t0) = t0 {
             self.packetize_ns
                 .set(self.packetize_ns.get() + t0.elapsed().as_nanos() as u64);
@@ -647,6 +647,7 @@ impl AskDaemon {
 
     fn pump(&mut self, ch_ix: usize, ctx: &mut Context<'_>) {
         let now = ctx.now();
+        let me = self.my_index();
         loop {
             let ch = &mut self.channels[ch_ix];
             if ch.queue.is_empty() || !ch.window.can_send() {
@@ -673,36 +674,29 @@ impl AskDaemon {
             }
             let channel = ch.id;
             let seq = SeqNo(ch.window.next_seq());
-            // A stream builds its next packet here, drawing the payload from
-            // the pool at the last moment; a drained stream is popped and the
-            // loop retries with the next queued item.
-            let (packet, dst, task, gates_fin) = match ch.queue.front_mut() {
+            let epoch = self.known_epoch;
+            let header = |task, dst| SendHeader {
+                src: me,
+                dst,
+                epoch,
+                task,
+                channel,
+                seq,
+            };
+            // A stream writes its next frame here, straight into the bytes
+            // both the simulator frame and the window hold; a drained
+            // stream is popped and the loop retries with the next item.
+            let (frame, task, dst) = match ch.queue.front_mut() {
                 Some(QueuedItem::Stream { task, dst, stream }) => {
-                    let (task, dst) = (*task, *dst);
+                    let data_flags = if self.degraded { FLAG_NO_AGGREGATE } else { 0 };
                     let t0 = self.time_phases.then(std::time::Instant::now);
-                    let built = if let Some(slots) = stream.next_data_payload(&mut self.pool) {
-                        Some(AskPacket::Data(DataPacket {
-                            task,
-                            channel,
-                            seq,
-                            slots,
-                        }))
-                    } else {
-                        stream
-                            .next_long_batch(&mut self.pool)
-                            .map(|entries| AskPacket::LongKv {
-                                task,
-                                channel,
-                                seq,
-                                entries,
-                            })
-                    };
+                    let built = stream.next_frame(&header(*task, *dst), data_flags);
                     if let Some(t0) = t0 {
                         self.packetize_ns
                             .set(self.packetize_ns.get() + t0.elapsed().as_nanos() as u64);
                     }
                     match built {
-                        Some(packet) => (packet, dst, task, true),
+                        Some(frame) => (frame, *task, *dst),
                         None => {
                             ch.queue.pop_front();
                             continue;
@@ -712,28 +706,21 @@ impl AskDaemon {
                 Some(QueuedItem::Fin { task, dst }) => {
                     let (task, dst) = (*task, *dst);
                     ch.queue.pop_front();
-                    (AskPacket::Fin { task, channel, seq }, dst, task, false)
+                    let fin = BuiltFrame {
+                        kind: FrameKind::Fin,
+                        bytes: fin_frame(&header(task, dst)),
+                        wire: PACKET_OVERHEAD,
+                    };
+                    (fin, task, dst)
                 }
                 None => unreachable!("queue checked non-empty"),
             };
-            let ch = &mut self.channels[ch_ix];
-            if gates_fin {
+            let BuiltFrame { kind, bytes, wire } = frame;
+            if kind != FrameKind::Fin {
                 *ch.outstanding.entry(task).or_insert(0) += 1;
             }
-            let me = self.my_index();
-            let layout = self.config.layout;
-            let wire = packet.wire_bytes(&layout);
-            let flags = if self.degraded && matches!(packet, AskPacket::Data(_)) {
-                FLAG_NO_AGGREGATE
-            } else {
-                0
-            };
-            // One encode per packet: the window keeps the exact bytes the
-            // frame carries, so retransmissions skip the codec entirely and
-            // the packet itself moves into the window without a clone.
-            let bytes = encode_envelope_parts(me, dst, self.known_epoch, flags, &packet, &layout);
-            let ch = &mut self.channels[ch_ix];
-            ch.window.register(packet, bytes.clone(), wire, dst, Some(task));
+            ch.window
+                .register(kind, bytes.clone(), wire, dst, Some(task));
             ch.busy_until = now + self.config.cpu_per_packet;
             self.cpu_busy += self.config.cpu_per_packet;
             self.stats.packets_sent += 1;
@@ -765,57 +752,34 @@ impl AskDaemon {
                 cc.on_ecn();
             }
         }
-        // The ACK retires the window entry, so its packet body is dead
-        // memory — recycle the backing vectors into the pool.
-        match inflight.packet {
-            AskPacket::Data(pkt) => {
-                if let Some(task) = inflight.task {
+        if let Some(task) = inflight.task {
+            match inflight.kind {
+                FrameKind::Data | FrameKind::LongKv => {
                     let ch = &mut self.channels[ch_ix];
                     let left = ch.outstanding.entry(task).or_insert(1);
                     *left = left.saturating_sub(1);
                 }
-                self.pool.recycle_slots(pkt.slots);
-            }
-            AskPacket::LongKv { entries, .. } => {
-                if let Some(task) = inflight.task {
-                    let ch = &mut self.channels[ch_ix];
-                    let left = ch.outstanding.entry(task).or_insert(1);
-                    *left = left.saturating_sub(1);
+                FrameKind::Fin => {
+                    self.send_done.insert(task, ctx.now());
                 }
-                self.pool.recycle_tuples(entries);
             }
-            AskPacket::Fin { task, .. } => {
-                self.send_done.insert(task, ctx.now());
-            }
-            _ => {}
         }
         self.pump(ch_ix, ctx);
     }
 
     fn retransmit(&mut self, ch_ix: usize, seq: u64, ctx: &mut Context<'_>) {
-        let me = self.my_index();
-        let layout = self.config.layout;
-        let epoch = self.known_epoch;
         let escalate_after = self.config.escalate_after;
         let mut escalated = false;
-        // Resend the stored wire bytes verbatim — no re-encode, no clone of
-        // the packet body — unless this attempt crosses the escalation
-        // threshold, in which case data packets are re-encoded once with the
-        // no-aggregate flag (degraded end-to-end pass-through).
+        // Resend the stored wire bytes verbatim unless this attempt crosses
+        // the escalation threshold, in which case a data frame is re-flagged
+        // once as no-aggregate (degraded end-to-end pass-through).
         let Some((bytes, wire, attempt)) = self.channels[ch_ix].window.retransmit(seq).map(|e| {
             if let Some(k) = escalate_after {
                 if !e.degraded && e.retransmits >= k {
                     e.degraded = true;
                     escalated = true;
-                    if matches!(e.packet, AskPacket::Data(_)) {
-                        e.encoded = encode_envelope_parts(
-                            me,
-                            e.dst,
-                            epoch,
-                            FLAG_NO_AGGREGATE,
-                            &e.packet,
-                            &layout,
-                        );
+                    if e.kind == FrameKind::Data {
+                        e.encoded = reflag(&e.encoded, FLAG_NO_AGGREGATE);
                     }
                 }
             }
@@ -892,7 +856,8 @@ impl AskDaemon {
         ctx: &mut Context<'_>,
     ) {
         self.cpu_busy += self.config.cpu_per_packet;
-        self.send_to(dst, AskPacket::Ack { channel, seq, ece }, ctx);
+        let bytes = ack_frame(self.my_index(), dst, self.known_epoch, channel, seq, ece);
+        let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, PACKET_OVERHEAD));
     }
 
     fn maybe_swap(&mut self, task: TaskId, ctx: &mut Context<'_>) {
@@ -1457,7 +1422,7 @@ impl Node for AskDaemon {
     fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
         self.ensure_init(ctx);
         self.stats.burst_len[burst_bucket(burst.len() as u64)] += 1;
-        let mut frames: Vec<(bool, FrameView)> = Vec::with_capacity(burst.len());
+        let mut frames = std::mem::take(&mut self.view_scratch);
         for (_, frame) in burst.drain(..) {
             let ecn = frame.ecn_marked();
             if let Ok(view) = FrameView::parse(frame.into_payload()) {
@@ -1495,6 +1460,8 @@ impl Node for AskDaemon {
             i = j;
         }
         self.flush_merge_batch();
+        frames.clear();
+        self.view_scratch = frames;
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {

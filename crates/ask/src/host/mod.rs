@@ -14,7 +14,7 @@ pub use congestion::CongestionWindow;
 pub use trace::{TraceEvent, TraceLog};
 
 pub use daemon::{AskDaemon, ChannelSnapshot, TaskResult, CHANNEL_STRIDE};
-pub use packetizer::{PacketizedStream, Packetizer, PendingStream};
+pub use packetizer::{BuiltFrame, PacketizedStream, Packetizer, PendingStream};
 pub use receiver::ReceiverWindow;
 pub use table::TaskTable;
-pub use window::{InFlight, SenderWindow};
+pub use window::{FrameKind, InFlight, SenderWindow};

@@ -9,9 +9,12 @@
 //!
 //! Long keys bypass the switch in dedicated batch packets.
 
-use ask_wire::key::KeyClass;
+use crate::host::window::FrameKind;
+use ask_wire::codec::{FrameWriter, SendHeader};
+use ask_wire::constants::PACKET_OVERHEAD;
+use ask_wire::key::{KeyClass, KPART_BYTES};
 use ask_wire::packet::{KvTuple, PacketLayout};
-use ask_wire::pool::PacketPool;
+use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// Output of packetizing one task's key-value stream.
@@ -103,58 +106,14 @@ impl Packetizer {
         }
     }
 
-    /// Packs a stream of tuples into packets.
+    /// Packs a stream of tuples into owned packets — the reference model
+    /// the send path ([`Packetizer::begin_stream`]) is checked against, and
+    /// what figure code inspects for slot occupancy.
     ///
     /// Tuples within each slot keep their stream order; a packet takes the
     /// next tuple from every non-empty slot queue, so skew shows up as blank
     /// slots rather than reordering (§5.3, Figure 8(b)).
     pub fn packetize<I>(&self, tuples: I) -> PacketizedStream
-    where
-        I: IntoIterator<Item = KvTuple>,
-    {
-        self.packetize_inner(tuples, None)
-    }
-
-    /// [`Packetizer::packetize`] drawing payload vectors from `pool` instead
-    /// of allocating, so a steady-state sender recycles the same backing
-    /// stores across packetize → encode → ACK cycles.
-    pub fn packetize_pooled<I>(&self, tuples: I, pool: &mut PacketPool) -> PacketizedStream
-    where
-        I: IntoIterator<Item = KvTuple>,
-    {
-        self.packetize_inner(tuples, Some(pool))
-    }
-
-    /// Classifies a stream into per-slot queues but defers packet
-    /// construction: each payload is drawn from the caller's [`PacketPool`]
-    /// only when [`PendingStream::next_data_payload`] /
-    /// [`PendingStream::next_long_batch`] is called. The packets produced are
-    /// identical — contents and order — to [`Packetizer::packetize`]; only
-    /// the allocation timing differs. This is what lets a sender keep at most
-    /// a window's worth of payload vectors live (and therefore recyclable)
-    /// instead of materializing the whole stream up front against a cold
-    /// pool.
-    pub fn begin_stream<I>(&self, tuples: I) -> PendingStream
-    where
-        I: IntoIterator<Item = KvTuple>,
-    {
-        let slots = self.layout.slot_count();
-        let mut queues: Vec<VecDeque<KvTuple>> = vec![VecDeque::new(); slots];
-        let mut long_queue: VecDeque<KvTuple> = VecDeque::new();
-        for tuple in tuples {
-            match self.slot_for(&tuple) {
-                Some(s) => queues[s].push_back(tuple),
-                None => long_queue.push_back(tuple),
-            }
-        }
-        PendingStream {
-            queues,
-            long_queue,
-            long_kv_batch: self.long_kv_batch,
-        }
-    }
-
-    fn packetize_inner<I>(&self, tuples: I, mut pool: Option<&mut PacketPool>) -> PacketizedStream
     where
         I: IntoIterator<Item = KvTuple>,
     {
@@ -170,77 +129,208 @@ impl Packetizer {
 
         let mut out = PacketizedStream::default();
         while queues.iter().any(|q| !q.is_empty()) {
-            let mut payload = match pool.as_deref_mut() {
-                Some(p) => p.take_slots(slots),
-                None => Vec::with_capacity(slots),
-            };
-            payload.extend(queues.iter_mut().map(|q| q.pop_front()));
-            out.data_payloads.push(payload);
+            out.data_payloads
+                .push(queues.iter_mut().map(|q| q.pop_front()).collect());
         }
-        for chunk in long_queue.chunks(self.long_kv_batch) {
-            let mut batch = match pool.as_deref_mut() {
-                Some(p) => p.take_tuples(chunk.len()),
-                None => Vec::with_capacity(chunk.len()),
-            };
-            batch.extend_from_slice(chunk);
-            out.long_batches.push(batch);
-        }
+        out.long_batches = long_queue
+            .chunks(self.long_kv_batch)
+            .map(<[KvTuple]>::to_vec)
+            .collect();
         out
+    }
+
+    /// Stages a stream for sending: every tuple is turned into its wire
+    /// bytes once, here, and [`PendingStream::next_frame`] then builds each
+    /// frame by copying byte ranges. The frames are those of
+    /// [`Packetizer::packetize`] — same content, same order.
+    ///
+    /// A counting sort by slot: pass 1 records each tuple's slot and counts
+    /// per slot, pass 2 writes each tuple's *slot record* (key zero-padded
+    /// to the slot's width, then the big-endian value) at its slot's fill
+    /// cursor, so a slot's records sit contiguously in stream order. Long
+    /// keys are serialized in the long-kv entry format instead.
+    pub fn begin_stream(&self, tuples: &[KvTuple]) -> PendingStream {
+        let layout = self.layout;
+        let widths = record_widths(&layout);
+        let width_of = |slot: usize| widths[usize::from(!layout.is_short_slot(slot))];
+
+        let mut counts = vec![0usize; layout.slot_count()];
+        let slot_of: Vec<u8> = tuples
+            .iter()
+            .map(|t| match self.slot_for(t) {
+                Some(s) => {
+                    counts[s] += 1;
+                    s as u8
+                }
+                None => LONG,
+            })
+            .collect();
+
+        let mut at = 0;
+        let mut lanes: Vec<Lane> = counts
+            .iter()
+            .enumerate()
+            .map(|(slot, &n)| {
+                let lane = Lane {
+                    cursor: at,
+                    end: at,
+                };
+                at += n * width_of(slot);
+                lane
+            })
+            .collect();
+
+        let mut records = vec![0u8; at];
+        let mut long = LongLane::default();
+        for (t, &slot) in tuples.iter().zip(&slot_of) {
+            let key = t.key.as_bytes();
+            if slot == LONG {
+                long.offsets.push(long.bytes.len());
+                long.bytes
+                    .extend_from_slice(&(key.len() as u16).to_be_bytes());
+                long.bytes.extend_from_slice(key);
+                long.bytes.extend_from_slice(&t.value.to_be_bytes());
+                continue;
+            }
+            let lane = &mut lanes[slot as usize];
+            let value_at = lane.end + width_of(slot as usize) - VALUE_BYTES;
+            records[lane.end..lane.end + key.len()].copy_from_slice(key);
+            records[value_at..value_at + VALUE_BYTES].copy_from_slice(&t.value.to_be_bytes());
+            lane.end = value_at + VALUE_BYTES;
+        }
+
+        let live = lanes
+            .iter()
+            .enumerate()
+            .filter(|(_, lane)| lane.cursor < lane.end)
+            .fold(0u128, |bitmap, (slot, _)| bitmap | 1 << slot);
+        PendingStream {
+            layout,
+            records,
+            lanes,
+            live,
+            long,
+            long_kv_batch: self.long_kv_batch,
+        }
     }
 }
 
-/// A classified stream whose packets are built lazily, one at a time, from a
-/// caller-supplied [`PacketPool`]. Created by [`Packetizer::begin_stream`].
-#[derive(Debug, Clone)]
+/// Bytes of a tuple's value on the wire.
+const VALUE_BYTES: usize = 4;
+
+/// Slot-record width of a short slot and of a medium group: the key
+/// zero-padded to the slot's width, then the value.
+fn record_widths(layout: &PacketLayout) -> [usize; 2] {
+    [
+        KPART_BYTES + VALUE_BYTES,
+        layout.medium_max_key_len() + VALUE_BYTES,
+    ]
+}
+
+/// Slot marker of a tuple that bypasses the switch (layouts have at most
+/// 128 slots).
+const LONG: u8 = u8::MAX;
+
+/// The unsent records of one slot: `records[cursor..end]`.
+#[derive(Debug)]
+struct Lane {
+    cursor: usize,
+    end: usize,
+}
+
+/// Long-key tuples as long-kv entries (`u16 len · key · u32 value`), with
+/// the offset of every entry so that a batch is one byte range.
+#[derive(Debug, Default)]
+struct LongLane {
+    bytes: Vec<u8>,
+    offsets: Vec<usize>,
+    /// Entries already sent.
+    sent: usize,
+}
+
+/// One frame of a [`PendingStream`], as it goes on the wire and into the
+/// send window.
+#[derive(Debug)]
+pub struct BuiltFrame {
+    /// Data or long-kv.
+    pub kind: FrameKind,
+    /// The encoded envelope.
+    pub bytes: Bytes,
+    /// Nominal wire size (§5.3 accounting).
+    pub wire: usize,
+}
+
+/// A stream staged for sending as wire-ready slot lanes. Created by
+/// [`Packetizer::begin_stream`].
+#[derive(Debug)]
 pub struct PendingStream {
-    queues: Vec<VecDeque<KvTuple>>,
-    long_queue: VecDeque<KvTuple>,
+    layout: PacketLayout,
+    records: Vec<u8>,
+    lanes: Vec<Lane>,
+    /// Bit `s` set iff lane `s` still holds a record.
+    live: u128,
+    long: LongLane,
     long_kv_batch: usize,
 }
 
 impl PendingStream {
-    /// Builds the next data payload from the slot queues, or `None` when the
-    /// data portion of the stream is exhausted.
-    pub fn next_data_payload(&mut self, pool: &mut PacketPool) -> Option<Vec<Option<KvTuple>>> {
-        if self.queues.iter().all(|q| q.is_empty()) {
+    /// Builds the stream's next frame — data frames first, one record from
+    /// every non-empty lane each, then the long-key batches — or `None`
+    /// once everything has been sent. `data_flags` are the envelope flags
+    /// of a data frame; long-kv frames carry none.
+    pub fn next_frame(&mut self, h: &SendHeader, data_flags: u8) -> Option<BuiltFrame> {
+        if self.live != 0 {
+            return Some(self.next_data_frame(h, data_flags));
+        }
+        let first = self.long.sent;
+        let last = (first + self.long_kv_batch).min(self.long.offsets.len());
+        if first == last {
             return None;
         }
-        let mut payload = pool.take_slots(self.queues.len());
-        payload.extend(self.queues.iter_mut().map(|q| q.pop_front()));
-        Some(payload)
+        self.long.sent = last;
+        let from = self.long.offsets[first];
+        let to = self
+            .long
+            .offsets
+            .get(last)
+            .copied()
+            .unwrap_or(self.long.bytes.len());
+        let mut frame = FrameWriter::long_kv(h, (last - first) as u32, to - from);
+        frame.put(&self.long.bytes[from..to]);
+        Some(BuiltFrame {
+            kind: FrameKind::LongKv,
+            bytes: frame.finish(),
+            wire: PACKET_OVERHEAD + (to - from),
+        })
     }
 
-    /// Builds the next long-key bypass batch, or `None` when none remain.
-    pub fn next_long_batch(&mut self, pool: &mut PacketPool) -> Option<Vec<KvTuple>> {
-        if self.long_queue.is_empty() {
-            return None;
+    fn next_data_frame(&mut self, h: &SendHeader, flags: u8) -> BuiltFrame {
+        let bitmap = self.live;
+        let widths = record_widths(&self.layout);
+        let short = self.layout.short_slots();
+        // Two popcounts size the frame. A slot's nominal payload bytes are
+        // its record's width, so the body size is also the frame's wire
+        // size minus the overhead.
+        let medium = bitmap.checked_shr(short as u32).unwrap_or(0).count_ones() as usize;
+        let body_len = (bitmap.count_ones() as usize - medium) * widths[0] + medium * widths[1];
+        let mut frame = FrameWriter::data(h, flags, &self.layout, bitmap, body_len);
+        let mut left = bitmap;
+        while left != 0 {
+            let slot = left.trailing_zeros() as usize;
+            left &= left - 1;
+            let lane = &mut self.lanes[slot];
+            let next = lane.cursor + widths[usize::from(slot >= short)];
+            frame.put(&self.records[lane.cursor..next]);
+            lane.cursor = next;
+            if next == lane.end {
+                self.live &= !(1 << slot);
+            }
         }
-        let n = self.long_queue.len().min(self.long_kv_batch);
-        let mut batch = pool.take_tuples(n);
-        batch.extend(self.long_queue.drain(..n));
-        Some(batch)
-    }
-
-    /// Data packets this stream will still emit (the longest slot queue
-    /// decides, since every packet takes one tuple from each non-empty
-    /// queue). A size hint for pre-warming the sender's [`PacketPool`].
-    pub fn data_packet_count(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).max().unwrap_or(0)
-    }
-
-    /// Long-key bypass batches this stream will still emit.
-    pub fn long_batch_count(&self) -> usize {
-        self.long_queue.len().div_ceil(self.long_kv_batch)
-    }
-
-    /// True when both the data and long-key portions are drained.
-    pub fn is_empty(&self) -> bool {
-        self.long_queue.is_empty() && self.queues.iter().all(|q| q.is_empty())
-    }
-
-    /// Tuples not yet emitted as packets.
-    pub fn remaining_tuples(&self) -> usize {
-        self.long_queue.len() + self.queues.iter().map(|q| q.len()).sum::<usize>()
+        BuiltFrame {
+            kind: FrameKind::Data,
+            bytes: frame.finish(),
+            wire: PACKET_OVERHEAD + body_len,
+        }
     }
 }
 
@@ -336,76 +426,110 @@ mod tests {
         let _ = Packetizer::new(PacketLayout::paper_default(), 0);
     }
 
-    #[test]
-    fn pooled_packetize_matches_plain_and_reuses_memory() {
-        let p = packetizer();
-        let tuples = || {
-            vec![
-                kv("cat", 1),
-                kv("cat", 2),
-                kv("dog", 3),
-                kv("maples", 4),
-                kv("waytoolongkey", 5),
-            ]
-        };
-        let plain = p.packetize(tuples());
-        let mut pool = PacketPool::new();
-        let pooled = p.packetize_pooled(tuples(), &mut pool);
-        assert_eq!(plain.data_payloads, pooled.data_payloads);
-        assert_eq!(plain.long_batches, pooled.long_batches);
+    mod properties {
+        use super::*;
+        use ask_wire::codec::{encode_envelope_parts, reflag, FLAG_NO_AGGREGATE};
+        use ask_wire::packet::{AskPacket, ChannelId, DataPacket, SeqNo, TaskId};
+        use ask_wire::view::{FrameView, PacketView};
+        use proptest::prelude::*;
 
-        // Recycle and repacketize: every payload now comes from the pool.
-        for v in pooled.data_payloads {
-            pool.recycle_slots(v);
+        /// `short_only(1)`, `short_only(n)`, or a custom layout with medium
+        /// groups (and possibly no short slots at all).
+        fn arb_layout() -> impl Strategy<Value = PacketLayout> {
+            (0u8..3, 1usize..=32, (0usize..=8, 1usize..=4, 2usize..=4)).prop_map(
+                |(pick, n, (short, groups, segments))| match pick {
+                    0 => PacketLayout::short_only(1),
+                    1 => PacketLayout::short_only(n),
+                    _ => PacketLayout::custom(short, groups, segments),
+                },
+            )
         }
-        for v in pooled.long_batches {
-            pool.recycle_tuples(v);
-        }
-        let before_hits = pool.hits();
-        let again = p.packetize_pooled(tuples(), &mut pool);
-        assert_eq!(plain.data_payloads, again.data_payloads);
-        assert!(pool.hits() > before_hits, "second round should hit the pool");
-    }
 
-    #[test]
-    fn lazy_stream_matches_eager_packetize() {
-        let p = packetizer();
-        let tuples: Vec<KvTuple> = (0..40)
-            .map(|i| KvTuple::new(Key::from_u64(i % 11), i as u32))
-            .chain((0..7).map(|i| kv("waytoolongkey", i)))
-            .collect();
-        let eager = p.packetize(tuples.clone());
-        let mut pool = PacketPool::new();
-        let mut pending = p.begin_stream(tuples);
-        assert_eq!(pending.remaining_tuples(), 47);
-        let mut data = Vec::new();
-        while let Some(payload) = pending.next_data_payload(&mut pool) {
-            data.push(payload);
+        /// Keys of 1..=20 bytes over a four-letter alphabet: short, medium
+        /// and long under every layout above, colliding often enough that
+        /// slots hold several tuples while others stay empty. `hot` of
+        /// every four tuples are replaced by one hot key.
+        fn arb_stream() -> impl Strategy<Value = Vec<KvTuple>> {
+            let tuple = (proptest::collection::vec(1u8..=4, 1..=20), any::<u32>());
+            (proptest::collection::vec(tuple, 0..120), 0usize..4).prop_map(|(raw, hot)| {
+                raw.into_iter()
+                    .enumerate()
+                    .map(|(i, (key, value))| {
+                        let key = if i % 4 < hot { b"hot".to_vec() } else { key };
+                        KvTuple::new(Key::new(key.into()).expect("no NUL, non-empty"), value)
+                    })
+                    .collect()
+            })
         }
-        let mut long = Vec::new();
-        while let Some(batch) = pending.next_long_batch(&mut pool) {
-            long.push(batch);
-        }
-        assert!(pending.is_empty());
-        assert_eq!(pending.remaining_tuples(), 0);
-        assert_eq!(eager.data_payloads, data);
-        assert_eq!(eager.long_batches, long);
-    }
 
-    #[test]
-    fn lazy_stream_recycles_between_packets() {
-        let p = Packetizer::new(PacketLayout::short_only(8), 8);
-        let tuples: Vec<KvTuple> = vec![kv("hot", 1); 50];
-        let mut pool = PacketPool::new();
-        let mut pending = p.begin_stream(tuples);
-        let mut built = 0u64;
-        while let Some(payload) = pending.next_data_payload(&mut pool) {
-            built += 1;
-            pool.recycle_slots(payload);
+        proptest! {
+            /// The lane path emits, frame for frame, the bytes the owned
+            /// codec encodes for the owned packetizer's packets — data
+            /// frames, then long-kv batches, same order, same count, same
+            /// nominal wire size — and re-flagging a frame equals encoding
+            /// it with the flag.
+            #[test]
+            fn lane_frames_match_owned_packetize_and_encode(
+                layout in arb_layout(),
+                long_kv_batch in 1usize..=5,
+                stream in arb_stream(),
+                addressing in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>()),
+                ids in (any::<u32>(), any::<u32>(), any::<u64>()),
+            ) {
+                let (src, dst, epoch, flags) = addressing;
+                let (task, channel, first_seq) = (TaskId(ids.0), ChannelId(ids.1), ids.2);
+                let p = Packetizer::new(layout, long_kv_batch);
+                let owned = p.packetize(stream.iter().cloned());
+                let mut pending = p.begin_stream(&stream);
+
+                let data = owned.data_payloads.into_iter().map(|slots| {
+                    (FrameKind::Data, flags, AskPacket::Data(DataPacket {
+                        task, channel, seq: SeqNo(0), slots,
+                    }))
+                });
+                let long = owned.long_batches.into_iter().map(|entries| {
+                    (FrameKind::LongKv, 0, AskPacket::LongKv {
+                        task, channel, seq: SeqNo(0), entries,
+                    })
+                });
+                let mut seq = SeqNo(first_seq);
+                for (kind, flags, mut packet) in data.chain(long) {
+                    match &mut packet {
+                        AskPacket::Data(d) => d.seq = seq,
+                        AskPacket::LongKv { seq: s, .. } => *s = seq,
+                        _ => unreachable!(),
+                    }
+                    let h = SendHeader { src, dst, epoch, task, channel, seq };
+                    let frame = pending.next_frame(&h, flags).expect("a frame per owned packet");
+                    prop_assert_eq!(frame.kind, kind);
+                    prop_assert_eq!(frame.wire, packet.wire_bytes(&layout));
+                    prop_assert_eq!(
+                        &frame.bytes,
+                        &encode_envelope_parts(src, dst, epoch, flags, &packet, &layout)
+                    );
+                    prop_assert_eq!(
+                        reflag(&frame.bytes, FLAG_NO_AGGREGATE),
+                        encode_envelope_parts(
+                            src, dst, epoch, flags | FLAG_NO_AGGREGATE, &packet, &layout,
+                        )
+                    );
+                    let view = FrameView::parse(frame.bytes).expect("own frame parses");
+                    prop_assert_eq!((view.src(), view.dst(), view.epoch()), (src, dst, epoch));
+                    match (view.packet(), &packet) {
+                        (PacketView::Data(v), AskPacket::Data(d)) => {
+                            prop_assert_eq!((v.seq(), v.bitmap()), (seq, d.bitmap()));
+                        }
+                        (PacketView::LongKv { seq: s, entry_count, .. },
+                         AskPacket::LongKv { entries, .. }) => {
+                            prop_assert_eq!((*s, *entry_count as usize), (seq, entries.len()));
+                        }
+                        other => prop_assert!(false, "kinds differ: {:?}", other),
+                    }
+                    seq = SeqNo(seq.0.wrapping_add(1));
+                }
+                let h = SendHeader { src, dst, epoch, task, channel, seq };
+                prop_assert!(pending.next_frame(&h, flags).is_none());
+            }
         }
-        assert_eq!(built, 50);
-        // First take allocates; every later take reuses the recycled vector.
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(pool.hits(), 49);
     }
 }

@@ -5,15 +5,25 @@
 //! sends. Out-of-order ACKs never trigger retransmission (the two ACK
 //! sources naturally reorder); only the fine-grained timeout does.
 
-use ask_wire::packet::{AskPacket, TaskId};
+use ask_wire::packet::TaskId;
 use bytes::Bytes;
-use std::collections::BTreeMap;
+
+/// Which of the three reliable frame kinds an in-flight entry carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A slotted data packet (the only kind the switch aggregates).
+    Data,
+    /// A long-key bypass batch.
+    LongKv,
+    /// A task's end-of-stream marker.
+    Fin,
+}
 
 /// One unacknowledged packet.
 #[derive(Debug, Clone)]
 pub struct InFlight {
-    /// The packet, kept for ACK bookkeeping (task/FIN dispatch).
-    pub packet: AskPacket,
+    /// What the frame carries (ACK bookkeeping: FIN gating vs. completion).
+    pub kind: FrameKind,
     /// The envelope as it went on the wire. Retransmissions resend these
     /// bytes directly (an O(1) refcount bump) instead of re-encoding.
     pub encoded: Bytes,
@@ -33,15 +43,24 @@ pub struct InFlight {
 /// Sliding send window over one data channel's sequence space.
 ///
 /// Sequence numbers are modular (`u64` wrapping): all window arithmetic is
-/// phrased as wrapping distances from `next_seq`, so the window keeps
-/// working across the `u64::MAX → 0` wraparound. An in-flight sequence `s`
-/// is always within `W` behind `next_seq`, which makes
-/// `next_seq.wrapping_sub(s) ∈ [1, W]` the age of `s`.
+/// phrased as wrapping distances from `oldest`, so the window keeps working
+/// across the `u64::MAX → 0` wraparound.
+///
+/// Entries live in a ring of `W.next_power_of_two()` slots indexed by
+/// `seq & mask`. Invariants: every in-flight sequence lies in the modular
+/// interval `[oldest, next_seq)`, which is never longer than `W` and so
+/// never maps two live sequences to one slot; `oldest` is in flight
+/// whenever anything is, and equals `next_seq` otherwise. A sequence
+/// outside the interval aliases some slot of the ring, so every lookup
+/// checks the interval before it touches a slot.
 #[derive(Debug)]
 pub struct SenderWindow {
     w: u64,
+    mask: u64,
     next_seq: u64,
-    inflight: BTreeMap<u64, InFlight>,
+    oldest: u64,
+    ring: Vec<Option<InFlight>>,
+    in_flight: usize,
     peak_inflight: usize,
 }
 
@@ -64,10 +83,14 @@ impl SenderWindow {
     /// Panics if `w == 0`.
     pub fn with_start_seq(w: usize, start: u64) -> Self {
         assert!(w > 0, "window must be positive");
+        let capacity = w.next_power_of_two();
         SenderWindow {
             w: w as u64,
+            mask: capacity as u64 - 1,
             next_seq: start,
-            inflight: BTreeMap::new(),
+            oldest: start,
+            ring: vec![None; capacity],
+            in_flight: 0,
             peak_inflight: 0,
         }
     }
@@ -76,29 +99,17 @@ impl SenderWindow {
     /// the oldest unacknowledged packet is less than `W` behind `next_seq`
     /// (in wrapping distance).
     pub fn can_send(&self) -> bool {
-        match self.oldest_unacked() {
-            Some(oldest) => self.next_seq.wrapping_sub(oldest) < self.w,
-            None => true,
-        }
+        self.next_seq.wrapping_sub(self.oldest) < self.w
     }
 
     /// The oldest (logically, not numerically) unacknowledged sequence.
-    ///
-    /// In-flight sequences live in the half-open modular interval
-    /// `[next_seq - W, next_seq)`; keys numerically `>= next_seq` are the
-    /// pre-wrap tail of that interval and therefore older than any key
-    /// below `next_seq`.
     pub fn oldest_unacked(&self) -> Option<u64> {
-        self.inflight
-            .range(self.next_seq..)
-            .next()
-            .map(|(&s, _)| s)
-            .or_else(|| self.inflight.keys().next().copied())
+        (self.in_flight > 0).then_some(self.oldest)
     }
 
     /// Number of unacknowledged packets.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.in_flight
     }
 
     /// High-water mark of [`SenderWindow::in_flight`] over the window's
@@ -110,14 +121,26 @@ impl SenderWindow {
 
     /// The in-flight sequence numbers, oldest first (wraparound-aware).
     pub fn in_flight_seqs(&self) -> Vec<u64> {
-        let mut seqs: Vec<u64> = self.inflight.range(self.next_seq..).map(|(&s, _)| s).collect();
-        seqs.extend(self.inflight.range(..self.next_seq).map(|(&s, _)| s));
-        seqs
+        (0..self.next_seq.wrapping_sub(self.oldest))
+            .map(|age| self.oldest.wrapping_add(age))
+            .filter(|&seq| self.ring[self.slot(seq)].is_some())
+            .collect()
     }
 
     /// The sequence number the next send will use.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// The ring slot of `seq` if it lies in `[oldest, next_seq)`; a
+    /// sequence outside that interval aliases a slot it does not own.
+    fn slot_in_window(&self, seq: u64) -> Option<usize> {
+        let span = self.next_seq.wrapping_sub(self.oldest);
+        (seq.wrapping_sub(self.oldest) < span).then(|| self.slot(seq))
     }
 
     /// Registers a fresh transmission, consuming the next sequence number.
@@ -127,7 +150,7 @@ impl SenderWindow {
     /// Panics if the window is full ([`SenderWindow::can_send`] is false).
     pub fn register(
         &mut self,
-        packet: AskPacket,
+        kind: FrameKind,
         encoded: Bytes,
         wire: usize,
         dst: u32,
@@ -136,40 +159,46 @@ impl SenderWindow {
         assert!(self.can_send(), "window full");
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.peak_inflight = self.peak_inflight.max(self.inflight.len() + 1);
-        self.inflight.insert(
-            seq,
-            InFlight {
-                packet,
-                encoded,
-                wire,
-                dst,
-                task,
-                retransmits: 0,
-                degraded: false,
-            },
-        );
+        self.in_flight += 1;
+        self.peak_inflight = self.peak_inflight.max(self.in_flight);
+        let slot = self.slot(seq);
+        self.ring[slot] = Some(InFlight {
+            kind,
+            encoded,
+            wire,
+            dst,
+            task,
+            retransmits: 0,
+            degraded: false,
+        });
         seq
     }
 
     /// Retires `seq`; returns the entry if it was in flight (`None` for
     /// duplicate ACKs).
     pub fn ack(&mut self, seq: u64) -> Option<InFlight> {
-        self.inflight.remove(&seq)
+        let slot = self.slot_in_window(seq)?;
+        let entry = self.ring[slot].take()?;
+        self.in_flight -= 1;
+        while self.oldest != self.next_seq && self.ring[self.slot(self.oldest)].is_none() {
+            self.oldest = self.oldest.wrapping_add(1);
+        }
+        Some(entry)
     }
 
     /// Looks up an in-flight packet (for retransmission), bumping its
     /// retransmit counter. The entry is mutable so the caller can swap in a
-    /// re-encoded frame (degraded-mode escalation).
+    /// re-flagged frame (degraded-mode escalation).
     pub fn retransmit(&mut self, seq: u64) -> Option<&mut InFlight> {
-        let entry = self.inflight.get_mut(&seq)?;
+        let slot = self.slot_in_window(seq)?;
+        let entry = self.ring[slot].as_mut()?;
         entry.retransmits += 1;
         Some(entry)
     }
 
     /// True once every transmission has been acknowledged.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty()
+        self.in_flight == 0
     }
 
     /// Empties the window and restarts the sequence space at 0, returning
@@ -179,21 +208,18 @@ impl SenderWindow {
     /// peak-in-flight high-water mark is preserved across the reset.
     pub fn drain_reset(&mut self) -> Vec<InFlight> {
         self.next_seq = 0;
-        std::mem::take(&mut self.inflight).into_values().collect()
+        self.oldest = 0;
+        self.in_flight = 0;
+        self.ring.iter_mut().filter_map(Option::take).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ask_wire::packet::{ChannelId, SeqNo};
 
-    fn dummy_packet(seq: u64) -> AskPacket {
-        AskPacket::Ack {
-            channel: ChannelId(0),
-            seq: SeqNo(seq),
-            ece: false,
-        }
+    fn dummy_packet(_seq: u64) -> FrameKind {
+        FrameKind::Data
     }
 
     #[test]
@@ -305,6 +331,84 @@ mod tests {
         assert!(w.can_send(), "acking the oldest slides the window");
     }
 
+    /// The ring has `W.next_power_of_two()` slots; the window must still
+    /// block at `W`.
+    #[test]
+    fn non_power_of_two_window_blocks_at_w_not_at_ring_capacity() {
+        for w in [6usize, 100] {
+            let mut sw = SenderWindow::with_start_seq(w, u64::MAX - 2);
+            for _ in 0..w {
+                assert!(sw.can_send());
+                sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+            }
+            assert!(!sw.can_send(), "W = {w}: full at W");
+            assert_eq!(sw.in_flight(), w);
+            assert_eq!(sw.peak_in_flight(), w);
+            // Acking anything but the oldest frees no room.
+            assert!(sw.ack(u64::MAX).is_some());
+            assert!(!sw.can_send());
+            assert!(sw.ack(u64::MAX - 2).is_some());
+            assert!(sw.can_send());
+            assert_eq!(sw.oldest_unacked(), Some(u64::MAX - 1));
+        }
+    }
+
+    /// `seq ± capacity` maps to the slot of a live packet; an ACK or a
+    /// retransmit timer carrying it must not touch that packet.
+    #[test]
+    fn aliased_sequence_numbers_are_inert() {
+        for w in [4usize, 6] {
+            let capacity = w.next_power_of_two() as u64;
+            let start = 3 * capacity + 1;
+            let mut sw = SenderWindow::with_start_seq(w, start);
+            for _ in 0..3 {
+                sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+            }
+            sw.retransmit(start + 1).unwrap();
+            for live in [start, start + 1, start + 2] {
+                for alias in [
+                    live + capacity,
+                    live - capacity,
+                    live.wrapping_add(u64::MAX / 2 + 1),
+                ] {
+                    assert!(sw.ack(alias).is_none(), "duplicate ACK for {alias}");
+                    assert!(sw.retransmit(alias).is_none(), "late timer for {alias}");
+                }
+            }
+            assert_eq!(sw.in_flight(), 3);
+            assert_eq!(sw.oldest_unacked(), Some(start));
+            assert_eq!(sw.in_flight_seqs(), vec![start, start + 1, start + 2]);
+            let counts: Vec<u32> = (0..3)
+                .map(|i| sw.ack(start + i).unwrap().retransmits)
+                .collect();
+            assert_eq!(
+                counts,
+                vec![0, 1, 0],
+                "live entries kept their own counters"
+            );
+            // Idle: the sequence just retired is now outside the window.
+            assert!(sw.ack(start + 2).is_none());
+            assert!(sw.retransmit(start + 2).is_none());
+        }
+    }
+
+    #[test]
+    fn drain_reset_then_register_reuses_slot_zero() {
+        let mut sw = SenderWindow::with_start_seq(6, 8); // seq 8 sits in slot 0
+        sw.register(dummy_packet(0), Bytes::new(), 11, 1, None);
+        sw.register(dummy_packet(0), Bytes::new(), 12, 1, None);
+        sw.retransmit(8).unwrap();
+        assert_eq!(sw.drain_reset().len(), 2);
+        assert_eq!(sw.oldest_unacked(), None);
+        assert!(sw.in_flight_seqs().is_empty());
+        assert!(sw.ack(8).is_none(), "pre-reset sequence numbers are gone");
+        assert_eq!(sw.register(FrameKind::Fin, Bytes::new(), 13, 1, None), 0);
+        assert_eq!(sw.in_flight_seqs(), vec![0]);
+        let e = sw.ack(0).expect("slot 0 holds the new entry");
+        assert_eq!((e.kind, e.wire, e.retransmits), (FrameKind::Fin, 13, 0));
+        assert!(sw.is_idle());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -375,9 +479,16 @@ mod tests {
             fn retransmit_after_duplicate_ack(
                 seed in any::<u64>(),
                 w in 2usize..10,
+                start_back in 0u64..40,
+                plain_start in prop_oneof![Just(false), Just(true)],
                 steps in 20usize..120,
             ) {
-                let mut sw = SenderWindow::new(w);
+                let start = if plain_start {
+                    start_back // near zero
+                } else {
+                    u64::MAX.wrapping_sub(start_back) // near the wrap
+                };
+                let mut sw = SenderWindow::with_start_seq(w, start);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut live: Vec<(u64, u32)> = Vec::new(); // (seq, retransmits)
                 let mut acked: Vec<u64> = Vec::new();

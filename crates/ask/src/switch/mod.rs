@@ -8,7 +8,7 @@ use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
-use ask_wire::codec::{encode_envelope, Envelope, FLAG_NO_AGGREGATE};
+use ask_wire::codec::{ack_frame, encode_envelope, Envelope, FLAG_NO_AGGREGATE};
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::packet::{AskPacket, ChannelId, ControlMsg, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
@@ -251,12 +251,9 @@ impl AskSwitch {
                 self.pure_absorb += 1;
                 // The switch is the consuming endpoint: echo congestion
                 // marks back to the sender on the ACK.
-                let ack = AskPacket::Ack {
-                    channel: view.channel(),
-                    seq: view.seq(),
-                    ece: m.ecn,
-                };
-                self.reply(m.src, ack, ctx);
+                let me = ctx.me().index() as u32;
+                let ack = ack_frame(me, m.src, self.epoch, view.channel(), view.seq(), m.ecn);
+                self.forward_raw(m.src, ack, PACKET_OVERHEAD, false, ctx);
             }
             ViewVerdict::Forward { residual } => {
                 if residual == view.bitmap() {

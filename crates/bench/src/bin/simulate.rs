@@ -190,25 +190,19 @@ fn main() {
 
     // Batching & memory-reuse footer (observational counters; not part of
     // any golden-pinned figure body).
-    let mut host_hits = report.receiver.pool_hits;
-    let mut host_misses = report.receiver.pool_misses;
+    let (hits, misses) = (report.receiver.pool_hits, report.receiver.pool_misses);
     let mut host_bursts = report.receiver.burst_len;
     for s in &report.senders {
-        host_hits += s.pool_hits;
-        host_misses += s.pool_misses;
         for (a, b) in host_bursts.iter_mut().zip(s.burst_len.iter()) {
             *a += b;
         }
     }
-    let host_takes = host_hits + host_misses;
-    let host_rate = if host_takes == 0 {
+    let rate = if hits + misses == 0 {
         "-".to_string()
     } else {
-        pct(host_hits as f64 / host_takes as f64)
+        pct(hits as f64 / (hits + misses) as f64)
     };
-    println!(
-        "  packet pool             hosts {host_hits}/{host_misses} ({host_rate}) hits/misses (rate)"
-    );
+    println!("  packet pool             receiver {hits}/{misses} ({rate}) hits/misses (rate)");
     let hist = |h: &[u64]| {
         h.iter()
             .map(|c| c.to_string())

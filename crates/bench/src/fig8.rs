@@ -104,46 +104,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_hit_rate_exceeds_90_percent_on_fig8_shape() {
-        // The fig8(a) x=16 grid point, scaled down: after warm-up the
-        // packetize path must be fed almost entirely from recycled packet
-        // memory — the tentpole's "near-zero allocations per
-        // simulated packet" claim, asserted end to end.
-        let mut cfg = AskConfig::paper_default();
-        cfg.layout = PacketLayout::short_only(16);
-        cfg.data_channels = 4;
-        cfg.region_aggregators = cfg.aggregators_per_aa;
-        let run_cfg = AskRun {
-            tasks: 4,
-            ..AskRun::paper(cfg)
-        };
-        let stream = uniform_stream(11, 10_000, 80_000);
-        let report = run_ask(&run_cfg, vec![stream]);
-        // The host pools are the only ones left (the switch and, for this
-        // short-key traffic, the receiver read frames in place): every
-        // packetize take is paired with an ACK-time recycle. Packetization
-        // is lazy (PendingStream) and the pool is pre-warmed from the
-        // stream-size hints before the first send, so even the first
-        // window's takes come from the free list — there is no cold start
-        // left on the sender path.
-        let hits = report.receiver.pool_hits
-            + report.senders.iter().map(|s| s.pool_hits).sum::<u64>();
-        let misses = report.receiver.pool_misses
-            + report.senders.iter().map(|s| s.pool_misses).sum::<u64>();
-        let rate = hits as f64 / (hits + misses).max(1) as f64;
-        assert!(
-            rate > 0.90,
-            "pool hit rate {rate:.4} ({hits} hits / {misses} misses)"
-        );
-        // Sender-only view: every packetize take must hit the pre-warmed
-        // free list.
-        let s_hits: u64 = report.senders.iter().map(|s| s.pool_hits).sum();
-        let s_misses: u64 = report.senders.iter().map(|s| s.pool_misses).sum();
-        assert!(s_hits > 0, "senders should draw from their pools");
-        assert_eq!(s_misses, 0, "sender pools are pre-warmed ({s_hits} hits)");
-    }
-
-    #[test]
     fn view_path_absorbs_without_any_switch_pool_traffic() {
         // Fig8(a) shape, small: every data frame carries short keys in the
         // switch's layout. The switch has no packet pool to touch — absorb
@@ -209,28 +169,32 @@ mod tests {
     }
 
     #[test]
-    fn sender_pool_is_warm_from_the_first_window() {
-        // A stream barely larger than one send window: there is no steady
-        // state to amortize into, so a >90% sender hit rate here can only
-        // come from the stream-size pre-warm (the PR 4 cold spot).
+    fn lane_path_sends_without_sender_pool_traffic() {
+        // The sender-side mirror: streams are staged once as wire-ready
+        // slot lanes and every frame is written straight into the bytes the
+        // window retains, so a sender's packet pool must see zero takes
+        // however much it sends.
         let mut cfg = AskConfig::paper_default();
         cfg.layout = PacketLayout::short_only(16);
-        cfg.data_channels = 1;
+        cfg.data_channels = 4;
         cfg.region_aggregators = cfg.aggregators_per_aa;
         let run_cfg = AskRun {
-            tasks: 1,
+            tasks: 4,
             ..AskRun::paper(cfg)
         };
-        let stream = uniform_stream(7, 500, 2_000);
+        let stream = uniform_stream(11, 10_000, 80_000);
         let report = run_ask(&run_cfg, vec![stream]);
-        let hits: u64 = report.senders.iter().map(|s| s.pool_hits).sum();
-        let misses: u64 = report.senders.iter().map(|s| s.pool_misses).sum();
-        assert!(hits > 0, "the stream must actually packetize");
-        let rate = hits as f64 / (hits + misses) as f64;
-        assert!(
-            rate > 0.90,
-            "first-window sender hit rate {rate:.4} ({hits} hits / {misses} misses)"
-        );
+        assert!(!report.senders.is_empty());
+        for (i, s) in report.senders.iter().enumerate() {
+            assert!(s.packets_sent > 0, "sender {i} must actually send");
+            assert_eq!(
+                s.pool_hits + s.pool_misses,
+                0,
+                "sender {i} touched the packet pool ({} hits / {} misses)",
+                s.pool_hits,
+                s.pool_misses,
+            );
+        }
     }
 
     #[test]

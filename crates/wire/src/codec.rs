@@ -645,9 +645,169 @@ pub fn encode_envelope_parts(
     buf.put_u32(epoch);
     buf.put_u8(flags);
     encode_into(&mut buf, packet, layout);
-    let sum = crc32(&buf[4..]);
-    buf[0..4].copy_from_slice(&sum.to_be_bytes());
+    seal(&mut buf);
     buf.freeze()
+}
+
+/// What every frame a sender's data channel builds starts with: the
+/// envelope addressing and the reliability header (`task · channel · seq`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendHeader {
+    /// Originating node index.
+    pub src: u32,
+    /// Destination node index.
+    pub dst: u32,
+    /// Switch epoch the frame is stamped with.
+    pub epoch: u32,
+    /// The aggregation task.
+    pub task: TaskId,
+    /// The sending data channel.
+    pub channel: ChannelId,
+    /// Per-channel sequence number.
+    pub seq: SeqNo,
+}
+
+/// Serialized size of a data packet's fixed header: kind, task, channel,
+/// seq, the three declared-layout bytes and the slot bitmap.
+const DATA_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 3 + 16;
+
+/// Serialized size of a long-kv packet's fixed header: kind, task, channel,
+/// seq and the entry count.
+const LONG_KV_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 4;
+
+fn put_send_header(buf: &mut Vec<u8>, kind: u8, h: &SendHeader, flags: u8) {
+    buf.extend_from_slice(&[0; 4]); // checksum placeholder
+    buf.extend_from_slice(&h.src.to_be_bytes());
+    buf.extend_from_slice(&h.dst.to_be_bytes());
+    buf.extend_from_slice(&h.epoch.to_be_bytes());
+    buf.push(flags);
+    buf.push(kind);
+    buf.extend_from_slice(&h.task.0.to_be_bytes());
+    buf.extend_from_slice(&h.channel.0.to_be_bytes());
+    buf.extend_from_slice(&h.seq.0.to_be_bytes());
+}
+
+/// Checksums everything behind the placeholder and patches it in.
+fn seal(frame: &mut [u8]) {
+    let sum = crc32(&frame[4..]);
+    frame[..4].copy_from_slice(&sum.to_be_bytes());
+}
+
+/// Writes a data or long-kv frame once, from body bytes that are already
+/// in wire form, straight into the buffer the frame keeps: headers, then
+/// one [`FrameWriter::put`] per body piece, then the checksum. The result
+/// is byte for byte what [`encode_envelope_parts`] produces for the owned
+/// packet with the same content.
+#[derive(Debug)]
+pub struct FrameWriter {
+    buf: Vec<u8>,
+    size: usize,
+}
+
+impl FrameWriter {
+    /// Starts a data frame whose occupied slots are `bitmap` and whose slot
+    /// records — for each set bit in ascending order, the key zero-padded
+    /// to the slot's width followed by the big-endian value — total
+    /// `body_len` bytes.
+    pub fn data(
+        h: &SendHeader,
+        flags: u8,
+        layout: &PacketLayout,
+        bitmap: u128,
+        body_len: usize,
+    ) -> Self {
+        let size = ENVELOPE_HEADER_BYTES + DATA_HEADER_BYTES + body_len;
+        let mut buf = Vec::with_capacity(size);
+        put_send_header(&mut buf, KIND_DATA, h, flags);
+        buf.extend_from_slice(&[
+            layout.short_slots() as u8,
+            layout.medium_groups() as u8,
+            layout.medium_segments() as u8,
+        ]);
+        buf.extend_from_slice(&bitmap.to_be_bytes());
+        FrameWriter { buf, size }
+    }
+
+    /// Starts a long-kv frame of `count` entries, serialized as
+    /// `u16 len · key · u32 value` each and `body_len` bytes in total.
+    pub fn long_kv(h: &SendHeader, count: u32, body_len: usize) -> Self {
+        let size = ENVELOPE_HEADER_BYTES + LONG_KV_HEADER_BYTES + body_len;
+        let mut buf = Vec::with_capacity(size);
+        put_send_header(&mut buf, KIND_LONG_KV, h, 0);
+        buf.extend_from_slice(&count.to_be_bytes());
+        FrameWriter { buf, size }
+    }
+
+    /// Appends body bytes.
+    #[inline]
+    pub fn put(&mut self, body: &[u8]) {
+        self.buf.extend_from_slice(body);
+    }
+
+    /// Checksums the frame and freezes it; the buffer was sized exactly, so
+    /// nothing is copied or reallocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body written is not the `body_len` announced.
+    pub fn finish(mut self) -> Bytes {
+        assert_eq!(self.buf.len(), self.size, "frame body size mismatch");
+        seal(&mut self.buf);
+        Bytes::from(self.buf)
+    }
+}
+
+/// Writes source, destination and epoch into a zeroed fixed-size frame
+/// (checksum and flags stay zero).
+fn stamp_addressing(frame: &mut [u8], src: u32, dst: u32, epoch: u32) {
+    frame[4..8].copy_from_slice(&src.to_be_bytes());
+    frame[8..12].copy_from_slice(&dst.to_be_bytes());
+    frame[12..16].copy_from_slice(&epoch.to_be_bytes());
+}
+
+/// An ACK frame, written on the stack and copied out once.
+pub fn ack_frame(
+    src: u32,
+    dst: u32,
+    epoch: u32,
+    channel: ChannelId,
+    seq: SeqNo,
+    ece: bool,
+) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 8 + 1];
+    stamp_addressing(&mut f, src, dst, epoch);
+    f[17] = KIND_ACK;
+    f[18..22].copy_from_slice(&channel.0.to_be_bytes());
+    f[22..30].copy_from_slice(&seq.0.to_be_bytes());
+    f[30] = ece as u8;
+    seal(&mut f);
+    Bytes::copy_from_slice(&f)
+}
+
+/// A FIN frame, written on the stack and copied out once.
+pub fn fin_frame(h: &SendHeader) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 4 + 8];
+    stamp_addressing(&mut f, h.src, h.dst, h.epoch);
+    f[17] = KIND_FIN;
+    f[18..22].copy_from_slice(&h.task.0.to_be_bytes());
+    f[22..26].copy_from_slice(&h.channel.0.to_be_bytes());
+    f[26..34].copy_from_slice(&h.seq.0.to_be_bytes());
+    seal(&mut f);
+    Bytes::copy_from_slice(&f)
+}
+
+/// A copy of an encoded frame with `flag` set in the envelope flag byte
+/// and the checksum redone — what re-encoding the packet with that flag
+/// would produce, without the packet.
+///
+/// # Panics
+///
+/// Panics if `frame` is shorter than an envelope header.
+pub fn reflag(frame: &[u8], flag: u8) -> Bytes {
+    let mut out = frame.to_vec();
+    out[ENVELOPE_HEADER_BYTES - 1] |= flag;
+    seal(&mut out);
+    Bytes::from(out)
 }
 
 /// The addressing fields of a validated envelope header — the single

@@ -1,17 +1,18 @@
 //! Recycled packet-buffer pool.
 //!
-//! Every simulated hop used to allocate a fresh `Vec<Option<KvTuple>>` (a
-//! data packet's slot vector) or `Vec<KvTuple>` (a long-key batch) and drop
-//! it one hop later. The pool keeps those backing stores on a free list so
-//! steady-state runs reuse the same handful of buffers: the decoder takes a
-//! recycled vector, the consumer (switch verdict, daemon merge, window ACK)
-//! returns it once the tuples are absorbed.
+//! The materializing decode ([`crate::codec::decode_envelope_pooled`],
+//! [`crate::view::FrameView::materialize_pooled`]) builds a
+//! `Vec<Option<KvTuple>>` (a data packet's slot vector) or a `Vec<KvTuple>`
+//! (a long-key batch) per frame. The pool keeps those backing stores on a
+//! free list so steady-state runs reuse the same handful of buffers: the
+//! decoder takes a recycled vector, the consumer returns it once the tuples
+//! are merged. Neither send path nor the view receive paths touch it.
 //!
-//! Ownership rule: the pool is owned by the node that decodes (one per
-//! switch engine, one per daemon) — never shared, never locked. A vector
-//! may be recycled into any pool; capacities vary across packet layouts,
-//! which is fine because [`PacketPool::take_slots`] reserves up to the
-//! requested capacity after popping a free-list entry.
+//! Ownership rule: the pool is owned by the node that decodes — never
+//! shared, never locked. A vector may be recycled into any pool;
+//! capacities vary across packet layouts, which is fine because
+//! [`PacketPool::take_slots`] reserves up to the requested capacity after
+//! popping a free-list entry.
 
 use crate::packet::KvTuple;
 
@@ -112,45 +113,9 @@ impl PacketPool {
         }
     }
 
-    /// Tops the slot free list up to at least `count` entries, each with
-    /// `capacity` reserved, so the first takes of a known-size burst hit the
-    /// pool instead of allocating mid-send. Idempotent once the list is
-    /// populated (recycled vectors count toward `count`); never exceeds the
-    /// retention bound and never touches the hit/miss counters.
-    pub fn prewarm_slots(&mut self, count: usize, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        let target = count.min(MAX_RETAINED);
-        while self.slots.len() < target {
-            self.slots.push(Vec::with_capacity(capacity));
-        }
-    }
-
-    /// [`PacketPool::prewarm_slots`] for the tuple free list.
-    pub fn prewarm_tuples(&mut self, count: usize, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        let target = count.min(MAX_RETAINED);
-        while self.tuples.len() < target {
-            self.tuples.push(Vec::with_capacity(capacity));
-        }
-    }
-
     /// Number of vectors currently parked on the free lists.
     pub fn retained(&self) -> usize {
         self.slots.len() + self.tuples.len()
-    }
-
-    /// Slot vectors currently parked on the free list.
-    pub fn retained_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Tuple vectors currently parked on the free list.
-    pub fn retained_tuples(&self) -> usize {
-        self.tuples.len()
     }
 
     /// Folds another pool's counters into this one (for merged reports).
@@ -233,44 +198,6 @@ mod tests {
             p.recycle_slots(v);
         }
         assert!(p.hit_rate() > 0.98, "one miss then 99 hits");
-    }
-
-    #[test]
-    fn prewarm_serves_first_takes_as_hits() {
-        let mut p = PacketPool::new();
-        p.prewarm_slots(3, 8);
-        p.prewarm_tuples(2, 4);
-        assert_eq!((p.retained_slots(), p.retained_tuples()), (3, 2));
-        assert_eq!((p.hits(), p.misses()), (0, 0), "prewarm is counter-free");
-        for _ in 0..3 {
-            let v = p.take_slots(8);
-            assert!(v.capacity() >= 8);
-        }
-        for _ in 0..2 {
-            let _ = p.take_tuples(4);
-        }
-        assert_eq!((p.hits(), p.misses()), (5, 0));
-    }
-
-    #[test]
-    fn prewarm_tops_up_not_accumulates() {
-        let mut p = PacketPool::new();
-        p.recycle_slots(Vec::with_capacity(16));
-        p.prewarm_slots(3, 8);
-        assert_eq!(p.retained_slots(), 3, "existing entries count toward it");
-        p.prewarm_slots(3, 8);
-        assert_eq!(p.retained_slots(), 3, "repeat prewarm is a no-op");
-        p.prewarm_slots(2, 8);
-        assert_eq!(p.retained_slots(), 3, "never shrinks the free list");
-    }
-
-    #[test]
-    fn prewarm_respects_retention_bound_and_zero_capacity() {
-        let mut p = PacketPool::new();
-        p.prewarm_tuples(MAX_RETAINED + 50, 1);
-        assert_eq!(p.retained_tuples(), MAX_RETAINED);
-        p.prewarm_slots(4, 0);
-        assert_eq!(p.retained_slots(), 0, "zero-capacity prewarm is dropped");
     }
 
     #[test]

@@ -141,6 +141,29 @@ fn correctness_under_combined_faults() {
 }
 
 #[test]
+fn window_that_is_not_a_power_of_two_runs_end_to_end() {
+    // W = 6 sits in a ring of 8 slots: the sender must fill the window to
+    // exactly 6 and no further, and losses, duplicates and reordering must
+    // not let a stray ACK or timer reach a slot through its alias.
+    let mut cfg = AskConfig::tiny();
+    cfg.window = 6;
+    let (service, _) = run_and_check(
+        cfg,
+        nasty_link(0.03, 0.03),
+        (0..2).map(|s| random_stream(40 + s, 1500, 120)).collect(),
+        6,
+    );
+    for &sender in &service.hosts()[1..] {
+        let stats = service.host_stats(sender);
+        assert!(stats.retransmissions > 0, "loss must trigger retransmits");
+        for ch in service.daemon(sender).channel_snapshots() {
+            assert_eq!(ch.peak_in_flight, 6, "{}: window fills to W", ch.channel);
+            assert_eq!((ch.in_flight, ch.queued, ch.outstanding), (0, 0, 0));
+        }
+    }
+}
+
+#[test]
 fn long_keys_bypass_switch_but_aggregate_correctly() {
     let streams = vec![
         vec![
