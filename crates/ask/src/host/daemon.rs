@@ -117,15 +117,43 @@ pub struct ChannelSnapshot {
     pub outstanding: u64,
 }
 
-/// Completed aggregation result, exposed to the application.
+/// Completed aggregation result, exposed to the application: the task's
+/// residual table itself, frozen at completion and read in place (the
+/// paper's shared-memory result buffer, §4). Cloning shares the table.
 #[derive(Debug, Clone)]
 pub struct TaskResult {
     /// The finished task.
     pub task: TaskId,
-    /// Aggregated key → value (wrapping 32-bit sums).
-    pub entries: HashMap<Key, u32>,
     /// Simulated completion time.
     pub completed_at: SimTime,
+    table: Arc<TaskTable>,
+}
+
+impl TaskResult {
+    /// Number of distinct keys aggregated.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// True when the task aggregated no key.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// The aggregated value of `key` (wrapping 32-bit sums), if present.
+    pub fn get(&self, key: &Key) -> Option<u32> {
+        self.table.get(key)
+    }
+
+    /// Every `(key bytes, value)` entry, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
+        self.table.iter()
+    }
+
+    /// The entries as an owned key → value map.
+    pub fn to_map(&self) -> HashMap<Key, u32> {
+        self.table.to_map()
+    }
 }
 
 #[derive(Debug)]
@@ -180,6 +208,9 @@ pub struct AskDaemon {
     cpu_busy: SimDuration,
     /// Tuples received for tasks this daemon never registered (misrouted).
     orphan_tuples: u64,
+    /// Tuples received for tasks this daemon had already completed (a
+    /// sender's crash-epoch replay of a stream the result already holds).
+    late_tuples: u64,
     /// Recycled packet bodies for the one frame kind the receive path
     /// still materializes (long-kv).
     pool: PacketPool,
@@ -237,6 +268,7 @@ impl AskDaemon {
             stats: HostStats::default(),
             cpu_busy: SimDuration::ZERO,
             orphan_tuples: 0,
+            late_tuples: 0,
             pool: PacketPool::new(),
             known_epoch: 0,
             degraded: false,
@@ -397,6 +429,14 @@ impl AskDaemon {
     /// Tuples that arrived for tasks this daemon never registered.
     pub fn orphan_tuples(&self) -> u64 {
         self.orphan_tuples
+    }
+
+    /// Tuples that arrived for a task after it completed. A sender cannot
+    /// know the receiver finished, so a crash-epoch replay re-sends the
+    /// whole stream; the frames are ACKed like any other and their tuples
+    /// counted here, never merged — the result is frozen.
+    pub fn late_tuples(&self) -> u64 {
+        self.late_tuples
     }
 
     /// The protocol trace (empty unless
@@ -608,19 +648,14 @@ impl AskDaemon {
             // Co-located sender: aggregate straight into the receiver's
             // shared-memory table (§5.5 — "these mappers' data needs to be
             // aggregated by the local reducers").
-            let n = tuples.len() as u64;
-            self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(n);
-            self.stats.tuples_host_aggregated += n;
-            let Some(rt) = self.recv_tasks.get_mut(&task) else {
-                self.orphan_tuples += n;
-                return;
-            };
-            let op = rt.op;
-            for t in tuples {
-                rt.residual.merge(&t.key, t.value, op);
+            if let Some(rt) = self.merge_target(task, tuples.len() as u64) {
+                let op = rt.op;
+                for t in tuples {
+                    rt.residual.merge(&t.key, t.value, op);
+                }
+                rt.fins.insert(receiver);
+                self.check_completion(task, ctx);
             }
-            rt.fins.insert(receiver);
-            self.check_completion(task, ctx);
             return;
         }
         let t0 = self.time_phases.then(std::time::Instant::now);
@@ -831,20 +866,26 @@ impl AskDaemon {
             .observe(seq.0)
     }
 
-    fn merge_residual(&mut self, task: TaskId, tuples: impl IntoIterator<Item = KvTuple>) {
-        let Some(rt) = self.recv_tasks.get_mut(&task) else {
-            let n = tuples.into_iter().count() as u64;
-            self.orphan_tuples += n;
-            return;
-        };
-        let op = rt.op;
-        let mut n = 0u64;
-        for t in tuples {
-            rt.residual.merge(&t.key, t.value, op);
-            n += 1;
+    /// The task whose residual table `tuples` tuples for `task` merge into,
+    /// charged as host-aggregated; `None` once they have been counted as
+    /// orphans (no such task) or late (the task completed — its table is
+    /// the frozen result).
+    fn merge_target(&mut self, task: TaskId, tuples: u64) -> Option<&mut RecvTask> {
+        match self.recv_tasks.get_mut(&task) {
+            Some(rt) if rt.result.is_none() => {
+                self.stats.tuples_host_aggregated += tuples;
+                self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(tuples);
+                Some(rt)
+            }
+            Some(_) => {
+                self.late_tuples += tuples;
+                None
+            }
+            None => {
+                self.orphan_tuples += tuples;
+                None
+            }
         }
-        self.stats.tuples_host_aggregated += n;
-        self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(n);
     }
 
     fn reply_ack(
@@ -860,15 +901,22 @@ impl AskDaemon {
         let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, PACKET_OVERHEAD));
     }
 
+    /// Counts one first-delivery data packet towards `task`'s next shadow
+    /// swap and arms the swap when the threshold is reached. A completed
+    /// task counts nothing: its region is released.
     fn maybe_swap(&mut self, task: TaskId, ctx: &mut Context<'_>) {
         let threshold = self.config.swap_threshold;
-        if threshold == 0 {
-            return;
-        }
         let Some(rt) = self.recv_tasks.get_mut(&task) else {
             return;
         };
-        if rt.ina != Some(true) || rt.packets_since_swap < threshold || rt.fetch != FetchState::Idle
+        if rt.result.is_some() {
+            return;
+        }
+        rt.packets_since_swap += 1;
+        if threshold == 0
+            || rt.ina != Some(true)
+            || rt.packets_since_swap < threshold
+            || rt.fetch != FetchState::Idle
         {
             return;
         }
@@ -953,10 +1001,12 @@ impl AskDaemon {
         let ina = {
             let rt = self.recv_tasks.get_mut(&task).expect("task present");
             debug_assert!(rt.result.is_none());
+            // The table moves into the result; what the task keeps is an
+            // empty one that late frames never touch (`merge_target`).
             rt.result = Some(TaskResult {
                 task,
-                entries: rt.residual.take_entries(),
                 completed_at: now,
+                table: Arc::new(std::mem::take(&mut rt.residual)),
             });
             rt.ina == Some(true)
         };
@@ -1116,7 +1166,7 @@ impl AskDaemon {
             task,
             channel,
             seq,
-            mut entries,
+            entries,
         } = view.materialize_pooled(&mut self.pool).packet
         else {
             unreachable!("long-kv views materialize to long-kv packets");
@@ -1131,7 +1181,12 @@ impl AskDaemon {
             }
             Observation::First => {
                 self.stats.packets_received += 1;
-                self.merge_residual(task, entries.drain(..));
+                if let Some(rt) = self.merge_target(task, entries.len() as u64) {
+                    let op = rt.op;
+                    for t in &entries {
+                        rt.residual.merge(&t.key, t.value, op);
+                    }
+                }
                 self.reply_ack(src, channel, seq, ecn, ctx);
             }
         }
@@ -1195,9 +1250,6 @@ impl AskDaemon {
                 self.stats.host_pure_view += 1;
                 self.merge_batch.push(d.clone());
                 self.reply_ack(src, d.channel(), d.seq(), ecn, ctx);
-                if let Some(rt) = self.recv_tasks.get_mut(&task) {
-                    rt.packets_since_swap += 1;
-                }
                 self.maybe_swap(task, ctx);
             }
         }
@@ -1212,8 +1264,6 @@ impl AskDaemon {
             return;
         }
         let batch = std::mem::take(&mut self.merge_batch);
-        let mut merged = 0u64;
-        let mut orphaned = 0u64;
         let mut i = 0;
         while i < batch.len() {
             let task = batch[i].task();
@@ -1221,27 +1271,17 @@ impl AskDaemon {
             while j < batch.len() && batch[j].task() == task {
                 j += 1;
             }
-            match self.recv_tasks.get_mut(&task) {
-                Some(rt) => {
-                    let op = rt.op;
-                    for d in &batch[i..j] {
-                        for s in d.slots() {
-                            rt.residual.merge_hashed(s.hash64(), s.key_bytes(), s.value(), op);
-                            merged += 1;
-                        }
-                    }
-                }
-                None => {
-                    for d in &batch[i..j] {
-                        orphaned += d.occupied() as u64;
+            let tuples = batch[i..j].iter().map(|d| d.occupied() as u64).sum();
+            if let Some(rt) = self.merge_target(task, tuples) {
+                let op = rt.op;
+                for d in &batch[i..j] {
+                    for s in d.slots() {
+                        rt.residual.merge_hashed(s.hash64(), s.key_bytes(), s.value(), op);
                     }
                 }
             }
             i = j;
         }
-        self.stats.tuples_host_aggregated += merged;
-        self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(merged);
-        self.orphan_tuples += orphaned;
         // Keep the batch's capacity for the next burst.
         self.merge_batch = batch;
         self.merge_batch.clear();

@@ -1,64 +1,91 @@
-//! The receiver's residual merge table: open-addressed, arena-backed.
+//! The receiver's residual merge table: open-addressed, 16-byte slots,
+//! and — once the task completes — the result itself.
 //!
 //! Every tuple the switch could not absorb lands here — residual slots the
 //! view path reads straight off the wire, long-key bypass tuples, fetch
 //! replies, and co-located sender streams. The paper's host daemon (§4)
-//! merges these into a shared-memory table at line rate, so the structure
-//! is built for the merge loop, not for general map workloads:
+//! merges these into a shared-memory buffer the application then reads in
+//! place, so the structure is built for the merge loop and handed over
+//! whole at completion ([`TaskResult`](crate::host::daemon::TaskResult)),
+//! never drained:
 //!
 //! - **Open addressing, linear probing, power-of-two capacity.** One flat
-//!   slot array, no per-entry boxes, no bucket chains; the common miss
-//!   costs one cache line.
+//!   slot array, four slots per cache line, no per-entry boxes.
+//! - **The key is the slot.** A key of up to 8 bytes is stored zero-padded
+//!   in the slot's `word`. Keys are non-empty and NUL-free, so read as a
+//!   little-endian `u64` such a word has a non-zero low byte and the probe
+//!   is one integer compare. A longer key lives in the arena as a
+//!   `u16 length · bytes` record and its word is `(record offset + 1) << 8`
+//!   — low byte zero, never zero as a whole — compared by stored hash, then
+//!   bytes. The all-zero word marks a vacant slot.
 //! - **Wire-computed hashes.** [`TaskTable::merge_hashed`] takes the 64-bit
 //!   FNV-1a hash the view layer already produced per slot
-//!   ([`ask_wire::view::SlotView::hash64`]), so the hot path never re-reads
-//!   key bytes to hash them.
-//! - **Inline short keys, arena for long ones.** Keys up to
-//!   [`INLINE_CAP`] bytes live inside the slot; longer keys are
-//!   bump-allocated into one contiguous arena and the slot stores an
-//!   offset. Rehashing moves slots only — arena offsets are stable — and
-//!   [`TaskTable::clear`] (the epoch-resync wipe) truncates the arena
-//!   without releasing its capacity.
+//!   ([`ask_wire::view::SlotView::hash64`]); the table keeps its low 32
+//!   bits, which is all the home index of a rehash needs.
 //! - **Amortized sorted harvest.** Nothing stays ordered during merges;
-//!   [`TaskTable::sorted_entries`] sorts once at harvest time, which is how
-//!   report output stays byte-identical to the old `HashMap` + sort.
+//!   [`TaskTable::sorted_entries`] sorts once at harvest time.
 //!
 //! All aggregation operators are commutative and associative
 //! ([`AggregateOp::combine`]), so merge order never changes the values.
 
 use ask_wire::key::Key;
 use ask_wire::packet::AggregateOp;
-use bytes::Bytes;
 use std::collections::HashMap;
-
-/// Key bytes stored inline in a slot. Together with the hash, value, and
-/// bookkeeping this keeps a slot at 40 bytes — comfortably under a cache
-/// line, with two slots per line.
-pub const INLINE_CAP: usize = 20;
 
 /// Smallest allocated capacity (power of two).
 const MIN_CAPACITY: usize = 16;
 
+/// Keys up to this long are stored in the slot's word itself.
+const WORD_BYTES: usize = 8;
+
 #[derive(Debug, Clone, Copy)]
+#[repr(C, align(16))]
 struct Slot {
-    hash: u64,
+    /// A little-endian `u64` kept as its bytes, so a short key can be lent
+    /// out as `&[u8]` straight from the slot; see the module documentation
+    /// for the three cases.
+    word: [u8; WORD_BYTES],
     value: u32,
-    /// Key length in bytes; `0` marks a vacant slot (wire keys are
-    /// validated non-empty, so no live entry can collide with the marker).
-    key_len: u32,
-    /// The key bytes when `key_len <= INLINE_CAP`.
-    inline: [u8; INLINE_CAP],
-    /// Arena offset of the key bytes when `key_len > INLINE_CAP`.
-    arena_off: u32,
+    /// Low half of the key's 64-bit hash.
+    hash: u32,
 }
 
 const VACANT: Slot = Slot {
-    hash: 0,
+    word: [0; WORD_BYTES],
     value: 0,
-    key_len: 0,
-    inline: [0; INLINE_CAP],
-    arena_off: 0,
+    hash: 0,
 };
+
+impl Slot {
+    #[inline]
+    fn word(&self) -> u64 {
+        u64::from_le_bytes(self.word)
+    }
+}
+
+/// The word a key of at most [`WORD_BYTES`] bytes is stored as — its bytes,
+/// zero-padded, as a little-endian `u64` (two overlapping fixed-width reads,
+/// no length-dependent copy) — and `0` for a longer key.
+#[inline]
+fn key_word(key: &[u8]) -> u64 {
+    let n = key.len();
+    let le = |at: usize, width: usize| {
+        let mut bytes = [0u8; WORD_BYTES];
+        bytes[..width].copy_from_slice(&key[at..at + width]);
+        u64::from_le_bytes(bytes)
+    };
+    match n {
+        1 => key[0] as u64,
+        2..=3 => le(0, 2) | le(n - 2, 2) << (8 * (n - 2)),
+        4..=7 => le(0, 4) | le(n - 4, 4) << (8 * (n - 4)),
+        WORD_BYTES => le(0, WORD_BYTES),
+        _ => 0,
+    }
+}
+
+fn owned_key(bytes: &[u8]) -> Key {
+    Key::from_slice(bytes).expect("table keys come from validated wire bytes")
+}
 
 /// Open-addressed residual table for one receive task. See the module
 /// documentation for the layout rationale.
@@ -68,7 +95,7 @@ pub struct TaskTable {
     /// `slots.len() - 1`; capacity is always a power of two.
     mask: usize,
     len: usize,
-    /// Backing store for keys longer than [`INLINE_CAP`] bytes.
+    /// `u16 length · bytes` records of the keys longer than a word.
     arena: Vec<u8>,
 }
 
@@ -88,14 +115,44 @@ impl TaskTable {
         self.len == 0
     }
 
+    /// The key bytes of the arena record a long key's `word` points at.
     #[inline]
-    fn slot_key(&self, ix: usize) -> &[u8] {
-        let s = &self.slots[ix];
-        let len = s.key_len as usize;
-        if len <= INLINE_CAP {
-            &s.inline[..len]
-        } else {
-            &self.arena[s.arena_off as usize..s.arena_off as usize + len]
+    fn arena_key(&self, word: u64) -> &[u8] {
+        let at = (word >> 8) as usize - 1;
+        let len = u16::from_le_bytes([self.arena[at], self.arena[at + 1]]) as usize;
+        &self.arena[at + 2..at + 2 + len]
+    }
+
+    /// Appends `key`'s arena record and returns the word pointing at it.
+    fn push_arena(&mut self, key: &[u8]) -> u64 {
+        let len = u16::try_from(key.len()).expect("key lengths fit the wire's u16 length field");
+        let at = self.arena.len() as u64;
+        self.arena.extend_from_slice(&len.to_le_bytes());
+        self.arena.extend_from_slice(key);
+        (at + 1) << 8
+    }
+
+    /// Index of the slot holding `key` — whose [`key_word`] is `want` — or
+    /// of the vacant slot it belongs in (`false`). The table must have been
+    /// allocated.
+    #[inline]
+    fn probe(&self, hash: u64, key: &[u8], want: u64) -> (usize, bool) {
+        let mut ix = hash as u32 as usize & self.mask;
+        loop {
+            let slot = &self.slots[ix];
+            let word = slot.word();
+            if word == 0 {
+                return (ix, false);
+            }
+            let found = if want != 0 {
+                word == want
+            } else {
+                word & 0xff == 0 && slot.hash == hash as u32 && self.arena_key(word) == key
+            };
+            if found {
+                return (ix, true);
+            }
+            ix = (ix + 1) & self.mask;
         }
     }
 
@@ -103,41 +160,34 @@ impl TaskTable {
     /// hash is `hash` — the wire-computed hash from
     /// [`ask_wire::view::SlotView::hash64`] /
     /// [`ask_wire::view::EntryView::hash64`], which equals
-    /// [`Key::hash64`] of the materialized key.
+    /// [`Key::hash64`] of the materialized key. `key` must be a valid key
+    /// (non-empty, NUL-free), as every key parsed off the wire is.
+    #[inline]
     pub fn merge_hashed(&mut self, hash: u64, key: &[u8], value: u32, op: AggregateOp) {
-        debug_assert!(!key.is_empty(), "wire keys are validated non-empty");
+        debug_assert!(
+            !key.is_empty() && !key.contains(&0),
+            "wire keys are validated non-empty and NUL-free"
+        );
         if (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let mask = self.mask;
-        let mut ix = (hash as usize) & mask;
-        loop {
-            let s = &self.slots[ix];
-            if s.key_len == 0 {
-                break; // vacant: insert here
-            }
-            if s.hash == hash && s.key_len as usize == key.len() && self.slot_key(ix) == key {
-                let v = &mut self.slots[ix].value;
-                *v = op.combine(*v, value);
-                return;
-            }
-            ix = (ix + 1) & mask;
+        let want = key_word(key);
+        let (ix, found) = self.probe(hash, key, want);
+        if found {
+            let v = &mut self.slots[ix].value;
+            *v = op.combine(*v, value);
+            return;
         }
-        let arena_off = if key.len() > INLINE_CAP {
-            let off = self.arena.len() as u32;
-            self.arena.extend_from_slice(key);
-            off
+        let word = if want != 0 {
+            want
         } else {
-            0
+            self.push_arena(key)
         };
-        let s = &mut self.slots[ix];
-        s.hash = hash;
-        s.value = value;
-        s.key_len = key.len() as u32;
-        s.arena_off = arena_off;
-        if key.len() <= INLINE_CAP {
-            s.inline[..key.len()].copy_from_slice(key);
-        }
+        self.slots[ix] = Slot {
+            word: word.to_le_bytes(),
+            value,
+            hash: hash as u32,
+        };
         self.len += 1;
     }
 
@@ -147,18 +197,19 @@ impl TaskTable {
         self.merge_hashed(key.hash64(), key.as_bytes(), value, op);
     }
 
-    /// Doubles capacity and reinserts every live slot. Arena offsets are
-    /// untouched: only slots move.
+    /// Doubles capacity and reinserts every live slot at the home index its
+    /// stored hash gives. Arena offsets are untouched: only slots move.
+    #[cold]
     fn grow(&mut self) {
         let new_cap = (self.slots.len() * 2).max(MIN_CAPACITY);
         let old = std::mem::replace(&mut self.slots, vec![VACANT; new_cap]);
         self.mask = new_cap - 1;
         for s in old {
-            if s.key_len == 0 {
+            if s.word() == 0 {
                 continue;
             }
-            let mut ix = (s.hash as usize) & self.mask;
-            while self.slots[ix].key_len != 0 {
+            let mut ix = s.hash as usize & self.mask;
+            while self.slots[ix].word() != 0 {
                 ix = (ix + 1) & self.mask;
             }
             self.slots[ix] = s;
@@ -169,42 +220,52 @@ impl TaskTable {
     /// epoch-resync wipe: partial residuals are dropped and the senders'
     /// replays repopulate the same allocation.
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            s.key_len = 0;
-        }
+        self.slots.fill(VACANT);
         self.len = 0;
         self.arena.clear();
     }
 
-    fn materialize_key(&self, ix: usize) -> Key {
-        Key::new(Bytes::copy_from_slice(self.slot_key(ix)))
-            .expect("table keys come from validated wire bytes")
+    fn lookup(&self, hash: u64, key: &[u8]) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let (ix, found) = self.probe(hash, key, key_word(key));
+        found.then(|| self.slots[ix].value)
     }
 
-    /// Drains the table into the `HashMap` the application-facing
-    /// [`TaskResult`](crate::host::daemon::TaskResult) exposes, leaving the
-    /// table empty (capacity retained).
-    pub fn take_entries(&mut self) -> HashMap<Key, u32> {
+    /// The value merged under `key`, if any.
+    pub fn get(&self, key: &Key) -> Option<u32> {
+        self.lookup(key.hash64(), key.as_bytes())
+    }
+
+    /// Every `(key bytes, value)` entry, read in place in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
+        self.slots.iter().filter_map(move |s| {
+            let word = s.word();
+            let key = match word {
+                0 => return None,
+                _ if word & 0xff == 0 => self.arena_key(word),
+                // Keys hold no NUL, so the padding is exactly the zero
+                // high bytes.
+                _ => &s.word[..WORD_BYTES - word.leading_zeros() as usize / 8],
+            };
+            Some((key, s.value))
+        })
+    }
+
+    /// The entries as the owned map the application-facing API returns.
+    pub fn to_map(&self) -> HashMap<Key, u32> {
         let mut out = HashMap::with_capacity(self.len);
-        for ix in 0..self.slots.len() {
-            if self.slots[ix].key_len == 0 {
-                continue;
-            }
-            out.insert(self.materialize_key(ix), self.slots[ix].value);
-        }
-        self.clear();
+        out.extend(self.iter().map(|(key, value)| (owned_key(key), value)));
         out
     }
 
     /// Harvests every entry sorted by key bytes — the amortized sorted
     /// harvest: merge order is arbitrary, the sort happens once here, and
-    /// the output is byte-identical to collecting the old `HashMap` and
-    /// sorting it.
+    /// the output is byte-identical to collecting a `HashMap` and sorting
+    /// it.
     pub fn sorted_entries(&self) -> Vec<(Key, u32)> {
-        let mut out: Vec<(Key, u32)> = (0..self.slots.len())
-            .filter(|&ix| self.slots[ix].key_len != 0)
-            .map(|ix| (self.materialize_key(ix), self.slots[ix].value))
-            .collect();
+        let mut out: Vec<(Key, u32)> = self.iter().map(|(k, v)| (owned_key(k), v)).collect();
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -214,17 +275,18 @@ impl TaskTable {
 mod tests {
     use super::*;
     use crate::fasthash::FastMap;
+    use proptest::prelude::*;
 
     fn keys() -> Vec<Key> {
-        // Short inline keys, boundary-length keys, and arena-backed long
-        // keys, with deliberate length variety around INLINE_CAP.
+        // Word-sized keys, keys on both sides of the 8/9-byte boundary,
+        // and arena-backed long keys of assorted lengths.
         let mut ks = Vec::new();
         for i in 0..40u64 {
             ks.push(Key::from_u64(i + 1));
         }
-        ks.push(Key::from_str(&"x".repeat(INLINE_CAP)).unwrap());
-        ks.push(Key::from_str(&"y".repeat(INLINE_CAP + 1)).unwrap());
-        ks.push(Key::from_str("a-long-key-clearly-beyond-the-inline-cap").unwrap());
+        ks.push(Key::from_str(&"x".repeat(WORD_BYTES)).unwrap());
+        ks.push(Key::from_str(&"y".repeat(WORD_BYTES + 1)).unwrap());
+        ks.push(Key::from_str("a-long-key-clearly-beyond-one-word").unwrap());
         ks.push(Key::from_str(&"z".repeat(100)).unwrap());
         ks
     }
@@ -262,6 +324,11 @@ mod tests {
     }
 
     #[test]
+    fn slots_are_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 16);
+    }
+
+    #[test]
     fn merge_matches_hashmap_reference() {
         for op in [AggregateOp::Sum, AggregateOp::Max, AggregateOp::Min] {
             let s = stream();
@@ -271,7 +338,7 @@ mod tests {
                 table.merge(k, *v, op);
             }
             assert_eq!(table.len(), want.len());
-            assert_eq!(table.take_entries(), want);
+            assert_eq!(table.to_map(), want);
         }
     }
 
@@ -285,7 +352,7 @@ mod tests {
             by_key.merge(k, *v, op);
             by_hash.merge_hashed(k.hash64(), k.as_bytes(), *v, op);
         }
-        assert_eq!(by_key.take_entries(), by_hash.take_entries());
+        assert_eq!(by_key.to_map(), by_hash.to_map());
     }
 
     #[test]
@@ -318,19 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn take_entries_leaves_the_table_empty() {
-        let mut table = TaskTable::new();
-        table.merge(&Key::from_u64(1), 5, AggregateOp::Sum);
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.take_entries().len(), 1);
-        assert!(table.is_empty());
-        assert!(table.take_entries().is_empty());
-        // The table stays usable after the drain.
-        table.merge(&Key::from_u64(2), 9, AggregateOp::Sum);
-        assert_eq!(table.sorted_entries(), vec![(Key::from_u64(2), 9)]);
-    }
-
-    #[test]
     fn growth_rehash_keeps_arena_backed_keys() {
         let op = AggregateOp::Sum;
         let mut table = TaskTable::new();
@@ -343,9 +397,144 @@ mod tests {
             table.merge(&Key::from_u64(i + 1), 1, op);
         }
         table.merge(&long_a, 10, op);
-        let entries = table.take_entries();
-        assert_eq!(entries[&long_a], 11);
-        assert_eq!(entries[&long_b], 2);
-        assert_eq!(entries.len(), 202);
+        assert_eq!(table.get(&long_a), Some(11));
+        assert_eq!(table.get(&long_b), Some(2));
+        assert_eq!(table.len(), 202);
+    }
+
+    #[test]
+    fn sum_wraps_at_u32_max_for_word_and_arena_keys() {
+        // ROADMAP 4c: the host merge is the reference aggregator's
+        // `wrapping_add`, whichever way the key is stored.
+        let mut table = TaskTable::new();
+        for key in [
+            Key::from_u64(7),
+            Key::from_str("a-key-longer-than-a-word").unwrap(),
+        ] {
+            table.merge(&key, u32::MAX - 1, AggregateOp::Sum);
+            table.merge(&key, 5, AggregateOp::Sum);
+            assert_eq!(table.get(&key), Some(3));
+            table.merge_hashed(key.hash64(), key.as_bytes(), u32::MAX, AggregateOp::Sum);
+            assert_eq!(table.get(&key), Some(2));
+        }
+    }
+
+    /// How the model test derives the hash it hands `merge_hashed`: the
+    /// key's own, one of four values (different keys, equal hashes), or
+    /// distinct hashes whose low halves — all the table stores — take one
+    /// of four values.
+    #[derive(Debug, Clone, Copy)]
+    enum Hashing {
+        Fnv,
+        Collide64,
+        Collide32,
+    }
+
+    impl Hashing {
+        fn hash(self, key: &Key) -> u64 {
+            let h = key.hash64();
+            match self {
+                Hashing::Fnv => h,
+                Hashing::Collide64 => h % 4,
+                Hashing::Collide32 => (h << 32) | (h % 4),
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        MergeHashed(usize, u32),
+        /// `TaskTable::merge` hashes the key itself, so the model test
+        /// only takes this step as such under [`Hashing::Fnv`].
+        Merge(usize, u32),
+        Clear,
+        Harvest,
+    }
+
+    const POOL: usize = 96;
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (0u8..33, 0..POOL, any::<u32>()).prop_map(|(kind, k, v)| match kind {
+            0..=19 => Step::MergeHashed(k, v),
+            20..=29 => Step::Merge(k, v),
+            30 => Step::Clear,
+            _ => Step::Harvest,
+        })
+    }
+
+    /// `len`, `get`, `iter`, `to_map` and `sorted_entries` against the model.
+    fn check_harvest(table: &TaskTable, model: &HashMap<Key, u32>, pool: &[Key], hashing: Hashing) {
+        assert_eq!(table.len(), model.len());
+        assert_eq!(table.is_empty(), model.is_empty());
+        for key in pool {
+            let got = table.lookup(hashing.hash(key), key.as_bytes());
+            assert_eq!(got, model.get(key).copied());
+            if matches!(hashing, Hashing::Fnv) {
+                assert_eq!(table.get(key), got);
+            }
+        }
+        let seen: Vec<(Vec<u8>, u32)> = table.iter().map(|(k, v)| (k.to_vec(), v)).collect();
+        assert_eq!(seen.len(), model.len(), "iter yields each key once");
+        for (key, value) in &seen {
+            assert_eq!(model.get(&Key::from_slice(key).unwrap()), Some(value));
+        }
+        assert_eq!(&table.to_map(), model);
+        let mut sorted: Vec<(Key, u32)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(table.sorted_entries(), sorted);
+    }
+
+    proptest! {
+        /// Random interleavings of `merge_hashed` / `merge` / `clear` /
+        /// harvest over keys of 1..=40 bytes — word keys, the 8/9-byte
+        /// boundary, arena records — under each operator and each way of
+        /// colliding caller-supplied hashes, against a `HashMap` model. The
+        /// closing sweep over the whole pool takes every case through at
+        /// least three doublings.
+        #[test]
+        fn table_matches_hashmap_model(
+            raw_pool in proptest::collection::vec(
+                proptest::collection::vec(1u8..=255, 1..=40), POOL),
+            boundary in proptest::collection::vec(1u8..=255, WORD_BYTES + 1),
+            steps in proptest::collection::vec(arb_step(), 0..300),
+            op in prop_oneof![
+                Just(AggregateOp::Sum), Just(AggregateOp::Max), Just(AggregateOp::Min)],
+            hashing in prop_oneof![
+                Just(Hashing::Fnv), Just(Hashing::Collide64), Just(Hashing::Collide32)],
+        ) {
+            let mut pool: Vec<Key> =
+                raw_pool.iter().map(|k| Key::from_slice(k).unwrap()).collect();
+            // Always one pair that differs only in crossing the boundary.
+            pool[0] = Key::from_slice(&boundary[..WORD_BYTES]).unwrap();
+            pool[1] = Key::from_slice(&boundary).unwrap();
+            let sweep = (0..POOL).map(|k| Step::MergeHashed(k, 1));
+            let mut table = TaskTable::new();
+            let mut model: HashMap<Key, u32> = HashMap::new();
+            for step in steps.into_iter().chain(sweep).chain([Step::Harvest]) {
+                match step {
+                    Step::MergeHashed(k, v) | Step::Merge(k, v) => {
+                        let key = &pool[k];
+                        if matches!((&step, hashing), (Step::Merge(..), Hashing::Fnv)) {
+                            table.merge(key, v, op);
+                        } else {
+                            table.merge_hashed(hashing.hash(key), key.as_bytes(), v, op);
+                        }
+                        model.entry(key.clone())
+                            .and_modify(|cur| *cur = op.combine(*cur, v))
+                            .or_insert(v);
+                    }
+                    Step::Clear => {
+                        table.clear();
+                        model.clear();
+                    }
+                    Step::Harvest => check_harvest(&table, &model, &pool, hashing),
+                }
+            }
+            let distinct = model.len();
+            prop_assert!(distinct * 4 <= table.slots.len() * 3, "load factor holds");
+            if distinct > 48 {
+                prop_assert!(table.slots.len() >= MIN_CAPACITY << 3, "three doublings");
+            }
+        }
     }
 }

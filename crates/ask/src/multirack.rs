@@ -269,7 +269,7 @@ mod tests {
         service
             .run_until_complete(task, receiver, 50_000_000)
             .expect("completes");
-        let got = service.task_result(task, receiver).expect("result").entries;
+        let got = service.task_result(task, receiver).expect("result").to_map();
         assert_eq!(got, expected);
     }
 
@@ -372,7 +372,7 @@ mod tests {
         for r in 0..3 {
             svc.run_until_complete(t[r], racks[r][0], 50_000_000)
                 .expect("completes");
-            let got = svc.task_result(t[r], racks[r][0]).unwrap().entries;
+            let got = svc.task_result(t[r], racks[r][0]).unwrap().to_map();
             assert_eq!(got, expected[r], "rack {r}");
             // Each rack's ToR aggregated its own task.
             let stats = svc.switch_stats(t[r]).unwrap();

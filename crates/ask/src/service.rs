@@ -283,7 +283,7 @@ impl AskService {
         self.network
             .node::<AskDaemon>(receiver)
             .task_result(task)
-            .map(|r| r.entries.clone())
+            .map(TaskResult::to_map)
     }
 
     /// The completed [`TaskResult`] of `task` at `receiver`.

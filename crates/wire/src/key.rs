@@ -113,23 +113,41 @@ impl Key {
         }
     }
 
-    /// Validates and wraps raw key bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeyError`] if `bytes` is empty or contains a NUL byte.
-    pub fn new(bytes: Bytes) -> Result<Self, KeyError> {
+    /// What makes bytes a key: non-empty, no NUL.
+    fn check(bytes: &[u8]) -> Result<(), KeyError> {
         if bytes.is_empty() {
             return Err(KeyError::Empty);
         }
         if bytes.contains(&0) {
             return Err(KeyError::ContainsNul);
         }
+        Ok(())
+    }
+
+    /// Validates and wraps raw key bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KeyError`] if `bytes` is empty or contains a NUL byte.
+    pub fn new(bytes: Bytes) -> Result<Self, KeyError> {
+        Key::check(&bytes)?;
         if bytes.len() <= INLINE_KEY_CAP {
             Ok(Key::store(&bytes))
         } else {
             Ok(Key(Repr::Heap(bytes)))
         }
+    }
+
+    /// Validates and copies borrowed key bytes — [`Key::new`] without the
+    /// intermediate [`Bytes`]: keys up to [`INLINE_KEY_CAP`] bytes never
+    /// touch the heap.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Key::new`].
+    pub fn from_slice(bytes: &[u8]) -> Result<Self, KeyError> {
+        Key::check(bytes)?;
+        Ok(Key::store(bytes))
     }
 
     /// Wraps bytes the caller has already validated (non-empty, no NUL).
@@ -146,14 +164,7 @@ impl Key {
     /// Same conditions as [`Key::new`].
     #[allow(clippy::should_implement_trait)]
     pub fn from_str(s: &str) -> Result<Self, KeyError> {
-        let b = s.as_bytes();
-        if b.is_empty() {
-            return Err(KeyError::Empty);
-        }
-        if b.contains(&0) {
-            return Err(KeyError::ContainsNul);
-        }
-        Ok(Key::store(b))
+        Key::from_slice(s.as_bytes())
     }
 
     /// Builds a 4-byte key from an integer (useful for synthetic workloads
@@ -340,6 +351,23 @@ mod tests {
             KeyError::ContainsNul
         );
         assert!(!Key::from_str("ok").unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_slice_checks_like_new_on_both_representations() {
+        assert_eq!(Key::from_slice(b"").unwrap_err(), KeyError::Empty);
+        assert_eq!(Key::from_slice(b"a\0b").unwrap_err(), KeyError::ContainsNul);
+        let long_nul = [b"x".repeat(INLINE_KEY_CAP), vec![0]].concat();
+        assert_eq!(
+            Key::from_slice(&long_nul).unwrap_err(),
+            KeyError::ContainsNul
+        );
+        for len in [1, INLINE_KEY_CAP, INLINE_KEY_CAP + 1, 100] {
+            let bytes = b"k".repeat(len);
+            let key = Key::from_slice(&bytes).unwrap();
+            assert_eq!(key, Key::new(Bytes::from(bytes.clone())).unwrap());
+            assert_eq!(key.as_bytes(), &bytes[..]);
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 # "Measuring a change" demands for every claimed gain.
 #
 #   scripts/ab.sh <refA> <refB> [--pairs N] [--seconds S] [--seed K] [--workload W]
+#                               [--claim <metric>:<workload>]
 #
 # Each ref is checked out (git archive) under target/ab/<commit>/ and its
 # own benchmark/ is built --release --offline into a target dir of its own,
@@ -12,20 +13,29 @@
 # their quartiles, B/A, and the pairs B won (ties count for neither); for
 # the three simulated metrics `identical` or `DIFFERS`.
 #
-# Exits 0 when every run verified (ops_failed 0) and no simulated metric
-# differs, 1 otherwise, 2 on a usage or build error. To measure uncommitted
-# work, pass `$(git stash create)` as a ref after `git add -A`.
+# `--claim tuples_per_s:spill_uniform` applies README's rule for a claimed
+# gain to that timed end-to-end metric: `claim met` only when B is a
+# different commit, won at least nine tenths of the pairs run and the medians
+# differ, in the better direction, by more than the distance between A's
+# quartiles. Every other (workload, timed end-to-end metric) whose median
+# got worse by more than its `bound` in BENCHMARK.json is printed as `WORSE`.
+#
+# Exits 0 when every run verified (ops_failed 0), no simulated metric
+# differs and, with --claim, the claim is met and nothing is WORSE; 1
+# otherwise, 2 on a usage or build error. To measure uncommitted work, pass
+# `$(git stash create)` as a ref after `git add -A`.
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/ab.sh <refA> <refB> [--pairs N] [--seconds S] [--seed K] [--workload W]" >&2
+    echo "usage: scripts/ab.sh <refA> <refB> [--pairs N] [--seconds S] [--seed K] [--workload W]" \
+        "[--claim <metric>:<workload>]" >&2
     exit 2
 }
 
 [ $# -ge 2 ] || usage
 ref_a="$1" ref_b="$2"
 shift 2
-pairs=10 seconds=20 seed=1
+pairs=10 seconds=20 seed=1 claim=
 workloads=(absorb_zipf spill_uniform tiny_pkt lossy_text)
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
@@ -34,13 +44,24 @@ while [ $# -gt 0 ]; do
     --seconds) seconds="$2" ;;
     --seed) seed="$2" ;;
     --workload) workloads=("$2") ;;
+    --claim) claim="$2" ;;
     *) usage ;;
     esac
     shift 2
 done
 
+timed=(tuples_per_s cpu_s_per_mtuple peak_rss_mb setup_s)
+if [ -n "$claim" ]; then
+    case " ${timed[*]} " in *" ${claim%%:*} "*) ;; *) usage ;; esac
+    case " ${workloads[*]} " in *" ${claim#*:} "*) ;; *) usage ;; esac
+fi
+
 repo="$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)"
 work="$repo/target/ab"
+# `name bound` of every end-to-end metric of the contract.
+bounds="$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+    on && /"name"/ { gsub(/[",]/, ""); name = $2 }
+    on && /"bound"/ { gsub(/[",]/, ""); print name, $2 }' "$repo/BENCHMARK.json")"
 
 # Measure the default datapath on one thread, whatever the caller exported.
 unset ASK_SIM_LANES CARGO_TARGET_DIR
@@ -107,7 +128,9 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-awk -v pairs="$pairs" '
+same_commit=0
+[ "$commit_a" != "$commit_b" ] || same_commit=1
+awk -v pairs="$pairs" -v claim="$claim" -v bounds="$bounds" -v same_commit="$same_commit" '
     function sorted(values, n, out,    i, j, v) {
         for (i = 1; i <= n; i++) {
             v = values[i]
@@ -126,6 +149,7 @@ awk -v pairs="$pairs" '
         for (i = 1; i <= n; i++) v[i] = value[side, key, i]
         sorted(v, n, s)
         med[side] = quantile(s, n, 0.5)
+        spread[side] = quantile(s, n, 0.75) - quantile(s, n, 0.25)
         return sprintf("%14.6g [%11.6g ..%11.6g]", med[side], quantile(s, n, 0.25), quantile(s, n, 0.75))
     }
     {
@@ -138,6 +162,8 @@ awk -v pairs="$pairs" '
         lower["cpu_s_per_mtuple"] = lower["peak_rss_mb"] = lower["setup_s"] = 1
         end_to_end["tuples_per_s"] = end_to_end["cpu_s_per_mtuple"] = 1
         end_to_end["peak_rss_mb"] = end_to_end["setup_s"] = 1
+        n = split(bounds, word, /[ \n]+/)
+        for (i = 1; i < n; i += 2) bound[word[i]] = word[i + 1]
         printf "%-14s %-18s %-41s %-41s %7s  %s\n", "workload", "metric", "A median [q1 .. q3]", "B median [q1 .. q3]", "B/A", "B wins"
         for (k = 1; k <= keys; k++) {
             key = order[k]
@@ -151,6 +177,15 @@ awk -v pairs="$pairs" '
                     if (part[2] in lower ? vb < va : vb > va) wins++
                 }
                 printf "%-14s %-18s %s %s %7.3f  %d/%d\n", part[1], part[2], a, b, med["B"] / med["A"], wins, pairs
+                gain = part[2] in lower ? med["A"] - med["B"] : med["B"] - med["A"]
+                if (part[2] ":" part[1] == claim) {
+                    met = !same_commit && wins * 10 >= pairs * 9 && gain > spread["A"]
+                    verdict = sprintf("claim %s  %s  B/A %.3f  B won %d/%d  median gain %.6g against A quartile distance %.6g%s", \
+                        claim, met ? "met" : "NOT met", med["B"] / med["A"], wins, pairs, gain, spread["A"], \
+                        same_commit ? "  (A and B are one commit)" : "")
+                } else if (claim != "" && -gain > bound[part[2]] * med["A"]) {
+                    worse = worse sprintf("WORSE  %s %s  B/A %.3f  bound %s\n", part[1], part[2], med["B"] / med["A"], bound[part[2]])
+                }
                 continue
             }
             same = count["A", key] == pairs && count["B", key] == pairs
@@ -162,6 +197,11 @@ awk -v pairs="$pairs" '
                 printf "%-14s %-18s A %-14s B %-14s %s\n", part[1], part[2], value["A", key, 1], value["B", key, 1], same ? "identical" : "DIFFERS"
                 if (!same) differs = 1
             }
+        }
+        if (claim != "") {
+            print verdict
+            printf "%s", worse
+            if (!met || worse != "") exit 1
         }
         exit differs
     }

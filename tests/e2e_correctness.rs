@@ -358,6 +358,41 @@ fn wrapping_values_are_consistent() {
 }
 
 #[test]
+fn one_key_wraps_in_the_switch_in_the_host_merge_and_in_a_fetch_reply() {
+    // ROADMAP 4c. One slot, one aggregator per copy: "v" arrives first and
+    // claims copy A, so every "w" behind it is forwarded and merged by the
+    // receiver; those residual packets trigger the shadow swap, "w" claims
+    // the empty copy B and is absorbed from then on; the final fetch
+    // returns its switch partial into the host's. Each "w" is worth more
+    // than half the value space, so any two of them wrap wherever they
+    // meet — and all three places must land on `reference_aggregate`.
+    let mut cfg = AskConfig::tiny();
+    cfg.layout = PacketLayout::short_only(1);
+    cfg.region_aggregators = 1;
+    cfg.swap_threshold = 4;
+    const W: u32 = 0x9fff_ffff;
+    let mut stream = vec![kv("v", 1)];
+    stream.extend((0..40).map(|_| kv("w", W)));
+    let (service, task) = run_and_check(cfg, clean_link(), vec![stream], 21);
+
+    let switch = service.switch_stats(task).unwrap();
+    let receiver = service.host_stats(service.hosts()[0]);
+    // "v" is one tuple, absorbed once and fetched once; the rest is "w".
+    let in_switch = (switch.tuples_aggregated - 1) as u32;
+    let in_host_merge = (receiver.tuples_host_aggregated - receiver.tuples_fetched) as u32;
+    assert_eq!(in_switch + in_host_merge, 40);
+    assert!(in_switch >= 2, "w wrapped in the switch ALU ({in_switch} absorbed)");
+    assert!(in_host_merge >= 2, "w wrapped in the host merge ({in_host_merge} residual)");
+    assert_eq!((switch.swaps, receiver.tuples_fetched), (1, 2), "v, then w, was fetched");
+    assert!(
+        W.wrapping_mul(in_host_merge).checked_add(W.wrapping_mul(in_switch)).is_none(),
+        "merging the fetched partial into the host's wrapped once more"
+    );
+    let got = service.result(task, service.hosts()[0]).unwrap();
+    assert_eq!(got[&Key::from_str("w").unwrap()], W.wrapping_mul(40));
+}
+
+#[test]
 fn single_sender_many_keys_medium_and_short_mixed() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut stream = Vec::new();

@@ -420,6 +420,53 @@ mod switch_crash {
     }
 
     #[test]
+    fn replay_to_a_finished_task_is_counted_late_and_not_merged() {
+        // Two tasks into one receiver; the switch dies after the first
+        // completed and while the second is still streaming. A sender
+        // cannot know the receiver finished, so the resync replays both
+        // retained streams: the first task's frames are ACKed and counted
+        // late, its frozen result does not move, and the second task still
+        // converges to the reference.
+        let (mut service, hosts, first, expected_first) = build(None, clean_link(), 16);
+        service.run_until_complete(first, hosts[0], BUDGET).unwrap();
+        let done_first = service.task_result(first, hosts[0]).unwrap();
+        assert_eq!(done_first.to_map(), expected_first);
+        let aggregated_first = service.host_stats(hosts[0]).tuples_host_aggregated;
+
+        let second = TaskId(8);
+        let st: Vec<Vec<KvTuple>> = streams()
+            .into_iter()
+            .map(|s| s.into_iter().map(|t| KvTuple::new(t.key, t.value + 3)).collect())
+            .collect();
+        let expected_second = reference_aggregate(st.iter().flatten().cloned());
+        service.submit_task(second, hosts[0], &[hosts[1], hosts[2]]);
+        service.submit_stream(second, hosts[1], st[0].clone());
+        service.submit_stream(second, hosts[2], st[1].clone());
+        let down = service.now() + SimDuration::from_micros(3);
+        service.schedule_switch_outage(down, down + SimDuration::from_micros(50));
+        service.run_until_complete(second, hosts[0], BUDGET).unwrap();
+        service.run_to_idle();
+
+        assert_eq!(service.switch_epoch(), 1);
+        let receiver = service.daemon(hosts[0]);
+        let replayed: u64 = streams().iter().map(|s| s.len() as u64).sum();
+        assert_eq!(
+            receiver.late_tuples(),
+            replayed,
+            "the first task's region is gone, so its whole replay reaches the receiver late"
+        );
+        assert_eq!(receiver.orphan_tuples(), 0);
+        let after = service.task_result(first, hosts[0]).unwrap();
+        assert_eq!(after.completed_at, done_first.completed_at);
+        assert_eq!(after.to_map(), expected_first, "a frozen result never moves");
+        assert_eq!(service.result(second, hosts[0]).unwrap(), expected_second);
+        assert!(
+            service.host_stats(hosts[0]).tuples_host_aggregated - aggregated_first < replayed,
+            "late tuples are not host-aggregated"
+        );
+    }
+
+    #[test]
     fn long_outage_enters_degraded_mode() {
         // The outage spans several retransmit timeouts with escalation after
         // two attempts: senders must flag their windows for degraded

@@ -129,7 +129,7 @@ proptest! {
         }
         svc.run_until_complete(task, receiver, 50_000_000)
             .expect("multi-rack task completes");
-        prop_assert_eq!(svc.task_result(task, receiver).unwrap().entries, expected);
+        prop_assert_eq!(svc.task_result(task, receiver).unwrap().to_map(), expected);
     }
 
     /// The switch never aggregates a tuple twice: total value mass is
