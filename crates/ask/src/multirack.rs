@@ -194,11 +194,7 @@ impl MultiRackService {
             if let Some(result) = self.network.node::<AskDaemon>(receiver).task_result(task) {
                 return Ok(result.completed_at);
             }
-            // Coarse chunks: `run_chunk` only checks the budget at safe-
-            // window boundaries, which lets the windowed parallel executor
-            // engage. This loop only reads state between chunks, so the
-            // exact pause points are unobservable.
-            match self.network.run_chunk(max_events.min(100_000)) {
+            match self.network.run(None, Some(max_events.min(100_000))) {
                 StopReason::Idle => {
                     return self
                         .network

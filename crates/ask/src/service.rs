@@ -252,11 +252,7 @@ impl AskService {
             if let Some(result) = self.network.node::<AskDaemon>(receiver).task_result(task) {
                 return Ok(result.completed_at);
             }
-            // Coarse chunks: `run_chunk` only checks the budget at safe-
-            // window boundaries, which lets the windowed parallel executor
-            // engage. This loop only reads state between chunks, so the
-            // exact pause points are unobservable.
-            match self.network.run_chunk(max_events.min(100_000)) {
+            match self.network.run(None, Some(max_events.min(100_000))) {
                 StopReason::Idle => {
                     return match self.network.node::<AskDaemon>(receiver).task_result(task) {
                         Some(r) => Ok(r.completed_at),
@@ -336,8 +332,7 @@ impl AskService {
     /// [`AskService::enable_phase_timing`] was called before running.
     ///
     /// `drain` is the run time not spent inside any node handler: event
-    /// queue operations, link/fault modeling, frame delivery, and (in
-    /// windowed-parallel mode) window collection and merge.
+    /// queue operations, link/fault modeling and frame delivery.
     pub fn phase_timing(&self) -> PhaseTiming {
         let switch_ns = self.network.dispatch_ns(self.switch);
         let mut host_dispatch_ns = 0u64;

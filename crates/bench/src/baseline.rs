@@ -1,6 +1,7 @@
 //! `BENCH_baseline.json` — a machine-readable record of how long each
-//! benchmark section took, written next to the human-readable report so CI
-//! and later sessions can diff harness wall-clock against a known baseline.
+//! benchmark section took, written next to the human-readable report. It is
+//! informational: wall clock on the reference box drifts too much between
+//! sessions to gate on, so timed comparisons go through `scripts/ab.sh`.
 //!
 //! The JSON is hand-rolled (the workspace deliberately carries no serde);
 //! names are restricted to identifier-ish strings by construction, and the
@@ -23,44 +24,13 @@ pub fn baseline_path() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from(BASELINE_FILE))
 }
 
-/// Sections excluded from regression comparison no matter how their timing
-/// moves. `fig12` evaluates an analytical model in microseconds: its
-/// "wall time" is pure timer jitter, and comparing it run-to-run produced
-/// noise lines like `0.000016s -> 0.000031s (+94%)` that trained readers to
-/// ignore the report. Micro-bench sections (`micro_*`) are recorded for
-/// reference on the baseline machine but are re-measured by criterion, not
-/// by the figure harness, so a fresh `all_figures` run legitimately lacks
-/// them.
-pub const EXCLUDED_SECTIONS: &[&str] = &["fig12"];
-
-/// One named timing in a baseline document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Section {
-    /// Section name (figure/table id or `micro_*` bench id).
-    pub name: String,
-    /// Wall-clock seconds.
-    pub seconds: f64,
-    /// Excluded from regression comparison (informational only).
-    pub excluded: bool,
-}
-
-impl Section {
-    /// Convenience constructor for a non-excluded section.
-    pub fn new(name: &str, seconds: f64) -> Self {
-        Section {
-            name: name.to_string(),
-            seconds,
-            excluded: false,
-        }
-    }
-}
-
 /// Accumulates named timings and renders/writes the baseline JSON.
 #[derive(Debug, Clone)]
 pub struct Baseline {
     scale: Scale,
     workers: usize,
-    entries: Vec<Section>,
+    /// `(section name, wall-clock seconds)` in recording order.
+    entries: Vec<(String, f64)>,
 }
 
 impl Baseline {
@@ -74,19 +44,14 @@ impl Baseline {
         }
     }
 
-    /// Records one section's wall-clock time. Sections named in
-    /// [`EXCLUDED_SECTIONS`] are automatically marked excluded.
+    /// Records one section's wall-clock time.
     pub fn record(&mut self, name: &str, elapsed: Duration) {
-        self.entries.push(Section {
-            name: name.to_string(),
-            seconds: elapsed.as_secs_f64(),
-            excluded: EXCLUDED_SECTIONS.contains(&name),
-        });
+        self.entries.push((name.to_string(), elapsed.as_secs_f64()));
     }
 
     /// Renders the JSON document.
     pub fn render(&self) -> String {
-        let total: f64 = self.entries.iter().map(|s| s.seconds).sum();
+        let total: f64 = self.entries.iter().map(|(_, seconds)| seconds).sum();
         let mut out = String::from("{\n");
         let _ = writeln!(
             out,
@@ -99,19 +64,13 @@ impl Baseline {
         let _ = writeln!(out, "  \"workers\": {},", self.workers);
         let _ = writeln!(out, "  \"total_s\": {:.6},", total);
         out.push_str("  \"sections\": [\n");
-        for (i, s) in self.entries.iter().enumerate() {
+        for (i, (name, seconds)) in self.entries.iter().enumerate() {
             let comma = if i + 1 < self.entries.len() { "," } else { "" };
-            let excluded = if s.excluded {
-                ", \"excluded\": true"
-            } else {
-                ""
-            };
             let _ = writeln!(
                 out,
-                "    {{\"name\": \"{}\", \"seconds\": {:.6}{}}}{}",
-                escape(&s.name),
-                s.seconds,
-                excluded,
+                "    {{\"name\": \"{}\", \"seconds\": {:.6}}}{}",
+                escape(name),
+                seconds,
                 comma
             );
         }
@@ -127,140 +86,6 @@ impl Baseline {
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.render())
     }
-}
-
-/// Sections faster than this are exempt from regression comparison: at
-/// sub-half-second scale, run-to-run scheduler noise alone exceeds the
-/// comparison tolerance (measured ~±30% for 0.1 s sections on an idle
-/// machine). Sections that should *never* be compared regardless of their
-/// magnitude belong in [`EXCLUDED_SECTIONS`] / [`Section::excluded`]
-/// instead.
-pub const NOISE_FLOOR_S: f64 = 0.5;
-
-/// Extracts [`Section`]s from a baseline JSON document produced by
-/// [`Baseline::render`]. Returns `None` when no section can be found
-/// (wrong file, truncated write). A scanning parser is enough here: the
-/// format is fixed by `render`, and the workspace carries no serde.
-pub fn parse_sections(json: &str) -> Option<Vec<Section>> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(ix) = rest.find("\"name\"") {
-        rest = &rest[ix + "\"name\"".len()..];
-        let open = rest.find('"')?;
-        let close = open + 1 + rest[open + 1..].find('"')?;
-        let name = rest[open + 1..close].to_string();
-        rest = &rest[close + 1..];
-        let sx = rest.find("\"seconds\"")?;
-        let after = &rest[sx + "\"seconds\"".len()..];
-        let colon = after.find(':')?;
-        let num: String = after[colon + 1..]
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-            .collect();
-        // The excluded flag, if present, sits between the number and the
-        // section object's closing brace.
-        let obj_end = after.find('}').unwrap_or(after.len());
-        let excluded = after[..obj_end].contains("\"excluded\": true");
-        out.push(Section {
-            name,
-            seconds: num.parse().ok()?,
-            excluded,
-        });
-        rest = after;
-    }
-    (!out.is_empty()).then_some(out)
-}
-
-/// Outcome of comparing a fresh run against a committed baseline.
-#[derive(Debug, Clone)]
-pub struct CompareReport {
-    /// One human-readable line per section.
-    pub lines: Vec<String>,
-    /// Sections slower than the tolerance allows, or missing entirely.
-    pub regressions: Vec<String>,
-}
-
-impl CompareReport {
-    /// True when no section regressed.
-    pub fn ok(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Compares fresh section timings against the committed baseline.
-///
-/// A section regresses when it is more than `tolerance` (relative, e.g.
-/// `0.25` for +25%) slower than the committed time, or when it vanished
-/// from the fresh run. Two carve-outs:
-///
-/// - Sections marked [`Section::excluded`] in the committed baseline are
-///   informational only: they never regress, and a fresh run may omit them
-///   entirely (micro-bench sections are produced by criterion, not the
-///   figure harness).
-/// - Sections whose committed time sits below [`NOISE_FLOOR_S`] are
-///   reported but never fail — at that magnitude the timer measures
-///   scheduler luck, not code.
-///
-/// Speedups beyond the tolerance are noted so a suspicious "improvement"
-/// (a benchmark silently doing less work) is still visible in the log.
-pub fn compare_sections(
-    committed: &[Section],
-    fresh: &[Section],
-    tolerance: f64,
-) -> CompareReport {
-    let mut lines = Vec::new();
-    let mut regressions = Vec::new();
-    for base in committed {
-        let fresh_s = fresh.iter().find(|f| f.name == base.name).map(|f| f.seconds);
-        if base.excluded {
-            let seen = match fresh_s {
-                Some(s) => format!("fresh {s:.3}s"),
-                None => "absent from fresh run".to_string(),
-            };
-            lines.push(format!(
-                "{}: committed {:.6}s {seen} excluded (informational)",
-                base.name, base.seconds
-            ));
-            continue;
-        }
-        let Some(fresh_s) = fresh_s else {
-            regressions.push(format!("section {} missing from fresh run", base.name));
-            continue;
-        };
-        let delta = if base.seconds > 0.0 {
-            (fresh_s - base.seconds) / base.seconds
-        } else {
-            0.0
-        };
-        let verdict = if base.seconds < NOISE_FLOOR_S {
-            "noise-floor (exempt)"
-        } else if delta > tolerance {
-            regressions.push(format!(
-                "section {} regressed: {:.3}s -> {fresh_s:.3}s ({:+.0}%)",
-                base.name,
-                base.seconds,
-                delta * 100.0
-            ));
-            "REGRESSED"
-        } else if delta < -tolerance {
-            "faster (check benchmark still does the same work)"
-        } else {
-            "ok"
-        };
-        lines.push(format!(
-            "{}: committed {:.3}s fresh {fresh_s:.3}s ({:+.1}%) {verdict}",
-            base.name,
-            base.seconds,
-            delta * 100.0
-        ));
-    }
-    for f in fresh {
-        if !committed.iter().any(|b| b.name == f.name) {
-            lines.push(format!("{}: new section ({:.3}s), no baseline", f.name, f.seconds));
-        }
-    }
-    CompareReport { lines, regressions }
 }
 
 fn escape(s: &str) -> String {
@@ -297,92 +122,6 @@ mod tests {
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(s.matches('{').count(), s.matches('}').count());
         assert_eq!(s.matches('[').count(), s.matches(']').count());
-    }
-
-    #[test]
-    fn marks_known_noise_sections_excluded() {
-        let mut b = Baseline::new(Scale::Quick, 1);
-        b.record("fig12", Duration::from_micros(16));
-        b.record("fig13", Duration::from_secs(1));
-        let s = b.render();
-        assert!(s.contains("{\"name\": \"fig12\", \"seconds\": 0.000016, \"excluded\": true},"));
-        assert!(s.contains("{\"name\": \"fig13\", \"seconds\": 1.000000}\n"));
-    }
-
-    #[test]
-    fn parse_round_trips_render() {
-        let mut b = Baseline::new(Scale::Quick, 2);
-        b.record("fig3", Duration::from_millis(1500));
-        b.record("fig12", Duration::from_micros(16));
-        let sections = parse_sections(&b.render()).unwrap();
-        assert_eq!(sections.len(), 2);
-        assert_eq!(sections[0].name, "fig3");
-        assert!((sections[0].seconds - 1.5).abs() < 1e-9);
-        assert!(!sections[0].excluded);
-        assert!((sections[1].seconds - 0.000016).abs() < 1e-9);
-        assert!(sections[1].excluded, "fig12 round-trips its excluded flag");
-        assert!(parse_sections("{}").is_none());
-        assert!(parse_sections("not json at all").is_none());
-    }
-
-    #[test]
-    fn compare_flags_regressions_but_not_noise_floor_sections() {
-        let committed = vec![
-            Section::new("fig3", 1.0),
-            Section::new("fig10", 0.000016),
-            Section::new("gone", 2.0),
-        ];
-        let fresh = vec![
-            Section::new("fig3", 1.5),
-            Section::new("fig10", 0.08),
-            Section::new("brand_new", 0.5),
-        ];
-        let report = compare_sections(&committed, &fresh, 0.25);
-        assert!(!report.ok());
-        assert_eq!(report.regressions.len(), 2, "{:?}", report.regressions);
-        assert!(report.regressions[0].contains("fig3"));
-        assert!(report.regressions[1].contains("gone"));
-        // fig10 blew past +25% relatively but sits under the noise floor.
-        assert!(report.lines.iter().any(|l| l.contains("noise-floor")));
-        assert!(report.lines.iter().any(|l| l.contains("new section")));
-    }
-
-    #[test]
-    fn excluded_sections_never_regress_and_may_be_missing() {
-        let committed = vec![
-            Section {
-                name: "fig12".into(),
-                seconds: 0.000016,
-                excluded: true,
-            },
-            Section {
-                name: "micro_event_queue_push_pop".into(),
-                seconds: 0.00000003,
-                excluded: true,
-            },
-        ];
-        // fig12 present but wildly different; the micro section absent.
-        let fresh = vec![Section::new("fig12", 1000.0)];
-        let report = compare_sections(&committed, &fresh, 0.25);
-        assert!(report.ok(), "{:?}", report.regressions);
-        assert_eq!(
-            report
-                .lines
-                .iter()
-                .filter(|l| l.contains("excluded (informational)"))
-                .count(),
-            2
-        );
-        assert!(report.lines.iter().any(|l| l.contains("absent from fresh run")));
-    }
-
-    #[test]
-    fn compare_passes_within_tolerance() {
-        let committed = vec![Section::new("fig8", 4.0)];
-        let fresh = vec![Section::new("fig8", 4.8)];
-        assert!(compare_sections(&committed, &fresh, 0.25).ok());
-        let slower = vec![Section::new("fig8", 5.2)];
-        assert!(!compare_sections(&committed, &slower, 0.25).ok());
     }
 
     #[test]

@@ -138,8 +138,7 @@ impl EventQueue {
         at.as_nanos() >> TICK_SHIFT
     }
 
-    /// Enqueues an event and returns the FIFO `seq` stamp it was assigned.
-    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind) -> u64 {
+    pub(crate) fn push(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
@@ -154,7 +153,7 @@ impl EventQueue {
                 .current
                 .partition_point(|e| (e.at, e.seq) < (at, seq));
             self.current.insert(pos, ev);
-            return seq;
+            return;
         }
         // `at` is never before the last popped instant in simulation use;
         // the `max` clamps defensive out-of-order pushes into the earliest
@@ -165,16 +164,6 @@ impl EventQueue {
         } else {
             self.overflow.push(ev);
         }
-        seq
-    }
-
-    /// Consumes one `seq` stamp without storing an event. The parallel
-    /// replay uses this to reproduce the exact stamp a sequential `push`
-    /// would have assigned for events that were already executed in a lane.
-    pub(crate) fn bump_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
     }
 
     fn bucket_push(&mut self, tick: u64, ev: ScheduledEvent) {
@@ -266,8 +255,9 @@ impl EventQueue {
         Some(ev)
     }
 
-    /// Peeks at the next event without removing it. Used by the windowed
-    /// executor to decide where the current safe window ends.
+    /// Peeks at the next event without removing it. A deadline stop tests
+    /// the head this way, so the head keeps its place (and its `seq`) among
+    /// same-instant events.
     pub(crate) fn peek(&mut self) -> Option<&ScheduledEvent> {
         self.fill_current();
         self.current.front()

@@ -162,8 +162,8 @@ mod proptests {
         }
     }
 
-    /// A hub that echoes every frame back after a short in-window delay —
-    /// the staged-timer path the parallel executor must replay exactly.
+    /// A hub that echoes every frame back after a short delay, so its timers
+    /// are in flight between (and at the same instants as) later deliveries.
     struct EchoHub {
         delay_ns: u64,
         echoes: u64,
@@ -194,7 +194,7 @@ mod proptests {
 
     /// One random loss×reorder×dup×crash scenario on a star topology.
     #[derive(Debug, Clone)]
-    struct LaneScenario {
+    struct StarScenario {
         leaves: usize,
         count: u64,
         gap_ns: u64,
@@ -208,7 +208,7 @@ mod proptests {
         fault_seed: u64,
     }
 
-    fn lane_scenario() -> impl Strategy<Value = LaneScenario> {
+    fn star_scenario() -> impl Strategy<Value = StarScenario> {
         (
             (2usize..5, 1u64..12, 0u64..2_500, 1u64..1_500),
             (0.0f64..0.3, 0.0f64..0.2, 0.0f64..0.3, 0u64..2_000),
@@ -221,7 +221,7 @@ mod proptests {
                     (loss, dup, reorder, jitter_ns),
                     crash,
                     (seed, fault_seed),
-                )| LaneScenario {
+                )| StarScenario {
                     leaves,
                     count,
                     gap_ns,
@@ -237,10 +237,11 @@ mod proptests {
             )
     }
 
-    fn run_lane_scenario(sc: &LaneScenario, lanes: usize) -> Observed {
+    /// Runs `sc` to idle: straight through, or in `run(None, Some(chunk))`
+    /// pieces.
+    fn run_star_scenario(sc: &StarScenario, chunk: Option<u64>) -> Observed {
         let mut b = NetworkBuilder::new(sc.seed);
         b.set_fault_seed(sc.fault_seed);
-        b.set_lanes(lanes);
         let hub = b.add_node(EchoHub {
             delay_ns: sc.echo_delay_ns,
             echoes: 0,
@@ -271,7 +272,7 @@ mod proptests {
             net.schedule_node_down(hub, SimTime::from_nanos(down_at));
             net.schedule_node_up(hub, SimTime::from_nanos(down_at + outage));
         }
-        net.run_to_idle();
+        while net.run(None, chunk) != StopReason::Idle {}
         Observed {
             trace: net.frame_trace().copied().collect(),
             events: net.events_processed(),
@@ -287,17 +288,22 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-        /// The tentpole's determinism contract: under random loss ×
-        /// reorder × duplication × crash, parallel lanes ∈ {2, 4} produce
-        /// a full frame trace — and every counter and clock — byte-identical
-        /// to sequential execution.
+        /// A run is a pure function of topology, seed and fault seed:
+        /// under random loss × reorder × duplication × hub outage, a second
+        /// run reproduces the full frame trace and every counter and clock.
         #[test]
-        fn parallel_lanes_are_byte_identical_to_sequential(sc in lane_scenario()) {
-            let sequential = run_lane_scenario(&sc, 1);
-            for lanes in [2usize, 4] {
-                let parallel = run_lane_scenario(&sc, lanes);
-                prop_assert_eq!(&sequential, &parallel, "lanes={}", lanes);
-            }
+        fn same_seeds_reproduce_the_run(sc in star_scenario()) {
+            prop_assert_eq!(run_star_scenario(&sc, None), run_star_scenario(&sc, None));
+        }
+
+        /// Event-budget stops are invisible: driving to idle through
+        /// `run(None, Some(k))` for a small `k` — cuts landing inside
+        /// same-instant bursts, between a delivery and the timer it armed,
+        /// and on either side of the outage — ends in the same state as one
+        /// straight run.
+        #[test]
+        fn chunked_runs_end_where_run_to_idle_does(sc in star_scenario(), k in 1u64..12) {
+            prop_assert_eq!(run_star_scenario(&sc, Some(k)), run_star_scenario(&sc, None));
         }
     }
 }

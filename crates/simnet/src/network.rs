@@ -1,22 +1,8 @@
 //! The simulated network: nodes, links, and the event loop.
 //!
-//! The loop runs in one of two modes:
-//!
-//! - **Sequential**: events pop one at a time in exact `(at, seq)` order —
-//!   the reference semantics every other mode must reproduce byte for byte.
-//! - **Windowed parallel** (bounded-lag, YAWNS-style): when the network has
-//!   more than one lane configured (`ASK_SIM_LANES` / [`Network::set_lanes`])
-//!   and every link has non-zero propagation delay, the loop repeatedly
-//!   carves the queue into safe windows of width `L` = the minimum link
-//!   propagation (the *lookahead*), partitions each window's events into
-//!   per-node lanes, executes the lanes concurrently, and then replays the
-//!   staged effects sequentially in canonical `(at, seq)` order. Any send
-//!   issued at `t ∈ [W, W+L)` arrives no earlier than `t + L ≥ W + L`, so
-//!   in-window execution can never affect in-window events — and the replay
-//!   step re-creates the exact push order (and therefore every `seq` stamp,
-//!   fault-RNG draw, trace record, and link-state transition) of the
-//!   sequential loop. The observable simulation is byte-identical at any
-//!   lane count.
+//! There is one executor: [`Network::run`] pops events one at a time in
+//! exact `(at, seq)` order and dispatches each to its node in place. The
+//! simulation is a pure function of topology, seed and fault seed.
 
 use crate::event::{EventKind, EventQueue};
 use crate::faults::FrameFate;
@@ -26,10 +12,7 @@ use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 /// Behaviour attached to a simulated node.
@@ -37,10 +20,8 @@ use std::time::Instant;
 /// A node reacts to incoming frames and to timers it has armed; it drives the
 /// simulation forward exclusively through the [`Context`] it is handed. The
 /// `Any` supertrait allows the harness to downcast a node back to its
-/// concrete type after the run (see [`Network::node`]); the `Send`
-/// supertrait lets the windowed executor hand a node's state to a lane
-/// worker thread for the duration of a window.
-pub trait Node: Any + Send {
+/// concrete type after the run (see [`Network::node`]).
+pub trait Node: Any {
     /// Called once before the first event is processed.
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 
@@ -157,17 +138,15 @@ struct Engine {
     links: Vec<LinkState>,
     /// Per-source dense adjacency, indexed by `NodeId::index()`. Built once
     /// at [`NetworkBuilder::build`]; two array reads replace the old
-    /// `HashMap<(NodeId, NodeId)>` probe on every send. Shared with lane
-    /// workers (read-only) so they can validate sends without touching the
-    /// engine.
-    adjacency: Arc<[NodeLinks]>,
+    /// `HashMap<(NodeId, NodeId)>` probe on every send.
+    adjacency: Vec<NodeLinks>,
     queue: EventQueue,
     now: SimTime,
     /// Fault-model draws come from this dedicated stream, so chaos settings
     /// can be re-seeded independently of node-visible randomness and a
     /// `(seed, grid-point)` pair pins down every loss/dup/jitter decision.
     /// Node-visible randomness lives in per-node streams (see
-    /// [`Context::rng`]), so lanes never contend for this one.
+    /// [`Context::rng`]).
     fault_rng: StdRng,
     events_processed: u64,
     trace: Option<FrameTrace>,
@@ -291,53 +270,10 @@ impl core::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// One side effect a node produced while executing inside a lane, staged
-/// for the sequential replay step. Replaying the effects of every dispatch
-/// in canonical `(at, seq)` order performs the exact pushes (and fault-RNG
-/// draws) the sequential loop would have performed inline.
-#[derive(Debug)]
-enum Effect {
-    /// `ctx.send(to, frame)` — replayed through [`Engine::send`].
-    Send { to: NodeId, frame: Frame },
-    /// A timer landing at or beyond the window cap: replayed as a real
-    /// queue push.
-    TimerOut { at: SimTime, token: u64 },
-    /// A timer landing inside the window: the lane already executed it as
-    /// staged record `rec`; replay only consumes the `seq` stamp the
-    /// sequential push would have taken and schedules the child record.
-    TimerIn { rec: usize },
-}
-
-/// Per-lane execution state a [`Context`] writes into while a node runs
-/// inside a window (no engine access — everything is staged).
-#[derive(Debug)]
-struct LaneCtx {
-    now: SimTime,
-    /// Exclusive end of the safe window: timers below it are executed in
-    /// the lane, timers at or beyond it are replayed as real pushes.
-    cap: SimTime,
-    adjacency: Arc<[NodeLinks]>,
-    /// Effects of the dispatch currently executing, in action order.
-    effects: Vec<Effect>,
-    /// In-window timers staged by the current dispatch: `(at, token)` in
-    /// creation order. Turned into lane records after the dispatch returns.
-    staged: Vec<(SimTime, u64)>,
-    /// Record index the next staged timer will occupy in the lane.
-    next_rec_ix: usize,
-}
-
-#[derive(Debug)]
-enum CtxInner<'a> {
-    /// Sequential dispatch: effects apply to the engine immediately.
-    Direct(&'a mut Engine),
-    /// Lane dispatch inside a parallel window: effects are staged.
-    Lane(&'a mut LaneCtx),
-}
-
 /// Handle through which a node interacts with the simulation.
 #[derive(Debug)]
 pub struct Context<'a> {
-    inner: CtxInner<'a>,
+    engine: &'a mut Engine,
     me: NodeId,
     rng: &'a mut StdRng,
 }
@@ -345,10 +281,7 @@ pub struct Context<'a> {
 impl Context<'_> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            CtxInner::Direct(e) => e.now,
-            CtxInner::Lane(l) => l.now,
-        }
+        self.engine.now
     }
 
     /// The id of the node being called.
@@ -362,60 +295,21 @@ impl Context<'_> {
     ///
     /// Returns [`SendError`] if no directed link `self -> to` exists.
     pub fn send(&mut self, to: NodeId, frame: Frame) -> Result<(), SendError> {
-        match &mut self.inner {
-            CtxInner::Direct(e) => e.send(self.me, to, frame),
-            CtxInner::Lane(l) => {
-                // The only node-visible outcome of `Engine::send` is the
-                // missing-link error, which it returns before any state
-                // change; everything else (tail drop, fault draws, pushes)
-                // is invisible to the sender and replayed later.
-                if l.adjacency
-                    .get(self.me.index())
-                    .and_then(|n| n.get(to.index()))
-                    .is_none()
-                {
-                    return Err(SendError { from: self.me, to });
-                }
-                l.effects.push(Effect::Send { to, frame });
-                Ok(())
-            }
-        }
+        self.engine.send(self.me, to, frame)
     }
 
     /// Arms a one-shot timer that fires after `delay` with the given `token`.
     ///
     /// Timers cannot be cancelled; nodes are expected to ignore stale tokens.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        match &mut self.inner {
-            CtxInner::Direct(e) => {
-                let at = e.now + delay;
-                e.queue.push(
-                    at,
-                    EventKind::Timer {
-                        node: self.me,
-                        token,
-                    },
-                );
-            }
-            CtxInner::Lane(l) => {
-                let at = l.now + delay;
-                if at < l.cap {
-                    // Fires inside the current window: the lane will run it
-                    // itself (timers only ever target the node that set
-                    // them, so the target is by construction in this lane).
-                    let rec = l.next_rec_ix + l.staged.len();
-                    l.effects.push(Effect::TimerIn { rec });
-                    l.staged.push((at, token));
-                } else {
-                    l.effects.push(Effect::TimerOut { at, token });
-                }
-            }
-        }
+        let at = self.engine.now + delay;
+        let node = self.me;
+        self.engine.queue.push(at, EventKind::Timer { node, token });
     }
 
     /// Deterministic per-node random stream, split from both the fault RNG
-    /// and every other node's stream so lane execution order can never
-    /// perturb the draws a node sees.
+    /// and every other node's stream, so the draws a node sees depend only
+    /// on the seed and on its own history.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
@@ -445,15 +339,13 @@ impl Context<'_> {
 /// ```
 #[derive(Debug, Default)]
 pub struct NetworkBuilder {
-    nodes: Vec<Option<Box<dyn Node>>>,
+    nodes: Vec<Box<dyn Node>>,
     links: HashMap<(NodeId, NodeId), LinkState>,
     seed: u64,
     fault_seed: Option<u64>,
-    lanes: Option<usize>,
 }
 
-/// A node plus the per-node state the executor moves with it when handing
-/// the node to a lane worker.
+/// A node plus the per-node state the event loop keeps next to it.
 #[derive(Debug)]
 struct NodeSlot {
     node: Box<dyn Node>,
@@ -462,6 +354,19 @@ struct NodeSlot {
     /// Wall-clock nanoseconds spent inside this node's handlers, when
     /// dispatch timing is enabled ([`Network::enable_dispatch_timing`]).
     dispatch_ns: u64,
+}
+
+impl NodeSlot {
+    /// Splits the slot into its node and a [`Context`] over `engine`, ready
+    /// for one call into the node's handlers.
+    fn enter<'a>(
+        &'a mut self,
+        engine: &'a mut Engine,
+        me: NodeId,
+    ) -> (&'a mut dyn Node, Context<'a>) {
+        let rng = &mut self.rng;
+        (self.node.as_mut(), Context { engine, me, rng })
+    }
 }
 
 /// SplitMix64 finalizer: seeds the per-node RNG streams from
@@ -488,7 +393,6 @@ impl NetworkBuilder {
             links: HashMap::new(),
             seed,
             fault_seed: None,
-            lanes: None,
         }
     }
 
@@ -499,18 +403,10 @@ impl NetworkBuilder {
         self.fault_seed = Some(seed);
     }
 
-    /// Pins the number of execution lanes, overriding the `ASK_SIM_LANES`
-    /// environment variable (which otherwise supplies the default; absent or
-    /// invalid values mean 1 = sequential). The simulation result is
-    /// byte-identical at any lane count; lanes only change wall-clock time.
-    pub fn set_lanes(&mut self, lanes: usize) {
-        self.lanes = Some(lanes.max(1));
-    }
-
     /// Adds a node and returns its id.
     pub fn add_node<N: Node>(&mut self, node: N) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Some(Box::new(node)));
+        self.nodes.push(Box::new(node));
         id
     }
 
@@ -567,40 +463,22 @@ impl NetworkBuilder {
             entry.map[off] = ix;
         }
         let node_count = self.nodes.len();
-        // The lookahead is the minimum propagation delay over every link:
-        // a send issued at `t` arrives no earlier than `t + lookahead`, so
-        // windows of that width are causally safe. Zero (a latency-free
-        // link, or no links at all) disables the windowed executor.
-        let lookahead = links
-            .iter()
-            .map(|l| l.config.propagation())
-            .min()
-            .unwrap_or(SimDuration::ZERO);
-        let lanes = self.lanes.unwrap_or_else(|| {
-            std::env::var("ASK_SIM_LANES")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1)
-        });
         let seed = self.seed;
         let nodes = self
             .nodes
             .into_iter()
             .enumerate()
-            .map(|(ix, node)| {
-                node.map(|node| NodeSlot {
-                    node,
-                    rng: StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(ix as u64 + 1))),
-                    dispatch_ns: 0,
-                })
+            .map(|(ix, node)| NodeSlot {
+                node,
+                rng: StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(ix as u64 + 1))),
+                dispatch_ns: 0,
             })
             .collect();
         Network {
             nodes,
             engine: Engine {
                 links,
-                adjacency: adjacency.into(),
+                adjacency,
                 queue: EventQueue::new(),
                 now: SimTime::ZERO,
                 fault_rng: StdRng::seed_from_u64(self.fault_seed.unwrap_or(seed)),
@@ -610,8 +488,6 @@ impl NetworkBuilder {
             },
             started: false,
             burst_buf: Vec::new(),
-            lanes,
-            lookahead,
             timing: false,
             run_wall_ns: 0,
         }
@@ -620,22 +496,16 @@ impl NetworkBuilder {
 
 /// A simulated network ready to run.
 pub struct Network {
-    nodes: Vec<Option<NodeSlot>>,
+    nodes: Vec<NodeSlot>,
     engine: Engine,
     started: bool,
     /// Reusable delivery buffer for same-instant bursts; kept across
     /// [`Network::run`] calls so steady-state dispatch allocates nothing.
     burst_buf: Vec<(NodeId, Frame)>,
-    /// Execution lanes for the windowed parallel mode; 1 = sequential.
-    lanes: usize,
-    /// Minimum link propagation delay — the safe-window width. Zero
-    /// disables the windowed executor.
-    lookahead: SimDuration,
     /// Measure per-node handler wall time (see
     /// [`Network::enable_dispatch_timing`]).
     timing: bool,
-    /// Wall-clock nanoseconds spent inside [`Network::run`] /
-    /// [`Network::run_chunk`] so far.
+    /// Wall-clock nanoseconds spent inside [`Network::run`] so far.
     run_wall_ns: u64,
 }
 
@@ -724,15 +594,9 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the id is unknown, the node is of a different type, or the
-    /// node is currently being dispatched (re-entrant access).
+    /// Panics if the id is unknown or the node is of a different type.
     pub fn node<N: Node>(&self, id: NodeId) -> &N {
-        let node = self.nodes[id.index()]
-            .as_ref()
-            .expect("node is being dispatched")
-            .node
-            .as_ref();
-        (node as &dyn Any)
+        (self.nodes[id.index()].node.as_ref() as &dyn Any)
             .downcast_ref()
             .expect("node type mismatch")
     }
@@ -743,37 +607,27 @@ impl Network {
     ///
     /// Same conditions as [`Network::node`].
     pub fn node_mut<N: Node>(&mut self, id: NodeId) -> &mut N {
-        let node = self.nodes[id.index()]
-            .as_mut()
-            .expect("node is being dispatched")
-            .node
-            .as_mut();
-        (node as &mut dyn Any)
+        (self.nodes[id.index()].node.as_mut() as &mut dyn Any)
             .downcast_mut()
             .expect("node type mismatch")
     }
 
     /// Calls `f` with a node and a fresh [`Context`], letting harness code
     /// inject work (e.g. submit an aggregation task) mid-simulation.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Network::node`].
     pub fn with_node<N: Node, T>(
         &mut self,
         id: NodeId,
         f: impl FnOnce(&mut N, &mut Context<'_>) -> T,
     ) -> T {
-        let mut slot = self.nodes[id.index()]
-            .take()
-            .expect("node is being dispatched");
-        let mut ctx = Context {
-            inner: CtxInner::Direct(&mut self.engine),
-            me: id,
-            rng: &mut slot.rng,
-        };
-        let concrete = (slot.node.as_mut() as &mut dyn Any)
+        let (node, mut ctx) = self.nodes[id.index()].enter(&mut self.engine, id);
+        let concrete = (node as &mut dyn Any)
             .downcast_mut()
             .expect("node type mismatch");
-        let out = f(concrete, &mut ctx);
-        self.nodes[id.index()] = Some(slot);
-        out
+        f(concrete, &mut ctx)
     }
 
     /// Schedules `node` to crash at absolute simulated time `at`: from that
@@ -782,9 +636,9 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the node id is unknown.
+    /// Panics if the node id is unknown or `at` is before [`Network::now`].
     pub fn schedule_node_down(&mut self, node: NodeId, at: SimTime) {
-        assert!(node.index() < self.nodes.len(), "unknown node {node}");
+        self.assert_can_schedule(node, at);
         self.engine.queue.push(at, EventKind::NodeDown { node });
     }
 
@@ -794,10 +648,19 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the node id is unknown.
+    /// Panics if the node id is unknown or `at` is before [`Network::now`].
     pub fn schedule_node_up(&mut self, node: NodeId, at: SimTime) {
-        assert!(node.index() < self.nodes.len(), "unknown node {node}");
+        self.assert_can_schedule(node, at);
         self.engine.queue.push(at, EventKind::NodeUp { node });
+    }
+
+    fn assert_can_schedule(&self, node: NodeId, at: SimTime) {
+        assert!(node.index() < self.nodes.len(), "unknown node {node}");
+        assert!(
+            at >= self.engine.now,
+            "outage of {node} scheduled in the past ({at} < {})",
+            self.engine.now
+        );
     }
 
     /// Whether `node` is currently inside a scheduled outage.
@@ -805,39 +668,11 @@ impl Network {
         self.engine.down[node.index()]
     }
 
-    fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for ix in 0..self.nodes.len() {
-            let id = NodeId::from_index(ix);
-            let mut slot = self.nodes[ix].take().expect("node present at start");
-            let mut ctx = Context {
-                inner: CtxInner::Direct(&mut self.engine),
-                me: id,
-                rng: &mut slot.rng,
-            };
-            slot.node.on_start(&mut ctx);
-            self.nodes[ix] = Some(slot);
-        }
-    }
-
-    /// Dispatches a node's [`Node::on_restart`] hook with a direct context
-    /// (used by both executors when a `NodeUp` event fires).
-    fn dispatch_restart(&mut self, id: NodeId) {
-        let mut slot = self.nodes[id.index()].take().expect("node present");
-        let mut ctx = Context {
-            inner: CtxInner::Direct(&mut self.engine),
-            me: id,
-            rng: &mut slot.rng,
-        };
-        slot.node.on_restart(&mut ctx);
-        self.nodes[id.index()] = Some(slot);
-    }
-
     /// Runs until the queue drains, `until` passes, or `max_events` fire —
-    /// whichever comes first. Pass `None` for no horizon / no budget.
+    /// whichever comes first. Pass `None` for no horizon / no budget. Both
+    /// stops leave the remaining events queued in their `(at, seq)` order,
+    /// so a run cut into pieces dispatches exactly what one straight run
+    /// does.
     ///
     /// Consecutive deliveries to one node at one instant are drained as a
     /// single burst and handed to [`Node::on_frames`] in FIFO order — one
@@ -848,46 +683,13 @@ impl Network {
     /// to one-at-a-time delivery.
     pub fn run(&mut self, until: Option<SimTime>, max_events: Option<u64>) -> StopReason {
         let wall = Instant::now();
-        // An exact event budget requires popping one event at a time (the
-        // budget can cut a burst, or stop between two same-window events),
-        // so budgeted runs always take the sequential path — this keeps
-        // callers that rely on exact cut points (e.g. crash-at-event-N
-        // scenarios) byte-identical at any lane count. Unbudgeted runs use
-        // the windowed executor when lanes are configured.
-        let reason = if max_events.is_none() && self.parallel_ok() {
-            self.run_windowed(until, None)
-        } else {
-            self.run_sequential(until, max_events)
-        };
-        self.run_wall_ns += wall.elapsed().as_nanos() as u64;
-        reason
-    }
-
-    /// Runs until the queue drains or roughly `max_events` fire — like
-    /// `run(None, Some(max_events))`, except the budget is only checked at
-    /// safe-window boundaries, so the stop point may overshoot by up to one
-    /// window. Use this for chunked driving loops that only *read* state
-    /// between chunks; use [`Network::run`] when the exact cut point is
-    /// observable (e.g. to inject a crash after precisely N events).
-    pub fn run_chunk(&mut self, max_events: u64) -> StopReason {
-        let wall = Instant::now();
-        let reason = if self.parallel_ok() {
-            self.run_windowed(None, Some(max_events))
-        } else {
-            self.run_sequential(None, Some(max_events))
-        };
-        self.run_wall_ns += wall.elapsed().as_nanos() as u64;
-        reason
-    }
-
-    /// Whether the windowed parallel executor is usable: more than one lane
-    /// configured, positive lookahead, and more than one node to spread.
-    fn parallel_ok(&self) -> bool {
-        self.lanes > 1 && self.lookahead > SimDuration::ZERO && self.nodes.len() > 1
-    }
-
-    fn run_sequential(&mut self, until: Option<SimTime>, max_events: Option<u64>) -> StopReason {
-        self.start_if_needed();
+        if !self.started {
+            self.started = true;
+            for (ix, slot) in self.nodes.iter_mut().enumerate() {
+                let (node, mut ctx) = slot.enter(&mut self.engine, NodeId::from_index(ix));
+                node.on_start(&mut ctx);
+            }
+        }
         let timing = self.timing;
         let budget_start = self.engine.events_processed;
         let mut burst = std::mem::take(&mut self.burst_buf);
@@ -897,17 +699,18 @@ impl Network {
                     break StopReason::EventBudget;
                 }
             }
-            let Some(event) = self.engine.queue.pop() else {
-                break StopReason::Idle;
-            };
             if let Some(deadline) = until {
-                if event.at > deadline {
-                    // Re-queue and stop: the event stays pending.
-                    self.engine.queue.push(event.at, event.kind);
+                // Test the head where it sits: popping and re-queueing it
+                // would stamp it behind its same-instant siblings.
+                let head = self.engine.queue.peek();
+                if head.is_some_and(|head| head.at > deadline) {
                     self.engine.now = deadline;
                     break StopReason::Deadline;
                 }
             }
+            let Some(event) = self.engine.queue.pop() else {
+                break StopReason::Idle;
+            };
             debug_assert!(event.at >= self.engine.now, "time went backwards");
             let at = event.at;
             self.engine.now = at;
@@ -941,51 +744,39 @@ impl Network {
                         burst.push((from, frame));
                         self.engine.events_processed += 1;
                     }
-                    let mut slot = self.nodes[to.index()].take().expect("node present");
+                    let slot = &mut self.nodes[to.index()];
                     let t0 = timing.then(Instant::now);
-                    {
-                        let mut ctx = Context {
-                            inner: CtxInner::Direct(&mut self.engine),
-                            me: to,
-                            rng: &mut slot.rng,
-                        };
-                        slot.node.on_frames(&mut burst, &mut ctx);
-                    }
+                    let (node, mut ctx) = slot.enter(&mut self.engine, to);
+                    node.on_frames(&mut burst, &mut ctx);
                     if let Some(t0) = t0 {
                         slot.dispatch_ns += t0.elapsed().as_nanos() as u64;
                     }
                     burst.clear();
-                    self.nodes[to.index()] = Some(slot);
                 }
                 EventKind::Timer { node: id, token } => {
                     if self.engine.down[id.index()] {
                         continue; // a crashed node's timers die with it
                     }
-                    let mut slot = self.nodes[id.index()].take().expect("node present");
+                    let slot = &mut self.nodes[id.index()];
                     let t0 = timing.then(Instant::now);
-                    {
-                        let mut ctx = Context {
-                            inner: CtxInner::Direct(&mut self.engine),
-                            me: id,
-                            rng: &mut slot.rng,
-                        };
-                        slot.node.on_timer(token, &mut ctx);
-                    }
+                    let (node, mut ctx) = slot.enter(&mut self.engine, id);
+                    node.on_timer(token, &mut ctx);
                     if let Some(t0) = t0 {
                         slot.dispatch_ns += t0.elapsed().as_nanos() as u64;
                     }
-                    self.nodes[id.index()] = Some(slot);
                 }
                 EventKind::NodeDown { node } => {
                     self.engine.down[node.index()] = true;
                 }
-                EventKind::NodeUp { node } => {
-                    self.engine.down[node.index()] = false;
-                    self.dispatch_restart(node);
+                EventKind::NodeUp { node: id } => {
+                    self.engine.down[id.index()] = false;
+                    let (node, mut ctx) = self.nodes[id.index()].enter(&mut self.engine, id);
+                    node.on_restart(&mut ctx);
                 }
             }
         };
         self.burst_buf = burst;
+        self.run_wall_ns += wall.elapsed().as_nanos() as u64;
         reason
     }
 
@@ -994,309 +785,6 @@ impl Network {
         let reason = self.run(None, None);
         debug_assert_eq!(reason, StopReason::Idle);
         debug_assert!(self.engine.queue.is_empty(), "idle with pending events");
-    }
-
-    // ----- windowed parallel executor ------------------------------------
-
-    /// The bounded-lag parallel loop: spawns `lanes - 1` persistent worker
-    /// threads for the duration of the call, then repeatedly carves safe
-    /// windows off the queue, fans each window's per-node work out to the
-    /// lanes, and replays the staged effects in canonical order.
-    fn run_windowed(&mut self, until: Option<SimTime>, max_events: Option<u64>) -> StopReason {
-        self.start_if_needed();
-        let workers = self.lanes.min(self.nodes.len()) - 1;
-        std::thread::scope(|s| {
-            let (res_tx, res_rx) = mpsc::channel::<LaneJob>();
-            let mut job_txs = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (tx, rx) = mpsc::channel::<LaneJob>();
-                let res = res_tx.clone();
-                s.spawn(move || {
-                    for mut job in rx {
-                        execute_lane(&mut job);
-                        if res.send(job).is_err() {
-                            break;
-                        }
-                    }
-                });
-                job_txs.push(tx);
-            }
-            drop(res_tx);
-            self.windowed_loop(until, max_events, &job_txs, &res_rx)
-            // job_txs drop here: workers drain and exit, the scope joins.
-        })
-    }
-
-    fn windowed_loop(
-        &mut self,
-        until: Option<SimTime>,
-        max_events: Option<u64>,
-        job_txs: &[mpsc::Sender<LaneJob>],
-        res_rx: &mpsc::Receiver<LaneJob>,
-    ) -> StopReason {
-        let budget_start = self.engine.events_processed;
-        loop {
-            if let Some(budget) = max_events {
-                if self.engine.events_processed - budget_start >= budget {
-                    return StopReason::EventBudget;
-                }
-            }
-            let (head_at, head_control) = match self.engine.queue.peek() {
-                None => return StopReason::Idle,
-                Some(ev) => (
-                    ev.at,
-                    matches!(
-                        ev.kind,
-                        EventKind::NodeDown { .. } | EventKind::NodeUp { .. }
-                    ),
-                ),
-            };
-            if let Some(deadline) = until {
-                if head_at > deadline {
-                    // Replicate the sequential deadline stop exactly: the
-                    // head is popped and re-queued (consuming a fresh seq).
-                    let ev = self.engine.queue.pop().expect("peeked");
-                    self.engine.queue.push(ev.at, ev.kind);
-                    self.engine.now = deadline;
-                    return StopReason::Deadline;
-                }
-            }
-            if head_control {
-                // Outage boundaries run inline and sequentially, so the
-                // `down` flags are constant within any window.
-                let ev = self.engine.queue.pop().expect("peeked");
-                self.engine.now = ev.at;
-                self.engine.events_processed += 1;
-                match ev.kind {
-                    EventKind::NodeDown { node } => self.engine.down[node.index()] = true,
-                    EventKind::NodeUp { node } => {
-                        self.engine.down[node.index()] = false;
-                        self.dispatch_restart(node);
-                    }
-                    _ => unreachable!("head_control matched"),
-                }
-                continue;
-            }
-            let mut cap = head_at + self.lookahead;
-            if let Some(deadline) = until {
-                let dcap = SimTime::from_nanos(deadline.as_nanos().saturating_add(1));
-                cap = cap.min(dcap);
-            }
-            self.run_window(cap, job_txs, res_rx);
-        }
-    }
-
-    /// Executes one safe window `[head, cap)`: collect → fan out → replay.
-    fn run_window(
-        &mut self,
-        cap: SimTime,
-        job_txs: &[mpsc::Sender<LaneJob>],
-        res_rx: &mpsc::Receiver<LaneJob>,
-    ) {
-        let lanes_n = self.lanes.min(self.nodes.len()).max(1);
-
-        // --- collect: pop every dispatchable event below the cap, group
-        // adjacent same-instant same-destination deliveries into bursts
-        // (the exact grouping the sequential loop's `pop_deliver_if` probe
-        // produces), and partition records by destination lane.
-        let mut lane_recs: Vec<Vec<WinRec>> = (0..lanes_n).map(|_| Vec::new()).collect();
-        let mut dropped = 0u64;
-        let mut max_at = self.engine.now;
-        // `(at, node)` of the last collected delivery, if the very last
-        // collected event was a delivery to an up node — the only case a
-        // following delivery may join as a burst mate.
-        let mut open_burst: Option<(SimTime, usize)> = None;
-        // Staged in-window timers may only run ahead of the real queue up
-        // to this bound. It starts at the window cap and shrinks to the
-        // first control event's time when one cuts the window short: a
-        // timer staged at or past an outage boundary must go back through
-        // the real queue so the flipped `down` flag applies to it, exactly
-        // as the sequential `(at, seq)` order would.
-        let mut stage_cap = cap;
-        loop {
-            let stop = match self.engine.queue.peek() {
-                None => true,
-                Some(ev) => {
-                    if matches!(
-                        ev.kind,
-                        EventKind::NodeDown { .. } | EventKind::NodeUp { .. }
-                    ) {
-                        stage_cap = stage_cap.min(ev.at);
-                        true
-                    } else {
-                        ev.at >= cap
-                    }
-                }
-            };
-            if stop {
-                break;
-            }
-            let ev = self.engine.queue.pop().expect("peeked");
-            max_at = ev.at;
-            match ev.kind {
-                EventKind::Deliver { from, to, frame } => {
-                    let ix = to.index();
-                    if self.engine.down[ix] {
-                        dropped += 1;
-                        open_burst = None;
-                        continue;
-                    }
-                    let lane = ix % lanes_n;
-                    if open_burst == Some((ev.at, ix)) {
-                        let rec = lane_recs[lane].last_mut().expect("open burst rec");
-                        rec.frames.push((from, frame));
-                        rec.events += 1;
-                    } else {
-                        lane_recs[lane].push(WinRec {
-                            node: ix as u32,
-                            at: ev.at,
-                            seq: ev.seq,
-                            timer_token: 0,
-                            is_timer: false,
-                            frames: vec![(from, frame)],
-                            effects: Vec::new(),
-                            events: 1,
-                        });
-                        open_burst = Some((ev.at, ix));
-                    }
-                }
-                EventKind::Timer { node, token } => {
-                    let ix = node.index();
-                    open_burst = None;
-                    if self.engine.down[ix] {
-                        dropped += 1;
-                        continue;
-                    }
-                    lane_recs[ix % lanes_n].push(WinRec {
-                        node: ix as u32,
-                        at: ev.at,
-                        seq: ev.seq,
-                        timer_token: token,
-                        is_timer: true,
-                        frames: Vec::new(),
-                        effects: Vec::new(),
-                        events: 1,
-                    });
-                }
-                _ => unreachable!("control events stop collection"),
-            }
-        }
-
-        // --- fan out: one job per non-empty lane, carrying the records,
-        // the node slots they touch, and a staging context.
-        let mut jobs: Vec<LaneJob> = Vec::new();
-        for recs in lane_recs.into_iter().filter(|r| !r.is_empty()) {
-            let mut pending = BinaryHeap::with_capacity(recs.len());
-            let mut slots: Vec<(usize, NodeSlot)> = Vec::new();
-            for (i, rec) in recs.iter().enumerate() {
-                pending.push(Reverse((rec.at, 0u8, rec.seq, i)));
-                let ix = rec.node as usize;
-                if !slots.iter().any(|(s, _)| *s == ix) {
-                    slots.push((ix, self.nodes[ix].take().expect("node present")));
-                }
-            }
-            let initial_len = recs.len();
-            jobs.push(LaneJob {
-                jix: jobs.len(),
-                recs,
-                initial_len,
-                pending,
-                slots,
-                ctx: LaneCtx {
-                    now: SimTime::ZERO,
-                    cap: stage_cap,
-                    adjacency: Arc::clone(&self.engine.adjacency),
-                    effects: Vec::new(),
-                    staged: Vec::new(),
-                    next_rec_ix: 0,
-                },
-                staged_counter: 0,
-                timing: self.timing,
-            });
-        }
-
-        // --- execute: ship every job but the first to a worker, run the
-        // first on this thread, then wait for the rest. A single-lane
-        // window skips the channels entirely.
-        if jobs.len() >= 2 && !job_txs.is_empty() {
-            let total = jobs.len();
-            let mut parked: Vec<Option<LaneJob>> = jobs.into_iter().map(Some).collect();
-            for j in 1..total {
-                let job = parked[j].take().expect("unsent job");
-                job_txs[(j - 1) % job_txs.len()]
-                    .send(job)
-                    .expect("lane worker alive");
-            }
-            let mut main_job = parked[0].take().expect("main job");
-            execute_lane(&mut main_job);
-            parked[0] = Some(main_job);
-            for _ in 1..total {
-                let job = res_rx.recv().expect("lane worker alive");
-                let jix = job.jix;
-                parked[jix] = Some(job);
-            }
-            jobs = parked.into_iter().map(|j| j.expect("job returned")).collect();
-        } else {
-            for job in jobs.iter_mut() {
-                execute_lane(job);
-            }
-        }
-
-        // --- replay: walk every record in global `(at, seq)` order and
-        // perform its staged effects against the real engine. Initial
-        // records carry the seq they were popped with; a staged in-window
-        // timer enters the replay heap when its parent's `TimerIn` effect
-        // replays, taking its seq from `bump_seq()` — exactly the stamp the
-        // sequential loop's push would have consumed at that point.
-        let mut pq: BinaryHeap<Reverse<(SimTime, u64, usize, usize)>> = BinaryHeap::new();
-        for job in jobs.iter() {
-            for (i, rec) in job.recs[..job.initial_len].iter().enumerate() {
-                pq.push(Reverse((rec.at, rec.seq, job.jix, i)));
-            }
-        }
-        while let Some(Reverse((at, _seq, jix, ix))) = pq.pop() {
-            let rec = &mut jobs[jix].recs[ix];
-            let node = NodeId::from_index(rec.node as usize);
-            let events = rec.events;
-            let effects = std::mem::take(&mut rec.effects);
-            self.engine.now = at;
-            self.engine.events_processed += events;
-            for eff in effects {
-                match eff {
-                    Effect::Send { to, frame } => {
-                        let _ = self.engine.send(node, to, frame);
-                    }
-                    Effect::TimerOut { at, token } => {
-                        self.engine.queue.push(at, EventKind::Timer { node, token });
-                    }
-                    Effect::TimerIn { rec: child } => {
-                        let seq = self.engine.queue.bump_seq();
-                        let child_at = jobs[jix].recs[child].at;
-                        pq.push(Reverse((child_at, seq, jix, child)));
-                    }
-                }
-            }
-        }
-        for job in jobs.iter_mut() {
-            for (ix, slot) in job.slots.drain(..) {
-                self.nodes[ix] = Some(slot);
-            }
-        }
-        // Down-node drops advance the clock and the event counter in the
-        // sequential loop; fold them in after the replay.
-        self.engine.now = self.engine.now.max(max_at);
-        self.engine.events_processed += dropped;
-    }
-
-    /// Pins the number of execution lanes post-build (see
-    /// [`NetworkBuilder::set_lanes`]).
-    pub fn set_lanes(&mut self, lanes: usize) {
-        self.lanes = lanes.max(1);
-    }
-
-    /// The configured lane count.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// Starts measuring wall-clock time spent inside each node's handlers
@@ -1309,118 +797,13 @@ impl Network {
     /// Wall-clock nanoseconds spent inside `node`'s handlers since
     /// [`Network::enable_dispatch_timing`] was called.
     pub fn dispatch_ns(&self, node: NodeId) -> u64 {
-        self.nodes[node.index()].as_ref().map_or(0, |s| s.dispatch_ns)
+        self.nodes[node.index()].dispatch_ns
     }
 
-    /// Total wall-clock nanoseconds spent inside [`Network::run`] /
-    /// [`Network::run_chunk`] so far (dispatch plus queue/replay overhead).
+    /// Total wall-clock nanoseconds spent inside [`Network::run`] so far
+    /// (dispatch plus queue overhead).
     pub fn run_wall_ns(&self) -> u64 {
         self.run_wall_ns
-    }
-}
-
-/// One dispatchable unit of a window: a delivery burst or a timer firing,
-/// plus (after lane execution) the effects it produced.
-#[derive(Debug)]
-struct WinRec {
-    /// Target node index.
-    node: u32,
-    at: SimTime,
-    /// Real queue seq for initial records (replay key); staged records get
-    /// their seq at replay time and leave this 0.
-    seq: u64,
-    timer_token: u64,
-    is_timer: bool,
-    /// Delivery payloads in FIFO order (empty for timers).
-    frames: Vec<(NodeId, Frame)>,
-    effects: Vec<Effect>,
-    /// How many queue events this record accounts for (burst size, or 1).
-    events: u64,
-}
-
-/// Everything one lane needs to execute its share of a window, fully owned
-/// so it can move across the worker channel.
-#[derive(Debug)]
-struct LaneJob {
-    /// Position in this window's job list (routes the job back after the
-    /// worker round-trip).
-    jix: usize,
-    /// Initial records (prefix of `initial_len`) plus staged in-window
-    /// timer records appended during execution.
-    recs: Vec<WinRec>,
-    initial_len: usize,
-    /// Lane-local dispatch order: `(at, class, n, rec)` with class 0 =
-    /// initial (n = real seq) and class 1 = staged (n = staging counter).
-    /// Initial seqs all predate the window, staged stamps all postdate it,
-    /// so this matches the sequential `(at, seq)` order restricted to the
-    /// lane.
-    pending: BinaryHeap<Reverse<(SimTime, u8, u64, usize)>>,
-    /// The node slots this lane's records touch.
-    slots: Vec<(usize, NodeSlot)>,
-    ctx: LaneCtx,
-    staged_counter: u64,
-    timing: bool,
-}
-
-/// Runs one lane's records to completion, staging effects into the records.
-fn execute_lane(job: &mut LaneJob) {
-    let LaneJob {
-        recs,
-        pending,
-        slots,
-        ctx,
-        staged_counter,
-        timing,
-        ..
-    } = job;
-    let mut burst: Vec<(NodeId, Frame)> = Vec::new();
-    while let Some(Reverse((at, _class, _n, ix))) = pending.pop() {
-        let (node_ix, is_timer, token) = {
-            let rec = &mut recs[ix];
-            std::mem::swap(&mut burst, &mut rec.frames);
-            (rec.node as usize, rec.is_timer, rec.timer_token)
-        };
-        ctx.now = at;
-        ctx.next_rec_ix = recs.len();
-        debug_assert!(ctx.effects.is_empty() && ctx.staged.is_empty());
-        let slot = &mut slots
-            .iter_mut()
-            .find(|(s, _)| *s == node_ix)
-            .expect("slot in lane")
-            .1;
-        let t0 = timing.then(Instant::now);
-        {
-            let mut node_ctx = Context {
-                inner: CtxInner::Lane(ctx),
-                me: NodeId::from_index(node_ix),
-                rng: &mut slot.rng,
-            };
-            if is_timer {
-                slot.node.on_timer(token, &mut node_ctx);
-            } else {
-                slot.node.on_frames(&mut burst, &mut node_ctx);
-            }
-        }
-        if let Some(t0) = t0 {
-            slot.dispatch_ns += t0.elapsed().as_nanos() as u64;
-        }
-        burst.clear();
-        recs[ix].effects = std::mem::take(&mut ctx.effects);
-        for (t_at, t_token) in ctx.staged.drain(..) {
-            let child_ix = recs.len();
-            recs.push(WinRec {
-                node: node_ix as u32,
-                at: t_at,
-                seq: 0,
-                timer_token: t_token,
-                is_timer: true,
-                frames: Vec::new(),
-                effects: Vec::new(),
-                events: 1,
-            });
-            pending.push(Reverse((t_at, 1u8, *staged_counter, child_ix)));
-            *staged_counter += 1;
-        }
     }
 }
 
@@ -1862,9 +1245,8 @@ mod tests {
         assert_eq!(net.node::<Pinger>(ping).echoes, 1);
     }
 
-    /// Echoes each frame back after a 200 ns delay — well inside the 1 µs
-    /// lookahead window, so the windowed executor must stage and execute
-    /// the timer within the same window it was armed in.
+    /// Echoes each frame back after a 200 ns delay, so timers armed by one
+    /// delivery fire between the deliveries that follow it.
     struct TimerEcho {
         pending: VecDeque<(NodeId, Frame)>,
     }
@@ -1880,17 +1262,18 @@ mod tests {
         }
     }
 
-    /// Full observable state of one run, for cross-lane comparison.
-    fn run_timer_star(lanes: usize) -> (Vec<FrameTraceEntry>, u64, usize, u64) {
+    /// Drives a faulty timer-echo star to idle — straight, or through
+    /// `run(None, Some(chunk))` pieces — and returns everything observable
+    /// about the run: frame trace, event count, echoes, final time.
+    fn run_timer_star(chunk: Option<u64>) -> (Vec<FrameTraceEntry>, u64, usize, u64) {
         let mut b = NetworkBuilder::new(7);
-        b.set_lanes(lanes);
         let hub = b.add_node(TimerEcho {
             pending: VecDeque::new(),
         });
         let pingers: Vec<NodeId> = (0..4).map(|_| b.add_node(pinger(Some(hub), 25))).collect();
         // Faults on the reply path make the trace sensitive to the global
-        // order of the hub's sends: any cross-lane reordering shifts the
-        // fault-RNG stream and shows up as a trace diff.
+        // order of the hub's sends: any reordering shifts the fault-RNG
+        // stream and shows up as a trace diff.
         let faulty = LinkConfig::new(8e9, SimDuration::from_micros(1)).with_faults(
             crate::faults::FaultModel::reliable()
                 .with_loss(0.1)
@@ -1902,7 +1285,7 @@ mod tests {
         }
         let mut net = b.build();
         net.enable_frame_trace(8192);
-        net.run_to_idle();
+        while net.run(None, chunk) != StopReason::Idle {}
         let trace: Vec<FrameTraceEntry> = net.frame_trace().copied().collect();
         let echoes = pingers
             .iter()
@@ -1912,173 +1295,62 @@ mod tests {
     }
 
     #[test]
-    fn windowed_lanes_match_sequential_with_in_window_timers() {
-        let seq = run_timer_star(1);
-        assert!(seq.2 > 0, "echoes must flow");
-        for lanes in [2, 4, 7] {
-            let par = run_timer_star(lanes);
-            assert_eq!(seq, par, "lanes={lanes} diverged from sequential");
-        }
+    fn chunked_run_reaches_same_final_state_as_straight_run() {
+        // Seven-event chunks cut the four pingers' same-instant arrivals at
+        // the hub mid-burst and stop between a delivery and the timer it
+        // armed; the final observable state must not notice.
+        let straight = run_timer_star(None);
+        assert!(straight.2 > 0, "echoes must flow");
+        assert!(straight.1 > 7, "the budget must actually cut the run");
+        assert_eq!(straight, run_timer_star(Some(7)));
     }
 
-    /// Broadcasts `count` frames to every receiver back-to-back on start.
-    struct Broadcaster {
-        receivers: Vec<NodeId>,
-        count: usize,
+    /// Arms timers with tokens 0, 1, 2 for the same instant `at_ns` and logs
+    /// the order they fire in.
+    struct SameInstantTimers {
+        at_ns: u64,
+        fired: Vec<u64>,
     }
-    impl Node for Broadcaster {
+    impl Node for SameInstantTimers {
         fn on_start(&mut self, ctx: &mut Context<'_>) {
-            for _ in 0..self.count {
-                for &r in &self.receivers {
-                    ctx.send(r, Frame::new(Bytes::from_static(b"data")))
-                        .expect("linked");
-                }
+            for token in 0..3 {
+                ctx.set_timer(SimDuration::from_nanos(self.at_ns), token);
             }
         }
         fn on_frame(&mut self, _: NodeId, _: Frame, _: &mut Context<'_>) {}
-    }
-
-    /// Records the exact arrival order, then echoes to a faulty sink so the
-    /// global replay order is pinned by the fault-RNG stream too.
-    struct OrderRecorder {
-        sink: NodeId,
-        log: Vec<(u64, usize)>,
-    }
-    impl Node for OrderRecorder {
-        fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
-            self.log.push((ctx.now().as_nanos(), from.index()));
-            ctx.send(self.sink, frame).expect("linked");
+        fn on_timer(&mut self, token: u64, _: &mut Context<'_>) {
+            self.fired.push(token);
         }
     }
 
     #[test]
-    fn same_instant_cross_lane_deliveries_stay_fifo() {
-        // Four broadcasters fan the same frame sequence out to two
-        // receivers in different lanes. Every broadcast pair lands at the
-        // same instant on both receivers, so the windowed executor must
-        // interleave the two lanes' records in exact global seq order when
-        // replaying — any lane-major replay shows up as a reordered log or
-        // a shifted fault stream.
-        let run = |lanes: usize| {
-            let mut b = NetworkBuilder::new(11);
-            b.set_lanes(lanes);
-            let sink = b.add_node(Broadcaster {
-                receivers: vec![],
-                count: 0,
-            });
-            let r1 = b.add_node(OrderRecorder { sink, log: vec![] });
-            let r2 = b.add_node(OrderRecorder { sink, log: vec![] });
-            let senders: Vec<NodeId> = (0..4)
-                .map(|_| {
-                    b.add_node(Broadcaster {
-                        receivers: vec![r1, r2],
-                        count: 10,
-                    })
-                })
-                .collect();
-            let clean = LinkConfig::new(8e9, SimDuration::from_micros(1));
-            let faulty = clean
-                .clone()
-                .with_faults(crate::faults::FaultModel::reliable().with_loss(0.2));
-            for &s in &senders {
-                b.connect_directed(s, r1, clean.clone());
-                b.connect_directed(s, r2, clean.clone());
-            }
-            b.connect_directed(r1, sink, faulty.clone());
-            b.connect_directed(r2, sink, faulty);
-            let mut net = b.build();
-            net.enable_frame_trace(8192);
-            net.run_to_idle();
-            let trace: Vec<FrameTraceEntry> = net.frame_trace().copied().collect();
-            let log1 = net.node::<OrderRecorder>(r1).log.clone();
-            let log2 = net.node::<OrderRecorder>(r2).log.clone();
-            (trace, log1, log2, net.events_processed())
-        };
-        let seq = run(1);
-        assert!(!seq.1.is_empty() && !seq.2.is_empty());
-        for lanes in [2, 4] {
-            assert_eq!(seq, run(lanes), "lanes={lanes} reordered deliveries");
-        }
-    }
-
-    #[test]
-    fn run_chunk_reaches_same_final_state_as_sequential() {
-        // Drive the same faulty timer-star to idle through tiny chunks at 4
-        // lanes: the coarse budget may overshoot window boundaries, but the
-        // final observable state must be byte-identical to the lanes=1
-        // straight run.
-        let seq = run_timer_star(1);
-        let mut b = NetworkBuilder::new(7);
-        b.set_lanes(4);
-        let hub = b.add_node(TimerEcho {
-            pending: VecDeque::new(),
+    fn deadline_stop_preserves_same_instant_fifo() {
+        let mut b = NetworkBuilder::new(0);
+        let n = b.add_node(SameInstantTimers {
+            at_ns: 100,
+            fired: vec![],
         });
-        let pingers: Vec<NodeId> = (0..4).map(|_| b.add_node(pinger(Some(hub), 25))).collect();
-        let faulty = LinkConfig::new(8e9, SimDuration::from_micros(1)).with_faults(
-            crate::faults::FaultModel::reliable()
-                .with_loss(0.1)
-                .with_duplication(0.05),
-        );
-        for &p in &pingers {
-            b.connect_directed(p, hub, LinkConfig::new(8e9, SimDuration::from_micros(1)));
-            b.connect_directed(hub, p, faulty.clone());
-        }
         let mut net = b.build();
-        net.enable_frame_trace(8192);
-        let mut budget_stops = 0u32;
-        loop {
-            match net.run_chunk(7) {
-                StopReason::Idle => break,
-                StopReason::EventBudget => budget_stops += 1,
-                StopReason::Deadline => unreachable!("no deadline set"),
-            }
-            assert!(budget_stops < 100_000, "runaway chunk loop");
-        }
-        let trace: Vec<FrameTraceEntry> = net.frame_trace().copied().collect();
-        let echoes = pingers
-            .iter()
-            .map(|&p| net.node::<Pinger>(p).echoes)
-            .sum::<usize>();
-        let par = (trace, net.events_processed(), echoes, net.now().as_nanos());
-        assert_eq!(seq, par);
-        assert!(budget_stops > 0, "chunking must actually engage");
+        // The deadline falls before the three timers: stopping there must
+        // leave the head in front of its same-instant siblings.
+        let r = net.run(Some(SimTime::from_nanos(50)), None);
+        assert_eq!(r, StopReason::Deadline);
+        assert_eq!(net.now(), SimTime::from_nanos(50));
+        net.run_to_idle();
+        assert_eq!(net.node::<SameInstantTimers>(n).fired, vec![0, 1, 2]);
     }
 
     #[test]
-    fn scheduled_outage_is_lane_invariant() {
-        // A crash-restart of the hub mid-run: control events split windows
-        // and run inline, so the surviving traffic must stay byte-identical
-        // at any lane count.
-        let run = |lanes: usize| {
-            let mut b = NetworkBuilder::new(5);
-            b.set_lanes(lanes);
-            let hub = b.add_node(TimerEcho {
-                pending: VecDeque::new(),
-            });
-            let pingers: Vec<NodeId> =
-                (0..4).map(|_| b.add_node(pinger(Some(hub), 25))).collect();
-            let faulty = LinkConfig::new(8e9, SimDuration::from_micros(1)).with_faults(
-                crate::faults::FaultModel::reliable().with_loss(0.1),
-            );
-            for &p in &pingers {
-                b.connect_directed(p, hub, LinkConfig::new(8e9, SimDuration::from_micros(1)));
-                b.connect_directed(hub, p, faulty.clone());
-            }
-            let mut net = b.build();
-            net.schedule_node_down(hub, SimTime::from_nanos(2_500));
-            net.schedule_node_up(hub, SimTime::from_nanos(4_300));
-            net.enable_frame_trace(8192);
-            net.run_to_idle();
-            let trace: Vec<FrameTraceEntry> = net.frame_trace().copied().collect();
-            let echoes = pingers
-                .iter()
-                .map(|&p| net.node::<Pinger>(p).echoes)
-                .sum::<usize>();
-            (trace, net.events_processed(), echoes, net.now().as_nanos())
-        };
-        let seq = run(1);
-        for lanes in [2, 4] {
-            assert_eq!(seq, run(lanes), "lanes={lanes} diverged across outage");
-        }
+    #[should_panic(expected = "scheduled in the past")]
+    fn outage_scheduled_in_the_past_is_rejected() {
+        let mut b = NetworkBuilder::new(0);
+        let n = b.add_node(SameInstantTimers {
+            at_ns: 2_000,
+            fired: vec![],
+        });
+        let mut net = b.build();
+        net.run_to_idle();
+        assert_eq!(net.now(), SimTime::from_nanos(2_000));
+        net.schedule_node_down(n, SimTime::from_nanos(500));
     }
 }

@@ -64,7 +64,7 @@ bounds="$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
     on && /"bound"/ { gsub(/[",]/, ""); print name, $2 }' "$repo/BENCHMARK.json")"
 
 # Measure the default datapath on one thread, whatever the caller exported.
-unset ASK_SIM_LANES CARGO_TARGET_DIR
+unset CARGO_TARGET_DIR
 for var in $(compgen -e | grep '^ASK_BENCH_' || true); do unset "$var"; done
 
 commit_of() {
