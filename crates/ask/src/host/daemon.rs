@@ -42,9 +42,14 @@ const TK_ANNOUNCE: u64 = 5;
 fn token_pump(ch: usize) -> u64 {
     (TK_PUMP << 56) | ch as u64
 }
-fn token_retx(ch: usize, seq: u64) -> u64 {
-    debug_assert!(seq < (1 << 48), "seq exceeds token space");
-    (TK_RETX << 56) | ((ch as u64) << 48) | seq
+/// A retransmit timer names `(ch, seq)` in the sequence space of one epoch:
+/// a resync restarts every channel at seq 0 and timers cannot be cancelled,
+/// so the token carries the epoch's low byte and a timer from another
+/// generation is dropped when it fires. With `epoch` 0 this is the
+/// generation-free word, the jitter key of [`BackoffPolicy::delay`].
+fn token_retx(ch: usize, epoch: u32, seq: u64) -> u64 {
+    debug_assert!(ch < (1 << 8) && seq < (1 << 40), "exceeds token space");
+    (TK_RETX << 56) | ((ch as u64) << 48) | ((epoch as u64 & 0xff) << 40) | seq
 }
 fn token_fetch(task: TaskId, fetch_seq: u32) -> u64 {
     (TK_FETCH << 56) | ((task.0 as u64) << 24) | (fetch_seq as u64 & 0xff_ffff)
@@ -764,7 +769,8 @@ impl AskDaemon {
             self.trace
                 .record(now, TraceEvent::PacketSent { channel, seq, task });
             let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, wire));
-            ctx.set_timer(self.config.retransmit_timeout, token_retx(ch_ix, seq.0));
+            let token = token_retx(ch_ix, epoch, seq.0);
+            ctx.set_timer(self.config.retransmit_timeout, token);
         }
     }
 
@@ -841,8 +847,10 @@ impl AskDaemon {
         self.cpu_busy += self.config.cpu_per_packet;
         self.stats.bytes_sent += wire as u64;
         let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, wire));
-        let token = token_retx(ch_ix, seq);
-        ctx.set_timer(self.backoff.delay(token, attempt), token);
+        // The delay is keyed without the generation, so a resync moves no
+        // jittered retransmission instant.
+        let delay = self.backoff.delay(token_retx(ch_ix, 0, seq), attempt);
+        ctx.set_timer(delay, token_retx(ch_ix, self.known_epoch, seq));
     }
 
     fn local_channel(&self, channel: ChannelId) -> Option<usize> {
@@ -1514,8 +1522,11 @@ impl Node for AskDaemon {
             }
             TK_RETX => {
                 let ch_ix = ((token >> 48) & 0xff) as usize;
-                let seq = token & 0xffff_ffff_ffff;
-                self.retransmit(ch_ix, seq, ctx);
+                let seq = token & 0xff_ffff_ffff;
+                // Armed before a resync: its seq names a window that is gone.
+                if (token >> 40) & 0xff == u64::from(self.known_epoch) & 0xff {
+                    self.retransmit(ch_ix, seq, ctx);
+                }
             }
             TK_FETCH => {
                 let task = TaskId(((token >> 24) & 0xffff_ffff) as u32);
@@ -1539,10 +1550,11 @@ mod tests {
 
     #[test]
     fn tokens_pack_and_unpack() {
-        let t = token_retx(3, 0x1234_5678);
+        let t = token_retx(3, 0x0102, 0x12_3456_789a);
         assert_eq!(t >> 56, TK_RETX);
         assert_eq!((t >> 48) & 0xff, 3);
-        assert_eq!(t & 0xffff_ffff_ffff, 0x1234_5678);
+        assert_eq!((t >> 40) & 0xff, 0x02, "the epoch's low byte");
+        assert_eq!(t & 0xff_ffff_ffff, 0x12_3456_789a);
 
         let t = token_fetch(TaskId(7), 42);
         assert_eq!(t >> 56, TK_FETCH);

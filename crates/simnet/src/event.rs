@@ -1,41 +1,42 @@
 //! The event queue driving the simulation: a timer wheel (calendar queue)
-//! with an overflow heap for far-future timers.
+//! over a payload slab, with an overflow heap for far-future timers.
 //!
-//! The queue is the hottest structure in the simulator — every frame
-//! delivery and every protocol timer passes through it — so it is built
-//! around the actual event-time distribution: almost all events land within
-//! a few microseconds of *now* (link serialization + propagation), with a
-//! thin tail of retransmit/fetch timers ~100 µs out. A `BinaryHeap` pays
-//! `O(log n)` pointer-chasing per operation for that workload; the wheel
-//! pays `O(1)` per push and an amortized near-`O(1)` bitmap scan per pop.
+//! Every frame delivery and every protocol timer passes through it, so it is
+//! built around the actual event-time distribution: almost all events land
+//! within a few microseconds of *now* (link serialization + propagation),
+//! with a thin tail of retransmit/fetch timers ~100 µs out. The wheel pays
+//! `O(1)` per push and an amortized near-`O(1)` bitmap scan per pop; a plain
+//! `BinaryHeap` of the same keys over the same slab measured ×0.84 of this
+//! wheel's `tuples_per_s` on `tiny_pkt`, ×0.86 on `absorb_zipf` (ROADMAP 3).
 //!
-//! Layout: time is quantized into `2^TICK_SHIFT`-ns ticks; the wheel keeps
-//! [`WHEEL_SLOTS`] consecutive ticks as unsorted per-tick buckets guarded by
-//! an occupancy bitmap. With `TICK_SHIFT = 8` and 4096 slots the window
-//! spans ~1.05 ms of simulated time — wide enough for serialization,
-//! propagation, and the paper's 100 µs retransmission timeout. Events
-//! beyond the window wait in an overflow `BinaryHeap` and migrate into the
-//! wheel as the window slides (the window only ever extends when `base_tick`
-//! advances, and every advance drains the newly covered overflow prefix, so
-//! a wheel event can never be ordered after a pending overflow event).
+//! Layout: a payload ([`EventKind`]) is written once, by `push`, into a slab
+//! entry and read once, by `pop`; everything in between orders 24-byte keys.
+//! The slab's free list is LIFO, so the entry a pop just vacated is the next
+//! one written and stays cache-hot. Time is quantized into `2^TICK_SHIFT`-ns
+//! ticks and the wheel covers [`WHEEL_SLOTS`] consecutive ticks (~1.05 ms:
+//! serialization, propagation and the paper's 100 µs retransmission timeout
+//! fit) with one `u32` list head per tick, 16 KB in all, threading that
+//! tick's entries through `links`, guarded by an occupancy bitmap. Events
+//! beyond the window wait as keys in an overflow `BinaryHeap`; every advance
+//! of `base_tick` (the only way the window extends) links in the newly covered
+//! overflow prefix, so overflow events are later than every wheel event.
+//!
+//! Allocation: a push touches one slab entry and one 4-byte head. Buckets own
+//! no storage, so a bucket's first use costs nothing: a queue a few thousand
+//! ticks old (every `Network` a benchmark iteration builds) pushes as cheaply
+//! as a warm one. Slab, free list and drain buffer grow to the pending peak.
 //!
 //! FIFO tie-break: each push is stamped with a monotonically increasing
-//! `seq`, exactly as the old heap did. A bucket is sorted by `(at, seq)`
-//! when its tick becomes *current*, and same-tick pushes that arrive while
-//! the current bucket drains are placed by binary search on `(at, seq)` —
-//! their fresh `seq` is larger than every stamp already in the bucket, so
-//! the insert degenerates to "after all equal-or-earlier events", which is
-//! precisely the heap's pop order. Pop order is therefore byte-identical to
-//! the old `BinaryHeap` implementation.
-//!
-//! Steady-state allocation: buckets and the drain buffer keep their
-//! capacity across reuse (the slot array is a free-list of recycled event
-//! storage), so once warmed up, push/pop allocate nothing.
+//! `seq`. When a tick becomes *current* its list is walked into the drain
+//! buffer and the keys sorted by `(at, seq)`, so list order is irrelevant;
+//! a same-tick push that arrives while the buffer drains is placed by binary
+//! search on `(at, seq)`, and as its fresh `seq` is the largest so far that
+//! means "after all equal-or-earlier events": pops ascend in `(at, seq)`.
 
 use crate::frame::{Frame, NodeId};
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// What happens when an event fires.
 #[derive(Debug)]
@@ -62,26 +63,6 @@ pub(crate) struct ScheduledEvent {
     pub(crate) kind: EventKind,
 }
 
-impl PartialEq for ScheduledEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for ScheduledEvent {}
-
-impl PartialOrd for ScheduledEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ScheduledEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap but we need earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// Wheel tick granularity: `2^TICK_SHIFT` ns (256 ns). Fine enough that a
 /// bucket holds only a handful of same-burst events; coarse enough that the
 /// window covers the protocol's timer horizon.
@@ -91,24 +72,38 @@ const WHEEL_SLOTS: usize = 1 << 12;
 const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 /// Words in the occupancy bitmap.
 const WORDS: usize = WHEEL_SLOTS / 64;
+/// End of a bucket list.
+const NIL: u32 = u32::MAX;
+
+/// `(at, seq, slab index)`: what the drain buffer and the overflow heap
+/// order. `seq` is unique, so the index never decides a comparison.
+type Key = (SimTime, u64, u32);
 
 /// Earliest-first queue of scheduled events with stable FIFO tie-breaking.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
-    /// Events of the tick currently being drained, sorted by `(at, seq)`.
-    current: VecDeque<ScheduledEvent>,
+    /// Payload slab: `Some` from an event's push to its pop.
+    kinds: Vec<Option<EventKind>>,
+    /// Parallel to `kinds`: the entry's `(at, seq)` and, while it waits in a
+    /// wheel bucket, the index of the bucket list's next entry (or [`NIL`]).
+    links: Vec<Key>,
+    /// Vacant slab indices, most recently vacated last.
+    free: Vec<u32>,
+    /// Keys of the tick being drained, sorted; `current[..cursor]` are popped.
+    current: Vec<Key>,
+    cursor: usize,
     /// Tick the `current` buffer was loaded from.
     current_tick: u64,
-    /// Per-tick unsorted buckets for ticks in `[base_tick, base_tick + N)`.
-    slots: Box<[Vec<ScheduledEvent>]>,
+    /// List head per tick in `[base_tick, base_tick + N)`, [`NIL`] if empty.
+    heads: Box<[u32]>,
     /// One bit per slot: does the bucket hold any events?
     occupancy: [u64; WORDS],
-    /// Events currently stored in wheel buckets.
+    /// Events currently linked into wheel buckets.
     wheel_len: usize,
     /// Every tick before this one has been fully drained.
     base_tick: u64,
-    /// Far-future events, beyond the wheel window.
-    overflow: BinaryHeap<ScheduledEvent>,
+    /// Far-future events, beyond the wheel window, earliest on top.
+    overflow: BinaryHeap<Reverse<Key>>,
     len: usize,
     next_seq: u64,
 }
@@ -122,9 +117,13 @@ impl Default for EventQueue {
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
-            current: VecDeque::new(),
+            kinds: Vec::new(),
+            links: Vec::new(),
+            free: Vec::new(),
+            current: Vec::new(),
+            cursor: 0,
             current_tick: 0,
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; WHEEL_SLOTS].into_boxed_slice(),
             occupancy: [0; WORDS],
             wheel_len: 0,
             base_tick: 0,
@@ -142,17 +141,23 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        let ev = ScheduledEvent { at, seq, kind };
+        // The payload goes into the entry vacated last, if there is one.
+        let ix = self.free.pop().unwrap_or_else(|| {
+            assert!(self.kinds.len() < NIL as usize, "event slab full");
+            self.kinds.push(None);
+            self.links.push((at, seq, NIL));
+            self.kinds.len() as u32 - 1
+        });
+        self.kinds[ix as usize] = Some(kind);
+        self.links[ix as usize] = (at, seq, NIL);
         let tick = Self::tick_of(at);
-        if !self.current.is_empty() && tick <= self.current_tick {
+        if self.cursor < self.current.len() && tick <= self.current_tick {
             // The event's tick is being drained right now: place it by
-            // `(at, seq)` among the not-yet-popped events. Its stamp is the
-            // largest so far, so it sorts after every same-instant event —
-            // the heap's FIFO tie-break, preserved exactly.
-            let pos = self
-                .current
-                .partition_point(|e| (e.at, e.seq) < (at, seq));
-            self.current.insert(pos, ev);
+            // `(at, seq)` among the not-yet-popped keys. Its stamp is the
+            // largest so far, so it lands after every same-instant event.
+            let pending = &self.current[self.cursor..];
+            let pos = self.cursor + pending.partition_point(|k| (k.0, k.1) < (at, seq));
+            self.current.insert(pos, (at, seq, ix));
             return;
         }
         // `at` is never before the last popped instant in simulation use;
@@ -160,31 +165,31 @@ impl EventQueue {
         // still-open bucket (the bucket sort restores exact order).
         let tick = tick.max(self.base_tick);
         if tick - self.base_tick < WHEEL_SLOTS as u64 {
-            self.bucket_push(tick, ev);
+            self.bucket_push(tick, ix);
         } else {
-            self.overflow.push(ev);
+            self.overflow.push(Reverse((at, seq, ix)));
         }
     }
 
-    fn bucket_push(&mut self, tick: u64, ev: ScheduledEvent) {
+    fn bucket_push(&mut self, tick: u64, ix: u32) {
         let slot = (tick & SLOT_MASK) as usize;
         self.occupancy[slot / 64] |= 1 << (slot % 64);
-        self.slots[slot].push(ev);
+        self.links[ix as usize].2 = self.heads[slot];
+        self.heads[slot] = ix;
         self.wheel_len += 1;
     }
 
-    /// Moves every overflow event now covered by `[base_tick, base_tick+N)`
-    /// into its wheel bucket. Called on every window advance, which keeps
-    /// the invariant that overflow events are strictly later than anything
-    /// in the wheel.
+    /// Links every overflow event now covered by `[base_tick, base_tick+N)`
+    /// into its wheel bucket. Called on every window advance, so overflow
+    /// events stay strictly later than anything in the wheel.
     fn migrate_overflow(&mut self) {
-        while let Some(top) = self.overflow.peek() {
-            let tick = Self::tick_of(top.at);
+        while let Some(&Reverse((at, _, ix))) = self.overflow.peek() {
+            let tick = Self::tick_of(at);
             if tick - self.base_tick >= WHEEL_SLOTS as u64 {
                 break;
             }
-            let ev = self.overflow.pop().expect("peeked");
-            self.bucket_push(tick, ev);
+            self.overflow.pop();
+            self.bucket_push(tick, ix);
         }
     }
 
@@ -209,35 +214,19 @@ impl EventQueue {
         }
     }
 
-    /// Loads bucket `tick` into the sorted drain buffer.
-    fn load_bucket(&mut self, tick: u64) {
-        debug_assert!(self.current.is_empty());
-        let slot = (tick & SLOT_MASK) as usize;
-        self.occupancy[slot / 64] &= !(1 << (slot % 64));
-        let bucket = &mut self.slots[slot];
-        self.wheel_len -= bucket.len();
-        self.current.extend(bucket.drain(..));
-        self.current
-            .make_contiguous()
-            .sort_unstable_by_key(|e| (e.at, e.seq));
-        self.current_tick = tick;
-    }
-
-    /// Ensures the sorted drain buffer holds the earliest pending bucket.
-    /// A no-op when the buffer already has events or the queue is empty.
-    ///
-    /// Loading a bucket early (without popping) is semantically transparent:
-    /// a same-tick push that arrives while the buffer is loaded is placed by
-    /// `(at, seq)` binary search, which is exactly where the bucket sort
-    /// would have put it.
+    /// Ensures the sorted drain buffer holds the earliest pending bucket; a
+    /// no-op when it already has events or the queue is empty. Loading a
+    /// bucket early (without popping) is semantically transparent: a
+    /// same-tick push that arrives while the buffer is loaded is placed by
+    /// `(at, seq)` binary search, exactly where the sort would have put it.
     fn fill_current(&mut self) {
-        if !self.current.is_empty() || self.len == 0 {
+        if self.cursor < self.current.len() || self.len == 0 {
             return;
         }
         if self.wheel_len == 0 {
             // Only far-future events left: jump the window to the earliest.
-            let first = self.overflow.peek().expect("len > 0");
-            self.base_tick = Self::tick_of(first.at);
+            let &Reverse((first, ..)) = self.overflow.peek().expect("len > 0");
+            self.base_tick = Self::tick_of(first);
             self.migrate_overflow();
         }
         let tick = self.next_occupied_tick();
@@ -245,22 +234,38 @@ impl EventQueue {
             self.base_tick = tick;
             self.migrate_overflow();
         }
-        self.load_bucket(tick);
+        // Walk the bucket's list into the drain buffer and sort its keys.
+        let slot = (tick & SLOT_MASK) as usize;
+        self.occupancy[slot / 64] &= !(1 << (slot % 64));
+        self.current.clear();
+        self.cursor = 0;
+        let mut ix = std::mem::replace(&mut self.heads[slot], NIL);
+        while ix != NIL {
+            let (at, seq, next) = self.links[ix as usize];
+            self.current.push((at, seq, ix));
+            ix = next;
+        }
+        self.wheel_len -= self.current.len();
+        self.current.sort_unstable();
+        self.current_tick = tick;
     }
 
     pub(crate) fn pop(&mut self) -> Option<ScheduledEvent> {
         self.fill_current();
-        let ev = self.current.pop_front()?;
+        let &(at, seq, ix) = self.current.get(self.cursor)?;
+        self.cursor += 1;
         self.len -= 1;
-        Some(ev)
+        self.free.push(ix);
+        let kind = self.kinds[ix as usize].take().expect("key owns its entry");
+        Some(ScheduledEvent { at, seq, kind })
     }
 
-    /// Peeks at the next event without removing it. A deadline stop tests
+    /// Instant of the next event, which stays queued. A deadline stop tests
     /// the head this way, so the head keeps its place (and its `seq`) among
     /// same-instant events.
-    pub(crate) fn peek(&mut self) -> Option<&ScheduledEvent> {
+    pub(crate) fn peek_at(&mut self) -> Option<SimTime> {
         self.fill_current();
-        self.current.front()
+        self.current.get(self.cursor).map(|&(at, ..)| at)
     }
 
     /// Pops the next event only if it is a [`EventKind::Deliver`] addressed
@@ -274,14 +279,9 @@ impl EventQueue {
     /// the pop, so no push can land between burst members.
     pub(crate) fn pop_deliver_if(&mut self, at: SimTime, to: NodeId) -> Option<ScheduledEvent> {
         self.fill_current();
-        match self.current.front() {
-            Some(ev) if ev.at == at => match ev.kind {
-                EventKind::Deliver { to: t, .. } if t == to => {
-                    self.len -= 1;
-                    self.current.pop_front()
-                }
-                _ => None,
-            },
+        let &(head_at, _, ix) = self.current.get(self.cursor)?;
+        match self.kinds[ix as usize] {
+            Some(EventKind::Deliver { to: t, .. }) if head_at == at && t == to => self.pop(),
             _ => None,
         }
     }
@@ -449,5 +449,186 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, reference);
         assert_eq!(popped, sorted, "pop order is globally sorted");
+    }
+
+    #[test]
+    fn drain_time_push_reuses_the_slab_index_just_freed() {
+        let mut q = EventQueue::new();
+        let at = SimTime::from_nanos(1_000);
+        for token in 0..3 {
+            q.push(at, timer(0, token));
+        }
+        let first = q.pop().expect("event");
+        assert_eq!(first.seq, 0);
+        assert_eq!(q.free, vec![0], "seq 0 was written to entry 0");
+        // The tick is mid-drain: the push goes into the sorted buffer, and
+        // its payload into the entry the pop vacated a moment ago.
+        q.push(at, timer(0, 3));
+        assert!(q.free.is_empty());
+        assert_eq!(q.kinds.len(), 3, "the slab did not grow");
+        assert_eq!(q.current.last(), Some(&(at, 3, 0)));
+        assert_eq!(drain_tokens(&mut q), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn slab_is_bounded_by_peak_pending() {
+        // A queue that lives for a million events holds no more storage than
+        // its busiest moment needed: 1024 pending plus the one being pushed.
+        let mut q = EventQueue::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut delta = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 20 {
+                0..=13 => state % 3_000,
+                14..=18 => 100_000 + state % 5_000,
+                _ => 2_000_000 + state % 500_000, // overflow heap
+            }
+        };
+        let mut now = 0u64;
+        for _ in 0..1024 {
+            q.push(SimTime::from_nanos(delta()), timer(0, 0));
+        }
+        for _ in 0..1_000_000 {
+            q.push(SimTime::from_nanos(now + delta()), timer(0, 0));
+            now = q.pop().expect("1025 pending").at.as_nanos();
+        }
+        assert_eq!(q.len(), 1024);
+        while q.pop().is_some() {}
+        assert!(q.kinds.len() <= 1025, "slab grew to {}", q.kinds.len());
+        assert_eq!(q.links.len(), q.kinds.len());
+        assert_eq!(q.free.len(), q.kinds.len(), "every entry is vacant again");
+        assert!(q.kinds.iter().all(Option::is_none));
+        assert!(q.overflow.is_empty());
+    }
+
+    /// One step of the model check below.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Push at `now + delta`; `to` 0 is a timer, 1–3 a delivery.
+        Push {
+            delta: u64,
+            to: usize,
+        },
+        /// Push into the tick being drained, `back` ns before its last event.
+        PushBeforeTail {
+            back: u64,
+            to: usize,
+        },
+        Pop,
+        PeekAt,
+        /// Probe for a delivery to `to` at the last popped instant or, if
+        /// `at_head`, at the head's own instant.
+        PopDeliverIf {
+            at_head: bool,
+            to: usize,
+        },
+    }
+
+    /// What the queue must hold: `(at, seq, to)` ascending, and the number of
+    /// pushes so far — the next `seq`, counted independently of the queue.
+    #[derive(Debug, Default)]
+    struct Model {
+        pending: Vec<(u64, u64, usize)>,
+        pushes: u64,
+    }
+
+    fn arb_op() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        (0u8..20, any::<u64>(), 0usize..=3).prop_map(|(sel, r, to)| match sel {
+            0..=4 => Op::Push { delta: r % 600, to },
+            5 => Op::Push {
+                delta: 100_000 + r % 5_000,
+                to,
+            },
+            6 => Op::Push {
+                delta: 2_000_000 + r % 500_000,
+                to,
+            },
+            7..=8 => Op::PushBeforeTail { back: r % 256, to },
+            9..=13 => Op::Pop,
+            14..=15 => Op::PeekAt,
+            _ => Op::PopDeliverIf {
+                at_head: r % 2 == 0,
+                to: to.max(1),
+            },
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 96, ..Default::default() })]
+
+        /// Every operation, interleaved, against a sorted `(at, seq, to)`
+        /// list: each pop and each probe must return exactly the model's
+        /// head, stamp included (so every push consumed one `seq`).
+        #[test]
+        fn matches_sorted_model_step_by_step(ops in proptest::collection::vec(arb_op(), 1..400)) {
+            /// Pushes onto both; the model counts the stamps on its own.
+            fn push(q: &mut EventQueue, model: &mut Model, at: u64, to: usize) {
+                let seq = model.pushes;
+                model.pushes += 1;
+                let kind = match to {
+                    0 => timer(0, seq),
+                    _ => EventKind::Deliver {
+                        from: NodeId::from_index(0),
+                        to: NodeId::from_index(to),
+                        frame: Frame::new(Bytes::new()),
+                    },
+                };
+                q.push(SimTime::from_nanos(at), kind);
+                model.pending.push((at, seq, to));
+                model.pending.sort_unstable();
+            }
+            let mut q = EventQueue::new();
+            let mut model = Model::default();
+            let mut now = 0u64;
+            let check = |ev: ScheduledEvent, want: (u64, u64, usize)| {
+                let to = match ev.kind {
+                    EventKind::Deliver { to, .. } => to.index(),
+                    EventKind::Timer { .. } => 0,
+                    _ => unreachable!(),
+                };
+                assert_eq!((ev.at.as_nanos(), ev.seq, to), want);
+            };
+            for op in ops {
+                match op {
+                    Op::Push { delta, to } => push(&mut q, &mut model, now + delta, to),
+                    Op::PushBeforeTail { back, to } => {
+                        let tick = now >> TICK_SHIFT;
+                        let tail = model.pending.iter().rev().find(|e| e.0 >> TICK_SHIFT == tick);
+                        let at = tail.map_or(now, |e| e.0.saturating_sub(back).max(now));
+                        push(&mut q, &mut model, at, to);
+                    }
+                    Op::Pop => match q.pop() {
+                        Some(ev) => {
+                            now = ev.at.as_nanos();
+                            check(ev, model.pending.remove(0));
+                        }
+                        None => assert!(model.pending.is_empty()),
+                    },
+                    Op::PeekAt => {
+                        let head = q.peek_at().map(SimTime::as_nanos);
+                        assert_eq!(head, model.pending.first().map(|e| e.0));
+                    }
+                    Op::PopDeliverIf { at_head, to } => {
+                        let head = model.pending.first();
+                        let at = if at_head { head.map_or(now, |e| e.0) } else { now };
+                        let hit = head.is_some_and(|e| e.0 == at && e.2 == to);
+                        let got = q.pop_deliver_if(SimTime::from_nanos(at), NodeId::from_index(to));
+                        assert_eq!(got.is_some(), hit);
+                        if let Some(ev) = got {
+                            now = at;
+                            check(ev, model.pending.remove(0));
+                        }
+                    }
+                }
+                assert_eq!(q.len(), model.pending.len());
+            }
+            for want in model.pending {
+                check(q.pop().expect("model has more"), want);
+            }
+            assert!(q.is_empty() && q.pop().is_none());
+        }
     }
 }

@@ -672,7 +672,8 @@ impl Network {
     /// whichever comes first. Pass `None` for no horizon / no budget. Both
     /// stops leave the remaining events queued in their `(at, seq)` order,
     /// so a run cut into pieces dispatches exactly what one straight run
-    /// does.
+    /// does. A deadline stop leaves the clock at `until`, or where it was if
+    /// `until` is already in the past: the clock never moves backwards.
     ///
     /// Consecutive deliveries to one node at one instant are drained as a
     /// single burst and handed to [`Node::on_frames`] in FIFO order — one
@@ -702,9 +703,9 @@ impl Network {
             if let Some(deadline) = until {
                 // Test the head where it sits: popping and re-queueing it
                 // would stamp it behind its same-instant siblings.
-                let head = self.engine.queue.peek();
-                if head.is_some_and(|head| head.at > deadline) {
-                    self.engine.now = deadline;
+                let head = self.engine.queue.peek_at();
+                if head.is_some_and(|at| at > deadline) {
+                    self.engine.now = self.engine.now.max(deadline);
                     break StopReason::Deadline;
                 }
             }
@@ -1338,6 +1339,22 @@ mod tests {
         assert_eq!(net.now(), SimTime::from_nanos(50));
         net.run_to_idle();
         assert_eq!(net.node::<SameInstantTimers>(n).fired, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn deadline_in_the_past_does_not_rewind_the_clock() {
+        let mut b = NetworkBuilder::new(0);
+        b.add_node(SameInstantTimers {
+            at_ns: 100,
+            fired: vec![],
+        });
+        let mut net = b.build();
+        net.run(Some(SimTime::from_nanos(50)), None);
+        // Events are still pending and the new deadline lies behind the
+        // clock: the run stops at once, where the clock already is.
+        let r = net.run(Some(SimTime::from_nanos(20)), None);
+        assert_eq!(r, StopReason::Deadline);
+        assert_eq!(net.now(), SimTime::from_nanos(50));
     }
 
     #[test]

@@ -307,7 +307,7 @@ mod switch_crash {
     }
 
     /// Builds the standard crash workload: one receiver, two senders, a
-    /// 60-key SUM stream per sender.
+    /// 60-key SUM stream per sender. Daemons trace their protocol actions.
     fn build(
         escalate: Option<u32>,
         link: LinkConfig,
@@ -315,6 +315,7 @@ mod switch_crash {
     ) -> (AskService, Vec<NodeId>, TaskId, HashMap<Key, u32>) {
         let mut cfg = AskConfig::tiny();
         cfg.escalate_after = escalate;
+        cfg.trace_capacity = 100_000;
         let mut service = AskServiceBuilder::new(3)
             .config(cfg)
             .link(link)
@@ -417,6 +418,63 @@ mod switch_crash {
         );
         service.run_to_idle();
         assert_eq!(service.switch_epoch(), 2);
+    }
+
+    #[test]
+    fn timers_armed_before_a_resync_do_not_retransmit_the_replay() {
+        // Regression: a retransmit timer names `(channel, seq)`, a resync
+        // restarts every channel at seq 0, and timers cannot be cancelled.
+        // The first crash swallows a sender's first window; its timers fire,
+        // retransmit, re-arm, and the EpochNotify those retransmissions
+        // provoke resyncs the sender. A second crash then swallows the
+        // replayed first window, so the replayed seq 0 is still in flight
+        // when the re-armed epoch-0 timer for "seq 0" fires — a round trip
+        // before the replay's own timer. It must not resend the replay.
+        use ask::host::trace::TraceEvent;
+
+        let (mut service, hosts, task, expected) = build(None, clean_link(), 18);
+        let rto = service.config().retransmit_timeout;
+        let step = SimDuration::from_nanos(100);
+        let outage = SimDuration::from_micros(50);
+        let crash_once = |service: &mut AskService, ready: &dyn Fn(&AskService) -> bool| {
+            while !ready(service) {
+                let next = service.now() + step;
+                service.network_mut().run(Some(next), None);
+            }
+            let down = service.now() + step;
+            service.schedule_switch_outage(down, down + outage);
+        };
+        // Crash 1: the first frame of the first window is on the wire.
+        crash_once(&mut service, &|s| s.host_stats(hosts[1]).packets_sent > 0);
+        // Crash 2: the sender has just resynced and is replaying.
+        crash_once(&mut service, &|s| s.daemon(hosts[1]).known_epoch() == 1);
+        service.run_until_complete(task, hosts[0], BUDGET).unwrap();
+        assert_eq!(service.result(task, hosts[0]).unwrap(), expected);
+        service.run_to_idle();
+        assert_eq!(service.switch_epoch(), 2);
+
+        for &host in &hosts[1..] {
+            let mut last_sent: HashMap<(u32, u64), SimTime> = HashMap::new();
+            let mut retransmitted = 0;
+            for (at, event) in service.daemon(host).trace().events() {
+                match event {
+                    TraceEvent::PacketSent { channel, seq, .. } => {
+                        last_sent.insert((channel.0, seq.0), *at);
+                    }
+                    TraceEvent::Retransmitted { channel, seq } => {
+                        retransmitted += 1;
+                        let sent = last_sent.insert((channel.0, seq.0), *at).expect("sent");
+                        assert!(
+                            *at >= sent + rto,
+                            "{host}: {channel:?}/{seq:?} sent at {sent} was resent at {at}, \
+                             before its timeout"
+                        );
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(retransmitted, service.host_stats(host).retransmissions);
+        }
     }
 
     #[test]
