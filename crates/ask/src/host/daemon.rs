@@ -11,7 +11,7 @@ use crate::host::receiver::ReceiverWindow;
 use crate::host::table::TaskTable;
 use crate::host::trace::{TraceEvent, TraceLog};
 use crate::host::window::{FrameKind, SenderWindow};
-use crate::stats::{burst_bucket, HostStats};
+use crate::stats::HostStats;
 use crate::switch::aggregator::Observation;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
@@ -235,19 +235,6 @@ pub struct AskDaemon {
     /// `Cell` so the hot send path can add to it while channel state is
     /// mutably borrowed.
     packetize_ns: std::cell::Cell<u64>,
-    /// First-delivery data views awaiting a grouped residual merge. Each
-    /// deferred view is a refcount on the frame bytes; flushing groups
-    /// consecutive same-task views so task resolution amortizes over a
-    /// burst. Always drained before any state that reads residual tables is
-    /// touched and at the end of every delivery.
-    merge_batch: Vec<DataPacketView>,
-    /// Scratch for batched receive-window observations, kept across bursts
-    /// to avoid reallocating.
-    obs_scratch: Vec<Observation>,
-    /// Scratch for a burst's parsed views (with their ECN marks), empty
-    /// between bursts; every delivery — each ACK a sender receives
-    /// included — is a burst.
-    view_scratch: Vec<(bool, FrameView)>,
 }
 
 impl AskDaemon {
@@ -280,9 +267,6 @@ impl AskDaemon {
             backoff,
             time_phases: false,
             packetize_ns: std::cell::Cell::new(0),
-            merge_batch: Vec::new(),
-            obs_scratch: Vec::new(),
-            view_scratch: Vec::new(),
         }
     }
 
@@ -1155,20 +1139,14 @@ impl AskDaemon {
     // ------------------------------------------------------------------
     // The receive datapath.
     //
-    // Inbound frames parse once into borrowed `FrameView`s; data packets
-    // and fetch replies are consumed straight from the wire bytes with zero
-    // pool traffic. First-delivery data views are deferred into
-    // `merge_batch` and merged grouped-by-task — all aggregation operators
-    // are commutative and the merges emit nothing, so deferral cannot
-    // change a single sent byte. Everything that reads residual state
-    // (fins, fetch replies, control, epoch resync, long-kv bodies) flushes
-    // the batch first.
+    // Inbound frames parse once into borrowed `FrameView`s, one frame per
+    // call; data packets and fetch replies are consumed straight from the
+    // wire bytes with zero pool traffic.
     // ------------------------------------------------------------------
 
     /// Long-key bypass bodies merge as owned tuples: the one frame kind
     /// still materialized (through the pool) instead of read in place.
     fn on_long_kv(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
-        self.flush_merge_batch();
         self.stats.host_view_fallbacks += 1;
         let AskPacket::LongKv {
             task,
@@ -1202,17 +1180,15 @@ impl AskDaemon {
     }
 
     /// Epoch gate for a parsed view; `false` means drop the frame. A newer
-    /// epoch means the switch restarted — flush deferred merges before the
-    /// resync wipes the tables they target, then resync fully before
-    /// processing this frame; an older epoch is a leftover of a dead
-    /// incarnation (late verdict, ACK, or fetch reply computed against
-    /// wiped switch state) and must not touch anything.
+    /// epoch means the switch restarted — resync fully before processing
+    /// this frame; an older epoch is a leftover of a dead incarnation (late
+    /// verdict, ACK, or fetch reply computed against wiped switch state)
+    /// and must not touch anything.
     fn admit_view(&mut self, view: &FrameView, ctx: &mut Context<'_>) -> bool {
         if view.epoch() == self.known_epoch {
             return true;
         }
         if view.epoch() > self.known_epoch {
-            self.flush_merge_batch();
             self.resync_to_epoch(view.epoch(), ctx);
             true
         } else {
@@ -1221,78 +1197,35 @@ impl AskDaemon {
         }
     }
 
-    /// Protocol actions for one data view whose receive-window observation
-    /// is already known. Packet-IO CPU is charged by the caller (per frame
-    /// on the single path, per run on the burst path).
-    fn data_view_action(
-        &mut self,
-        src: u32,
-        ecn: bool,
-        d: &DataPacketView,
-        obs: Observation,
-        ctx: &mut Context<'_>,
-    ) {
-        match obs {
+    /// One data view: the receive window classifies it, a first delivery
+    /// merges into its task's residual table in place, and every
+    /// non-stale one is ACKed.
+    fn on_data(&mut self, src: u32, ecn: bool, d: &DataPacketView, ctx: &mut Context<'_>) {
+        self.cpu_busy += self.config.cpu_per_packet;
+        let (channel, seq) = (d.channel(), d.seq());
+        match self.observe(channel, seq) {
             Observation::Stale => {}
             Observation::Duplicate => {
                 self.stats.duplicates_dropped += 1;
-                self.trace.record(
-                    ctx.now(),
-                    TraceEvent::DuplicateDropped {
-                        channel: d.channel(),
-                        seq: d.seq(),
-                    },
-                );
-                self.reply_ack(src, d.channel(), d.seq(), ecn, ctx);
+                self.trace
+                    .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
+                self.reply_ack(src, channel, seq, ecn, ctx);
             }
             Observation::First => {
                 self.stats.packets_received += 1;
-                self.trace.record(
-                    ctx.now(),
-                    TraceEvent::Received {
-                        channel: d.channel(),
-                        seq: d.seq(),
-                    },
-                );
-                let task = d.task();
+                self.trace
+                    .record(ctx.now(), TraceEvent::Received { channel, seq });
                 self.stats.host_pure_view += 1;
-                self.merge_batch.push(d.clone());
-                self.reply_ack(src, d.channel(), d.seq(), ecn, ctx);
-                self.maybe_swap(task, ctx);
-            }
-        }
-    }
-
-    /// Applies every deferred first-delivery data view to its task's
-    /// residual table, resolving each task once per consecutive same-task
-    /// run. Counter and CPU totals are those of merging each packet on
-    /// arrival; only the (unobservable) merge timing moves.
-    fn flush_merge_batch(&mut self) {
-        if self.merge_batch.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.merge_batch);
-        let mut i = 0;
-        while i < batch.len() {
-            let task = batch[i].task();
-            let mut j = i;
-            while j < batch.len() && batch[j].task() == task {
-                j += 1;
-            }
-            let tuples = batch[i..j].iter().map(|d| d.occupied() as u64).sum();
-            if let Some(rt) = self.merge_target(task, tuples) {
-                let op = rt.op;
-                for d in &batch[i..j] {
+                if let Some(rt) = self.merge_target(d.task(), d.occupied() as u64) {
+                    let op = rt.op;
                     for s in d.slots() {
                         rt.residual.merge_hashed(s.hash64(), s.key_bytes(), s.value(), op);
                     }
                 }
+                self.reply_ack(src, channel, seq, ecn, ctx);
+                self.maybe_swap(d.task(), ctx);
             }
-            i = j;
         }
-        // Keep the batch's capacity for the next burst.
-        self.merge_batch = batch;
-        self.merge_batch.clear();
     }
 
     /// Merges a fetch reply's entries straight off the frame bytes — no
@@ -1341,10 +1274,29 @@ impl AskDaemon {
         }
     }
 
-    /// Handles one parsed frame. Deferred merges are not flushed on exit —
-    /// the caller flushes after the frame (or burst).
-    fn handle_frame(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
-        if !self.admit_view(view, ctx) {
+    /// Delivers each frame of `burst` through [`Node::on_frame`], in order,
+    /// leaving `burst` empty. Kept for callers written against a burst entry
+    /// point (the frozen benchmark drives the receive path through it).
+    pub fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
+        for (from, frame) in burst.drain(..) {
+            self.on_frame(from, frame, ctx);
+        }
+    }
+}
+
+impl Node for AskDaemon {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.ensure_init(ctx);
+    }
+
+    fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
+        self.ensure_init(ctx);
+        let ecn = frame.ecn_marked();
+        let Ok(view) = FrameView::parse(frame.into_payload()) else {
+            self.stats.undecodable += 1;
+            return;
+        };
+        if !self.admit_view(&view, ctx) {
             return;
         }
         let src = view.src();
@@ -1358,14 +1310,9 @@ impl AskDaemon {
             }
             // Any declared layout merges in place: the slot walk follows
             // the frame's own geometry and key hashes do not depend on it.
-            PacketView::Data(d) => {
-                self.cpu_busy += self.config.cpu_per_packet;
-                let obs = self.observe(d.channel(), d.seq());
-                self.data_view_action(src, ecn, d, obs, ctx);
-            }
-            PacketView::LongKv { .. } => self.on_long_kv(ecn, view, ctx),
+            PacketView::Data(d) => self.on_data(src, ecn, d, ctx),
+            PacketView::LongKv { .. } => self.on_long_kv(ecn, &view, ctx),
             PacketView::Fin { task, channel, seq } => {
-                self.flush_merge_batch();
                 self.cpu_busy += self.config.cpu_per_packet;
                 match self.observe(*channel, *seq) {
                     Observation::Stale => {}
@@ -1386,21 +1333,15 @@ impl AskDaemon {
                 task,
                 fetch_seq,
                 entry_count,
-            } => {
-                self.flush_merge_batch();
-                self.on_fetch_reply(*task, *fetch_seq, *entry_count, view, ctx);
-            }
+            } => self.on_fetch_reply(*task, *fetch_seq, *entry_count, &view, ctx),
             PacketView::Control(ControlMsg::RegionGrant { task, .. }) => {
-                self.flush_merge_batch();
                 self.on_region_reply(*task, true, ctx)
             }
             PacketView::Control(ControlMsg::RegionDeny { task }) => {
-                self.flush_merge_batch();
                 self.on_region_reply(*task, false, ctx)
             }
+            // A co-located announce merges and may complete the task.
             PacketView::Control(ControlMsg::TaskAnnounce { task, receiver }) => {
-                // A co-located announce merges and may complete the task.
-                self.flush_merge_batch();
                 self.on_announce(*task, *receiver, ctx)
             }
             // The epoch gate already did all the work for a notify.
@@ -1412,104 +1353,6 @@ impl AskDaemon {
                 ControlMsg::RegionRequest { .. } | ControlMsg::RegionRelease { .. },
             ) => {}
         }
-    }
-
-    /// Ingests a run of same-channel data views from one burst: the receive window resolves once for the whole run, every
-    /// sequence number is observed into the reusable scratch buffer,
-    /// packet-IO CPU is charged in one multiply, and the per-frame protocol
-    /// actions replay in arrival order.
-    fn ingest_data_run(&mut self, run: &[(bool, FrameView)], ctx: &mut Context<'_>) {
-        debug_assert!(!run.is_empty());
-        let mut obs = std::mem::take(&mut self.obs_scratch);
-        obs.clear();
-        {
-            let PacketView::Data(first) = run[0].1.packet() else {
-                unreachable!("runs contain only data views");
-            };
-            let w = self.config.window;
-            let window = self
-                .recv_windows
-                .entry(first.channel())
-                .or_insert_with(|| ReceiverWindow::new(w));
-            for (_, view) in run {
-                let PacketView::Data(d) = view.packet() else {
-                    unreachable!("runs contain only data views");
-                };
-                obs.push(window.observe(d.seq().0));
-            }
-        }
-        self.cpu_busy += self.config.cpu_per_packet.saturating_mul(run.len() as u64);
-        for ((ecn, view), ob) in run.iter().zip(obs.iter()) {
-            let PacketView::Data(d) = view.packet() else {
-                unreachable!("runs contain only data views");
-            };
-            self.data_view_action(view.src(), *ecn, d, *ob, ctx);
-        }
-        self.obs_scratch = obs;
-    }
-}
-
-impl Node for AskDaemon {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.ensure_init(ctx);
-    }
-
-    fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
-        self.ensure_init(ctx);
-        let ecn = frame.ecn_marked();
-        let Ok(view) = FrameView::parse(frame.into_payload()) else {
-            return;
-        };
-        self.handle_frame(ecn, &view, ctx);
-        self.flush_merge_batch();
-    }
-
-    /// Burst ingest: the burst parses once into borrowed views, consecutive
-    /// same-channel data frames ingest as runs, and the deferred merge
-    /// batch drains exactly once at the end.
-    fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        self.ensure_init(ctx);
-        self.stats.burst_len[burst_bucket(burst.len() as u64)] += 1;
-        let mut frames = std::mem::take(&mut self.view_scratch);
-        for (_, frame) in burst.drain(..) {
-            let ecn = frame.ecn_marked();
-            if let Ok(view) = FrameView::parse(frame.into_payload()) {
-                frames.push((ecn, view));
-            }
-        }
-        let mut i = 0;
-        while i < frames.len() {
-            let view = &frames[i].1;
-            // A data frame joins a run only when it needs no epoch action;
-            // everything else dispatches singly (and may resync, ending the
-            // grouping epoch).
-            let run_channel = match view.packet() {
-                PacketView::Data(d) if view.epoch() == self.known_epoch => Some(d.channel()),
-                _ => None,
-            };
-            let Some(channel) = run_channel else {
-                self.handle_frame(frames[i].0, &frames[i].1, ctx);
-                i += 1;
-                continue;
-            };
-            let mut j = i + 1;
-            while j < frames.len() {
-                let v = &frames[j].1;
-                match v.packet() {
-                    PacketView::Data(d)
-                        if v.epoch() == self.known_epoch && d.channel() == channel =>
-                    {
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            self.ingest_data_run(&frames[i..j], ctx);
-            i = j;
-        }
-        self.flush_merge_batch();
-        frames.clear();
-        self.view_scratch = frames;
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {

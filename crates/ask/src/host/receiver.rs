@@ -19,8 +19,8 @@ use crate::switch::aggregator::Observation;
 /// Per-channel receive window for duplicate elimination.
 #[derive(Debug, Clone)]
 pub struct ReceiverWindow {
-    /// `slots[r]` holds `seq + 1` of the last observation with
-    /// `seq % W == r` (0 = never observed).
+    /// `slots[r]` holds `seq + 1` (wrapping) of the last observation with
+    /// `seq % W == r`; 0 = never observed, or `u64::MAX` (see `observe`).
     slots: Vec<u64>,
     w: u64,
     max_seq: u64,
@@ -41,17 +41,23 @@ impl ReceiverWindow {
         }
     }
 
-    /// Classifies one arrival and records it.
+    /// Classifies one arrival and records it, for any `u64` a peer may
+    /// send: the stale guard `seq + W <= max_seq` is evaluated as
+    /// `max_seq - seq >= W`, and a `seq` above every earlier one is new
+    /// whatever its slot holds — so `u64::MAX`, whose tag wraps to the
+    /// never-observed 0, is a duplicate only once it has raised `max_seq`.
     pub fn observe(&mut self, seq: u64) -> Observation {
+        let above_all = seq > self.max_seq;
         self.max_seq = self.max_seq.max(seq);
-        if seq + self.w <= self.max_seq {
+        if self.max_seq - seq >= self.w {
             return Observation::Stale;
         }
-        let r = (seq % self.w) as usize;
-        if self.slots[r] == seq + 1 {
+        let tag = seq.wrapping_add(1);
+        let slot = &mut self.slots[(seq % self.w) as usize];
+        if !above_all && *slot == tag {
             Observation::Duplicate
         } else {
-            self.slots[r] = seq + 1;
+            *slot = tag;
             Observation::First
         }
     }
@@ -124,6 +130,23 @@ mod tests {
         assert_eq!(w.observe(5), Observation::First);
         assert_eq!(w.observe(1), Observation::Stale);
         assert_eq!(w.observe(5), Observation::Duplicate);
+    }
+
+    #[test]
+    fn sequence_numbers_at_the_top_of_u64_classify_first_then_duplicate() {
+        // W = 1 leaves no spare tag in a slot: every u64 is a valid seq.
+        for w in [8, 1] {
+            let mut win = ReceiverWindow::new(w as usize);
+            for seq in [u64::MAX - 1, u64::MAX] {
+                assert_eq!(win.observe(seq), Observation::First, "W {w}, {seq}");
+                assert_eq!(win.observe(seq), Observation::Duplicate, "W {w}, {seq}");
+            }
+            assert_eq!(win.observe(u64::MAX - w), Observation::Stale, "W {w}");
+            assert_eq!(win.max_seq(), u64::MAX);
+        }
+        let mut win = ReceiverWindow::new(8);
+        win.observe(u64::MAX);
+        assert_eq!(win.observe(u64::MAX - 7), Observation::First);
     }
 
     #[test]

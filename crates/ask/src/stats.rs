@@ -5,18 +5,6 @@
 //! (Table 1), retransmissions, fetch volume — is derived from these
 //! counters, so the benchmark harness never has to instrument internals.
 
-/// Number of log₂ buckets in a burst-length histogram: bucket `i` counts
-/// bursts of `2^i ..= 2^(i+1) - 1` frames (the last bucket is open-ended).
-pub const BURST_BUCKETS: usize = 8;
-
-/// The histogram bucket a burst of `n` frames falls into.
-pub fn burst_bucket(n: u64) -> usize {
-    if n == 0 {
-        return 0;
-    }
-    (63 - n.leading_zeros() as usize).min(BURST_BUCKETS - 1)
-}
-
 /// Counters kept by the switch data plane, per task.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchTaskStats {
@@ -46,11 +34,6 @@ pub struct SwitchTaskStats {
     /// caught by the absorption audit
     /// ([`crate::config::AskConfig::absorption_audit`]). Must stay 0.
     pub duplicate_absorptions: u64,
-    /// Histogram of same-channel ingest burst lengths seen by
-    /// `process_batch` (log₂ buckets, see [`burst_bucket`]). Purely
-    /// observational: batch and sequential ingest differ here while every
-    /// protocol counter above stays identical.
-    pub burst_len: [u64; BURST_BUCKETS],
 }
 
 impl SwitchTaskStats {
@@ -90,9 +73,6 @@ impl SwitchTaskStats {
         self.swaps += other.swaps;
         self.tuples_fetched += other.tuples_fetched;
         self.duplicate_absorptions += other.duplicate_absorptions;
-        for (a, b) in self.burst_len.iter_mut().zip(other.burst_len.iter()) {
-            *a += b;
-        }
     }
 }
 
@@ -127,6 +107,10 @@ pub struct HostStats {
     /// Frames dropped because they carried a pre-crash switch epoch
     /// (late verdicts, ACKs, or fetch replies from before a restart).
     pub stale_epoch_drops: u64,
+    /// Inbound frames dropped because they failed to parse (corrupted in
+    /// transit, truncated, or not ASK traffic) — the host mirror of the
+    /// switch's `undecodable` counter.
+    pub undecodable: u64,
     /// In-flight entries escalated to degraded no-aggregate pass-through
     /// after exhausting [`crate::config::AskConfig::escalate_after`]
     /// retransmissions.
@@ -139,9 +123,6 @@ pub struct HostStats {
     /// Inbound frames the receive path had to materialize through the pool
     /// after parsing: long-kv bodies.
     pub host_view_fallbacks: u64,
-    /// Histogram of delivery burst lengths handed to the daemon by the
-    /// simulator's burst drain (log₂ buckets, see [`burst_bucket`]).
-    pub burst_len: [u64; BURST_BUCKETS],
 }
 
 impl HostStats {
@@ -160,12 +141,10 @@ impl HostStats {
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.stale_epoch_drops += other.stale_epoch_drops;
+        self.undecodable += other.undecodable;
         self.degraded_entries += other.degraded_entries;
         self.host_pure_view += other.host_pure_view;
         self.host_view_fallbacks += other.host_view_fallbacks;
-        for (a, b) in self.burst_len.iter_mut().zip(other.burst_len.iter()) {
-            *a += b;
-        }
     }
 }
 
@@ -174,48 +153,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn burst_buckets_are_log2() {
-        assert_eq!(burst_bucket(0), 0);
-        assert_eq!(burst_bucket(1), 0);
-        assert_eq!(burst_bucket(2), 1);
-        assert_eq!(burst_bucket(3), 1);
-        assert_eq!(burst_bucket(4), 2);
-        assert_eq!(burst_bucket(127), 6);
-        assert_eq!(burst_bucket(128), 7);
-        assert_eq!(burst_bucket(1 << 30), BURST_BUCKETS - 1);
-    }
-
-    #[test]
-    fn merge_sums_histograms_and_pool_counters() {
-        let mut a = SwitchTaskStats::default();
-        a.burst_len[0] = 1;
-        let mut b = SwitchTaskStats::default();
-        b.burst_len[0] = 2;
-        b.burst_len[3] = 5;
-        a.merge(&b);
-        assert_eq!(a.burst_len[0], 3);
-        assert_eq!(a.burst_len[3], 5);
-
+    fn merge_sums_pool_view_and_drop_counters() {
         let mut h = HostStats {
             pool_hits: 10,
             pool_misses: 1,
             host_pure_view: 3,
+            undecodable: 1,
             ..Default::default()
         };
-        h.burst_len[1] = 4;
-        let mut h2 = HostStats {
+        h.merge(&HostStats {
             pool_hits: 5,
             host_pure_view: 2,
             host_view_fallbacks: 7,
+            undecodable: 2,
             ..Default::default()
-        };
-        h2.burst_len[1] = 6;
-        h.merge(&h2);
+        });
         assert_eq!(h.pool_hits, 15);
         assert_eq!(h.pool_misses, 1);
         assert_eq!(h.host_pure_view, 5);
         assert_eq!(h.host_view_fallbacks, 7);
-        assert_eq!(h.burst_len[1], 10);
+        assert_eq!(h.undecodable, 3);
     }
 
     #[test]

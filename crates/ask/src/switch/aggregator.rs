@@ -26,7 +26,7 @@
 //! owns a decoded packet.
 
 use crate::config::AskConfig;
-use crate::stats::{burst_bucket, SwitchTaskStats};
+use crate::stats::SwitchTaskStats;
 use ask_pisa::error::AccessError;
 use ask_pisa::pipeline::{ArrayId, Pass, Pipeline, Violation};
 use ask_pisa::spec::PipelineSpec;
@@ -75,59 +75,6 @@ pub enum ViewVerdict {
         /// Bitmap of the slots that survived aggregation.
         residual: u128,
     },
-}
-
-/// Structure-of-arrays scratch for a burst of data-packet views: one lane
-/// entry per occupied slot across the whole burst, plus a packed per-slot
-/// `kPart` segment lane. Filling the lanes is the columnar pre-hash phase
-/// (every key in the burst is FNV+splitmix-hashed in one tight loop over
-/// the wire bytes); [`AggregatorEngine::process_batch_views`] then replays
-/// each packet's lane range against the register arrays.
-#[derive(Debug, Default)]
-struct ViewLanes {
-    /// Logical slot index of each occupied slot, burst-concatenated.
-    slot_ix: Vec<u32>,
-    /// Slot value lane.
-    value: Vec<u32>,
-    /// Pre-mixed aggregator index hash lane.
-    mix: Vec<u64>,
-    /// Packed `kPart` segments: 1 per short slot, `m` per medium slot.
-    seg: Vec<u32>,
-    /// Per-packet `(slot_start, slot_end, seg_start)` ranges into the lanes.
-    pkt: Vec<(u32, u32, u32)>,
-}
-
-impl ViewLanes {
-    /// Columnar pre-hash: walks every occupied slot of every view in order,
-    /// splitting slot index / value / index hash / key segments into their
-    /// own lanes.
-    fn fill(&mut self, views: &[DataPacketView]) {
-        self.slot_ix.clear();
-        self.value.clear();
-        self.mix.clear();
-        self.seg.clear();
-        self.pkt.clear();
-        for v in views {
-            let slot_start = self.slot_ix.len() as u32;
-            let seg_start = self.seg.len() as u32;
-            let short = v.short_slots();
-            let m = v.medium_segments();
-            for s in v.slots() {
-                self.slot_ix.push(s.index() as u32);
-                self.value.push(s.value());
-                self.mix.push(index_mix(s.hash64()));
-                if s.index() < short {
-                    self.seg.push(s.segment(0));
-                } else {
-                    for j in 0..m {
-                        self.seg.push(s.segment(j));
-                    }
-                }
-            }
-            self.pkt
-                .push((slot_start, self.slot_ix.len() as u32, seg_start));
-        }
-    }
 }
 
 /// Where a claimed aggregator lives, for fast harvest.
@@ -251,8 +198,6 @@ pub struct AggregatorEngine {
     /// [`AskConfig::absorption_audit`] is set. Oracle bookkeeping for the
     /// conformance harness — real hardware has no analogue.
     absorbed_seqs: Option<HashSet<(ChannelId, u64)>>,
-    /// SoA scratch for burst ingest, reused across bursts.
-    view_lanes: ViewLanes,
     /// Violations journaled by pipelines discarded in [`crash_reset`]
     /// (`AggregatorEngine::crash_reset`); added to the live pipeline's count
     /// so the PISA-legality invariant spans crashes.
@@ -306,7 +251,6 @@ impl AggregatorEngine {
             free_regions,
             local_hosts: None,
             absorbed_seqs,
-            view_lanes: ViewLanes::default(),
             carried_violations: 0,
         }
     }
@@ -560,7 +504,9 @@ impl AggregatorEngine {
     }
 
     /// Runs the dedup gate for one sequenced packet: the `max_seq` stale
-    /// guard, then the compact even/odd `seen` bitmap (§3.3, Eq. 8).
+    /// guard, then the compact even/odd `seen` bitmap (§3.3, Eq. 8). The
+    /// guard reads `seq + W <= max` as `max - seq >= W` (`max >= seq` by
+    /// then), so a peer-chosen `seq` near `u64::MAX` cannot overflow it.
     fn observe_in_pass(
         pass: &mut Pass<'_>,
         max_seq: ArrayId,
@@ -574,7 +520,7 @@ impl AggregatorEngine {
             *v = (*v).max(seq);
             *v
         })?;
-        if seq + w <= new_max {
+        if new_max - seq >= w {
             return Ok(Observation::Stale);
         }
         let r = (seq % w) as usize;
@@ -635,12 +581,7 @@ impl AggregatorEngine {
     /// any other layout as bypass traffic and never hands them to the
     /// engine.
     pub fn process_data_view(&mut self, view: &DataPacketView) -> ViewVerdict {
-        let ent = self.dispatch_entry(view.channel(), view.task());
-        let mut lanes = std::mem::take(&mut self.view_lanes);
-        lanes.fill(std::slice::from_ref(view));
-        let v = self.process_resolved(ent, view, Some((&lanes, 0)));
-        self.view_lanes = lanes;
-        v
+        self.process(view, true)
     }
 
     /// [`AggregatorEngine::process_data_view`] for a packet flagged
@@ -650,80 +591,33 @@ impl AggregatorEngine {
     /// recorded bitmap and can never double-count — but first sightings
     /// skip the aggregator arrays entirely and forward every tuple.
     pub fn process_data_view_no_aggregate(&mut self, view: &DataPacketView) -> ViewVerdict {
-        let ent = self.dispatch_entry(view.channel(), view.task());
-        self.process_resolved(ent, view, None)
+        self.process(view, false)
     }
 
-    /// Processes a burst of data packets, appending one verdict per view to
-    /// `verdicts` in input order: phase 1 pre-hashes every slot key in the
-    /// burst into the SoA lanes, phase 2 replays each packet's lane range
-    /// through its own pipeline pass.
-    ///
-    /// Equivalent to calling [`AggregatorEngine::process_data_view`] on
-    /// each view in order — every verdict, protocol counter, and register
-    /// state is identical (proptest-pinned) — but consecutive packets of the
-    /// same `(channel, task)` group resolve the dispatch entry once for the
-    /// whole run instead of re-probing the cache per packet. Each packet
-    /// still executes its own pipeline pass: a pass models one PISA
-    /// traversal, and two packets sharing a pass would trip same-register
-    /// access conflicts that sequential processing does not have.
-    ///
-    /// The only observable difference is the purely observational
-    /// `burst_len` histogram in [`SwitchTaskStats`], which records one entry
-    /// per same-`(channel, task)` run.
+    /// [`AggregatorEngine::process_data_view`] on each view in order, one
+    /// verdict appended per view. Kept for callers written against a batch
+    /// entry point (the frozen benchmark drives the switch through it).
     pub fn process_batch_views(
         &mut self,
         views: &[DataPacketView],
         verdicts: &mut Vec<ViewVerdict>,
     ) {
-        let mut lanes = std::mem::take(&mut self.view_lanes);
-        lanes.fill(views);
-        let mut cur: Option<DispatchEntry> = None;
-        let mut group_len: u64 = 0;
-        for (ix, view) in views.iter().enumerate() {
-            let ent = match cur {
-                // The data path never touches the control plane, so a
-                // resolved entry stays valid for the rest of the batch.
-                Some(e) if e.channel == view.channel() && e.task == view.task() => {
-                    group_len += 1;
-                    e
-                }
-                _ => {
-                    if let Some(prev) = cur {
-                        self.note_burst(prev.task_slot, group_len);
-                    }
-                    group_len = 1;
-                    let e = self.dispatch_entry(view.channel(), view.task());
-                    cur = Some(e);
-                    e
-                }
-            };
-            verdicts.push(self.process_resolved(ent, view, Some((&lanes, ix))));
-        }
-        if let Some(prev) = cur {
-            self.note_burst(prev.task_slot, group_len);
-        }
-        self.view_lanes = lanes;
+        verdicts.extend(views.iter().map(|v| self.process_data_view(v)));
     }
 
-    /// The pipeline program for one packet, after dispatch resolution.
-    /// `lanes` is the pre-hashed burst and this packet's index in it;
-    /// `None` is the degraded no-aggregate variant (dedup and `PktState`
-    /// still run, aggregator arrays are skipped).
+    /// The pipeline program for one packet. `aggregate == false` is the
+    /// degraded no-aggregate variant (dedup and `PktState` still run,
+    /// aggregator arrays are skipped).
     // `drop(pass)` below deliberately ends the pipeline pass (and its
     // borrow) before control-plane state is updated; the lint misreads
     // that as a no-op.
     #[allow(clippy::drop_non_drop)]
-    fn process_resolved(
-        &mut self,
-        ent: DispatchEntry,
-        view: &DataPacketView,
-        lanes: Option<(&ViewLanes, usize)>,
-    ) -> ViewVerdict {
+    fn process(&mut self, view: &DataPacketView, aggregate: bool) -> ViewVerdict {
         debug_assert!(
             view.matches_layout(&self.config.layout),
             "frames in a foreign slot layout are bypass traffic, not engine input"
         );
+        let ent = self.dispatch_entry(view.channel(), view.task());
         let bitmap = view.bitmap();
         if ent.ch_slot == SLOT_NONE {
             // No reliability state available: best-effort pure forwarding.
@@ -783,21 +677,12 @@ impl AggregatorEngine {
                 ViewVerdict::Stale
             }
             Observation::First => {
-                let (new_claims, aggregated, forwarded, residual) = match lanes {
-                    Some((lanes, pkt_ix)) if ent.task_slot != SLOT_NONE => Self::aggregate_lanes(
-                        &mut pass,
-                        &self.aas,
-                        &self.config,
-                        ent.region,
-                        copy,
-                        ent.op,
-                        ent.index_mask,
-                        lanes,
-                        pkt_ix,
-                        bitmap,
-                    ),
-                    _ => (Vec::new(), 0, bitmap.count_ones() as u64, bitmap),
-                };
+                let (new_claims, aggregated, forwarded, residual) =
+                    if aggregate && ent.task_slot != SLOT_NONE {
+                        Self::aggregate_slots(&mut pass, &self.aas, &self.config, ent, copy, view)
+                    } else {
+                        (Vec::new(), 0, bitmap.count_ones() as u64, bitmap)
+                    };
                 // Final stage: record the post-aggregation bitmap. On a
                 // violation the write is skipped (journaled); a later
                 // duplicate then reads whatever the register held.
@@ -853,51 +738,44 @@ impl AggregatorEngine {
         }
     }
 
-    /// Aggregates one packet's lane range within one pass: one register
-    /// access per aggregator array, in stage order. Returns new claims, the
-    /// aggregated/forwarded tuple counts, and the surviving slot bitmap.
-    #[allow(clippy::too_many_arguments)]
-    fn aggregate_lanes(
+    /// Aggregates one packet's occupied slots within one pass, reading each
+    /// key and value in place: one register access per aggregator array, in
+    /// stage order. Returns new claims, the aggregated/forwarded tuple
+    /// counts, and the surviving slot bitmap.
+    fn aggregate_slots(
         pass: &mut Pass<'_>,
         aas: &[ArrayId],
         config: &AskConfig,
-        region: AaRegion,
+        ent: DispatchEntry,
         copy: usize,
-        op: AggregateOp,
-        index_mask: u64,
-        lanes: &ViewLanes,
-        pkt_ix: usize,
-        bitmap: u128,
+        view: &DataPacketView,
     ) -> (Vec<Claim>, u64, u64, u128) {
         let layout = &config.layout;
-        let copy_off = copy * config.aggregators_per_aa;
+        let base = copy * config.aggregators_per_aa + ent.region.base as usize;
         let short = layout.short_slots();
         let m = layout.medium_segments();
-        let (start, end, seg_start) = lanes.pkt[pkt_ix];
-        let mut seg_cursor = seg_start as usize;
         let mut claims = Vec::new();
         let mut aggregated = 0u64;
         let mut forwarded = 0u64;
-        let mut residual = bitmap;
+        let mut residual = view.bitmap();
 
-        for lane in start as usize..end as usize {
-            let slot_ix = lanes.slot_ix[lane] as usize;
-            let value = lanes.value[lane];
-            let mix = lanes.mix[lane];
+        for s in view.slots() {
+            let slot_ix = s.index();
+            let value = s.value();
+            let mix = index_mix(s.hash64());
             // Power-of-two regions reduce the index mix to an AND with the
             // precomputed mask; the modulo fallback yields the same index
             // whenever both paths are defined.
-            let spread = if index_mask == MASK_MODULO {
-                mix % region.aggregators as u64
+            let spread = if ent.index_mask == MASK_MODULO {
+                mix % ent.region.aggregators as u64
             } else {
-                mix & index_mask
+                mix & ent.index_mask
             };
-            let idx = copy_off + region.base as usize + spread as usize;
+            let idx = base + spread as usize;
             let ok = if slot_ix < short {
-                let seg = lanes.seg[seg_cursor];
-                seg_cursor += 1;
+                let seg = s.segment(0);
                 debug_assert_ne!(seg, 0, "valid keys have non-zero segments");
-                match Self::aggregate_segment(pass, aas[slot_ix], idx, seg, value, true, op) {
+                match Self::aggregate_segment(pass, aas[slot_ix], idx, seg, value, true, ent.op) {
                     SegmentOutcome::Claimed => {
                         claims.push(Claim::Short { aa: slot_ix, idx });
                         true
@@ -910,20 +788,17 @@ impl AggregatorEngine {
                 let base_aa = short + group * m;
                 let mut claimed_any = false;
                 let mut failed = false;
-                for s in 0..m {
-                    if failed {
-                        break;
-                    }
-                    let aa = aas[base_aa + s];
-                    let seg = lanes.seg[seg_cursor + s];
-                    let is_last = s == m - 1;
-                    match Self::aggregate_segment(pass, aa, idx, seg, value, is_last, op) {
+                for j in 0..m {
+                    let (aa, seg, is_last) = (aas[base_aa + j], s.segment(j), j == m - 1);
+                    match Self::aggregate_segment(pass, aa, idx, seg, value, is_last, ent.op) {
                         SegmentOutcome::Claimed => claimed_any = true,
                         SegmentOutcome::Matched => {}
-                        SegmentOutcome::Conflict => failed = true,
+                        SegmentOutcome::Conflict => {
+                            failed = true;
+                            break;
+                        }
                     }
                 }
-                seg_cursor += m;
                 debug_assert!(
                     !(claimed_any && failed),
                     "coalesced invariant: blanks are all-or-none per index"
@@ -941,13 +816,6 @@ impl AggregatorEngine {
             }
         }
         (claims, aggregated, forwarded, residual)
-    }
-
-    /// Records one same-channel ingest run in the task's burst histogram.
-    fn note_burst(&mut self, task_slot: u32, len: u64) {
-        if let Some(t) = self.slot_entry_mut(task_slot) {
-            t.stats.burst_len[burst_bucket(len)] += 1;
-        }
     }
 
     /// Resolves `(channel, task)` through the direct-mapped dispatch cache:
@@ -1587,64 +1455,27 @@ mod tests {
     }
 
     #[test]
-    fn batch_verdicts_and_stats_match_sequential() {
-        use crate::stats::BURST_BUCKETS;
-        let mk = || {
-            let mut e = engine();
-            e.register_task(TaskId(1), 9).unwrap();
-            e
-        };
-        // Channel-interleaved runs with duplicates, a stale packet and an
-        // unknown task mixed in.
-        let w = AskConfig::tiny().window as u64;
-        let mut views: Vec<DataPacketView> = Vec::new();
-        for seq in 0..6u64 {
-            views.push(view(1, 0, seq, &[(0, "cat", 1), (4, "maples", 2)]));
-        }
-        for seq in 0..4u64 {
-            views.push(view(1, 1, seq, &[(1, "dog", 3)]));
-        }
-        views.push(view(1, 0, 2, &[(0, "cat", 1), (4, "maples", 2)])); // dup
-        views.push(view(42, 2, 0, &[(0, "eel", 9)])); // unknown task
-        views.push(view(1, 0, 2 * w, &[(0, "cat", 1)]));
-        views.push(view(1, 0, 0, &[(0, "cat", 1)])); // stale behind 2w
-        let mut seq_e = mk();
-        let seq_verdicts: Vec<ViewVerdict> =
-            views.iter().map(|v| seq_e.process_data_view(v)).collect();
-        assert!(seq_verdicts.contains(&ViewVerdict::Stale));
-        let mut bat_e = mk();
-        let mut bat_verdicts = Vec::new();
-        bat_e.process_batch_views(&views, &mut bat_verdicts);
-        assert_eq!(seq_verdicts, bat_verdicts);
-        assert_eq!(seq_e.passes_executed(), bat_e.passes_executed());
-        assert_eq!(seq_e.constraint_violations(), bat_e.constraint_violations());
-        let mut a = seq_e.task_stats(TaskId(1)).unwrap();
-        let mut b = bat_e.task_stats(TaskId(1)).unwrap();
-        // burst_len is the documented observational exception.
-        a.burst_len = [0; BURST_BUCKETS];
-        b.burst_len = [0; BURST_BUCKETS];
-        assert_eq!(a, b);
-        assert_eq!(
-            seq_e.fetch(TaskId(1), FetchScope::All, 1),
-            bat_e.fetch(TaskId(1), FetchScope::All, 1)
-        );
-    }
-
-    #[test]
-    fn batch_records_burst_histogram() {
+    fn sequence_numbers_at_the_top_of_u64_classify_first_then_duplicate() {
+        // A CRC-valid frame may carry any `seq`. The compact bitmap needs
+        // the dense arrivals it is built for, so walk the channel from the
+        // start of an even phase up to u64::MAX: every seq is new once.
         let mut e = engine();
-        e.register_task(TaskId(1), 9).unwrap();
-        let views: Vec<DataPacketView> = (0..4u64)
-            .map(|seq| view(1, 0, seq, &[(0, "cat", 1)]))
-            .collect();
-        let mut verdicts = Vec::new();
-        e.process_batch_views(&views, &mut verdicts);
-        let s = e.task_stats(TaskId(1)).unwrap();
-        assert_eq!(s.burst_len[crate::stats::burst_bucket(4)], 1);
-        // Sequential processing records nothing.
-        e.process_data_view(&view(1, 0, 4, &[(0, "cat", 1)]));
-        let s2 = e.task_stats(TaskId(1)).unwrap();
-        assert_eq!(s2.burst_len.iter().sum::<u64>(), 1);
+        let w = e.config().window as u64;
+        let q = u64::MAX / w;
+        let start = (q - q % 2 - 2) * w;
+        for seq in start..u64::MAX - 1 {
+            assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(seq)), Observation::First);
+        }
+        for seq in [u64::MAX - 1, u64::MAX] {
+            assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(seq)), Observation::First, "{seq}");
+            assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(seq)), Observation::Duplicate, "{seq}");
+        }
+        assert_eq!(
+            e.observe_bypass(ChannelId(0), SeqNo(u64::MAX - w)),
+            Observation::Stale,
+            "W behind the maximum is stale, as everywhere else"
+        );
+        assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(u64::MAX - w + 1)), Observation::Duplicate);
     }
 
     #[test]

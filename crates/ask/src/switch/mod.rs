@@ -59,10 +59,6 @@ pub struct AskSwitch {
     /// Data frames fully absorbed: consumed straight from the wire bytes,
     /// answered with an ACK and nothing else.
     pure_absorb: u64,
-    /// Scratch buffers for burst ingest, reused across deliveries.
-    batch_views: Vec<DataPacketView>,
-    batch_meta: Vec<FrameMeta>,
-    batch_verdicts: Vec<ViewVerdict>,
 }
 
 impl AskSwitch {
@@ -78,9 +74,6 @@ impl AskSwitch {
             noagg_relayed: 0,
             foreign_layout_relayed: 0,
             pure_absorb: 0,
-            batch_views: Vec::new(),
-            batch_meta: Vec::new(),
-            batch_verdicts: Vec::new(),
         }
     }
 
@@ -93,9 +86,6 @@ impl AskSwitch {
     pub fn crash(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         self.engine.crash_reset();
-        self.batch_views.clear();
-        self.batch_meta.clear();
-        self.batch_verdicts.clear();
     }
 
     /// The switch's current incarnation number.
@@ -273,40 +263,64 @@ impl AskSwitch {
             }
         }
     }
+}
 
-    /// Runs the accumulated data-packet batch through
-    /// [`AggregatorEngine::process_batch_views`] and emits each verdict's
-    /// response in input order.
-    fn flush_batch(
-        &mut self,
-        views: &mut Vec<DataPacketView>,
-        meta: &mut Vec<FrameMeta>,
-        ctx: &mut Context<'_>,
-    ) {
-        if views.is_empty() {
+impl Node for AskSwitch {
+    /// The receive datapath. Each frame is parsed once (one CRC pass, no
+    /// slot vectors) and answered from the same buffer: a data packet in the
+    /// switch's layout is one pipeline pass
+    /// ([`AggregatorEngine::process_data_view`]); every other kind is
+    /// relayed from its raw payload bytes or answered by the control plane.
+    fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
+        let ecn = frame.ecn_marked();
+        let wire = frame.wire_bytes();
+        // Keep the raw payload around: packets the switch relays
+        // unmodified are re-sent from these very bytes.
+        let payload = frame.into_payload();
+        let Ok(view) = FrameView::parse(payload.clone()) else {
+            self.undecodable += 1;
+            return;
+        };
+        if !self.epoch_admit(view.src(), view.epoch(), ctx) {
             return;
         }
-        let mut verdicts = std::mem::take(&mut self.batch_verdicts);
-        verdicts.clear();
-        self.engine.process_batch_views(views, &mut verdicts);
-        for ((verdict, view), m) in verdicts.drain(..).zip(views.drain(..)).zip(meta.drain(..)) {
-            self.emit_verdict(verdict, &view, m, ctx);
-        }
-        self.batch_verdicts = verdicts;
-    }
-
-    /// Handles every packet kind other than data. Nothing is materialized:
-    /// relays reuse the raw payload bytes and the long-kv counter reads the
-    /// validated entry count straight from the view.
-    fn handle_nondata(&mut self, packet: PacketView, m: FrameMeta, ctx: &mut Context<'_>) {
-        match packet {
-            PacketView::Data(_) => unreachable!("data packets take the batch path"),
+        let flags = view.flags();
+        let m = FrameMeta {
+            src: view.src(),
+            dst: view.dst(),
+            ecn,
+            wire,
+            payload,
+        };
+        match view.into_packet() {
+            PacketView::Data(d) if !d.matches_layout(&self.engine.config().layout) => {
+                // Slot `i` of this frame does not address aggregator
+                // array `i` (which may not even exist): not ours to
+                // aggregate, so it travels as bypass traffic.
+                if self.relay_bypass(d.channel(), d.seq(), m, ctx) {
+                    self.foreign_layout_relayed += 1;
+                }
+            }
+            PacketView::Data(d) => {
+                let verdict = if flags & FLAG_NO_AGGREGATE != 0 {
+                    // Degraded pass-through: the dedup gate still runs so
+                    // absorbed-but-unacked packets can't double-count, but
+                    // nothing is aggregated — the receiver does all the work.
+                    self.noagg_relayed += 1;
+                    self.engine.process_data_view_no_aggregate(&d)
+                } else {
+                    self.engine.process_data_view(&d)
+                };
+                self.emit_verdict(verdict, &d, m, ctx);
+            }
             PacketView::LongKv {
                 channel,
                 seq,
                 task,
                 entry_count,
             } => {
+                // Long-kv bodies are never materialized: the counter reads
+                // the validated entry count straight from the view.
                 if self.relay_bypass(channel, seq, m, ctx) {
                     self.engine.note_longkv_forwarded(task, entry_count as u64);
                 }
@@ -354,87 +368,10 @@ impl AskSwitch {
             },
         }
     }
-}
-
-impl Node for AskSwitch {
-    /// A single frame is a burst of one.
-    fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
-        self.on_frames(&mut vec![(from, frame)], ctx);
-    }
 
     /// A restart after a scheduled node-down window is a crash/recovery
     /// cycle: the data plane comes back empty in a fresh epoch.
     fn on_restart(&mut self, _ctx: &mut Context<'_>) {
         self.crash();
-    }
-
-    /// The receive datapath. Each frame is parsed once (one CRC pass, no
-    /// slot vectors) and answered from the same buffer. Consecutive data
-    /// packets in the switch's layout run through
-    /// [`AggregatorEngine::process_batch_views`] as one group (keeping the
-    /// dispatch cache hot across the run), with every reply and forward
-    /// emitted in input order — byte-identical traffic to one-at-a-time
-    /// processing. Every other frame flushes the pending group first, so
-    /// cross-kind ordering is preserved exactly.
-    fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        let mut views = std::mem::take(&mut self.batch_views);
-        let mut meta = std::mem::take(&mut self.batch_meta);
-        debug_assert!(views.is_empty() && meta.is_empty());
-        let layout = self.engine.config().layout;
-        for (_, frame) in burst.drain(..) {
-            let ecn = frame.ecn_marked();
-            let wire = frame.wire_bytes();
-            // Keep the raw payload around: packets the switch relays
-            // unmodified are re-sent from these very bytes.
-            let payload = frame.into_payload();
-            let view = match FrameView::parse(payload.clone()) {
-                Ok(v) => v,
-                Err(_) => {
-                    self.undecodable += 1;
-                    continue;
-                }
-            };
-            if !self.epoch_admit(view.src(), view.epoch(), ctx) {
-                continue;
-            }
-            let m = FrameMeta {
-                src: view.src(),
-                dst: view.dst(),
-                ecn,
-                wire,
-                payload,
-            };
-            match view.packet() {
-                PacketView::Data(d) if !d.matches_layout(&layout) => {
-                    // Slot `i` of this frame does not address aggregator
-                    // array `i` (which may not even exist): not ours to
-                    // aggregate, so it travels as bypass traffic.
-                    self.flush_batch(&mut views, &mut meta, ctx);
-                    if self.relay_bypass(d.channel(), d.seq(), m, ctx) {
-                        self.foreign_layout_relayed += 1;
-                    }
-                }
-                PacketView::Data(d) if view.flags() & FLAG_NO_AGGREGATE != 0 => {
-                    // Degraded pass-through: the dedup gate still runs so
-                    // absorbed-but-unacked packets can't double-count, but
-                    // nothing is aggregated — the receiver does all the work.
-                    self.flush_batch(&mut views, &mut meta, ctx);
-                    self.noagg_relayed += 1;
-                    let verdict = self.engine.process_data_view_no_aggregate(d);
-                    self.emit_verdict(verdict, d, m, ctx);
-                }
-                PacketView::Data(d) => {
-                    meta.push(m);
-                    views.push(d.clone());
-                }
-                _ => {
-                    self.flush_batch(&mut views, &mut meta, ctx);
-                    self.handle_nondata(view.into_packet(), m, ctx);
-                }
-            }
-        }
-        self.flush_batch(&mut views, &mut meta, ctx);
-        self.batch_views = views;
-        self.batch_meta = meta;
     }
 }

@@ -12,18 +12,6 @@ use ask_simnet::bench_api::BenchEventQueue;
 use ask_wire::packet::TaskId;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-/// The paper-layout engine with task 1 registered and its dispatch line
-/// warm (the first pass installs the `(channel, task)` entry), plus the
-/// feed of that task's frames.
-fn warm_engine_and_feed() -> (AggregatorEngine, FrameFeed) {
-    let cfg = AskConfig::paper_default();
-    let mut feed = FrameFeed::new(cfg.layout, 24_000);
-    let mut engine = AggregatorEngine::new(cfg);
-    engine.register_task(TaskId(1), 0).expect("region");
-    engine.process_data_view(&feed.next_frame());
-    (engine, feed)
-}
-
 /// Steady-state push+pop through the timer wheel with the simulator's
 /// event-time mix: ~95% of events land within a few microseconds of *now*
 /// (link serialization + propagation) and ~5% sit at the retransmission
@@ -43,7 +31,7 @@ fn bench_event_queue_push_pop(c: &mut Criterion) {
     // not an empty wheel.
     let push = |q: &mut BenchEventQueue, now: u64, r: u64| {
         let delta = if r % 100 < 95 {
-            r % 3_000 // near-future: same-burst deliveries
+            r % 3_000 // near-future: link serialization + propagation
         } else {
             2_000_000 + r % 500_000 // far-future: beyond the wheel window
         };
@@ -72,7 +60,11 @@ fn bench_event_queue_push_pop(c: &mut Criterion) {
 /// packet every lookup hits the cached line (generation check + direct
 /// index) instead of the two-map slow path.
 fn bench_switch_dispatch(c: &mut Criterion) {
-    let (mut engine, mut feed) = warm_engine_and_feed();
+    let cfg = AskConfig::paper_default();
+    let mut feed = FrameFeed::new(cfg.layout, 24_000);
+    let mut engine = AggregatorEngine::new(cfg);
+    engine.register_task(TaskId(1), 0).expect("region");
+    engine.process_data_view(&feed.next_frame()); // installs the line
     let mut group = c.benchmark_group("switch_dispatch");
     group.throughput(Throughput::Elements(1));
     group.bench_function("switch_dispatch", |b| {
@@ -85,71 +77,5 @@ fn bench_switch_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Draining one 16-frame same-instant burst through the scheduler: a pop of
-/// the head delivery plus 15 `pop_deliver_if` probes (the extension check
-/// `Network::run` issues per burst frame), then a refill. Measures the cost
-/// the burst path pays per frame over a plain pop.
-fn bench_burst_drain(c: &mut Criterion) {
-    const BURST: u64 = 16;
-    let mut q = BenchEventQueue::new();
-    let mut now = 0u64;
-    // Keep a backlog of future bursts so pops scan a realistically
-    // populated wheel.
-    for b in 1..=32u64 {
-        for _ in 0..BURST {
-            q.push_deliver(now + b * 1_000, 1);
-        }
-    }
-    let mut next = 33u64 * 1_000;
-    let mut group = c.benchmark_group("burst_drain");
-    group.throughput(Throughput::Elements(BURST));
-    group.bench_function("burst_drain", |b| {
-        b.iter(|| {
-            let (at, _) = q.pop().expect("backlog stays full");
-            now = at;
-            let mut drained = 1u64;
-            while q.pop_deliver_if(at, 1) {
-                drained += 1;
-            }
-            debug_assert_eq!(drained, BURST);
-            for _ in 0..BURST {
-                q.push_deliver(next, 1);
-            }
-            next += 1_000;
-            drained
-        });
-    });
-    group.finish();
-}
-
-/// A 16-packet single-channel burst through `process_batch_views`: the
-/// dispatch entry is resolved once per burst and every key is pre-hashed in
-/// one columnar pass, so this measures the amortized per-packet ingest cost
-/// the switch pays under burst delivery.
-fn bench_batch_ingest(c: &mut Criterion) {
-    const BURST: usize = 16;
-    let (mut engine, mut feed) = warm_engine_and_feed();
-    let mut verdicts = Vec::with_capacity(BURST);
-    let mut group = c.benchmark_group("batch_ingest");
-    group.throughput(Throughput::Elements(BURST as u64));
-    group.bench_function("batch_ingest", |b| {
-        b.iter_batched(
-            || (0..BURST).map(|_| feed.next_frame()).collect::<Vec<_>>(),
-            |batch| {
-                verdicts.clear();
-                engine.process_batch_views(&batch, &mut verdicts);
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_event_queue_push_pop,
-    bench_switch_dispatch,
-    bench_burst_drain,
-    bench_batch_ingest
-);
+criterion_group!(benches, bench_event_queue_push_pop, bench_switch_dispatch);
 criterion_main!(benches);

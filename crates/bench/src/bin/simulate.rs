@@ -188,32 +188,15 @@ fn main() {
     );
     println!("  total tuples in         {total}");
 
-    // Batching & memory-reuse footer (observational counters; not part of
-    // any golden-pinned figure body).
+    // Memory-reuse footer (observational counters; not part of any
+    // golden-pinned figure body).
     let (hits, misses) = (report.receiver.pool_hits, report.receiver.pool_misses);
-    let mut host_bursts = report.receiver.burst_len;
-    for s in &report.senders {
-        for (a, b) in host_bursts.iter_mut().zip(s.burst_len.iter()) {
-            *a += b;
-        }
-    }
     let rate = if hits + misses == 0 {
         "-".to_string()
     } else {
         pct(hits as f64 / (hits + misses) as f64)
     };
     println!("  packet pool             receiver {hits}/{misses} ({rate}) hits/misses (rate)");
-    let hist = |h: &[u64]| {
-        h.iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(" ")
-    };
-    println!(
-        "  ingest bursts (log2)    switch [{}], hosts [{}]",
-        hist(&report.switch.burst_len),
-        hist(&host_bursts),
-    );
 
     if args.timing {
         // Excluded section: wall times vary run to run, so they are printed

@@ -12,9 +12,8 @@
 //! [`EventQueue`]: crate::event
 
 use crate::event::{EventKind, EventQueue};
-use crate::frame::{Frame, NodeId};
+use crate::frame::NodeId;
 use crate::time::SimTime;
-use bytes::Bytes;
 
 /// An event queue handle for benchmarks: schedules opaque timer events.
 #[derive(Debug, Default)]
@@ -42,28 +41,6 @@ impl BenchEventQueue {
         self.0.pop().map(|e| (e.at.as_nanos(), e.seq))
     }
 
-    /// Schedules an empty-payload frame delivery to node `to` at `at_nanos`
-    /// (the burst-drain bench needs real `Deliver` events, not timers).
-    pub fn push_deliver(&mut self, at_nanos: u64, to: usize) {
-        self.0.push(
-            SimTime::from_nanos(at_nanos),
-            EventKind::Deliver {
-                from: NodeId::from_index(0),
-                to: NodeId::from_index(to),
-                frame: Frame::new(Bytes::new()),
-            },
-        );
-    }
-
-    /// Pops the next event only if it is a delivery to node `to` at exactly
-    /// `at_nanos` — the probe [`crate::network::Network::run`] uses to
-    /// extend a same-instant burst. Returns whether a delivery was drained.
-    pub fn pop_deliver_if(&mut self, at_nanos: u64, to: usize) -> bool {
-        self.0
-            .pop_deliver_if(SimTime::from_nanos(at_nanos), NodeId::from_index(to))
-            .is_some()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -78,20 +55,6 @@ impl BenchEventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn deliver_facade_drains_bursts() {
-        let mut q = BenchEventQueue::new();
-        q.push_deliver(100, 3);
-        q.push_deliver(100, 3);
-        q.push_deliver(100, 4); // different node: not part of the burst
-        q.push_deliver(200, 3); // later instant: not part of the burst
-        let (at, _) = q.pop().expect("head");
-        assert_eq!(at, 100);
-        assert!(q.pop_deliver_if(100, 3));
-        assert!(!q.pop_deliver_if(100, 3), "node 4's frame ends the burst");
-        assert_eq!(q.len(), 2);
-    }
 
     #[test]
     fn facade_preserves_queue_order() {

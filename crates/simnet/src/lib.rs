@@ -298,7 +298,7 @@ mod proptests {
 
         /// Event-budget stops are invisible: driving to idle through
         /// `run(None, Some(k))` for a small `k` — cuts landing inside
-        /// same-instant bursts, between a delivery and the timer it armed,
+        /// runs of same-instant deliveries, between a delivery and the timer it armed,
         /// and on either side of the outage — ends in the same state as one
         /// straight run.
         #[test]

@@ -25,23 +25,9 @@ pub trait Node: Any {
     /// Called once before the first event is processed.
     fn on_start(&mut self, _ctx: &mut Context<'_>) {}
 
-    /// Called when a frame addressed to this node arrives.
+    /// Called when a frame addressed to this node arrives: one call per
+    /// delivery event, the only way a frame reaches a node.
     fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>);
-
-    /// Called with a burst of frames that all arrived at this node at the
-    /// same simulated instant, in delivery (FIFO) order.
-    ///
-    /// The default implementation simply replays them one by one through
-    /// [`Node::on_frame`]; nodes with a cheaper batch path (e.g. the ASK
-    /// switch's channel-grouped ingest) override it. Implementations must
-    /// consume every frame in `burst` and must process them in order —
-    /// observable side effects (sends, timers, RNG draws) have to match the
-    /// one-at-a-time equivalent exactly.
-    fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-        for (from, frame) in burst.drain(..) {
-            self.on_frame(from, frame, ctx);
-        }
-    }
 
     /// Called when a timer armed via [`Context::set_timer`] fires.
     fn on_timer(&mut self, _token: u64, _ctx: &mut Context<'_>) {}
@@ -487,7 +473,6 @@ impl NetworkBuilder {
                 down: vec![false; node_count],
             },
             started: false,
-            burst_buf: Vec::new(),
             timing: false,
             run_wall_ns: 0,
         }
@@ -499,9 +484,6 @@ pub struct Network {
     nodes: Vec<NodeSlot>,
     engine: Engine,
     started: bool,
-    /// Reusable delivery buffer for same-instant bursts; kept across
-    /// [`Network::run`] calls so steady-state dispatch allocates nothing.
-    burst_buf: Vec<(NodeId, Frame)>,
     /// Measure per-node handler wall time (see
     /// [`Network::enable_dispatch_timing`]).
     timing: bool,
@@ -674,14 +656,7 @@ impl Network {
     /// so a run cut into pieces dispatches exactly what one straight run
     /// does. A deadline stop leaves the clock at `until`, or where it was if
     /// `until` is already in the past: the clock never moves backwards.
-    ///
-    /// Consecutive deliveries to one node at one instant are drained as a
-    /// single burst and handed to [`Node::on_frames`] in FIFO order — one
-    /// dispatch instead of N — with each frame still counted individually
-    /// against `max_events` and [`Network::events_processed`]. Because only
-    /// *adjacent* same-instant events join a burst and no node code runs
-    /// while it is being collected, the observable event order is identical
-    /// to one-at-a-time delivery.
+    /// Every event is one dispatch: a delivery is one [`Node::on_frame`].
     pub fn run(&mut self, until: Option<SimTime>, max_events: Option<u64>) -> StopReason {
         let wall = Instant::now();
         if !self.started {
@@ -691,9 +666,7 @@ impl Network {
                 node.on_start(&mut ctx);
             }
         }
-        let timing = self.timing;
         let budget_start = self.engine.events_processed;
-        let mut burst = std::mem::take(&mut self.burst_buf);
         let reason = loop {
             if let Some(budget) = max_events {
                 if self.engine.events_processed - budget_start >= budget {
@@ -713,57 +686,19 @@ impl Network {
                 break StopReason::Idle;
             };
             debug_assert!(event.at >= self.engine.now, "time went backwards");
-            let at = event.at;
-            self.engine.now = at;
+            self.engine.now = event.at;
             self.engine.events_processed += 1;
             match event.kind {
+                // A down destination loses the frame at delivery (a crashed
+                // NIC receives nothing) and its timers die with it.
                 EventKind::Deliver { from, to, frame } => {
-                    if self.engine.down[to.index()] {
-                        // The destination is down: the frame vanishes at
-                        // delivery (a crashed NIC receives nothing). Any
-                        // same-instant burst mates are popped and dropped by
-                        // the following loop iterations one by one, so event
-                        // accounting matches the up-node path exactly.
-                        continue;
+                    if !self.engine.down[to.index()] {
+                        self.dispatch(to, |node, ctx| node.on_frame(from, frame, ctx));
                     }
-                    burst.clear();
-                    burst.push((from, frame));
-                    // Extend the burst with adjacent same-instant deliveries
-                    // to the same node. Same `at` means the deadline check
-                    // above already covers them; the budget is re-checked
-                    // per frame so `EventBudget` fires at the same count as
-                    // the one-at-a-time loop.
-                    while max_events
-                        .is_none_or(|b| self.engine.events_processed - budget_start < b)
-                    {
-                        let Some(next) = self.engine.queue.pop_deliver_if(at, to) else {
-                            break;
-                        };
-                        let EventKind::Deliver { from, frame, .. } = next.kind else {
-                            unreachable!("pop_deliver_if only returns deliveries");
-                        };
-                        burst.push((from, frame));
-                        self.engine.events_processed += 1;
-                    }
-                    let slot = &mut self.nodes[to.index()];
-                    let t0 = timing.then(Instant::now);
-                    let (node, mut ctx) = slot.enter(&mut self.engine, to);
-                    node.on_frames(&mut burst, &mut ctx);
-                    if let Some(t0) = t0 {
-                        slot.dispatch_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                    burst.clear();
                 }
                 EventKind::Timer { node: id, token } => {
-                    if self.engine.down[id.index()] {
-                        continue; // a crashed node's timers die with it
-                    }
-                    let slot = &mut self.nodes[id.index()];
-                    let t0 = timing.then(Instant::now);
-                    let (node, mut ctx) = slot.enter(&mut self.engine, id);
-                    node.on_timer(token, &mut ctx);
-                    if let Some(t0) = t0 {
-                        slot.dispatch_ns += t0.elapsed().as_nanos() as u64;
+                    if !self.engine.down[id.index()] {
+                        self.dispatch(id, |node, ctx| node.on_timer(token, ctx));
                     }
                 }
                 EventKind::NodeDown { node } => {
@@ -776,9 +711,19 @@ impl Network {
                 }
             }
         };
-        self.burst_buf = burst;
         self.run_wall_ns += wall.elapsed().as_nanos() as u64;
         reason
+    }
+
+    /// Calls one handler of node `id`, timing it when dispatch timing is on.
+    fn dispatch(&mut self, id: NodeId, handler: impl FnOnce(&mut dyn Node, &mut Context<'_>)) {
+        let slot = &mut self.nodes[id.index()];
+        let t0 = self.timing.then(Instant::now);
+        let (node, mut ctx) = slot.enter(&mut self.engine, id);
+        handler(node, &mut ctx);
+        if let Some(t0) = t0 {
+            slot.dispatch_ns += t0.elapsed().as_nanos() as u64;
+        }
     }
 
     /// Runs until the event queue is empty.
@@ -1099,75 +1044,6 @@ mod tests {
         assert!(net
             .frame_trace()
             .all(|e| matches!(e.fate, TraceFate::Dropped | TraceFate::Delivered { .. })));
-    }
-
-    #[test]
-    fn burst_delivery_matches_sequential_trace_and_event_count() {
-        // A star of senders whose frames land on the hub at the same instant
-        // (equal links, simultaneous sends) so `run` coalesces them into
-        // bursts. A hub overriding `on_frames` must leave every observable —
-        // frame trace (send times, fates, fault-RNG draws), event count,
-        // echo count — identical to one using the default one-at-a-time
-        // path.
-        struct SeqHub; // default on_frames
-        impl Node for SeqHub {
-            fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
-                ctx.send(from, frame).expect("linked");
-            }
-        }
-        struct BatchHub {
-            bursts: Vec<usize>,
-        }
-        impl Node for BatchHub {
-            fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
-                ctx.send(from, frame).expect("linked");
-            }
-            fn on_frames(&mut self, burst: &mut Vec<(NodeId, Frame)>, ctx: &mut Context<'_>) {
-                self.bursts.push(burst.len());
-                for (from, frame) in burst.drain(..) {
-                    self.on_frame(from, frame, ctx);
-                }
-            }
-        }
-
-        fn run_star<H: Node>(hub_node: H) -> (Vec<FrameTraceEntry>, u64, usize, Network) {
-            let mut b = NetworkBuilder::new(7);
-            let hub = b.add_node(hub_node);
-            let pingers: Vec<NodeId> = (0..4).map(|_| b.add_node(pinger(Some(hub), 25))).collect();
-            // Faults on the reply path make the trace sensitive to the order
-            // of the hub's sends: any reordering shifts the fault-RNG stream.
-            let faulty = LinkConfig::new(8e9, SimDuration::from_nanos(100)).with_faults(
-                crate::faults::FaultModel::reliable()
-                    .with_loss(0.1)
-                    .with_duplication(0.05),
-            );
-            for &p in &pingers {
-                b.connect_directed(p, hub, LinkConfig::new(8e9, SimDuration::from_nanos(100)));
-                b.connect_directed(hub, p, faulty.clone());
-            }
-            let mut net = b.build();
-            net.enable_frame_trace(4096);
-            net.run_to_idle();
-            let trace: Vec<FrameTraceEntry> = net.frame_trace().copied().collect();
-            let events = net.events_processed();
-            let echoes = pingers
-                .iter()
-                .map(|&p| net.node::<Pinger>(p).echoes)
-                .sum::<usize>();
-            (trace, events, echoes, net)
-        }
-
-        let (seq_trace, seq_events, seq_echoes, _) = run_star(SeqHub);
-        let (bat_trace, bat_events, bat_echoes, bat_net) = run_star(BatchHub { bursts: vec![] });
-        assert_eq!(seq_trace, bat_trace, "frame traces must be identical");
-        assert_eq!(seq_events, bat_events, "event accounting must be identical");
-        assert_eq!(seq_echoes, bat_echoes);
-        let hub: &BatchHub = bat_net.node(NodeId::from_index(0));
-        assert!(
-            hub.bursts.iter().any(|&n| n > 1),
-            "the topology must actually exercise multi-frame bursts, got {:?}",
-            &hub.bursts[..hub.bursts.len().min(10)]
-        );
     }
 
     #[test]

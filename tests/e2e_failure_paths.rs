@@ -47,6 +47,60 @@ fn garbage_frames_are_counted_and_ignored() {
 }
 
 #[test]
+fn host_counts_frames_that_fail_to_parse() {
+    // A data frame whose CRC no longer matches (one bit flipped in transit)
+    // reaches a daemon: it is counted as undecodable and nothing else moves.
+    use ask::stats::HostStats;
+    use ask_simnet::network::Node;
+    use ask_wire::codec::{encode_envelope, Envelope};
+    use ask_wire::packet::{AskPacket, ChannelId, DataPacket, SeqNo, CHANNEL_STRIDE};
+
+    let cfg = AskConfig::tiny();
+    let layout = cfg.layout;
+    let mut service = AskServiceBuilder::new(2).config(cfg).seed(3).build();
+    let hosts = service.hosts().to_vec();
+    let switch = service.switch_id();
+    let task = TaskId(1);
+    service.submit_task(task, hosts[0], &[hosts[1]]);
+    service.submit_stream(task, hosts[1], vec![KvTuple::new(Key::from_u64(1), 1)]);
+    service
+        .run_until_complete(task, hosts[0], 5_000_000)
+        .unwrap();
+
+    let mut slots = vec![None; layout.slot_count()];
+    slots[0] = Some(KvTuple::new(Key::from_u64(7), 42));
+    let data = AskPacket::Data(DataPacket {
+        task,
+        channel: ChannelId(hosts[1].index() as u32 * CHANNEL_STRIDE),
+        seq: SeqNo(5),
+        slots,
+    });
+    let env = Envelope::new(hosts[1].index() as u32, hosts[0].index() as u32, data);
+    let mut bytes = encode_envelope(&env, &layout).to_vec();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+
+    let before: HostStats = service.daemon(hosts[0]).stats();
+    let busy = service.host_cpu_busy(hosts[0]);
+    service
+        .network_mut()
+        .with_node::<AskDaemon, _>(hosts[0], |daemon, ctx| {
+            daemon.on_frame(switch, Frame::new(Bytes::from(bytes)), ctx);
+        });
+    let after = service.daemon(hosts[0]).stats();
+    assert_eq!(
+        after,
+        HostStats {
+            undecodable: before.undecodable + 1,
+            ..before
+        },
+        "one frame counted as undecodable, every other counter unchanged"
+    );
+    assert_eq!(before.undecodable, 0);
+    assert_eq!(service.host_cpu_busy(hosts[0]), busy);
+}
+
+#[test]
 fn misrouted_data_is_orphaned_and_acked() {
     // A forged data packet for a task the receiver never registered (a
     // misconfigured or malicious sender): the receiver must ACK it (no
