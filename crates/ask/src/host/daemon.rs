@@ -13,6 +13,7 @@ use crate::host::trace::{TraceEvent, TraceLog};
 use crate::host::window::{FrameKind, SenderWindow};
 use crate::stats::HostStats;
 use crate::switch::aggregator::Observation;
+use crate::switch::epoch_newer;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
 use ask_simnet::time::{SimDuration, SimTime};
@@ -229,7 +230,7 @@ pub struct AskDaemon {
     /// Retransmission schedule (flat with default config).
     backoff: BackoffPolicy,
     /// When set, wall time spent classifying and building packets is
-    /// accumulated into `packetize_ns` (the `--timing` phase breakdown).
+    /// accumulated into `packetize_ns` (the stick's `service.packetize_share`).
     /// Purely observational: never read by the protocol.
     time_phases: bool,
     /// `Cell` so the hot send path can add to it while channel state is
@@ -270,9 +271,9 @@ impl AskDaemon {
         }
     }
 
-    /// Turns on packetize-phase wall-time accounting (the `--timing`
-    /// breakdown). Off by default: the hot path must not pay for clock
-    /// reads.
+    /// Turns on packetize-phase wall-time accounting (the stick's
+    /// `service.packetize_share`). Off by default: the hot path must not
+    /// pay for clock reads.
     pub fn enable_phase_timing(&mut self) {
         self.time_phases = true;
     }
@@ -1180,15 +1181,15 @@ impl AskDaemon {
     }
 
     /// Epoch gate for a parsed view; `false` means drop the frame. A newer
-    /// epoch means the switch restarted — resync fully before processing
-    /// this frame; an older epoch is a leftover of a dead incarnation (late
-    /// verdict, ACK, or fetch reply computed against wiped switch state)
-    /// and must not touch anything.
+    /// epoch ([`epoch_newer`]) means the switch restarted — resync fully
+    /// before processing this frame; any other epoch is a leftover of a
+    /// dead incarnation (late verdict, ACK, or fetch reply computed against
+    /// wiped switch state) and must not touch anything.
     fn admit_view(&mut self, view: &FrameView, ctx: &mut Context<'_>) -> bool {
         if view.epoch() == self.known_epoch {
             return true;
         }
-        if view.epoch() > self.known_epoch {
+        if epoch_newer(view.epoch(), self.known_epoch) {
             self.resync_to_epoch(view.epoch(), ctx);
             true
         } else {

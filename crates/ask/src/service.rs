@@ -315,8 +315,8 @@ impl AskService {
         self.network.link_stats(self.switch, host)
     }
 
-    /// Turns on wall-time phase accounting (the `--timing` breakdown).
-    /// Purely observational — simulation behavior and every report stay
+    /// Turns on wall-time phase accounting (what the `benchmark/` stick
+    /// reports as `service.*_share`). Purely observational — simulation behavior and every report stay
     /// byte-identical — but the clock reads cost real time, so this is off
     /// by default.
     pub fn enable_phase_timing(&mut self) {
@@ -370,7 +370,8 @@ pub struct PhaseTiming {
 }
 
 impl PhaseTiming {
-    /// Folds another run's breakdown into this one.
+    /// Folds another run's breakdown into this one (the stick sums its
+    /// traced iterations this way).
     pub fn absorb(&mut self, other: &PhaseTiming) {
         self.packetize_ns += other.packetize_ns;
         self.switch_ns += other.switch_ns;

@@ -14,6 +14,15 @@ use ask_wire::packet::{AskPacket, ChannelId, ControlMsg, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use bytes::Bytes;
 
+/// Whether switch epoch `a` is newer than `b`, in RFC 1982 serial-number
+/// arithmetic: epochs bump with `wrapping_add`, so 0 is newer than
+/// `u32::MAX`, and two epochs exactly 2³¹ apart are neither newer than the
+/// other. Both epoch gates — the switch's ingress and the host's
+/// [`AskDaemon`](crate::host::AskDaemon) — compare through this.
+pub(crate) fn epoch_newer(a: u32, b: u32) -> bool {
+    (a.wrapping_sub(b) as i32) > 0
+}
+
 /// What the switch needs to answer or relay one ingress frame that the
 /// packet view does not carry: the envelope addressing, the frame's
 /// link-level attributes, and the original payload bytes (for the
@@ -115,12 +124,12 @@ impl AskSwitch {
         self.pure_absorb
     }
 
-    /// Epoch gate for one ingress frame: frames from this epoch pass;
-    /// older ones are dropped and answered with an
-    /// [`ControlMsg::EpochNotify`] so the sender resynchronizes. Returns
-    /// whether the frame should be processed.
+    /// Epoch gate for one ingress frame: frames from this epoch (or a
+    /// newer one, see [`epoch_newer`]) pass; all others are dropped and
+    /// answered with an [`ControlMsg::EpochNotify`] so the sender
+    /// resynchronizes. Returns whether the frame should be processed.
     fn epoch_admit(&mut self, src: u32, envelope_epoch: u32, ctx: &mut Context<'_>) -> bool {
-        if envelope_epoch >= self.epoch {
+        if envelope_epoch == self.epoch || epoch_newer(envelope_epoch, self.epoch) {
             return true;
         }
         self.stale_epoch_drops += 1;
@@ -373,5 +382,84 @@ impl Node for AskSwitch {
     /// cycle: the data plane comes back empty in a fresh epoch.
     fn on_restart(&mut self, _ctx: &mut Context<'_>) {
         self.crash();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ask_simnet::link::LinkConfig;
+    use ask_simnet::network::{Network, NetworkBuilder};
+    use ask_simnet::time::SimDuration;
+    use ask_wire::codec::encode_envelope_parts;
+    use ask_wire::packet::AggregateOp;
+
+    /// Records every payload it is handed.
+    #[derive(Default)]
+    struct Sink(Vec<Bytes>);
+
+    impl Node for Sink {
+        fn on_frame(&mut self, _from: NodeId, frame: Frame, _ctx: &mut Context<'_>) {
+            self.0.push(frame.into_payload());
+        }
+    }
+
+    #[test]
+    fn epoch_newer_is_serial_number_arithmetic() {
+        assert!(epoch_newer(1, 0));
+        assert!(!epoch_newer(0, 0));
+        assert!(!epoch_newer(0, 1));
+        assert!(epoch_newer(0, u32::MAX), "the wrap is one step forward");
+        assert!(!epoch_newer(u32::MAX, 0));
+        assert!(epoch_newer((1 << 31) - 1, 0));
+        assert!(!epoch_newer(1 << 31, 0) && !epoch_newer(0, 1 << 31));
+    }
+
+    #[test]
+    fn epoch_gate_holds_across_the_u32_wrap() {
+        let cfg = AskConfig::tiny();
+        let layout = cfg.layout;
+        let mut b = NetworkBuilder::new(1);
+        let host = b.add_node(Sink::default());
+        let switch = b.add_node(AskSwitch::new(cfg));
+        b.connect(host, switch, LinkConfig::new(100e9, SimDuration::from_micros(1)));
+        let mut net = b.build();
+        net.with_node::<AskSwitch, _>(switch, |sw, _| {
+            sw.epoch = u32::MAX;
+            sw.crash();
+        });
+        assert_eq!(net.node::<AskSwitch>(switch).epoch(), 0);
+
+        let (src, dst) = (host.index() as u32, switch.index() as u32);
+        let request = AskPacket::Control(ControlMsg::RegionRequest {
+            task: TaskId(1),
+            op: AggregateOp::Sum,
+        });
+        let reply = |net: &mut Network, epoch: u32| {
+            let bytes = encode_envelope_parts(src, dst, epoch, 0, &request, &layout);
+            net.with_node::<AskSwitch, _>(switch, |sw, ctx| {
+                sw.on_frame(host, Frame::new(bytes), ctx)
+            });
+            net.run_to_idle();
+            let got = net.node_mut::<Sink>(host).0.pop().expect("one reply");
+            let view = FrameView::parse(got).expect("the switch sends valid frames");
+            assert_eq!(view.epoch(), 0, "stamped with the switch's epoch");
+            match view.into_packet() {
+                PacketView::Control(msg) => msg,
+                other => panic!("not a control reply: {other:?}"),
+            }
+        };
+
+        assert_eq!(
+            reply(&mut net, u32::MAX),
+            ControlMsg::EpochNotify { epoch: 0 },
+            "a frame from the incarnation before the wrap is stale"
+        );
+        assert_eq!(net.node::<AskSwitch>(switch).stale_epoch_drops(), 1);
+        assert!(
+            matches!(reply(&mut net, 0), ControlMsg::RegionGrant { .. }),
+            "a frame from the current epoch is admitted"
+        );
+        assert_eq!(net.node::<AskSwitch>(switch).stale_epoch_drops(), 1);
     }
 }

@@ -1,32 +1,6 @@
-//! Regenerates every table and figure of the paper's evaluation, fanning
-//! the independent figures across all cores, and records per-figure wall
-//! times in `BENCH_baseline.json` (path overridable via
-//! `ASK_BENCH_BASELINE`).
-
-use ask_bench::baseline::{baseline_path, Baseline};
-use ask_bench::parallel::worker_count;
+//! Regenerates every table and figure of the paper's evaluation, in report
+//! order.
 
 fn main() {
-    let timing = std::env::args().skip(1).any(|a| a == "--timing");
-    if timing {
-        ask_bench::runners::enable_phase_timing();
-    }
-    let scale = ask_bench::Scale::from_env();
-    let (report, timings) = ask_bench::run_all_parallel(scale);
-    print!("{report}");
-    if timing {
-        // Excluded section: wall times vary run to run, so they are printed
-        // for attribution only and never enter golden/baseline comparisons.
-        println!("\n{}", ask_bench::runners::render_phase_totals());
-    }
-
-    let mut baseline = Baseline::new(scale, worker_count(timings.len()));
-    for t in &timings {
-        baseline.record(t.name, t.elapsed);
-    }
-    let path = baseline_path();
-    match baseline.write_to(&path) {
-        Ok(()) => eprintln!("wrote per-figure timings to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
+    print!("{}", ask_bench::run_all(ask_bench::Scale::from_env()));
 }

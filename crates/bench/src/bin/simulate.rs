@@ -4,14 +4,12 @@
 //! ```sh
 //! cargo run --release -p ask-bench --bin simulate -- \
 //!     --senders 4 --tuples 200000 --workload zipf --skew 1.1 \
-//!     --distinct 20000 --loss 0.01 --channels 4 --op sum
+//!     --distinct 20000 --loss 0.01 --channels 4
 //! ```
 
 use ask::prelude::*;
-use ask_bench::baseline::{baseline_path, Baseline};
 use ask_bench::output::{gbps, pct};
 use ask_bench::runners::{run_ask, AskRun};
-use ask_bench::Scale;
 use ask_simnet::faults::FaultModel;
 use ask_simnet::link::LinkConfig;
 use ask_simnet::time::SimDuration;
@@ -29,10 +27,8 @@ struct Args {
     skew: f64,
     loss: f64,
     channels: usize,
-    op: AggregateOp,
     seed: u64,
     swap_threshold: u64,
-    timing: bool,
 }
 
 impl Args {
@@ -45,10 +41,8 @@ impl Args {
             skew: 1.0,
             loss: 0.0,
             channels: 4,
-            op: AggregateOp::Sum,
             seed: 1,
             swap_threshold: 4096,
-            timing: false,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -65,21 +59,11 @@ impl Args {
                 "--swap-threshold" => {
                     args.swap_threshold = value()?.parse().map_err(|e| format!("{e}"))?
                 }
-                "--timing" => args.timing = true,
-                "--op" => {
-                    args.op = match value()?.as_str() {
-                        "sum" => AggregateOp::Sum,
-                        "max" => AggregateOp::Max,
-                        "min" => AggregateOp::Min,
-                        other => return Err(format!("unknown op {other}")),
-                    }
-                }
                 "--help" | "-h" => {
                     println!(
                         "usage: simulate [--senders N] [--tuples N] [--distinct N]\n\
                          \t[--workload uniform|zipf|yelp|NG|BAC|LMDB] [--skew S]\n\
-                         \t[--loss P] [--channels N] [--op sum|max|min] [--seed N]\n\
-                         \t[--swap-threshold N] [--timing]"
+                         \t[--loss P] [--channels N] [--seed N] [--swap-threshold N]"
                     );
                     std::process::exit(0);
                 }
@@ -143,19 +127,13 @@ fn main() {
     let streams: Vec<Vec<KvTuple>> = (0..args.senders).map(|s| args.stream(s)).collect();
     let total: u64 = streams.iter().map(|s| s.len() as u64).sum();
     println!(
-        "ASK simulation: {} senders × {} tuples ({} workload, op {:?}, loss {}%)",
+        "ASK simulation: {} senders × {} tuples ({} workload, loss {}%)",
         args.senders,
         args.tuples,
         args.workload,
-        args.op,
         args.loss * 100.0
     );
-    if args.timing {
-        ask_bench::runners::enable_phase_timing();
-    }
-    let wall_start = std::time::Instant::now();
     let report = run_ask(&run, streams);
-    let wall = wall_start.elapsed();
 
     println!("\nresults:");
     println!("  job completion time     {:.3} ms", report.jct_s * 1e3);
@@ -197,22 +175,4 @@ fn main() {
         pct(hits as f64 / (hits + misses) as f64)
     };
     println!("  packet pool             receiver {hits}/{misses} ({rate}) hits/misses (rate)");
-
-    if args.timing {
-        // Excluded section: wall times vary run to run, so they are printed
-        // for attribution only and never enter golden/baseline comparisons.
-        println!("\n{}", ask_bench::runners::render_phase_totals());
-    }
-
-    let mut baseline = Baseline::new(Scale::from_env(), 1);
-    baseline.record("simulate_wall", wall);
-    baseline.record(
-        "simulate_jct",
-        std::time::Duration::from_secs_f64(report.jct_s),
-    );
-    let path = baseline_path();
-    match baseline.write_to(&path) {
-        Ok(()) => eprintln!("wrote timings to {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
 }

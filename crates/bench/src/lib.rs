@@ -15,13 +15,12 @@
 //! | [`fig12`] | Fig. 12 training throughput | training models |
 //! | [`fig13`] | Fig. 13 overhead & scalability | real stack + NoAggr sim |
 //!
-//! Run everything with `cargo bench -p ask-bench` (the `figures` bench) or
-//! a single figure with e.g. `cargo run -p ask-bench --release --bin fig9`.
+//! Run everything with `cargo run -p ask-bench --release --bin all_figures`
+//! or a single figure with e.g. `cargo run -p ask-bench --release --bin fig9`.
 //! Set `ASK_BENCH_SCALE=full` for larger workloads.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod fig10;
 pub mod fig12;
 pub mod fig13;
@@ -30,14 +29,13 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod output;
-pub mod parallel;
 pub mod runners;
 pub mod table1;
 
 pub use runners::Scale;
 
-/// Runs every figure and table sequentially, returning the concatenated
-/// report. See [`run_all_parallel`] for the multi-core variant.
+/// Runs every figure and table in report order, returning the concatenated
+/// report.
 pub fn run_all(scale: Scale) -> String {
     let sections = [
         fig3::run(scale),
@@ -50,18 +48,4 @@ pub fn run_all(scale: Scale) -> String {
         fig13::run(scale),
     ];
     sections.join("\n")
-}
-
-/// Runs every figure and table fanned across all available cores, returning
-/// the concatenated report (identical to [`run_all`]'s, figures are
-/// deterministic and independent) plus per-figure timings.
-pub fn run_all_parallel(scale: Scale) -> (String, Vec<parallel::JobResult>) {
-    let jobs = parallel::figure_jobs();
-    let results = parallel::run_jobs(&jobs, scale);
-    let report = results
-        .iter()
-        .map(|r| r.output.as_str())
-        .collect::<Vec<_>>()
-        .join("\n");
-    (report, results)
 }

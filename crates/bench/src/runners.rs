@@ -2,121 +2,20 @@
 //! metrics the figures report.
 
 use ask::prelude::*;
-use ask::service::PhaseTiming;
 use ask_simnet::link::LinkConfig;
 use ask_simnet::time::SimDuration;
 use ask_wire::codec::encode_envelope_parts;
-use ask_wire::packet::{AskPacket, ChannelId, DataPacket, SeqNo, TaskId};
+use ask_wire::packet::{AskPacket, DataPacket, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
-/// Process-wide switch for the `--timing` phase breakdown. When on, every
-/// [`run_ask`] enables phase accounting on its service and folds the
-/// result into [`phase_totals`]. Off by default: clock reads cost wall
-/// time, and the breakdown is observational only.
-static PHASE_TIMING: AtomicBool = AtomicBool::new(false);
-static PHASE_TOTALS: Mutex<PhaseTiming> = Mutex::new(PhaseTiming {
-    packetize_ns: 0,
-    switch_ns: 0,
-    host_ns: 0,
-    drain_ns: 0,
-    total_ns: 0,
-});
-
-/// Turns on per-phase wall-time accounting for every subsequent
-/// [`run_ask`] in this process (the `--timing` flag).
-pub fn enable_phase_timing() {
-    PHASE_TIMING.store(true, Ordering::Relaxed);
-}
-
-/// Phase totals accumulated across all timed runs, in nanoseconds of host
-/// wall time. All zeros unless [`enable_phase_timing`] was called first.
-pub fn phase_totals() -> PhaseTiming {
-    *PHASE_TOTALS.lock().unwrap()
-}
-
-/// Renders the accumulated phase breakdown as an *excluded* report section
-/// (wall times vary run to run, so they must never enter golden or
-/// baseline comparisons).
-pub fn render_phase_totals() -> String {
-    let t = phase_totals();
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let pct = |ns: u64| {
-        if t.total_ns == 0 {
-            0.0
-        } else {
-            100.0 * ns as f64 / t.total_ns as f64
-        }
-    };
-    let mut out = String::from("Phase wall-time breakdown (observational; excluded from baselines)\n");
-    for (name, ns) in [
-        ("packetize", t.packetize_ns),
-        ("switch", t.switch_ns),
-        ("host", t.host_ns),
-        ("drain", t.drain_ns),
-    ] {
-        out.push_str(&format!("  {name:<10} {:>10.2} ms  {:>5.1}%\n", ms(ns), pct(ns)));
-    }
-    out.push_str(&format!("  {:<10} {:>10.2} ms\n", "total", ms(t.total_ns)));
-    out
-}
 
 /// Encodes `pkt` as a frame in `layout` and parses it back into the
-/// borrowed view [`AggregatorEngine`] consumes — for the figures and
-/// benches that drive the switch engine directly, without a network.
+/// borrowed view [`AggregatorEngine`] consumes — for the figures that
+/// drive the switch engine directly, without a network.
 pub fn data_view(pkt: DataPacket, layout: &PacketLayout) -> DataPacketView {
     let frame = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(pkt), layout);
     match FrameView::parse(frame).expect("freshly encoded").into_packet() {
         PacketView::Data(d) => d,
         _ => unreachable!("data frames parse to data views"),
-    }
-}
-
-/// An endless single-channel feed of task 1's data frames for the engine
-/// benches: a uniform stream packetized once, handed out round-robin with
-/// fresh sequence numbers so the dedup window always classifies First.
-/// Frame building belongs in a bench's untimed setup.
-#[derive(Debug)]
-pub struct FrameFeed {
-    payloads: Vec<Vec<Option<KvTuple>>>,
-    layout: PacketLayout,
-    seq: u64,
-}
-
-impl FrameFeed {
-    /// Packetizes a uniform stream of `tuples` tuples over `tuples / 4`
-    /// keys in `layout`.
-    pub fn new(layout: PacketLayout, tuples: u64) -> Self {
-        let stream = ask_workloads::text::uniform_stream(5, tuples / 4, tuples);
-        FrameFeed {
-            payloads: Packetizer::new(layout, 64).packetize(stream).data_payloads,
-            layout,
-            seq: 0,
-        }
-    }
-
-    /// Distinct payloads the feed cycles through.
-    pub fn cycle_len(&self) -> usize {
-        self.payloads.len()
-    }
-
-    /// Mean occupied slots per frame (one frame is one bench iteration).
-    pub fn tuples_per_frame(&self) -> u64 {
-        let tuples = self.payloads.iter().flatten().flatten().count();
-        (tuples / self.payloads.len()) as u64
-    }
-
-    /// The next frame, as the switch would see it.
-    pub fn next_frame(&mut self) -> DataPacketView {
-        let pkt = DataPacket {
-            task: TaskId(1),
-            channel: ChannelId(0),
-            seq: SeqNo(self.seq),
-            slots: self.payloads[self.seq as usize % self.payloads.len()].clone(),
-        };
-        self.seq += 1;
-        data_view(pkt, &self.layout)
     }
 }
 
@@ -237,10 +136,6 @@ pub fn run_ask(run: &AskRun, streams: Vec<Vec<KvTuple>>) -> AskReport {
         .link(run.link.clone())
         .seed(run.seed)
         .build();
-    let timed = PHASE_TIMING.load(Ordering::Relaxed);
-    if timed {
-        service.enable_phase_timing();
-    }
     let hosts = service.hosts().to_vec();
     let receiver = hosts[0];
 
@@ -298,9 +193,6 @@ pub fn run_ask(run: &AskRun, streams: Vec<Vec<KvTuple>>) -> AskReport {
         let uplink = service.uplink_stats(h);
         sender_wire.push(uplink.bytes_sent as f64 * 8.0 / done);
         sender_cpu.push(service.host_cpu_busy(h).as_secs_f64());
-    }
-    if timed {
-        PHASE_TOTALS.lock().unwrap().absorb(&service.phase_timing());
     }
     AskReport {
         jct_s,

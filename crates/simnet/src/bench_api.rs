@@ -2,9 +2,9 @@
 //!
 //! The queue is deliberately `pub(crate)` — simulation users schedule work
 //! through [`crate::network::Context`], never by touching the scheduler
-//! directly. Criterion benches live in a separate crate, though, and need
-//! to drive push/pop in isolation to measure the timer wheel against its
-//! event-time distribution. This thin wrapper exposes exactly that: timer
+//! directly. The `benchmark/` stick is a package of its own, though, and
+//! drives push/pop in isolation to time the timer wheel against its
+//! event-time distribution (`simnet.queue_ns_per_event`). This thin wrapper exposes exactly that: timer
 //! pushes at absolute nanosecond instants and pops observed as
 //! `(at_nanos, seq)` pairs. It adds no behavior of its own, so benching
 //! the wrapper is benching the queue.

@@ -655,6 +655,48 @@ mod switch_crash {
             "the stale ACK must be dropped and counted, not applied"
         );
     }
+
+    #[test]
+    fn forged_max_epoch_frame_does_not_wedge_a_host() {
+        // Regression: epochs compared as plain integers, so one CRC-valid
+        // frame stamped `u32::MAX` looked newer than epoch 0, the host
+        // resynchronized to it, and every genuine frame from the switch was
+        // stale from then on. In serial-number arithmetic `u32::MAX` is the
+        // epoch just before 0: the frame is stale and the task is untouched.
+        use ask_wire::codec::encode_envelope_parts;
+        use ask_wire::packet::{AskPacket, ChannelId, SeqNo, CHANNEL_STRIDE};
+
+        let (mut service, hosts, task, expected) = build(None, clean_link(), 18);
+        let layout = service.config().layout;
+        let switch = service.switch_id();
+        let target = hosts[1];
+        let forged_ack = AskPacket::Ack {
+            channel: ChannelId(target.index() as u32 * CHANNEL_STRIDE),
+            seq: SeqNo(0),
+            ece: false,
+        };
+        let bytes = encode_envelope_parts(
+            switch.index() as u32,
+            target.index() as u32,
+            u32::MAX,
+            0,
+            &forged_ack,
+            &layout,
+        );
+        service
+            .network_mut()
+            .with_node::<AskSwitch, _>(switch, |_sw, ctx| {
+                let _ = ctx.send(target, Frame::new(bytes));
+            });
+        service.run_until_complete(task, hosts[0], 5_000_000).unwrap();
+        assert_eq!(service.result(task, hosts[0]).unwrap(), expected);
+        assert_eq!(service.daemon(target).known_epoch(), 0);
+        assert_eq!(
+            service.host_stats(target).stale_epoch_drops,
+            1,
+            "the forged frame must be dropped and counted, not resynced to"
+        );
+    }
 }
 
 #[test]
