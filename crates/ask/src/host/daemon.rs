@@ -25,7 +25,6 @@ use ask_wire::key::Key;
 use ask_wire::packet::{
     AggregateOp, AskPacket, ChannelId, ControlMsg, FetchScope, KvTuple, SeqNo, TaskId,
 };
-use ask_wire::pool::PacketPool;
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -217,9 +216,6 @@ pub struct AskDaemon {
     /// Tuples received for tasks this daemon had already completed (a
     /// sender's crash-epoch replay of a stream the result already holds).
     late_tuples: u64,
-    /// Recycled packet bodies for the one frame kind the receive path
-    /// still materializes (long-kv).
-    pool: PacketPool,
     /// Highest switch epoch this daemon has seen. Frames from older epochs
     /// (pre-crash verdicts, ACKs, fetch replies) are dropped at ingress.
     known_epoch: u32,
@@ -262,7 +258,6 @@ impl AskDaemon {
             cpu_busy: SimDuration::ZERO,
             orphan_tuples: 0,
             late_tuples: 0,
-            pool: PacketPool::new(),
             known_epoch: 0,
             degraded: false,
             backoff,
@@ -397,18 +392,9 @@ impl AskDaemon {
         self.send_done.get(&task).copied()
     }
 
-    /// Aggregate daemon counters (pool hit/miss counters are folded in from
-    /// the live packet pool).
+    /// Aggregate daemon counters.
     pub fn stats(&self) -> HostStats {
-        let mut s = self.stats;
-        s.pool_hits = self.pool.hits();
-        s.pool_misses = self.pool.misses();
-        s
-    }
-
-    /// The daemon's packet-memory pool.
-    pub fn pool(&self) -> &PacketPool {
-        &self.pool
+        self.stats
     }
 
     /// Total CPU time consumed by packet IO and host-side aggregation.
@@ -1141,22 +1127,24 @@ impl AskDaemon {
     // The receive datapath.
     //
     // Inbound frames parse once into borrowed `FrameView`s, one frame per
-    // call; data packets and fetch replies are consumed straight from the
-    // wire bytes with zero pool traffic.
+    // call; every payload — data slots, long-kv and fetch-reply entries —
+    // is merged straight from the wire bytes.
     // ------------------------------------------------------------------
 
-    /// Long-key bypass bodies merge as owned tuples: the one frame kind
-    /// still materialized (through the pool) instead of read in place.
+    /// One long-kv view: classified by the receive window like a data
+    /// packet, and a first delivery's entries merge off the frame bytes as
+    /// a fetch reply's do. Every long-kv frame received counts in
+    /// `host_view_fallbacks`.
     fn on_long_kv(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
         self.stats.host_view_fallbacks += 1;
-        let AskPacket::LongKv {
+        let PacketView::LongKv {
             task,
             channel,
             seq,
-            entries,
-        } = view.materialize_pooled(&mut self.pool).packet
+            entry_count,
+        } = *view.packet()
         else {
-            unreachable!("long-kv views materialize to long-kv packets");
+            unreachable!("dispatched on the long-kv kind");
         };
         let src = view.src();
         self.cpu_busy += self.config.cpu_per_packet;
@@ -1164,20 +1152,23 @@ impl AskDaemon {
             Observation::Stale => {}
             Observation::Duplicate => {
                 self.stats.duplicates_dropped += 1;
+                self.trace
+                    .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
                 self.reply_ack(src, channel, seq, ecn, ctx);
             }
             Observation::First => {
                 self.stats.packets_received += 1;
-                if let Some(rt) = self.merge_target(task, entries.len() as u64) {
+                self.trace
+                    .record(ctx.now(), TraceEvent::Received { channel, seq });
+                if let Some(rt) = self.merge_target(task, entry_count as u64) {
                     let op = rt.op;
-                    for t in &entries {
-                        rt.residual.merge(&t.key, t.value, op);
+                    for e in view.entries().expect("long-kv frames carry entries") {
+                        rt.residual.merge_hashed(e.hash64(), e.key_bytes(), e.value(), op);
                     }
                 }
                 self.reply_ack(src, channel, seq, ecn, ctx);
             }
         }
-        self.pool.recycle_tuples(entries);
     }
 
     /// Epoch gate for a parsed view; `false` means drop the frame. A newer
@@ -1313,20 +1304,26 @@ impl Node for AskDaemon {
             // the frame's own geometry and key hashes do not depend on it.
             PacketView::Data(d) => self.on_data(src, ecn, d, ctx),
             PacketView::LongKv { .. } => self.on_long_kv(ecn, &view, ctx),
-            PacketView::Fin { task, channel, seq } => {
+            &PacketView::Fin { task, channel, seq } => {
                 self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(*channel, *seq) {
+                match self.observe(channel, seq) {
                     Observation::Stale => {}
+                    // Not counted in `duplicates_dropped`, which counts
+                    // payload packets only.
                     Observation::Duplicate => {
-                        self.reply_ack(src, *channel, *seq, ecn, ctx);
+                        self.trace
+                            .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
+                        self.reply_ack(src, channel, seq, ecn, ctx);
                     }
                     Observation::First => {
+                        self.trace
+                            .record(ctx.now(), TraceEvent::Received { channel, seq });
                         let sender_host = channel.host();
-                        self.reply_ack(src, *channel, *seq, ecn, ctx);
-                        if let Some(rt) = self.recv_tasks.get_mut(task) {
+                        self.reply_ack(src, channel, seq, ecn, ctx);
+                        if let Some(rt) = self.recv_tasks.get_mut(&task) {
                             rt.fins.insert(sender_host);
                         }
-                        self.check_completion(*task, ctx);
+                        self.check_completion(task, ctx);
                     }
                 }
             }

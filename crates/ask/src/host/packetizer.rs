@@ -295,7 +295,7 @@ impl PendingStream {
             .get(last)
             .copied()
             .unwrap_or(self.long.bytes.len());
-        let mut frame = FrameWriter::long_kv(h, (last - first) as u32, to - from);
+        let mut frame = FrameWriter::long_kv(h, 0, (last - first) as u32, to - from);
         frame.put(&self.long.bytes[from..to]);
         Some(BuiltFrame {
             kind: FrameKind::LongKv,

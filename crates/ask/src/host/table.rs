@@ -191,8 +191,8 @@ impl TaskTable {
         self.len += 1;
     }
 
-    /// Merges `value` under `key`, hashing it first — the fallback paths
-    /// (materialized tuples, co-located streams) where no wire hash exists.
+    /// Merges `value` under `key`, hashing it first — for co-located sender
+    /// streams, which never cross the wire and so carry no wire hash.
     pub fn merge(&mut self, key: &Key, value: u32, op: AggregateOp) {
         self.merge_hashed(key.hash64(), key.as_bytes(), value, op);
     }

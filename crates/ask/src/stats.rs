@@ -100,9 +100,10 @@ pub struct HostStats {
     pub bytes_sent: u64,
     /// Nominal payload (goodput) bytes sent.
     pub goodput_bytes_sent: u64,
-    /// Packet-pool takes served from the free list (no allocation).
+    /// Always 0: no daemon decodes owned packets, so none owns a packet
+    /// pool. Kept for the readers that still report pool traffic.
     pub pool_hits: u64,
-    /// Packet-pool takes that had to allocate.
+    /// Always 0, like [`HostStats::pool_hits`].
     pub pool_misses: u64,
     /// Frames dropped because they carried a pre-crash switch epoch
     /// (late verdicts, ACKs, or fetch replies from before a restart).
@@ -115,13 +116,13 @@ pub struct HostStats {
     /// after exhausting [`crate::config::AskConfig::escalate_after`]
     /// retransmissions.
     pub degraded_entries: u64,
-    /// Inbound payload frames the receive path consumed straight from wire
-    /// bytes — first-delivery data packets merged via borrowed slot views
-    /// and fetch replies merged via borrowed entry views — with zero pool
-    /// traffic (the host-side mirror of the switch's pure-absorb counter).
+    /// First-delivery data packets merged via borrowed slot views plus
+    /// fetch replies merged via borrowed entry views (the host-side mirror
+    /// of the switch's pure-absorb counter).
     pub host_pure_view: u64,
-    /// Inbound frames the receive path had to materialize through the pool
-    /// after parsing: long-kv bodies.
+    /// Long-kv frames received — first deliveries, duplicates and stale
+    /// copies alike. Their entries are read in place like every other
+    /// payload; the counter keeps its name for the readers that report it.
     pub host_view_fallbacks: u64,
 }
 

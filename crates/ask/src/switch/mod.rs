@@ -8,7 +8,7 @@ use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
-use ask_wire::codec::{ack_frame, encode_envelope, Envelope, FLAG_NO_AGGREGATE};
+use ask_wire::codec::{ack_frame, encode_envelope_parts, FLAG_NO_AGGREGATE};
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::packet::{AskPacket, ChannelId, ControlMsg, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
@@ -198,16 +198,10 @@ impl AskSwitch {
 
     /// Sends a packet the switch itself originates, stamped with its epoch.
     fn reply(&mut self, dst: u32, packet: AskPacket, ctx: &mut Context<'_>) {
-        let envelope = Envelope {
-            src: ctx.me().index() as u32,
-            dst,
-            epoch: self.epoch,
-            flags: 0,
-            packet,
-        };
         let layout = self.engine.config().layout;
-        let bytes = encode_envelope(&envelope, &layout);
-        let wire = envelope.wire_bytes(&layout);
+        let me = ctx.me().index() as u32;
+        let bytes = encode_envelope_parts(me, dst, self.epoch, 0, &packet, &layout);
+        let wire = packet.wire_bytes(&layout);
         self.forward_raw(dst, bytes, wire, false, ctx);
     }
 
@@ -391,7 +385,6 @@ mod tests {
     use ask_simnet::link::LinkConfig;
     use ask_simnet::network::{Network, NetworkBuilder};
     use ask_simnet::time::SimDuration;
-    use ask_wire::codec::encode_envelope_parts;
     use ask_wire::packet::AggregateOp;
 
     /// Records every payload it is handed.

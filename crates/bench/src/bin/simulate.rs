@@ -165,14 +165,4 @@ fn main() {
         report.receiver.tuples_host_aggregated
     );
     println!("  total tuples in         {total}");
-
-    // Memory-reuse footer (observational counters; not part of any
-    // golden-pinned figure body).
-    let (hits, misses) = (report.receiver.pool_hits, report.receiver.pool_misses);
-    let rate = if hits + misses == 0 {
-        "-".to_string()
-    } else {
-        pct(hits as f64 / (hits + misses) as f64)
-    };
-    println!("  packet pool             receiver {hits}/{misses} ({rate}) hits/misses (rate)");
 }

@@ -138,8 +138,8 @@ mod tests {
         // sees (forwarded data, fins, the final fetch reply) is consumed
         // straight from wire bytes — first-delivery data merges via
         // borrowed slot views into the open-addressed task table, fetch
-        // replies via borrowed entry views — so its packet pool must see
-        // zero takes and the pure-view counter must be hot.
+        // replies via borrowed entry views — so the pure-view counter must
+        // be hot and no long-kv frame arrives.
         let mut cfg = AskConfig::paper_default();
         cfg.layout = PacketLayout::short_only(16);
         cfg.data_channels = 4;
@@ -156,45 +156,8 @@ mod tests {
         );
         assert_eq!(
             report.receiver.host_view_fallbacks, 0,
-            "short-key traffic on the native layout needs no materializing fallback"
+            "short-key traffic on the native layout sends no long-kv frame"
         );
-        assert_eq!(
-            report.receiver.pool_hits + report.receiver.pool_misses,
-            0,
-            "view-path receiver must never touch the packet pool \
-             ({} hits / {} misses)",
-            report.receiver.pool_hits,
-            report.receiver.pool_misses,
-        );
-    }
-
-    #[test]
-    fn lane_path_sends_without_sender_pool_traffic() {
-        // The sender-side mirror: streams are staged once as wire-ready
-        // slot lanes and every frame is written straight into the bytes the
-        // window retains, so a sender's packet pool must see zero takes
-        // however much it sends.
-        let mut cfg = AskConfig::paper_default();
-        cfg.layout = PacketLayout::short_only(16);
-        cfg.data_channels = 4;
-        cfg.region_aggregators = cfg.aggregators_per_aa;
-        let run_cfg = AskRun {
-            tasks: 4,
-            ..AskRun::paper(cfg)
-        };
-        let stream = uniform_stream(11, 10_000, 80_000);
-        let report = run_ask(&run_cfg, vec![stream]);
-        assert!(!report.senders.is_empty());
-        for (i, s) in report.senders.iter().enumerate() {
-            assert!(s.packets_sent > 0, "sender {i} must actually send");
-            assert_eq!(
-                s.pool_hits + s.pool_misses,
-                0,
-                "sender {i} touched the packet pool ({} hits / {} misses)",
-                s.pool_hits,
-                s.pool_misses,
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,14 @@
-//! Binary encoding of [`AskPacket`]s.
+//! The wire format of every frame, written and read two ways.
+//!
+//! The hot kinds — data, long-kv, ACK and FIN — have exactly one body
+//! writer each ([`FrameWriter`], [`ack_frame`], [`fin_frame`]), which
+//! writes the frame straight into the bytes it travels in, and they are
+//! read in place by [`FrameView`](crate::view::FrameView). Beside them sits
+//! the owned reference model: [`encode_envelope_parts`], the one encoder of
+//! an [`AskPacket`] (it hands the hot kinds to those writers and writes only
+//! the rare control, swap and fetch kinds itself), and
+//! [`decode_envelope_pooled`], the one decoder back to an owned
+//! [`Envelope`]. Views are checked against that model.
 //!
 //! The encoding is compact enough that the serialized size never exceeds the
 //! *nominal* wire size used for bandwidth accounting
@@ -93,15 +103,15 @@ impl From<KeyError> for CodecError {
     }
 }
 
-/// Exact serialized size of `packet` under `layout`, used to reserve
-/// encoding buffers up front so the hot path never reallocates mid-write.
-pub fn encoded_size(packet: &AskPacket, layout: &PacketLayout) -> usize {
+/// Exact serialized size of `packet` from its kind byte on, so every frame
+/// is written into an exactly-sized buffer.
+fn encoded_size(packet: &AskPacket, layout: &PacketLayout) -> usize {
     fn entries_size(entries: &[KvTuple]) -> usize {
         4 + entries.iter().map(|t| 2 + t.key.len() + 4).sum::<usize>()
     }
     match packet {
         AskPacket::Data(d) => {
-            let mut n = 1 + 4 + 4 + 8 + 3 + 16;
+            let mut n = DATA_HEADER_BYTES;
             for (i, slot) in d.slots.iter().enumerate() {
                 if slot.is_some() {
                     let width = if layout.is_short_slot(i) {
@@ -130,36 +140,39 @@ pub fn encoded_size(packet: &AskPacket, layout: &PacketLayout) -> usize {
     }
 }
 
-/// Zero padding written after a key to fill its fixed-width slot.
-fn put_zero_pad(buf: &mut BytesMut, mut n: usize) {
-    const PAD: [u8; 64] = [0u8; 64];
-    while n > 0 {
-        let chunk = n.min(PAD.len());
-        buf.put_slice(&PAD[..chunk]);
-        n -= chunk;
-    }
-}
-
-/// Serializes a packet. `layout` governs the slot widths of data packets.
+/// Serializes an addressed packet, checksummed: a CRC-32 over everything
+/// behind it, so in-transit corruption is detected at the next hop and the
+/// frame is treated as lost (recovered by retransmission).
+///
+/// Data, long-kv, ACK and FIN bodies are written by [`FrameWriter`],
+/// [`ack_frame`] and [`fin_frame`] — the very writers the send path uses —
+/// so the model and the datapath share one body layout per kind. The rare
+/// kinds are written here, into one exactly-sized buffer.
 ///
 /// # Panics
 ///
 /// Panics if a [`DataPacket`]'s slot vector length differs from
 /// `layout.slot_count()`, or a slot carries a key wider than its slot.
-pub fn encode(packet: &AskPacket, layout: &PacketLayout) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_size(packet, layout));
-    encode_into(&mut buf, packet, layout);
-    buf.freeze()
-}
-
-/// Appends `packet`'s serialized form to `buf` — the scratch-buffer form of
-/// [`encode`], letting callers compose an envelope (or any outer framing)
-/// in one buffer without an intermediate body allocation and copy.
-///
-/// # Panics
-///
-/// Same conditions as [`encode`].
-pub fn encode_into(buf: &mut BytesMut, packet: &AskPacket, layout: &PacketLayout) {
+pub fn encode_envelope_parts(
+    src: u32,
+    dst: u32,
+    epoch: u32,
+    flags: u8,
+    packet: &AskPacket,
+    layout: &PacketLayout,
+) -> Bytes {
+    let size = encoded_size(packet, layout);
+    let header = |task, channel, seq| SendHeader {
+        src,
+        dst,
+        epoch,
+        task,
+        channel,
+        seq,
+    };
+    // The fixed-size writers stamp no flags; the rare flagged one is
+    // re-flagged.
+    let flagged = |frame: Bytes| if flags == 0 { frame } else { reflag(&frame, flags) };
     match packet {
         AskPacket::Data(d) => {
             assert_eq!(
@@ -167,14 +180,9 @@ pub fn encode_into(buf: &mut BytesMut, packet: &AskPacket, layout: &PacketLayout
                 layout.slot_count(),
                 "slot vector must match layout"
             );
-            buf.put_u8(KIND_DATA);
-            buf.put_u32(d.task.0);
-            buf.put_u32(d.channel.0);
-            buf.put_u64(d.seq.0);
-            buf.put_u8(layout.short_slots() as u8);
-            buf.put_u8(layout.medium_groups() as u8);
-            buf.put_u8(layout.medium_segments() as u8);
-            buf.put_u128(d.bitmap());
+            let h = header(d.task, d.channel, d.seq);
+            let mut frame =
+                FrameWriter::data(&h, flags, layout, d.bitmap(), size - DATA_HEADER_BYTES);
             for (i, slot) in d.slots.iter().enumerate() {
                 let Some(t) = slot else { continue };
                 let width = if layout.is_short_slot(i) {
@@ -187,10 +195,11 @@ pub fn encode_into(buf: &mut BytesMut, packet: &AskPacket, layout: &PacketLayout
                     "key {} too long for slot {i} (width {width})",
                     t.key
                 );
-                buf.put_slice(t.key.as_bytes());
-                put_zero_pad(buf, width - t.key.len());
-                buf.put_u32(t.value);
+                frame.put(t.key.as_bytes());
+                frame.pad(width - t.key.len());
+                frame.put(&t.value.to_be_bytes());
             }
+            frame.finish()
         }
         AskPacket::LongKv {
             task,
@@ -198,24 +207,38 @@ pub fn encode_into(buf: &mut BytesMut, packet: &AskPacket, layout: &PacketLayout
             seq,
             entries,
         } => {
-            buf.put_u8(KIND_LONG_KV);
-            buf.put_u32(task.0);
-            buf.put_u32(channel.0);
-            buf.put_u64(seq.0);
-            put_entries(buf, entries);
+            let h = header(*task, *channel, *seq);
+            let count = entries.len() as u32;
+            let mut frame = FrameWriter::long_kv(&h, flags, count, size - LONG_KV_HEADER_BYTES);
+            for t in entries {
+                frame.put(&(t.key.len() as u16).to_be_bytes());
+                frame.put(t.key.as_bytes());
+                frame.put(&t.value.to_be_bytes());
+            }
+            frame.finish()
         }
         AskPacket::Ack { channel, seq, ece } => {
-            buf.put_u8(KIND_ACK);
-            buf.put_u32(channel.0);
-            buf.put_u64(seq.0);
-            buf.put_u8(*ece as u8);
+            flagged(ack_frame(src, dst, epoch, *channel, *seq, *ece))
         }
-        AskPacket::Fin { task, channel, seq } => {
-            buf.put_u8(KIND_FIN);
-            buf.put_u32(task.0);
-            buf.put_u32(channel.0);
-            buf.put_u64(seq.0);
+        AskPacket::Fin { task, channel, seq } => flagged(fin_frame(&header(*task, *channel, *seq))),
+        _ => {
+            let mut buf = BytesMut::with_capacity(ENVELOPE_HEADER_BYTES + size);
+            buf.put_u32(0); // checksum placeholder
+            buf.put_u32(src);
+            buf.put_u32(dst);
+            buf.put_u32(epoch);
+            buf.put_u8(flags);
+            encode_into(&mut buf, packet);
+            seal(&mut buf);
+            buf.freeze()
         }
+    }
+}
+
+/// Appends the body of a swap, fetch or control packet — the kinds no
+/// writer covers — to `buf`.
+fn encode_into(buf: &mut BytesMut, packet: &AskPacket) {
+    match packet {
         AskPacket::Swap { task } => {
             buf.put_u8(KIND_SWAP);
             buf.put_u32(task.0);
@@ -241,7 +264,12 @@ pub fn encode_into(buf: &mut BytesMut, packet: &AskPacket, layout: &PacketLayout
             buf.put_u8(KIND_FETCH_REPLY);
             buf.put_u32(task.0);
             buf.put_u32(*fetch_seq);
-            put_entries(buf, entries);
+            buf.put_u32(entries.len() as u32);
+            for t in entries.iter() {
+                buf.put_u16(t.key.len() as u16);
+                buf.put_slice(t.key.as_bytes());
+                buf.put_u32(t.value);
+            }
         }
         AskPacket::Control(msg) => {
             buf.put_u8(KIND_CONTROL);
@@ -276,46 +304,315 @@ pub fn encode_into(buf: &mut BytesMut, packet: &AskPacket, layout: &PacketLayout
                 }
             }
         }
+        AskPacket::Data(_)
+        | AskPacket::LongKv { .. }
+        | AskPacket::Ack { .. }
+        | AskPacket::Fin { .. } => unreachable!("hot kinds are written by their writers"),
     }
 }
 
-fn put_entries(buf: &mut BytesMut, entries: &[KvTuple]) {
-    buf.put_u32(entries.len() as u32);
-    for t in entries {
-        buf.put_u16(t.key.len() as u16);
-        buf.put_slice(t.key.as_bytes());
-        buf.put_u32(t.value);
+/// An [`AskPacket`] wrapped with source/destination addressing, the unit a
+/// host actually puts on the wire. The addresses stand in for the IP header
+/// the paper's packets carry ("the sender streams the packets to the
+/// receiver with the task ID and the destination IP address in the packet",
+/// §3.1); they are raw simulator node indices here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Envelope {
+    /// Originating node index.
+    pub src: u32,
+    /// Destination node index.
+    pub dst: u32,
+    /// Switch epoch the frame was stamped with. Bumped by every
+    /// switch crash-restart; frames from an older epoch are stale and must
+    /// be dropped, not processed (their reliability state died with the
+    /// crash). `0` is the boot epoch, so crash-free runs never see a
+    /// mismatch.
+    pub epoch: u32,
+    /// Envelope flag bits (see [`FLAG_NO_AGGREGATE`]).
+    pub flags: u8,
+    /// The carried packet.
+    pub packet: AskPacket,
+}
+
+/// Lookup tables for slice-by-8 CRC-32: `CRC32_TABLES[0]` is the classic
+/// byte-at-a-time table for the reflected IEEE 802.3 polynomial; table `t`
+/// advances a byte through `t` additional zero bytes, letting eight input
+/// bytes fold into the CRC per step.
+const CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
+
+const fn build_crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3 polynomial) over a byte slice — the envelope's
+/// integrity check, standing in for the Ethernet FCS the simulator's
+/// framing-overhead constant already accounts for. Slice-by-8 table
+/// lookup; identical values to the bitwise definition.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc: u32 = 0xffff_ffff;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = CRC32_TABLES[7][(lo & 0xff) as usize]
+            ^ CRC32_TABLES[6][((lo >> 8) & 0xff) as usize]
+            ^ CRC32_TABLES[5][((lo >> 16) & 0xff) as usize]
+            ^ CRC32_TABLES[4][(lo >> 24) as usize]
+            ^ CRC32_TABLES[3][(hi & 0xff) as usize]
+            ^ CRC32_TABLES[2][((hi >> 8) & 0xff) as usize]
+            ^ CRC32_TABLES[1][((hi >> 16) & 0xff) as usize]
+            ^ CRC32_TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+    }
+    !crc
+}
+
+/// What every frame a sender's data channel builds starts with: the
+/// envelope addressing and the reliability header (`task · channel · seq`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SendHeader {
+    /// Originating node index.
+    pub src: u32,
+    /// Destination node index.
+    pub dst: u32,
+    /// Switch epoch the frame is stamped with.
+    pub epoch: u32,
+    /// The aggregation task.
+    pub task: TaskId,
+    /// The sending data channel.
+    pub channel: ChannelId,
+    /// Per-channel sequence number.
+    pub seq: SeqNo,
+}
+
+/// Serialized size of a data packet's fixed header: kind, task, channel,
+/// seq, the three declared-layout bytes and the slot bitmap.
+const DATA_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 3 + 16;
+
+/// Serialized size of a long-kv packet's fixed header: kind, task, channel,
+/// seq and the entry count.
+const LONG_KV_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 4;
+
+fn put_send_header(buf: &mut Vec<u8>, kind: u8, h: &SendHeader, flags: u8) {
+    buf.extend_from_slice(&[0; 4]); // checksum placeholder
+    buf.extend_from_slice(&h.src.to_be_bytes());
+    buf.extend_from_slice(&h.dst.to_be_bytes());
+    buf.extend_from_slice(&h.epoch.to_be_bytes());
+    buf.push(flags);
+    buf.push(kind);
+    buf.extend_from_slice(&h.task.0.to_be_bytes());
+    buf.extend_from_slice(&h.channel.0.to_be_bytes());
+    buf.extend_from_slice(&h.seq.0.to_be_bytes());
+}
+
+/// Checksums everything behind the placeholder and patches it in.
+fn seal(frame: &mut [u8]) {
+    let sum = crc32(&frame[4..]);
+    frame[..4].copy_from_slice(&sum.to_be_bytes());
+}
+
+/// Writes a data or long-kv frame once, from body bytes that are already
+/// in wire form, straight into the buffer the frame keeps: headers, then
+/// one [`FrameWriter::put`] per body piece, then the checksum. It is the
+/// one body writer of both kinds: the send path and
+/// [`encode_envelope_parts`] alike write through it.
+#[derive(Debug)]
+pub struct FrameWriter {
+    buf: Vec<u8>,
+    size: usize,
+}
+
+impl FrameWriter {
+    /// Starts a data frame whose occupied slots are `bitmap` and whose slot
+    /// records — for each set bit in ascending order, the key zero-padded
+    /// to the slot's width followed by the big-endian value — total
+    /// `body_len` bytes.
+    pub fn data(
+        h: &SendHeader,
+        flags: u8,
+        layout: &PacketLayout,
+        bitmap: u128,
+        body_len: usize,
+    ) -> Self {
+        let size = ENVELOPE_HEADER_BYTES + DATA_HEADER_BYTES + body_len;
+        let mut buf = Vec::with_capacity(size);
+        put_send_header(&mut buf, KIND_DATA, h, flags);
+        buf.extend_from_slice(&[
+            layout.short_slots() as u8,
+            layout.medium_groups() as u8,
+            layout.medium_segments() as u8,
+        ]);
+        buf.extend_from_slice(&bitmap.to_be_bytes());
+        FrameWriter { buf, size }
+    }
+
+    /// Starts a long-kv frame of `count` entries, serialized as
+    /// `u16 len · key · u32 value` each and `body_len` bytes in total.
+    pub fn long_kv(h: &SendHeader, flags: u8, count: u32, body_len: usize) -> Self {
+        let size = ENVELOPE_HEADER_BYTES + LONG_KV_HEADER_BYTES + body_len;
+        let mut buf = Vec::with_capacity(size);
+        put_send_header(&mut buf, KIND_LONG_KV, h, flags);
+        buf.extend_from_slice(&count.to_be_bytes());
+        FrameWriter { buf, size }
+    }
+
+    /// Appends body bytes.
+    #[inline]
+    pub fn put(&mut self, body: &[u8]) {
+        self.buf.extend_from_slice(body);
+    }
+
+    /// Appends `n` zero bytes: the padding behind an owned slot's key.
+    fn pad(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
+    /// Checksums the frame and freezes it; the buffer was sized exactly, so
+    /// nothing is copied or reallocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body written is not the `body_len` announced.
+    pub fn finish(mut self) -> Bytes {
+        assert_eq!(self.buf.len(), self.size, "frame body size mismatch");
+        seal(&mut self.buf);
+        Bytes::from(self.buf)
     }
 }
 
-/// Deserializes a packet previously produced by [`encode`].
+/// Writes source, destination and epoch into a zeroed fixed-size frame
+/// (checksum and flags stay zero).
+fn stamp_addressing(frame: &mut [u8], src: u32, dst: u32, epoch: u32) {
+    frame[4..8].copy_from_slice(&src.to_be_bytes());
+    frame[8..12].copy_from_slice(&dst.to_be_bytes());
+    frame[12..16].copy_from_slice(&epoch.to_be_bytes());
+}
+
+/// An ACK frame, written on the stack and copied out once.
+pub fn ack_frame(
+    src: u32,
+    dst: u32,
+    epoch: u32,
+    channel: ChannelId,
+    seq: SeqNo,
+    ece: bool,
+) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 8 + 1];
+    stamp_addressing(&mut f, src, dst, epoch);
+    f[17] = KIND_ACK;
+    f[18..22].copy_from_slice(&channel.0.to_be_bytes());
+    f[22..30].copy_from_slice(&seq.0.to_be_bytes());
+    f[30] = ece as u8;
+    seal(&mut f);
+    Bytes::copy_from_slice(&f)
+}
+
+/// A FIN frame, written on the stack and copied out once.
+pub fn fin_frame(h: &SendHeader) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 4 + 8];
+    stamp_addressing(&mut f, h.src, h.dst, h.epoch);
+    f[17] = KIND_FIN;
+    f[18..22].copy_from_slice(&h.task.0.to_be_bytes());
+    f[22..26].copy_from_slice(&h.channel.0.to_be_bytes());
+    f[26..34].copy_from_slice(&h.seq.0.to_be_bytes());
+    seal(&mut f);
+    Bytes::copy_from_slice(&f)
+}
+
+/// A copy of an encoded frame with `flag` set in the envelope flag byte
+/// and the checksum redone — what re-encoding the packet with that flag
+/// would produce, without the packet.
+///
+/// # Panics
+///
+/// Panics if `frame` is shorter than an envelope header.
+pub fn reflag(frame: &[u8], flag: u8) -> Bytes {
+    let mut out = frame.to_vec();
+    out[ENVELOPE_HEADER_BYTES - 1] |= flag;
+    seal(&mut out);
+    Bytes::from(out)
+}
+
+/// The addressing fields of a validated envelope header — the single
+/// checksum-and-header pass shared by [`decode_envelope_pooled`] and
+/// [`crate::view::FrameView::parse`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EnvelopeHeader {
+    pub(crate) src: u32,
+    pub(crate) dst: u32,
+    pub(crate) epoch: u32,
+    pub(crate) flags: u8,
+}
+
+/// Verifies the envelope checksum and reads the addressing header.
+pub(crate) fn check_envelope_header(bytes: &[u8]) -> Result<EnvelopeHeader, CodecError> {
+    if bytes.len() < ENVELOPE_HEADER_BYTES {
+        return Err(CodecError::Truncated);
+    }
+    let expected = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    if crc32(&bytes[4..]) != expected {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    Ok(EnvelopeHeader {
+        src: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
+        dst: u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
+        epoch: u32::from_be_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]),
+        flags: bytes[16],
+    })
+}
+
+/// Deserializes an addressed packet, verifying the integrity checksum
+/// first — the one owned decoder. Slot and tuple vectors are drawn from
+/// `pool`; vectors taken for a packet that later fails to decode are
+/// dropped, not returned.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] on truncation, unknown kinds, invalid keys, an
-/// impossible declared layout, or trailing bytes.
-pub fn decode(mut buf: Bytes) -> Result<AskPacket, CodecError> {
-    let packet = decode_inner(&mut buf, None)?;
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes(buf.len()));
+/// [`CodecError::ChecksumMismatch`] for corrupted frames; otherwise
+/// [`CodecError`] on truncation, unknown kinds, invalid keys, an impossible
+/// declared layout, or trailing bytes.
+pub fn decode_envelope_pooled(
+    bytes: Bytes,
+    pool: &mut PacketPool,
+) -> Result<Envelope, CodecError> {
+    let h = check_envelope_header(&bytes)?;
+    let mut body = bytes.slice(ENVELOPE_HEADER_BYTES..);
+    let packet = decode_body(&mut body, pool)?;
+    if !body.is_empty() {
+        return Err(CodecError::TrailingBytes(body.len()));
     }
-    Ok(packet)
-}
-
-/// [`decode`] drawing slot/tuple backing stores from `pool` instead of
-/// allocating. Vectors taken for a packet that later fails to decode are
-/// dropped, not returned — error paths are cold and self-heal on the next
-/// recycle.
-///
-/// # Errors
-///
-/// Same conditions as [`decode`].
-pub fn decode_pooled(mut buf: Bytes, pool: &mut PacketPool) -> Result<AskPacket, CodecError> {
-    let packet = decode_inner(&mut buf, Some(pool))?;
-    if !buf.is_empty() {
-        return Err(CodecError::TrailingBytes(buf.len()));
-    }
-    Ok(packet)
+    Ok(Envelope {
+        src: h.src,
+        dst: h.dst,
+        epoch: h.epoch,
+        flags: h.flags,
+        packet,
+    })
 }
 
 fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
@@ -326,10 +623,9 @@ fn need(buf: &Bytes, n: usize) -> Result<(), CodecError> {
     }
 }
 
-fn decode_inner(
-    buf: &mut Bytes,
-    mut pool: Option<&mut PacketPool>,
-) -> Result<AskPacket, CodecError> {
+/// Reads one packet body off `buf`, drawing slot and tuple vectors from
+/// `pool`.
+fn decode_body(buf: &mut Bytes, pool: &mut PacketPool) -> Result<AskPacket, CodecError> {
     need(buf, 1)?;
     let kind = buf.get_u8();
     match kind {
@@ -350,10 +646,7 @@ fn decode_inner(
             if slots_total < 128 && bitmap >> slots_total != 0 {
                 return Err(CodecError::BadLayout);
             }
-            let mut slots = match pool.as_deref_mut() {
-                Some(p) => p.take_slots(slots_total),
-                None => Vec::with_capacity(slots_total),
-            };
+            let mut slots = pool.take_slots(slots_total);
             for i in 0..slots_total {
                 if bitmap & (1 << i) == 0 {
                     slots.push(None);
@@ -394,7 +687,7 @@ fn decode_inner(
             let task = TaskId(buf.get_u32());
             let channel = ChannelId(buf.get_u32());
             let seq = SeqNo(buf.get_u64());
-            let entries = get_entries(buf, pool)?;
+            let entries = get_entries(buf, Some(pool))?;
             Ok(AskPacket::LongKv {
                 task,
                 channel,
@@ -504,382 +797,6 @@ fn decode_inner(
     }
 }
 
-/// An [`AskPacket`] wrapped with source/destination addressing, the unit a
-/// host actually puts on the wire. The addresses stand in for the IP header
-/// the paper's packets carry ("the sender streams the packets to the
-/// receiver with the task ID and the destination IP address in the packet",
-/// §3.1); they are raw simulator node indices here.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope {
-    /// Originating node index.
-    pub src: u32,
-    /// Destination node index.
-    pub dst: u32,
-    /// Switch epoch the frame was stamped with. Bumped by every
-    /// switch crash-restart; frames from an older epoch are stale and must
-    /// be dropped, not processed (their reliability state died with the
-    /// crash). `0` is the boot epoch, so crash-free runs never see a
-    /// mismatch.
-    pub epoch: u32,
-    /// Envelope flag bits (see [`FLAG_NO_AGGREGATE`]).
-    pub flags: u8,
-    /// The carried packet.
-    pub packet: AskPacket,
-}
-
-impl Envelope {
-    /// Convenience constructor (boot epoch, no flags).
-    pub fn new(src: u32, dst: u32, packet: AskPacket) -> Self {
-        Envelope {
-            src,
-            dst,
-            epoch: 0,
-            flags: 0,
-            packet,
-        }
-    }
-
-    /// Nominal wire bytes (addressing is part of the 78-byte overhead).
-    pub fn wire_bytes(&self, layout: &PacketLayout) -> usize {
-        self.packet.wire_bytes(layout)
-    }
-}
-
-/// Lookup tables for slice-by-8 CRC-32: `CRC32_TABLES[0]` is the classic
-/// byte-at-a-time table for the reflected IEEE 802.3 polynomial; table `t`
-/// advances a byte through `t` additional zero bytes, letting eight input
-/// bytes fold into the CRC per step.
-const CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
-
-const fn build_crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut t = 1;
-    while t < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[t - 1][i];
-            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        t += 1;
-    }
-    tables
-}
-
-/// CRC-32 (IEEE 802.3 polynomial) over a byte slice — the envelope's
-/// integrity check, standing in for the Ethernet FCS the simulator's
-/// framing-overhead constant already accounts for. Slice-by-8 table
-/// lookup; identical values to the bitwise definition.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = CRC32_TABLES[7][(lo & 0xff) as usize]
-            ^ CRC32_TABLES[6][((lo >> 8) & 0xff) as usize]
-            ^ CRC32_TABLES[5][((lo >> 16) & 0xff) as usize]
-            ^ CRC32_TABLES[4][(lo >> 24) as usize]
-            ^ CRC32_TABLES[3][(hi & 0xff) as usize]
-            ^ CRC32_TABLES[2][((hi >> 8) & 0xff) as usize]
-            ^ CRC32_TABLES[1][((hi >> 16) & 0xff) as usize]
-            ^ CRC32_TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
-}
-
-/// Serializes an addressed packet, prepending a CRC-32 over the body so
-/// in-transit corruption is detected at the next hop and the frame is
-/// treated as lost (recovered by retransmission).
-///
-/// # Panics
-///
-/// Same conditions as [`encode`].
-pub fn encode_envelope(envelope: &Envelope, layout: &PacketLayout) -> Bytes {
-    encode_envelope_parts(
-        envelope.src,
-        envelope.dst,
-        envelope.epoch,
-        envelope.flags,
-        &envelope.packet,
-        layout,
-    )
-}
-
-/// [`encode_envelope`] without requiring an [`Envelope`] to be built first,
-/// so senders can serialize a packet they still own. The whole envelope is
-/// written into a single exactly-sized buffer: the header first, the body
-/// directly behind it, then the checksum patched in — no separate body
-/// allocation or copy.
-///
-/// # Panics
-///
-/// Same conditions as [`encode`].
-pub fn encode_envelope_parts(
-    src: u32,
-    dst: u32,
-    epoch: u32,
-    flags: u8,
-    packet: &AskPacket,
-    layout: &PacketLayout,
-) -> Bytes {
-    let mut buf = BytesMut::with_capacity(ENVELOPE_HEADER_BYTES + encoded_size(packet, layout));
-    buf.put_u32(0); // checksum placeholder
-    buf.put_u32(src);
-    buf.put_u32(dst);
-    buf.put_u32(epoch);
-    buf.put_u8(flags);
-    encode_into(&mut buf, packet, layout);
-    seal(&mut buf);
-    buf.freeze()
-}
-
-/// What every frame a sender's data channel builds starts with: the
-/// envelope addressing and the reliability header (`task · channel · seq`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendHeader {
-    /// Originating node index.
-    pub src: u32,
-    /// Destination node index.
-    pub dst: u32,
-    /// Switch epoch the frame is stamped with.
-    pub epoch: u32,
-    /// The aggregation task.
-    pub task: TaskId,
-    /// The sending data channel.
-    pub channel: ChannelId,
-    /// Per-channel sequence number.
-    pub seq: SeqNo,
-}
-
-/// Serialized size of a data packet's fixed header: kind, task, channel,
-/// seq, the three declared-layout bytes and the slot bitmap.
-const DATA_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 3 + 16;
-
-/// Serialized size of a long-kv packet's fixed header: kind, task, channel,
-/// seq and the entry count.
-const LONG_KV_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 4;
-
-fn put_send_header(buf: &mut Vec<u8>, kind: u8, h: &SendHeader, flags: u8) {
-    buf.extend_from_slice(&[0; 4]); // checksum placeholder
-    buf.extend_from_slice(&h.src.to_be_bytes());
-    buf.extend_from_slice(&h.dst.to_be_bytes());
-    buf.extend_from_slice(&h.epoch.to_be_bytes());
-    buf.push(flags);
-    buf.push(kind);
-    buf.extend_from_slice(&h.task.0.to_be_bytes());
-    buf.extend_from_slice(&h.channel.0.to_be_bytes());
-    buf.extend_from_slice(&h.seq.0.to_be_bytes());
-}
-
-/// Checksums everything behind the placeholder and patches it in.
-fn seal(frame: &mut [u8]) {
-    let sum = crc32(&frame[4..]);
-    frame[..4].copy_from_slice(&sum.to_be_bytes());
-}
-
-/// Writes a data or long-kv frame once, from body bytes that are already
-/// in wire form, straight into the buffer the frame keeps: headers, then
-/// one [`FrameWriter::put`] per body piece, then the checksum. The result
-/// is byte for byte what [`encode_envelope_parts`] produces for the owned
-/// packet with the same content.
-#[derive(Debug)]
-pub struct FrameWriter {
-    buf: Vec<u8>,
-    size: usize,
-}
-
-impl FrameWriter {
-    /// Starts a data frame whose occupied slots are `bitmap` and whose slot
-    /// records — for each set bit in ascending order, the key zero-padded
-    /// to the slot's width followed by the big-endian value — total
-    /// `body_len` bytes.
-    pub fn data(
-        h: &SendHeader,
-        flags: u8,
-        layout: &PacketLayout,
-        bitmap: u128,
-        body_len: usize,
-    ) -> Self {
-        let size = ENVELOPE_HEADER_BYTES + DATA_HEADER_BYTES + body_len;
-        let mut buf = Vec::with_capacity(size);
-        put_send_header(&mut buf, KIND_DATA, h, flags);
-        buf.extend_from_slice(&[
-            layout.short_slots() as u8,
-            layout.medium_groups() as u8,
-            layout.medium_segments() as u8,
-        ]);
-        buf.extend_from_slice(&bitmap.to_be_bytes());
-        FrameWriter { buf, size }
-    }
-
-    /// Starts a long-kv frame of `count` entries, serialized as
-    /// `u16 len · key · u32 value` each and `body_len` bytes in total.
-    pub fn long_kv(h: &SendHeader, count: u32, body_len: usize) -> Self {
-        let size = ENVELOPE_HEADER_BYTES + LONG_KV_HEADER_BYTES + body_len;
-        let mut buf = Vec::with_capacity(size);
-        put_send_header(&mut buf, KIND_LONG_KV, h, 0);
-        buf.extend_from_slice(&count.to_be_bytes());
-        FrameWriter { buf, size }
-    }
-
-    /// Appends body bytes.
-    #[inline]
-    pub fn put(&mut self, body: &[u8]) {
-        self.buf.extend_from_slice(body);
-    }
-
-    /// Checksums the frame and freezes it; the buffer was sized exactly, so
-    /// nothing is copied or reallocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the body written is not the `body_len` announced.
-    pub fn finish(mut self) -> Bytes {
-        assert_eq!(self.buf.len(), self.size, "frame body size mismatch");
-        seal(&mut self.buf);
-        Bytes::from(self.buf)
-    }
-}
-
-/// Writes source, destination and epoch into a zeroed fixed-size frame
-/// (checksum and flags stay zero).
-fn stamp_addressing(frame: &mut [u8], src: u32, dst: u32, epoch: u32) {
-    frame[4..8].copy_from_slice(&src.to_be_bytes());
-    frame[8..12].copy_from_slice(&dst.to_be_bytes());
-    frame[12..16].copy_from_slice(&epoch.to_be_bytes());
-}
-
-/// An ACK frame, written on the stack and copied out once.
-pub fn ack_frame(
-    src: u32,
-    dst: u32,
-    epoch: u32,
-    channel: ChannelId,
-    seq: SeqNo,
-    ece: bool,
-) -> Bytes {
-    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 8 + 1];
-    stamp_addressing(&mut f, src, dst, epoch);
-    f[17] = KIND_ACK;
-    f[18..22].copy_from_slice(&channel.0.to_be_bytes());
-    f[22..30].copy_from_slice(&seq.0.to_be_bytes());
-    f[30] = ece as u8;
-    seal(&mut f);
-    Bytes::copy_from_slice(&f)
-}
-
-/// A FIN frame, written on the stack and copied out once.
-pub fn fin_frame(h: &SendHeader) -> Bytes {
-    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 4 + 8];
-    stamp_addressing(&mut f, h.src, h.dst, h.epoch);
-    f[17] = KIND_FIN;
-    f[18..22].copy_from_slice(&h.task.0.to_be_bytes());
-    f[22..26].copy_from_slice(&h.channel.0.to_be_bytes());
-    f[26..34].copy_from_slice(&h.seq.0.to_be_bytes());
-    seal(&mut f);
-    Bytes::copy_from_slice(&f)
-}
-
-/// A copy of an encoded frame with `flag` set in the envelope flag byte
-/// and the checksum redone — what re-encoding the packet with that flag
-/// would produce, without the packet.
-///
-/// # Panics
-///
-/// Panics if `frame` is shorter than an envelope header.
-pub fn reflag(frame: &[u8], flag: u8) -> Bytes {
-    let mut out = frame.to_vec();
-    out[ENVELOPE_HEADER_BYTES - 1] |= flag;
-    seal(&mut out);
-    Bytes::from(out)
-}
-
-/// The addressing fields of a validated envelope header — the single
-/// checksum-and-header pass shared by [`decode_envelope`],
-/// [`decode_envelope_pooled`], and [`crate::view::FrameView::parse`], so no
-/// ingest path ever CRCs a frame twice.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct EnvelopeHeader {
-    pub(crate) src: u32,
-    pub(crate) dst: u32,
-    pub(crate) epoch: u32,
-    pub(crate) flags: u8,
-}
-
-/// Verifies the envelope checksum and reads the addressing header.
-pub(crate) fn check_envelope_header(bytes: &[u8]) -> Result<EnvelopeHeader, CodecError> {
-    if bytes.len() < ENVELOPE_HEADER_BYTES {
-        return Err(CodecError::Truncated);
-    }
-    let expected = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    if crc32(&bytes[4..]) != expected {
-        return Err(CodecError::ChecksumMismatch);
-    }
-    Ok(EnvelopeHeader {
-        src: u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-        dst: u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]),
-        epoch: u32::from_be_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]),
-        flags: bytes[16],
-    })
-}
-
-/// Deserializes an addressed packet produced by [`encode_envelope`],
-/// verifying the integrity checksum first.
-///
-/// # Errors
-///
-/// [`CodecError::ChecksumMismatch`] for corrupted frames; otherwise the
-/// same conditions as [`decode`].
-pub fn decode_envelope(bytes: Bytes) -> Result<Envelope, CodecError> {
-    let h = check_envelope_header(&bytes)?;
-    let packet = decode(bytes.slice(ENVELOPE_HEADER_BYTES..))?;
-    Ok(Envelope {
-        src: h.src,
-        dst: h.dst,
-        epoch: h.epoch,
-        flags: h.flags,
-        packet,
-    })
-}
-
-/// [`decode_envelope`] drawing packet backing stores from `pool` — the hot
-/// path used by the switch and the daemons, which own a [`PacketPool`] and
-/// recycle each packet's vectors once its tuples are consumed.
-///
-/// # Errors
-///
-/// Same conditions as [`decode_envelope`].
-pub fn decode_envelope_pooled(
-    bytes: Bytes,
-    pool: &mut PacketPool,
-) -> Result<Envelope, CodecError> {
-    let h = check_envelope_header(&bytes)?;
-    let packet = decode_pooled(bytes.slice(ENVELOPE_HEADER_BYTES..), pool)?;
-    Ok(Envelope {
-        src: h.src,
-        dst: h.dst,
-        epoch: h.epoch,
-        flags: h.flags,
-        packet,
-    })
-}
-
 fn get_entries(
     buf: &mut Bytes,
     pool: Option<&mut PacketPool>,
@@ -909,10 +826,37 @@ mod tests {
         KvTuple::new(Key::from_str(s).unwrap(), v)
     }
 
+    fn decode(bytes: Bytes) -> Result<Envelope, CodecError> {
+        decode_envelope_pooled(bytes, &mut PacketPool::new())
+    }
+
     fn roundtrip(p: &AskPacket, layout: &PacketLayout) {
-        let bytes = encode(p, layout);
+        let bytes = encode_envelope_parts(3, 9, 4, 0, p, layout);
         let back = decode(bytes).expect("decode");
-        assert_eq!(&back, p);
+        assert_eq!((back.src, back.dst, back.epoch, back.flags), (3, 9, 4, 0));
+        assert_eq!(&back.packet, p);
+    }
+
+    /// A frame around a hand-written body with a valid checksum — how a
+    /// hostile peer gets a malformed body past the CRC.
+    fn sealed(body: &[u8]) -> Bytes {
+        let mut frame = vec![0u8; ENVELOPE_HEADER_BYTES];
+        frame.extend_from_slice(body);
+        seal(&mut frame);
+        Bytes::from(frame)
+    }
+
+    fn data_header(short: u8, groups: u8, segments: u8, bitmap: u128) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_u8(KIND_DATA);
+        buf.put_u32(0);
+        buf.put_u32(0);
+        buf.put_u64(0);
+        buf.put_u8(short);
+        buf.put_u8(groups);
+        buf.put_u8(segments);
+        buf.put_u128(bitmap);
+        buf
     }
 
     #[test]
@@ -950,7 +894,7 @@ mod tests {
             seq: SeqNo(0),
             slots,
         });
-        let encoded = encode(&p, &layout);
+        let encoded = encode_envelope_parts(0, 0, 0, 0, &p, &layout);
         assert!(
             encoded.len() <= p.wire_bytes(&layout),
             "{} > {}",
@@ -1078,8 +1022,8 @@ mod tests {
         ];
         for p in &packets {
             assert_eq!(
-                encode(p, &layout).len(),
-                encoded_size(p, &layout),
+                encode_envelope_parts(1, 2, 0, 0, p, &layout).len(),
+                ENVELOPE_HEADER_BYTES + encoded_size(p, &layout),
                 "size mismatch for {p}"
             );
         }
@@ -1088,109 +1032,118 @@ mod tests {
     #[test]
     fn truncated_buffers_error() {
         let layout = PacketLayout::paper_default();
-        let bytes = encode(
-            &AskPacket::Ack {
-                channel: ChannelId(1),
-                seq: SeqNo(2),
-                ece: false,
-            },
-            &layout,
-        );
-        for cut in 0..bytes.len() {
-            let err = decode(bytes.slice(0..cut)).unwrap_err();
-            assert_eq!(err, CodecError::Truncated, "cut at {cut}");
+        let ack = AskPacket::Ack {
+            channel: ChannelId(1),
+            seq: SeqNo(2),
+            ece: false,
+        };
+        let bytes = encode_envelope_parts(1, 2, 0, 0, &ack, &layout);
+        for cut in 0..ENVELOPE_HEADER_BYTES {
+            assert_eq!(decode(bytes.slice(0..cut)), Err(CodecError::Truncated));
+        }
+        let body = &bytes[ENVELOPE_HEADER_BYTES..];
+        for cut in 0..body.len() {
+            let err = decode(sealed(&body[..cut])).unwrap_err();
+            assert_eq!(err, CodecError::Truncated, "body cut at {cut}");
         }
     }
 
     #[test]
     fn trailing_bytes_detected() {
         let layout = PacketLayout::paper_default();
-        let mut v = encode(&AskPacket::Swap { task: TaskId(1) }, &layout).to_vec();
-        v.push(0xAA);
-        assert_eq!(
-            decode(Bytes::from(v)).unwrap_err(),
-            CodecError::TrailingBytes(1)
-        );
+        let swap = AskPacket::Swap { task: TaskId(1) };
+        let frame = encode_envelope_parts(1, 2, 0, 0, &swap, &layout);
+        let mut body = frame[ENVELOPE_HEADER_BYTES..].to_vec();
+        body.push(0xAA);
+        assert_eq!(decode(sealed(&body)), Err(CodecError::TrailingBytes(1)));
     }
 
     #[test]
     fn unknown_kind_rejected() {
-        assert_eq!(
-            decode(Bytes::from_static(&[200])).unwrap_err(),
-            CodecError::BadKind(200)
-        );
+        assert_eq!(decode(sealed(&[200])), Err(CodecError::BadKind(200)));
     }
 
     #[test]
     fn bad_layout_rejected() {
-        // Hand-craft a data packet header declaring zero slots.
-        let mut buf = BytesMut::new();
-        buf.put_u8(KIND_DATA);
-        buf.put_u32(0);
-        buf.put_u32(0);
-        buf.put_u64(0);
-        buf.put_u8(0); // short
-        buf.put_u8(0); // medium groups
-        buf.put_u8(2); // m
-        buf.put_u128(0);
-        assert_eq!(decode(buf.freeze()).unwrap_err(), CodecError::BadLayout);
+        // A data packet header declaring zero slots.
+        let body = data_header(0, 0, 2, 0);
+        assert_eq!(decode(sealed(&body)), Err(CodecError::BadLayout));
     }
 
     #[test]
     fn bitmap_beyond_slots_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(KIND_DATA);
-        buf.put_u32(0);
-        buf.put_u32(0);
-        buf.put_u64(0);
-        buf.put_u8(2); // 2 short slots
-        buf.put_u8(0);
-        buf.put_u8(2);
-        buf.put_u128(0b100); // bit 2 set but only slots 0..2 exist
-        assert_eq!(decode(buf.freeze()).unwrap_err(), CodecError::BadLayout);
+        // Bit 2 set but only slots 0..2 exist.
+        let body = data_header(2, 0, 2, 0b100);
+        assert_eq!(decode(sealed(&body)), Err(CodecError::BadLayout));
     }
 
     #[test]
     fn envelope_roundtrips_with_checksum() {
         let layout = PacketLayout::paper_default();
-        let env = Envelope::new(3, 9, AskPacket::Swap { task: TaskId(5) });
-        let bytes = encode_envelope(&env, &layout);
-        assert_eq!(decode_envelope(bytes).unwrap(), env);
+        let swap = AskPacket::Swap { task: TaskId(5) };
+        let bytes = encode_envelope_parts(3, 9, 0, 0, &swap, &layout);
+        let want = Envelope {
+            src: 3,
+            dst: 9,
+            epoch: 0,
+            flags: 0,
+            packet: swap,
+        };
+        assert_eq!(decode(bytes), Ok(want));
     }
 
     #[test]
     fn envelope_epoch_and_flags_roundtrip() {
+        // The flags byte survives every writer: the data and long-kv
+        // writers stamp it, the fixed-size ACK and FIN are re-flagged.
         let layout = PacketLayout::paper_default();
-        let mut env = Envelope::new(1, 2, AskPacket::Swap { task: TaskId(5) });
-        env.epoch = 3;
-        env.flags = FLAG_NO_AGGREGATE;
-        let bytes = encode_envelope(&env, &layout);
-        let back = decode_envelope(bytes).unwrap();
-        assert_eq!(back.epoch, 3);
-        assert_eq!(back.flags & FLAG_NO_AGGREGATE, FLAG_NO_AGGREGATE);
-        assert_eq!(back, env);
+        let mut slots = vec![None; layout.slot_count()];
+        slots[1] = Some(kv("ab", 7));
+        let (task, channel, seq) = (TaskId(5), ChannelId(2), SeqNo(9));
+        let packets = [
+            AskPacket::Swap { task },
+            AskPacket::Data(DataPacket {
+                task,
+                channel,
+                seq,
+                slots,
+            }),
+            AskPacket::LongKv {
+                task,
+                channel,
+                seq,
+                entries: vec![kv("a-very-long-key-beyond-eight", 5)],
+            },
+            AskPacket::Ack {
+                channel,
+                seq,
+                ece: true,
+            },
+            AskPacket::Fin { task, channel, seq },
+        ];
+        for packet in packets {
+            let bytes = encode_envelope_parts(1, 2, 3, FLAG_NO_AGGREGATE, &packet, &layout);
+            let back = decode(bytes).unwrap();
+            assert_eq!((back.epoch, back.flags), (3, FLAG_NO_AGGREGATE), "{packet}");
+            assert_eq!(back.packet, packet);
+        }
     }
 
     #[test]
     fn any_single_bit_flip_is_detected() {
         let layout = PacketLayout::paper_default();
-        let env = Envelope::new(
-            1,
-            2,
-            AskPacket::Fin {
-                task: TaskId(1),
-                channel: ChannelId(2),
-                seq: SeqNo(3),
-            },
-        );
-        let bytes = encode_envelope(&env, &layout);
+        let fin = AskPacket::Fin {
+            task: TaskId(1),
+            channel: ChannelId(2),
+            seq: SeqNo(3),
+        };
+        let bytes = encode_envelope_parts(1, 2, 0, 0, &fin, &layout);
         for byte_ix in 0..bytes.len() {
             for bit in 0..8 {
                 let mut v = bytes.to_vec();
                 v[byte_ix] ^= 1 << bit;
-                let got = decode_envelope(Bytes::from(v));
                 assert!(
-                    got != Ok(env.clone()),
+                    decode(Bytes::from(v)).is_err(),
                     "flip at {byte_ix}.{bit} went undetected"
                 );
             }

@@ -4,7 +4,9 @@
 //! short/medium/long classification (§3.2.3 of the paper), the slotted
 //! [`packet::DataPacket`] whose bitmap the switch rewrites as it consumes
 //! tuples (Figure 5), control-plane messages for task setup and switch
-//! memory management, and a compact binary [`codec`].
+//! memory management, and a compact binary [`codec`]: frames are written
+//! once by the codec's writers and read in place as a [`view::FrameView`],
+//! with one owned encoder and one owned decoder as the reference model.
 //!
 //! Size accounting follows the paper's §5.3 model: every packet costs
 //! [`constants::PACKET_OVERHEAD`] = 78 bytes of framing/headers plus its
@@ -20,8 +22,16 @@
 //! let pkt = AskPacket::Data(DataPacket {
 //!     task: TaskId(1), channel: ChannelId(0), seq: SeqNo(0), slots,
 //! });
-//! let bytes = encode(&pkt, &layout);
-//! assert_eq!(decode(bytes)?, pkt);
+//! let bytes = encode_envelope_parts(2, 1, 0, 0, &pkt, &layout);
+//!
+//! // The datapath reads the frame in place…
+//! let view = FrameView::parse(bytes.clone())?;
+//! let PacketView::Data(data) = view.packet() else { unreachable!() };
+//! let slot = data.slots().next().expect("one occupied slot");
+//! assert_eq!((slot.key_bytes(), slot.value()), (&b"cat"[..], 2));
+//!
+//! // …and the reference decoder agrees.
+//! assert_eq!(decode_envelope_pooled(bytes, &mut PacketPool::new())?.packet, pkt);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -38,8 +48,7 @@ pub mod view;
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
     pub use crate::codec::{
-        crc32, decode, decode_envelope, decode_envelope_pooled, decode_pooled, encode,
-        encode_envelope, CodecError, Envelope,
+        crc32, decode_envelope_pooled, encode_envelope_parts, CodecError, Envelope,
     };
     pub use crate::constants::PACKET_OVERHEAD;
     pub use crate::key::{Key, KeyClass, KeyError};
@@ -53,9 +62,19 @@ pub mod prelude {
 
 #[cfg(test)]
 mod proptests {
+    use crate::codec::ENVELOPE_HEADER_BYTES;
     use crate::prelude::*;
     use bytes::Bytes;
     use proptest::prelude::*;
+
+    fn decode(bytes: Bytes) -> Result<Envelope, CodecError> {
+        decode_envelope_pooled(bytes, &mut PacketPool::new())
+    }
+
+    /// `p` through the one encoder and back through the one decoder.
+    fn roundtrip(p: &AskPacket, layout: &PacketLayout) -> Result<AskPacket, CodecError> {
+        decode(encode_envelope_parts(1, 2, 0, 0, p, layout)).map(|env| env.packet)
+    }
 
     fn arb_key() -> impl Strategy<Value = Key> {
         proptest::collection::vec(1u8..=255, 1..20)
@@ -132,9 +151,9 @@ mod proptests {
                 seq: SeqNo(seq),
                 slots,
             });
-            let bytes = encode(&p, &layout);
+            let bytes = encode_envelope_parts(1, 2, 0, 0, &p, &layout);
             prop_assert!(bytes.len() <= p.wire_bytes(&layout));
-            prop_assert_eq!(decode(bytes).unwrap(), p);
+            prop_assert_eq!(roundtrip(&p, &layout).unwrap(), p);
         }
 
         /// Long-kv packets round-trip for arbitrary key lengths.
@@ -149,8 +168,7 @@ mod proptests {
                 seq: SeqNo(3),
                 entries: entries.into_iter().map(|(k, v)| KvTuple::new(k, v)).collect(),
             };
-            let bytes = encode(&p, &layout);
-            prop_assert_eq!(decode(bytes).unwrap(), p);
+            prop_assert_eq!(roundtrip(&p, &layout).unwrap(), p);
         }
 
         /// Data packets round-trip across the paper-default, short-only,
@@ -173,8 +191,7 @@ mod proptests {
                 seq: SeqNo(seq),
                 slots,
             });
-            let bytes = encode(&p, &layout);
-            prop_assert_eq!(decode(bytes).unwrap(), p);
+            prop_assert_eq!(roundtrip(&p, &layout).unwrap(), p);
         }
 
         /// The in-place partial-absorb rewrite agrees with the owned codec:
@@ -200,13 +217,13 @@ mod proptests {
                 seq: SeqNo(99),
                 slots,
             });
-            let bytes = crate::codec::encode_envelope_parts(src, dst, epoch, flags, &p, &layout);
+            let bytes = encode_envelope_parts(src, dst, epoch, flags, &p, &layout);
             let PacketView::Data(d) = FrameView::parse(bytes.clone()).unwrap().into_packet() else {
                 panic!("data frames parse to data views");
             };
             // A random subset, everything (the relay-unchanged case), nothing.
             for r in [d.bitmap() & keep, d.bitmap(), 0] {
-                let mut owned = decode_envelope(bytes.clone()).unwrap();
+                let mut owned = decode(bytes.clone()).unwrap();
                 let AskPacket::Data(pkt) = &mut owned.packet else {
                     panic!("data frames decode to data packets");
                 };
@@ -215,7 +232,11 @@ mod proptests {
                         *slot = None;
                     }
                 }
-                prop_assert_eq!(d.residual_frame(r), encode_envelope(&owned, &layout));
+                let (src, dst, epoch, flags) = (owned.src, owned.dst, owned.epoch, owned.flags);
+                prop_assert_eq!(
+                    d.residual_frame(r),
+                    encode_envelope_parts(src, dst, epoch, flags, &owned.packet, &layout)
+                );
             }
         }
 
@@ -229,7 +250,7 @@ mod proptests {
             seq in any::<u64>(),
             ece in any::<bool>(),
         ) {
-            use crate::codec::{ack_frame, encode_envelope_parts, fin_frame, SendHeader};
+            use crate::codec::{ack_frame, fin_frame, SendHeader};
             let (src, dst, epoch) = addressing;
             let (task, channel, seq) = (TaskId(task), ChannelId(channel), SeqNo(seq));
             let layout = PacketLayout::paper_default();
@@ -237,7 +258,7 @@ mod proptests {
             let ack = ack_frame(src, dst, epoch, channel, seq, ece);
             let owned = AskPacket::Ack { channel, seq, ece };
             prop_assert_eq!(&ack, &encode_envelope_parts(src, dst, epoch, 0, &owned, &layout));
-            prop_assert_eq!(decode_envelope(ack.clone()).unwrap().packet, owned);
+            prop_assert_eq!(decode(ack.clone()).unwrap().packet, owned);
             let view = FrameView::parse(ack).unwrap();
             prop_assert_eq!((view.src(), view.dst(), view.epoch()), (src, dst, epoch));
             prop_assert!(matches!(
@@ -254,10 +275,21 @@ mod proptests {
             ));
         }
 
-        /// Decoding arbitrary garbage never panics.
+        /// Decoding arbitrary garbage never panics, even when it carries a
+        /// valid checksum and a plausible kind byte, as a hostile peer's
+        /// frame would.
         #[test]
         fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-            let _ = decode(Bytes::from(bytes));
+            let mut bytes = bytes;
+            if bytes.len() > ENVELOPE_HEADER_BYTES {
+                bytes[ENVELOPE_HEADER_BYTES] %= 8;
+            }
+            if bytes.len() >= 4 {
+                let sum = crc32(&bytes[4..]);
+                bytes[..4].copy_from_slice(&sum.to_be_bytes());
+            }
+            let _ = decode(Bytes::from(bytes.clone()));
+            let _ = FrameView::parse(Bytes::from(bytes));
         }
 
         /// Key segmentation round-trips for every valid key.

@@ -1,18 +1,17 @@
-//! Recycled packet-buffer pool.
+//! Recycled packet-buffer pool for the owned reference decoder.
 //!
-//! The materializing decode ([`crate::codec::decode_envelope_pooled`],
-//! [`crate::view::FrameView::materialize_pooled`]) builds a
-//! `Vec<Option<KvTuple>>` (a data packet's slot vector) or a `Vec<KvTuple>`
-//! (a long-key batch) per frame. The pool keeps those backing stores on a
-//! free list so steady-state runs reuse the same handful of buffers: the
-//! decoder takes a recycled vector, the consumer returns it once the tuples
-//! are merged. Neither send path nor the view receive paths touch it.
+//! [`crate::codec::decode_envelope_pooled`] builds a `Vec<Option<KvTuple>>`
+//! (a data packet's slot vector) or a `Vec<KvTuple>` (a long-key batch) per
+//! frame. The pool keeps those backing stores on a free list so a caller
+//! that decodes many frames — the benchmark's materializing drive — reuses
+//! the same handful of buffers: the decoder takes a recycled vector, the
+//! caller returns it once the tuples are consumed. No datapath decodes
+//! owned packets, so no node owns a pool.
 //!
-//! Ownership rule: the pool is owned by the node that decodes — never
-//! shared, never locked. A vector may be recycled into any pool;
-//! capacities vary across packet layouts, which is fine because
-//! [`PacketPool::take_slots`] reserves up to the requested capacity after
-//! popping a free-list entry.
+//! Ownership rule: a pool is owned by whoever decodes — never shared, never
+//! locked. A vector may be recycled into any pool; capacities vary across
+//! packet layouts, which is fine because [`PacketPool::take_slots`]
+//! reserves up to the requested capacity after popping a free-list entry.
 
 use crate::packet::KvTuple;
 
@@ -20,17 +19,11 @@ use crate::packet::KvTuple;
 /// a workload decodes a large burst and then recycles it all at once.
 const MAX_RETAINED: usize = 4096;
 
-/// A per-owner free list of packet backing stores with hit/miss counters.
-///
-/// `hits`/`misses` count `take_*` calls served from the free list vs. by a
-/// fresh allocation, so a steady-state run can prove it stopped allocating
-/// (the tentpole's counter-verified claim).
+/// A per-owner free list of packet backing stores.
 #[derive(Debug, Default)]
 pub struct PacketPool {
     slots: Vec<Vec<Option<KvTuple>>>,
     tuples: Vec<Vec<KvTuple>>,
-    hits: u64,
-    misses: u64,
 }
 
 impl PacketPool {
@@ -42,18 +35,9 @@ impl PacketPool {
     /// Takes a cleared slot vector with at least `capacity` reserved,
     /// recycling a free-list entry when one is available.
     pub fn take_slots(&mut self, capacity: usize) -> Vec<Option<KvTuple>> {
-        match self.slots.pop() {
-            Some(mut v) => {
-                self.hits += 1;
-                v.clear();
-                v.reserve(capacity);
-                v
-            }
-            None => {
-                self.misses += 1;
-                Vec::with_capacity(capacity)
-            }
-        }
+        let mut v = self.slots.pop().unwrap_or_default();
+        v.reserve(capacity);
+        v
     }
 
     /// Returns a slot vector to the free list. Contents are discarded;
@@ -69,18 +53,9 @@ impl PacketPool {
     /// Takes a cleared tuple vector with at least `capacity` reserved,
     /// recycling a free-list entry when one is available.
     pub fn take_tuples(&mut self, capacity: usize) -> Vec<KvTuple> {
-        match self.tuples.pop() {
-            Some(mut v) => {
-                self.hits += 1;
-                v.clear();
-                v.reserve(capacity);
-                v
-            }
-            None => {
-                self.misses += 1;
-                Vec::with_capacity(capacity)
-            }
-        }
+        let mut v = self.tuples.pop().unwrap_or_default();
+        v.reserve(capacity);
+        v
     }
 
     /// Returns a tuple vector to the free list. Contents are discarded;
@@ -93,35 +68,9 @@ impl PacketPool {
         self.tuples.push(v);
     }
 
-    /// `take_*` calls served from the free list.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// `take_*` calls that had to allocate.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Fraction of takes served without allocating (0 when never used).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Number of vectors currently parked on the free lists.
     pub fn retained(&self) -> usize {
         self.slots.len() + self.tuples.len()
-    }
-
-    /// Folds another pool's counters into this one (for merged reports).
-    pub fn absorb_counters(&mut self, other: &PacketPool) {
-        self.hits += other.hits;
-        self.misses += other.misses;
     }
 }
 
@@ -138,12 +87,11 @@ mod tests {
     fn take_recycle_take_hits() {
         let mut p = PacketPool::new();
         let v = p.take_slots(8);
-        assert_eq!((p.hits(), p.misses()), (0, 1));
         assert!(v.capacity() >= 8);
         p.recycle_slots(v);
         assert_eq!(p.retained(), 1);
         let v2 = p.take_slots(4);
-        assert_eq!((p.hits(), p.misses()), (1, 1));
+        assert_eq!(p.retained(), 0, "the take was served from the free list");
         assert!(v2.is_empty());
         assert!(v2.capacity() >= 8, "recycled capacity survives");
     }
@@ -166,10 +114,10 @@ mod tests {
         assert_eq!(p.retained(), 1);
         // A slots take cannot be served by the tuples free list.
         let _ = p.take_slots(1);
-        assert_eq!((p.hits(), p.misses()), (0, 1));
+        assert_eq!(p.retained(), 1);
         let t = p.take_tuples(1);
         assert!(t.is_empty());
-        assert_eq!((p.hits(), p.misses()), (1, 1));
+        assert_eq!(p.retained(), 0);
     }
 
     #[test]
@@ -187,28 +135,5 @@ mod tests {
             p.recycle_tuples(Vec::with_capacity(1));
         }
         assert_eq!(p.retained(), MAX_RETAINED);
-    }
-
-    #[test]
-    fn hit_rate_reflects_steady_state() {
-        let mut p = PacketPool::new();
-        assert_eq!(p.hit_rate(), 0.0);
-        for _ in 0..100 {
-            let v = p.take_slots(4);
-            p.recycle_slots(v);
-        }
-        assert!(p.hit_rate() > 0.98, "one miss then 99 hits");
-    }
-
-    #[test]
-    fn absorb_counters_sums() {
-        let mut a = PacketPool::new();
-        let mut b = PacketPool::new();
-        let v = a.take_slots(1);
-        a.recycle_slots(v);
-        let _ = a.take_slots(1);
-        let _ = b.take_tuples(1);
-        a.absorb_counters(&b);
-        assert_eq!((a.hits(), a.misses()), (1, 2));
     }
 }

@@ -1,10 +1,10 @@
 //! Borrowed, zero-materialization views over encoded frames.
 //!
 //! [`FrameView::parse`] validates an envelope exactly as strictly as
-//! [`decode_envelope`](crate::codec::decode_envelope) — one CRC pass, the
-//! same truncation/layout/key checks in the same order — but builds **no**
-//! owned packet: no `Vec<Option<KvTuple>>`, no pool traffic, no per-slot
-//! `Key` values. Header fields and slot (key, value) pairs are typed reads
+//! [`decode_envelope_pooled`](crate::codec::decode_envelope_pooled) — one
+//! CRC pass, the same truncation/layout/key checks in the same order — but
+//! builds **no** owned packet: no `Vec<Option<KvTuple>>`, no pool traffic,
+//! no per-slot `Key` values. Header fields and slot (key, value) pairs are typed reads
 //! over the raw frame bytes, which is how the paper's Tofino pipeline
 //! consumes packets (the ASIC never "decodes"; it reads fields in place).
 //!
@@ -12,22 +12,20 @@
 //! the slot bytes, and — when a packet is only partially absorbed —
 //! rewrites the frame with [`DataPacketView::residual_frame`], which copies
 //! the surviving slots and patches the bitmap and CRC in one exact-size
-//! buffer. Frames a view cannot serve (long-kv relays, fetch drains,
-//! no-aggregate pass-through, layout mismatches) fall back to
-//! [`FrameView::materialize_pooled`], which reuses the view's one-shot CRC
-//! validation instead of re-checksumming.
+//! buffer. Long-kv and fetch-reply bodies are read entry by entry with
+//! [`FrameView::entries`]; every other kind is relayed from its bytes or
+//! carries only header fields, so no frame is ever materialized.
 
 use crate::codec::{
-    check_envelope_header, crc32, decode, decode_pooled, CodecError, Envelope, CTRL_EPOCH_NOTIFY,
-    CTRL_REGION_DENY, CTRL_REGION_GRANT, CTRL_REGION_RELEASE, CTRL_REGION_REQUEST,
-    CTRL_TASK_ANNOUNCE, ENVELOPE_HEADER_BYTES, KIND_ACK, KIND_CONTROL, KIND_DATA, KIND_FETCH_REPLY,
-    KIND_FETCH_REQ, KIND_FIN, KIND_LONG_KV, KIND_SWAP,
+    check_envelope_header, crc32, CodecError, CTRL_EPOCH_NOTIFY, CTRL_REGION_DENY,
+    CTRL_REGION_GRANT, CTRL_REGION_RELEASE, CTRL_REGION_REQUEST, CTRL_TASK_ANNOUNCE,
+    ENVELOPE_HEADER_BYTES, KIND_ACK, KIND_CONTROL, KIND_DATA, KIND_FETCH_REPLY, KIND_FETCH_REQ,
+    KIND_FIN, KIND_LONG_KV, KIND_SWAP,
 };
 use crate::key::{fnv1a, Key, KPART_BYTES};
 use crate::packet::{
     AaRegion, AggregateOp, ChannelId, ControlMsg, FetchScope, PacketLayout, SeqNo, TaskId,
 };
-use crate::pool::PacketPool;
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Offset of the data-packet bitmap within a frame: envelope header, kind
@@ -85,13 +83,13 @@ pub struct FrameView {
 /// Small fixed-size packets (acks, fins, control) are decoded outright —
 /// they carry no slot payload, so there is nothing to borrow. Data packets
 /// stay borrowed as a [`DataPacketView`]; long-kv and fetch-reply bodies
-/// are *validated* (every entry length and key checked) but not
-/// materialized, since the switch only relays them.
+/// are *validated* (every entry length and key checked) and read in place
+/// through [`FrameView::entries`].
 #[derive(Debug, Clone)]
 pub enum PacketView {
     /// A slotted data packet, readable in place.
     Data(DataPacketView),
-    /// A long-key bypass packet; entries validated, not materialized.
+    /// A long-key bypass packet; entries validated, read in place.
     LongKv {
         /// Aggregation task.
         task: TaskId,
@@ -134,7 +132,7 @@ pub enum PacketView {
         /// Fetch sequence number (idempotency token).
         fetch_seq: u32,
     },
-    /// Reply to a fetch; entries validated, not materialized.
+    /// Reply to a fetch; entries validated, read in place.
     FetchReply {
         /// Aggregation task.
         task: TaskId,
@@ -206,12 +204,13 @@ pub struct EntryViews<'a> {
 impl FrameView {
     /// Parses and fully validates an encoded envelope without materializing
     /// the packet. Accept/reject behavior — including the specific error —
-    /// is identical to [`decode_envelope`](crate::codec::decode_envelope).
+    /// is identical to
+    /// [`decode_envelope_pooled`](crate::codec::decode_envelope_pooled).
     ///
     /// # Errors
     ///
     /// The same conditions, in the same order, as
-    /// [`decode_envelope`](crate::codec::decode_envelope).
+    /// [`decode_envelope_pooled`](crate::codec::decode_envelope_pooled).
     pub fn parse(bytes: Bytes) -> Result<FrameView, CodecError> {
         let h = check_envelope_header(&bytes)?;
         let b: &[u8] = &bytes;
@@ -455,9 +454,9 @@ impl FrameView {
     }
 
     /// Iterates the `(key, value)` entries of a long-kv or fetch-reply body
-    /// straight off the frame bytes — the host daemon's zero-materialization
-    /// fetch-merge path. Entries were validated during [`FrameView::parse`];
-    /// `None` for packet kinds that carry no entry list.
+    /// straight off the frame bytes — how the host daemon merges both.
+    /// Entries were validated during [`FrameView::parse`]; `None` for packet
+    /// kinds that carry no entry list.
     pub fn entries(&self) -> Option<EntryViews<'_>> {
         // Body layout after the envelope header and kind byte:
         // long-kv     task(4) channel(4) seq(8)  count(4) entries…
@@ -477,49 +476,11 @@ impl FrameView {
             remaining,
         })
     }
-
-    /// Materializes the full owned [`Envelope`] without re-checksumming —
-    /// the view's parse already validated the CRC and every field.
-    ///
-    /// # Panics
-    ///
-    /// Never on a view produced by [`FrameView::parse`]; the body was
-    /// validated byte for byte.
-    pub fn materialize(&self) -> Envelope {
-        let packet = decode(self.bytes.slice(ENVELOPE_HEADER_BYTES..))
-            .expect("view-validated frame must decode");
-        Envelope {
-            src: self.src,
-            dst: self.dst,
-            epoch: self.epoch,
-            flags: self.flags,
-            packet,
-        }
-    }
-
-    /// [`FrameView::materialize`] drawing slot/tuple backing stores from
-    /// `pool` — how a host takes ownership of a long-kv body. Skips the
-    /// second CRC pass `decode_envelope_pooled` would pay.
-    ///
-    /// # Panics
-    ///
-    /// Never on a view produced by [`FrameView::parse`].
-    pub fn materialize_pooled(&self, pool: &mut PacketPool) -> Envelope {
-        let packet = decode_pooled(self.bytes.slice(ENVELOPE_HEADER_BYTES..), pool)
-            .expect("view-validated frame must decode");
-        Envelope {
-            src: self.src,
-            dst: self.dst,
-            epoch: self.epoch,
-            flags: self.flags,
-            packet,
-        }
-    }
 }
 
 /// Walks a long-kv / fetch-reply entry list, applying exactly the
-/// validation `get_entries` applies during a full decode, without building
-/// tuples. Returns the declared entry count.
+/// validation the owned decoder applies, without building tuples. Returns
+/// the declared entry count.
 fn validate_entries(b: &[u8], total: usize, pos: &mut usize) -> Result<u32, CodecError> {
     need(total, *pos, 4)?;
     let count = rd_u32(b, *pos);
@@ -717,7 +678,7 @@ impl SlotView<'_> {
         rd_u32(self.padded, j * KPART_BYTES)
     }
 
-    /// Materializes the key (fallback paths and tests).
+    /// Materializes the key (tests and reference models).
     pub fn key(&self) -> Key {
         Key::from_validated_slice(&self.padded[..self.key_len])
     }
@@ -763,7 +724,7 @@ impl<'a> EntryView<'a> {
         fnv1a(self.key)
     }
 
-    /// Materializes the key (fallback paths and tests).
+    /// Materializes the key (tests and reference models).
     pub fn key(&self) -> Key {
         Key::from_validated_slice(self.key)
     }
@@ -772,11 +733,78 @@ impl<'a> EntryView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{decode_envelope, encode_envelope_parts};
+    use crate::codec::{decode_envelope_pooled, encode_envelope_parts, Envelope};
     use crate::packet::{AskPacket, DataPacket, KvTuple};
+    use crate::pool::PacketPool;
+    use std::sync::Arc;
 
     fn kv(s: &str, v: u32) -> KvTuple {
         KvTuple::new(Key::from_str(s).unwrap(), v)
+    }
+
+    fn decode(bytes: Bytes) -> Result<Envelope, CodecError> {
+        decode_envelope_pooled(bytes, &mut PacketPool::new())
+    }
+
+    /// The owned envelope a view's field reads describe, built from its
+    /// accessors alone.
+    fn read_back(view: &FrameView) -> Envelope {
+        let entries = || -> Vec<KvTuple> {
+            let it = view.entries().expect("entry-bearing kind");
+            it.map(|e| KvTuple::new(e.key(), e.value())).collect()
+        };
+        let packet = match view.packet().clone() {
+            PacketView::Data(d) => {
+                let mut slots = vec![None; d.short_slots() + d.medium_groups()];
+                for s in d.slots() {
+                    slots[s.index()] = Some(KvTuple::new(s.key(), s.value()));
+                }
+                AskPacket::Data(DataPacket {
+                    task: d.task(),
+                    channel: d.channel(),
+                    seq: d.seq(),
+                    slots,
+                })
+            }
+            PacketView::LongKv {
+                task,
+                channel,
+                seq,
+                ..
+            } => AskPacket::LongKv {
+                task,
+                channel,
+                seq,
+                entries: entries(),
+            },
+            PacketView::Ack { channel, seq, ece } => AskPacket::Ack { channel, seq, ece },
+            PacketView::Fin { task, channel, seq } => AskPacket::Fin { task, channel, seq },
+            PacketView::Swap { task } => AskPacket::Swap { task },
+            PacketView::FetchRequest {
+                task,
+                scope,
+                fetch_seq,
+            } => AskPacket::FetchRequest {
+                task,
+                scope,
+                fetch_seq,
+            },
+            PacketView::FetchReply {
+                task, fetch_seq, ..
+            } => AskPacket::FetchReply {
+                task,
+                fetch_seq,
+                entries: Arc::new(entries()),
+            },
+            PacketView::Control(msg) => AskPacket::Control(msg),
+        };
+        Envelope {
+            src: view.src(),
+            dst: view.dst(),
+            epoch: view.epoch(),
+            flags: view.flags(),
+            packet,
+        }
     }
 
     fn sample_data(layout: &PacketLayout) -> AskPacket {
@@ -827,7 +855,6 @@ mod tests {
                 assert_eq!(s.segment(j), s.key().segment(j));
             }
         }
-        assert_eq!(view.materialize().packet, pkt);
     }
 
     #[test]
@@ -859,14 +886,14 @@ mod tests {
             AskPacket::FetchReply {
                 task: TaskId(1),
                 fetch_seq: 3,
-                entries: std::sync::Arc::new(vec![kv("x", 1)]),
+                entries: Arc::new(vec![kv("x", 1)]),
             },
             AskPacket::Control(ControlMsg::EpochNotify { epoch: 42 }),
         ];
         for p in packets {
             let bytes = encode_envelope_parts(1, 0, 0, 0, &p, &layout);
             let view = FrameView::parse(bytes.clone()).unwrap();
-            assert_eq!(view.materialize(), decode_envelope(bytes).unwrap());
+            assert_eq!(read_back(&view), decode(bytes).unwrap());
         }
     }
 
@@ -888,7 +915,7 @@ mod tests {
             AskPacket::FetchReply {
                 task: TaskId(4),
                 fetch_seq: 5,
-                entries: std::sync::Arc::new(entries.clone()),
+                entries: Arc::new(entries.clone()),
             },
         ];
         for p in packets {
@@ -919,16 +946,16 @@ mod tests {
         let pkt = sample_data(&layout);
         let bytes = encode_envelope_parts(1, 2, 0, 0, &pkt, &layout);
         for cut in 0..bytes.len() {
-            let a = FrameView::parse(bytes.slice(0..cut)).map(|v| v.materialize());
-            let b = decode_envelope(bytes.slice(0..cut));
+            let a = FrameView::parse(bytes.slice(0..cut)).map(|v| read_back(&v));
+            let b = decode(bytes.slice(0..cut));
             assert_eq!(a, b, "cut at {cut}");
         }
         for byte_ix in 0..bytes.len() {
             let mut v = bytes.to_vec();
             v[byte_ix] ^= 0x40;
             let flipped = Bytes::from(v);
-            let a = FrameView::parse(flipped.clone()).map(|w| w.materialize());
-            let b = decode_envelope(flipped);
+            let a = FrameView::parse(flipped.clone()).map(|w| read_back(&w));
+            let b = decode(flipped);
             assert_eq!(a, b, "flip at {byte_ix}");
         }
     }

@@ -1,65 +1,120 @@
-//! Decode-never-panics fuzz corpus.
+//! Decode-never-panics fuzz corpus for the one owned decoder
+//! ([`decode_envelope_pooled`]) and the borrowed view ([`FrameView`]).
 //!
-//! Every packet kind is encoded under several layouts, then attacked with
-//! systematic truncation and single-bit flips; finally the decoders eat
-//! seeded random byte soup. The contract under test: a hostile or mangled
-//! buffer must produce `Err(CodecError)` (or, for raw bit flips that land
-//! on value bytes, a different valid packet) — never a panic, and never an
-//! `Ok` from a corrupted envelope, whose CRC must catch every flip.
+//! Every packet kind is encoded under several layouts by the one owned
+//! encoder, then attacked with systematic truncation and single-bit flips;
+//! finally both parsers eat seeded random byte soup. Mangled frames are
+//! tried twice: as they are, where the envelope CRC must catch every flip
+//! and cut, and with the checksum re-stamped over the damage, as a hostile
+//! peer would send them, so both parsers meet the bodies behind the CRC.
+//! The contract: `Err(CodecError)` (or, for a flipped value byte, a
+//! different valid packet) — never a panic — and the same verdict and the
+//! same field reads from both parsers.
 
 use ask_wire::codec::{
-    decode, decode_envelope, encode, encode_envelope, CodecError, Envelope,
+    crc32, decode_envelope_pooled, encode_envelope_parts, CodecError, Envelope,
+    ENVELOPE_HEADER_BYTES,
 };
 use ask_wire::key::Key;
 use ask_wire::packet::{
     AaRegion, AggregateOp, AskPacket, ChannelId, ControlMsg, DataPacket, FetchScope, KvTuple,
     PacketLayout, SeqNo, TaskId,
 };
+use ask_wire::pool::PacketPool;
 use ask_wire::view::{FrameView, PacketView};
 use bytes::Bytes;
 use std::sync::Arc;
 
-/// The borrowed-view parser must agree with the full materializing decoder
-/// on *every* input: same accept/reject verdict, the same typed error on
-/// reject, and on accept the same envelope fields, the same packet after
-/// materialization, and — for data frames — the same header fields and
-/// `(key, value)` pairs read slot by slot straight off the wire bytes.
-fn assert_view_agrees_with_decode(bytes: Bytes) {
-    match (FrameView::parse(bytes.clone()), decode_envelope(bytes)) {
-        (Err(view_err), Err(dec_err)) => {
-            assert_eq!(view_err, dec_err, "view and decoder reject differently");
-        }
-        (Ok(view), Ok(env)) => {
-            assert_eq!(view.src(), env.src);
-            assert_eq!(view.dst(), env.dst);
-            assert_eq!(view.epoch(), env.epoch);
-            assert_eq!(view.flags(), env.flags);
-            if let (PacketView::Data(d), AskPacket::Data(p)) = (view.packet(), &env.packet) {
-                assert_eq!(d.task(), p.task);
-                assert_eq!(d.channel(), p.channel);
-                assert_eq!(d.seq(), p.seq);
-                assert_eq!(d.bitmap(), p.bitmap());
-                assert_eq!(d.occupied(), p.occupied());
-                let mut seen = 0usize;
-                for slot in d.slots() {
-                    let tuple = p.slots[slot.index()]
-                        .as_ref()
-                        .expect("view yields only occupied slots");
-                    assert_eq!(slot.key(), tuple.key, "slot {} key", slot.index());
-                    assert_eq!(slot.value(), tuple.value, "slot {} value", slot.index());
-                    assert_eq!(slot.key_len(), tuple.key.len());
-                    seen += 1;
-                }
-                assert_eq!(seen, p.occupied(), "view must visit every occupied slot");
-            }
-            assert_eq!(view.materialize(), env, "materialized view diverges");
-        }
-        (view, dec) => panic!(
-            "accept/reject verdicts diverge: view={:?} decode={:?}",
-            view.map(|v| v.materialize()),
-            dec,
-        ),
+fn decode(bytes: Bytes) -> Result<Envelope, CodecError> {
+    decode_envelope_pooled(bytes, &mut PacketPool::new())
+}
+
+fn encode(packet: &AskPacket, layout: &PacketLayout) -> Bytes {
+    encode_envelope_parts(2, 7, 0, 0, packet, layout)
+}
+
+/// `frame` with its checksum recomputed over whatever follows it.
+fn restamped(mut frame: Vec<u8>) -> Bytes {
+    if frame.len() >= 4 {
+        let sum = crc32(&frame[4..]);
+        frame[..4].copy_from_slice(&sum.to_be_bytes());
     }
+    Bytes::from(frame)
+}
+
+/// The owned envelope a view's field reads describe, built from its
+/// accessors alone: header fields, every slot's `(index, key, value)` and
+/// every entry's `(key, value)` in wire order.
+fn read_back(view: &FrameView) -> Envelope {
+    let entries = || -> Vec<KvTuple> {
+        let it = view.entries().expect("entry-bearing kind");
+        it.map(|e| KvTuple::new(e.key(), e.value())).collect()
+    };
+    let packet = match view.packet().clone() {
+        PacketView::Data(d) => {
+            let mut slots = vec![None; d.short_slots() + d.medium_groups()];
+            for s in d.slots() {
+                assert_eq!(s.key_len(), s.key_bytes().len());
+                assert_eq!(s.hash64(), s.key().hash64());
+                slots[s.index()] = Some(KvTuple::new(s.key(), s.value()));
+            }
+            assert_eq!(
+                slots.iter().flatten().count(),
+                d.occupied(),
+                "the walk visits every occupied slot"
+            );
+            AskPacket::Data(DataPacket {
+                task: d.task(),
+                channel: d.channel(),
+                seq: d.seq(),
+                slots,
+            })
+        }
+        PacketView::LongKv {
+            task, channel, seq, ..
+        } => AskPacket::LongKv {
+            task,
+            channel,
+            seq,
+            entries: entries(),
+        },
+        PacketView::Ack { channel, seq, ece } => AskPacket::Ack { channel, seq, ece },
+        PacketView::Fin { task, channel, seq } => AskPacket::Fin { task, channel, seq },
+        PacketView::Swap { task } => AskPacket::Swap { task },
+        PacketView::FetchRequest {
+            task,
+            scope,
+            fetch_seq,
+        } => AskPacket::FetchRequest {
+            task,
+            scope,
+            fetch_seq,
+        },
+        PacketView::FetchReply {
+            task, fetch_seq, ..
+        } => AskPacket::FetchReply {
+            task,
+            fetch_seq,
+            entries: Arc::new(entries()),
+        },
+        PacketView::Control(msg) => AskPacket::Control(msg),
+    };
+    Envelope {
+        src: view.src(),
+        dst: view.dst(),
+        epoch: view.epoch(),
+        flags: view.flags(),
+        packet,
+    }
+}
+
+/// The borrowed-view parser must agree with the owned decoder on *every*
+/// input: the same accept/reject verdict, the same typed error on reject,
+/// and on accept the same envelope and packet as read through the view's
+/// accessors.
+fn assert_view_agrees_with_decode(bytes: Bytes) {
+    let view = FrameView::parse(bytes.clone()).map(|v| read_back(&v));
+    assert_eq!(view, decode(bytes), "view and decoder disagree");
 }
 
 /// Tiny deterministic PRNG (splitmix64) so the corpus needs no rand dep.
@@ -122,6 +177,17 @@ fn corpus(layout: &PacketLayout) -> Vec<AskPacket> {
             seq: SeqNo(5),
             entries: vec![],
         },
+        // Keys either side of 20 / 21 bytes and one past 255, whose length
+        // field needs both of its bytes.
+        AskPacket::LongKv {
+            task: TaskId(3),
+            channel: ChannelId(12),
+            seq: SeqNo(6),
+            entries: [20, 21, 300]
+                .into_iter()
+                .map(|n| KvTuple::new(Key::from_slice(&vec![b'k'; n]).unwrap(), n as u32))
+                .collect(),
+        },
         AskPacket::Ack {
             channel: ChannelId(1),
             seq: SeqNo(42),
@@ -175,17 +241,20 @@ fn corpus(layout: &PacketLayout) -> Vec<AskPacket> {
 
 #[test]
 fn every_truncation_of_every_packet_is_an_error_not_a_panic() {
+    // The checksum is re-stamped over every cut, so each one reaches the
+    // body parsers.
     for layout in layouts() {
         for packet in corpus(&layout) {
             let bytes = encode(&packet, &layout);
-            assert_eq!(decode(bytes.clone()), Ok(packet.clone()), "{packet}");
+            assert_eq!(decode(bytes.clone()).map(|e| e.packet), Ok(packet.clone()));
             for cut in 0..bytes.len() {
-                let truncated = bytes.slice(..cut);
+                let truncated = restamped(bytes[..cut].to_vec());
                 assert!(
-                    decode(truncated).is_err(),
+                    decode(truncated.clone()).is_err(),
                     "truncating {packet} to {cut} of {} bytes must fail",
                     bytes.len(),
                 );
+                assert_view_agrees_with_decode(truncated);
             }
         }
     }
@@ -195,11 +264,9 @@ fn every_truncation_of_every_packet_is_an_error_not_a_panic() {
 fn every_envelope_truncation_is_an_error() {
     let layout = PacketLayout::paper_default();
     for packet in corpus(&layout) {
-        let env = Envelope::new(2, 7, packet);
-        let bytes = encode_envelope(&env, &layout);
-        assert_eq!(decode_envelope(bytes.clone()), Ok(env));
+        let bytes = encode(&packet, &layout);
         for cut in 0..bytes.len() {
-            assert!(decode_envelope(bytes.slice(..cut)).is_err());
+            assert!(decode(bytes.slice(..cut)).is_err());
             assert_view_agrees_with_decode(bytes.slice(..cut));
         }
         assert_view_agrees_with_decode(bytes);
@@ -210,14 +277,14 @@ fn every_envelope_truncation_is_an_error() {
 fn every_single_bit_flip_in_an_envelope_is_caught_by_the_crc() {
     let layout = PacketLayout::custom(4, 2, 2);
     for packet in corpus(&layout) {
-        let bytes = encode_envelope(&Envelope::new(2, 7, packet.clone()), &layout);
+        let bytes = encode(&packet, &layout);
         for byte_ix in 0..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.to_vec();
                 flipped[byte_ix] ^= 1 << bit;
                 let flipped = Bytes::from(flipped);
                 assert!(
-                    decode_envelope(flipped.clone()).is_err(),
+                    decode(flipped.clone()).is_err(),
                     "flipping bit {bit} of byte {byte_ix} in {packet} must be rejected",
                 );
                 assert_view_agrees_with_decode(flipped);
@@ -230,25 +297,25 @@ fn every_single_bit_flip_in_an_envelope_is_caught_by_the_crc() {
 fn view_accessors_agree_with_decode_on_every_valid_frame() {
     for layout in layouts() {
         for packet in corpus(&layout) {
-            let bytes = encode_envelope(&Envelope::new(2, 7, packet), &layout);
-            assert_view_agrees_with_decode(bytes);
+            assert_view_agrees_with_decode(encode(&packet, &layout));
         }
     }
 }
 
 #[test]
 fn raw_decode_survives_single_bit_flips() {
-    // Without the envelope CRC a flipped value byte may legitimately decode
-    // to a different valid packet; the contract is only "no panic, and
-    // errors are typed".
+    // With the checksum re-stamped over the flip, a flipped value byte may
+    // legitimately decode to a different valid packet; the contract is "no
+    // panic, errors are typed, and both parsers agree".
     let layout = PacketLayout::paper_default();
     for packet in corpus(&layout) {
         let bytes = encode(&packet, &layout);
-        for byte_ix in 0..bytes.len() {
+        for byte_ix in 4..bytes.len() {
             for bit in 0..8 {
                 let mut flipped = bytes.to_vec();
                 flipped[byte_ix] ^= 1 << bit;
-                match decode(Bytes::from(flipped)) {
+                let flipped = restamped(flipped);
+                match decode(flipped.clone()) {
                     Ok(_) => {}
                     Err(
                         CodecError::Truncated
@@ -260,6 +327,7 @@ fn raw_decode_survives_single_bit_flips() {
                         | CodecError::BadLayout,
                     ) => {}
                 }
+                assert_view_agrees_with_decode(flipped);
             }
         }
     }
@@ -278,11 +346,15 @@ fn random_byte_soup_never_panics_either_decoder() {
         // Bias some cases toward plausible kind bytes so the fuzz reaches
         // deep into each variant's field parsing instead of bouncing off
         // BadKind immediately.
-        if case % 2 == 0 && !buf.is_empty() {
-            buf[0] = (rng.next() % 12) as u8;
+        if case % 2 == 0 && buf.len() > ENVELOPE_HEADER_BYTES {
+            buf[ENVELOPE_HEADER_BYTES] = (rng.next() % 12) as u8;
         }
-        let _ = decode(Bytes::from(buf.clone()));
-        let _ = decode_envelope(Bytes::from(buf.clone()));
-        assert_view_agrees_with_decode(Bytes::from(buf));
+        // Most soup carries a valid checksum, so it reaches the bodies.
+        let soup = if case % 4 == 3 {
+            Bytes::from(buf)
+        } else {
+            restamped(buf)
+        };
+        assert_view_agrees_with_decode(soup);
     }
 }

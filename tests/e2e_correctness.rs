@@ -393,6 +393,38 @@ fn one_key_wraps_in_the_switch_in_the_host_merge_and_in_a_fetch_reply() {
 }
 
 #[test]
+fn u32_sums_wrap_alike_on_every_path() {
+    // ROADMAP 1(b). Every key's total passes 2^32, and the keys spread over
+    // all four places a SUM is formed: the switch ALU (absorbed slots), the
+    // receiver's merge of conflict residuals, its merge of long-kv entries,
+    // and its merge of the final fetch. Every tuple is worth more than a
+    // quarter of the value space and every key arrives six times.
+    let mut cfg = AskConfig::tiny();
+    cfg.region_aggregators = 2; // 2 aggregators per array: most keys conflict
+    const W: u32 = 0x4000_0001;
+    let keys: Vec<String> = (0..24)
+        .map(|i| format!("k{i}")) // short
+        .chain((0..8).map(|i| format!("medium{i}"))) // medium
+        .chain((0..6).map(|i| format!("a-long-key-number-{i}"))) // long
+        .collect();
+    let stream: Vec<KvTuple> = (0..3).flat_map(|_| keys.iter().map(|k| kv(k, W))).collect();
+    let streams = vec![stream.clone(), stream];
+    assert!(6 * u64::from(W) > u64::from(u32::MAX), "every key's total wraps");
+    let (service, task) = run_and_check(cfg, clean_link(), streams, 22);
+
+    let switch = service.switch_stats(task).unwrap();
+    let receiver = service.host_stats(service.hosts()[0]);
+    assert!(switch.tuples_aggregated > 0, "the switch ALU summed some tuples");
+    assert!(switch.tuples_forwarded > 0, "conflict residuals reached the host");
+    assert_eq!(switch.tuples_long_forwarded, 6 * 6, "every long tuple bypassed");
+    assert!(receiver.tuples_fetched > 0, "the final fetch returned partials");
+    let got = service.result(task, service.hosts()[0]).unwrap();
+    for k in &keys {
+        assert_eq!(got[&Key::from_str(k).unwrap()], W.wrapping_mul(6), "{k}");
+    }
+}
+
+#[test]
 fn single_sender_many_keys_medium_and_short_mixed() {
     let mut rng = StdRng::seed_from_u64(99);
     let mut stream = Vec::new();

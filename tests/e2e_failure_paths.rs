@@ -52,7 +52,7 @@ fn host_counts_frames_that_fail_to_parse() {
     // reaches a daemon: it is counted as undecodable and nothing else moves.
     use ask::stats::HostStats;
     use ask_simnet::network::Node;
-    use ask_wire::codec::{encode_envelope, Envelope};
+    use ask_wire::codec::encode_envelope_parts;
     use ask_wire::packet::{AskPacket, ChannelId, DataPacket, SeqNo, CHANNEL_STRIDE};
 
     let cfg = AskConfig::tiny();
@@ -75,8 +75,8 @@ fn host_counts_frames_that_fail_to_parse() {
         seq: SeqNo(5),
         slots,
     });
-    let env = Envelope::new(hosts[1].index() as u32, hosts[0].index() as u32, data);
-    let mut bytes = encode_envelope(&env, &layout).to_vec();
+    let (src, dst) = (hosts[1].index() as u32, hosts[0].index() as u32);
+    let mut bytes = encode_envelope_parts(src, dst, 0, 0, &data, &layout).to_vec();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
 
@@ -106,7 +106,7 @@ fn misrouted_data_is_orphaned_and_acked() {
     // misconfigured or malicious sender): the receiver must ACK it (no
     // retransmission livelock), count the tuples as orphans, and keep its
     // real tasks intact.
-    use ask_wire::codec::{encode_envelope, Envelope};
+    use ask_wire::codec::encode_envelope_parts;
     use ask_wire::packet::{AskPacket, ChannelId, DataPacket, SeqNo, CHANNEL_STRIDE};
 
     let cfg = AskConfig::tiny();
@@ -134,9 +134,9 @@ fn misrouted_data_is_orphaned_and_acked() {
         seq: SeqNo(0),
         slots,
     });
-    let env = Envelope::new(hosts[1].index() as u32, hosts[0].index() as u32, forged);
-    let wire = env.wire_bytes(&layout);
-    let bytes = encode_envelope(&env, &layout);
+    let (src, dst) = (hosts[1].index() as u32, hosts[0].index() as u32);
+    let wire = forged.wire_bytes(&layout);
+    let bytes = encode_envelope_parts(src, dst, 0, 0, &forged, &layout);
     service
         .network_mut()
         .with_node::<AskDaemon, _>(hosts[1], |_daemon, ctx| {
@@ -318,7 +318,7 @@ mod foreign_layout {
             });
         let stats = service.host_stats(hosts[0]);
         assert_eq!(stats.host_pure_view, 1, "merged in place like any data view");
-        assert_eq!(stats.host_view_fallbacks, 0, "not materialized");
+        assert_eq!(stats.host_view_fallbacks, 0, "not a long-kv frame");
         assert_eq!(stats.tuples_host_aggregated, 2);
 
         service.submit_stream(task, hosts[1], vec![KvTuple::new(Key::from_str("zz").unwrap(), 5)]);

@@ -8,7 +8,7 @@ use ask_simnet::link::LinkConfig;
 use ask_simnet::time::SimDuration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 fn traced_config() -> AskConfig {
     let mut cfg = AskConfig::tiny();
@@ -24,6 +24,10 @@ fn stream(seed: u64, n: usize) -> Vec<KvTuple> {
 }
 
 fn run(cfg: AskConfig, loss: f64, seed: u64) -> AskService {
+    run_stream(cfg, loss, seed, stream(seed, 800))
+}
+
+fn run_stream(cfg: AskConfig, loss: f64, seed: u64, tuples: Vec<KvTuple>) -> AskService {
     let link = LinkConfig::new(100e9, SimDuration::from_micros(1))
         .with_faults(FaultModel::reliable().with_loss(loss));
     let mut service = AskServiceBuilder::new(2)
@@ -33,7 +37,7 @@ fn run(cfg: AskConfig, loss: f64, seed: u64) -> AskService {
         .build();
     let hosts = service.hosts().to_vec();
     service.submit_task(TaskId(1), hosts[0], &[hosts[1]]);
-    service.submit_stream(TaskId(1), hosts[1], stream(seed, 800));
+    service.submit_stream(TaskId(1), hosts[1], tuples);
     service
         .run_until_complete(TaskId(1), hosts[0], 50_000_000)
         .expect("completes");
@@ -138,5 +142,44 @@ fn tracing_disabled_records_nothing() {
     let service = run(AskConfig::tiny(), 0.0, 5);
     for host in 0..2 {
         assert!(events(&service, host).is_empty());
+    }
+}
+
+#[test]
+fn receiver_traces_every_long_kv_and_fin_once() {
+    // Short keys ride data frames, which the switch may absorb whole. The
+    // long keys ride long-kv frames, sent after every data frame and before
+    // the FIN on the task's one channel, and those always reach the
+    // receiver: each must be traced `Received` there exactly once.
+    let cfg = traced_config();
+    let long_kv_frames = 200usize.div_ceil(cfg.long_kv_batch);
+    let mut tuples = stream(6, 800);
+    tuples.extend((0..200).map(|i| {
+        let key = Key::from_str(&format!("a-long-key-{:03}", i % 40)).unwrap();
+        KvTuple::new(key, 1)
+    }));
+    let service = run_stream(cfg, 0.0, 6, tuples);
+
+    let mut sent: Vec<(u32, u64)> = events(&service, 1)
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::PacketSent { channel, seq, .. } => Some((channel.0, seq.0)),
+            _ => None,
+        })
+        .collect();
+    sent.sort_unstable_by_key(|&(_, seq)| seq);
+    let mut received: HashMap<(u32, u64), usize> = HashMap::new();
+    for e in events(&service, 0) {
+        if let TraceEvent::Received { channel, seq } = e {
+            *received.entry((channel.0, seq.0)).or_default() += 1;
+        }
+    }
+    let bypass = &sent[sent.len() - (long_kv_frames + 1)..];
+    for frame in bypass {
+        assert_eq!(received.get(frame), Some(&1), "long-kv or FIN {frame:?}");
+    }
+    for (frame, &n) in &received {
+        assert!(sent.contains(frame), "received unsent {frame:?}");
+        assert_eq!(n, 1, "{frame:?} received twice on a clean network");
     }
 }
