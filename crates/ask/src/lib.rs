@@ -18,9 +18,12 @@
 //!   split into two shadow copies that the receiver periodically swaps and
 //!   harvests, giving hot keys fresh chances to claim switch memory.
 //!
-//! The switch program runs on a PISA model ([`ask_pisa`]) that enforces the
-//! real hardware's one-access-per-register-array-per-pass restriction, and
-//! hosts talk over a deterministic discrete-event network ([`ask_simnet`]).
+//! The switch program runs on a PISA model ([`ask_pisa`]) whose passes
+//! panic on any register access out of stage order or repeated within the
+//! pass, the real hardware's one-access-per-array-per-pass restriction.
+//! Every pass of the program touches its arrays in a fixed order, so it is
+//! legal by construction. Hosts talk over a deterministic discrete-event
+//! network ([`ask_simnet`]).
 //!
 //! ## Quick start
 //!

@@ -137,8 +137,7 @@ impl AskService {
         self.network.node(host)
     }
 
-    /// Read-only access to the switch node (engine counters, violation
-    /// journal).
+    /// Read-only access to the switch node (engine and gate counters).
     pub fn switch_ref(&self) -> &AskSwitch {
         self.network.node(self.switch)
     }

@@ -2,11 +2,15 @@
 //! two-dimensional aggregator arrays, per-flow reliability state, and the
 //! shadow-copy mechanism — all expressed as register accesses on an
 //! [`ask_pisa::pipeline::Pipeline`] so the PISA constraints are enforced.
+//! Every pass below touches its arrays in ascending `(stage, slot)` order
+//! on every path, so the pass's high-water mark never trips (DESIGN.md §6
+//! "PISA legality").
 //!
 //! Pipeline memory map (stage → register arrays):
 //!
 //! ```text
-//! stage 0      task_table      (match: task → region, indicator index)
+//! stage 0      task_table      (match: task → region, indicator, op;
+//!                               SRAM only, see `fill_dispatch`)
 //!              copy_indicator  (1 bit  × max_tasks)
 //!              max_seq         (64 bit × max_channels)
 //!              seen            (1 bit  × max_channels × W)   compact §3.3
@@ -27,10 +31,8 @@
 
 use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
-use ask_pisa::error::AccessError;
-use ask_pisa::pipeline::{ArrayId, Pass, Pipeline, Violation};
+use ask_pisa::pipeline::{ArrayId, Pass, Pipeline};
 use ask_pisa::spec::PipelineSpec;
-use ask_pisa::table::TableId;
 use ask_wire::key::Key;
 use ask_wire::packet::{AaRegion, AggregateOp, ChannelId, FetchScope, KvTuple, SeqNo, TaskId};
 use ask_wire::view::DataPacketView;
@@ -162,11 +164,6 @@ pub struct AggregatorEngine {
     config: AskConfig,
     pipeline: Pipeline,
     aas: Vec<ArrayId>,
-    /// Match-action table mapping task id → (region base, region length,
-    /// copy-indicator index); the control plane installs an entry per
-    /// registered task ("the switch uses the task ID to identify the
-    /// aggregator memory region", §3.1).
-    task_table: TableId,
     copy_indicator: ArrayId,
     max_seq: ArrayId,
     seen: ArrayId,
@@ -198,16 +195,11 @@ pub struct AggregatorEngine {
     /// [`AskConfig::absorption_audit`] is set. Oracle bookkeeping for the
     /// conformance harness — real hardware has no analogue.
     absorbed_seqs: Option<HashSet<(ChannelId, u64)>>,
-    /// Violations journaled by pipelines discarded in [`crash_reset`]
-    /// (`AggregatorEngine::crash_reset`); added to the live pipeline's count
-    /// so the PISA-legality invariant spans crashes.
-    carried_violations: u64,
 }
 
 /// Register arrays of a freshly built switch pipeline.
 struct PipelineAlloc {
     pipeline: Pipeline,
-    task_table: TableId,
     copy_indicator: ArrayId,
     max_seq: ArrayId,
     seen: ArrayId,
@@ -235,7 +227,6 @@ impl AggregatorEngine {
             config,
             pipeline: alloc.pipeline,
             aas: alloc.aas,
-            task_table: alloc.task_table,
             copy_indicator: alloc.copy_indicator,
             max_seq: alloc.max_seq,
             seen: alloc.seen,
@@ -251,7 +242,6 @@ impl AggregatorEngine {
             free_regions,
             local_hosts: None,
             absorbed_seqs,
-            carried_violations: 0,
         }
     }
 
@@ -264,7 +254,12 @@ impl AggregatorEngine {
         let chain = stages_needed.div_ceil(16).max(1);
         let mut pipeline = Pipeline::new(PipelineSpec::tofino3_chained(chain));
 
-        let task_table = pipeline
+        // The task table maps task id → (region base, region length,
+        // copy-indicator index, operator) ("the switch uses the task ID to
+        // identify the aggregator memory region", §3.1). Its action data is
+        // latched into the dispatch cache at install time, so the model
+        // only reserves its SRAM.
+        pipeline
             .alloc_table(0, config.max_tasks, 4)
             .expect("task table fits stage 0");
         let copy_indicator = pipeline
@@ -290,7 +285,6 @@ impl AggregatorEngine {
             .expect("PktState fits final stage");
         PipelineAlloc {
             pipeline,
-            task_table,
             copy_indicator,
             max_seq,
             seen,
@@ -302,10 +296,8 @@ impl AggregatorEngine {
     /// Power-failure semantics: every register array, match table, dedup
     /// window, task region, and cached verdict is gone; only control-plane
     /// software state that would live off-switch survives (finished-task
-    /// counters, the host-locality config, and the violation total, which
-    /// [`AggregatorEngine::constraint_violations`] carries across the
-    /// rebuild). Live tasks' counters are banked into the finished set so
-    /// observability spans the crash.
+    /// counters and the host-locality config). Live tasks' counters are
+    /// banked into the finished set so observability spans the crash.
     pub fn crash_reset(&mut self) {
         for (&task, &slot) in &self.task_index {
             if let Some(entry) = self.task_slots[slot].take() {
@@ -316,11 +308,9 @@ impl AggregatorEngine {
             }
         }
         self.task_index.clear();
-        self.carried_violations += self.pipeline.violation_count();
         let alloc = Self::build_pipeline(&self.config);
         self.pipeline = alloc.pipeline;
         self.aas = alloc.aas;
-        self.task_table = alloc.task_table;
         self.copy_indicator = alloc.copy_indicator;
         self.max_seq = alloc.max_seq;
         self.seen = alloc.seen;
@@ -351,14 +341,6 @@ impl AggregatorEngine {
         self.task_slots[slot].as_ref()
     }
 
-    /// Mutable task entry for the dispatch slot, if the task is registered.
-    fn slot_entry_mut(&mut self, task_slot: u32) -> Option<&mut TaskEntry> {
-        if task_slot == SLOT_NONE {
-            return None;
-        }
-        self.task_slots[task_slot as usize].as_mut()
-    }
-
     /// The configuration the engine was built with.
     pub fn config(&self) -> &AskConfig {
         &self.config
@@ -380,7 +362,10 @@ impl AggregatorEngine {
         }
     }
 
-    /// The raw node index registered as `task`'s receiver.
+    /// The raw node index registered as `task`'s receiver: the ingress port
+    /// its region request arrived on, the only one
+    /// [`AskSwitch`](crate::switch::AskSwitch) takes its swap, fetch and
+    /// release frames from.
     pub fn task_receiver(&self, task: TaskId) -> Option<u32> {
         self.task_entry(task).map(|t| t.receiver)
     }
@@ -422,18 +407,6 @@ impl AggregatorEngine {
         };
         self.pipeline
             .control_write(self.copy_indicator, indicator_idx, 0);
-        self.pipeline
-            .table_insert(
-                self.task_table,
-                task.0 as u64,
-                vec![
-                    region.base as u64,
-                    region.aggregators as u64,
-                    indicator_idx as u64,
-                    op.to_code() as u64,
-                ],
-            )
-            .expect("table capacity equals the indicator pool");
         self.task_slots[indicator_idx] = Some(TaskEntry {
             region,
             indicator_idx,
@@ -455,12 +428,10 @@ impl AggregatorEngine {
         let Some(slot) = self.task_index.remove(&task) else {
             return;
         };
-        let mut entry = self.task_slots[slot].take().expect("indexed task present");
+        let entry = self.task_slots[slot].take().expect("indexed task present");
         self.dispatch_gen += 1; // drop every cached line naming this task
-        self.pipeline.table_remove(self.task_table, task.0 as u64);
-        for copy in 0..2 {
-            let claims = std::mem::take(&mut entry.claims[copy]);
-            self.reset_claims(&claims, copy);
+        for claims in &entry.claims {
+            self.reset_claims(claims);
         }
         self.free_indicators.push(entry.indicator_idx);
         self.free_regions
@@ -514,28 +485,28 @@ impl AggregatorEngine {
         ch_slot: usize,
         window: usize,
         seq: u64,
-    ) -> Result<Observation, AccessError> {
+    ) -> Observation {
         let w = window as u64;
         let new_max = pass.access(max_seq, ch_slot, |v| {
             *v = (*v).max(seq);
             *v
-        })?;
+        });
         if new_max - seq >= w {
-            return Ok(Observation::Stale);
+            return Observation::Stale;
         }
         let r = (seq % w) as usize;
         let q_even = (seq / w).is_multiple_of(2);
         let bit = ch_slot * window + r;
         let observed = if q_even {
-            pass.set_bit(seen, bit)?
+            pass.set_bit(seen, bit)
         } else {
-            pass.clr_bitc(seen, bit)?
+            pass.clr_bitc(seen, bit)
         };
-        Ok(if observed {
+        if observed {
             Observation::Duplicate
         } else {
             Observation::First
-        })
+        }
     }
 
     /// Dedup-gates a bypass packet (long-kv or FIN) that shares the
@@ -546,18 +517,14 @@ impl AggregatorEngine {
         let Some(slot) = self.channel_slot(channel) else {
             return Observation::First; // untracked channel: pure forwarding
         };
-        let mut pass = self.pipeline.begin_pass();
         Self::observe_in_pass(
-            &mut pass,
+            &mut self.pipeline.begin_pass(),
             self.max_seq,
             self.seen,
             slot,
             self.config.window,
             seq.0,
         )
-        // Degraded mode (violation journaled by the pipeline): forward as a
-        // first sighting — the receiver's own window dedups bypass packets.
-        .unwrap_or(Observation::First)
     }
 
     /// Records a forwarded long-key bypass packet in the task's counters.
@@ -608,10 +575,6 @@ impl AggregatorEngine {
     /// The pipeline program for one packet. `aggregate == false` is the
     /// degraded no-aggregate variant (dedup and `PktState` still run,
     /// aggregator arrays are skipped).
-    // `drop(pass)` below deliberately ends the pipeline pass (and its
-    // borrow) before control-plane state is updated; the lint misreads
-    // that as a no-op.
-    #[allow(clippy::drop_non_drop)]
     fn process(&mut self, view: &DataPacketView, aggregate: bool) -> ViewVerdict {
         debug_assert!(
             view.matches_layout(&self.config.layout),
@@ -625,6 +588,14 @@ impl AggregatorEngine {
         }
         let ch_slot = ent.ch_slot as usize;
         let window = self.config.window;
+        // The dispatch entry names a live task slot or none (install and
+        // release invalidate the cache). Its claim vector is a field apart
+        // from the pipeline, so the pass pushes claims straight into it.
+        let mut task = if ent.task_slot == SLOT_NONE {
+            None
+        } else {
+            self.task_slots[ent.task_slot as usize].as_mut()
+        };
 
         let mut pass = self.pipeline.begin_pass();
 
@@ -634,71 +605,47 @@ impl AggregatorEngine {
         // the cache — so the pass starts at the copy indicator, which does
         // change mid-task (shadow swaps) and stays a per-packet register
         // access.
-        //
-        // Any register-access violation below is journaled by the pipeline
-        // and degrades the pass to plain forwarding: the packet goes out
-        // untouched, nothing has been absorbed yet, and the receiver's own
-        // window dedups — the one unsafe act (absorbing twice) never
-        // happens in degraded mode.
-        let copy = if ent.task_slot != SLOT_NONE {
-            match pass.access(self.copy_indicator, ent.indicator_idx as usize, |v| *v) {
-                Ok(c) => c as usize,
-                Err(_) => {
-                    drop(pass);
-                    return ViewVerdict::Forward { residual: bitmap };
-                }
-            }
+        let copy = if task.is_some() {
+            pass.access(self.copy_indicator, ent.indicator_idx as usize, |v| *v) as usize
         } else {
             0
         };
-
-        let obs = match Self::observe_in_pass(
-            &mut pass,
-            self.max_seq,
-            self.seen,
-            ch_slot,
-            window,
-            view.seq().0,
-        ) {
-            Ok(o) => o,
-            Err(_) => {
-                drop(pass);
-                return ViewVerdict::Forward { residual: bitmap };
-            }
-        };
-        let state_idx = ch_slot * window + (view.seq().0 % window as u64) as usize;
+        let seq = view.seq().0;
+        let obs = Self::observe_in_pass(&mut pass, self.max_seq, self.seen, ch_slot, window, seq);
+        let state_idx = ch_slot * window + (seq % window as u64) as usize;
 
         match obs {
             Observation::Stale => {
-                drop(pass);
-                if let Some(t) = self.slot_entry_mut(ent.task_slot) {
+                if let Some(t) = task {
                     t.stats.stale_dropped += 1;
                 }
                 ViewVerdict::Stale
             }
             Observation::First => {
-                let (new_claims, aggregated, forwarded, residual) =
-                    if aggregate && ent.task_slot != SLOT_NONE {
-                        Self::aggregate_slots(&mut pass, &self.aas, &self.config, ent, copy, view)
-                    } else {
-                        (Vec::new(), 0, bitmap.count_ones() as u64, bitmap)
-                    };
-                // Final stage: record the post-aggregation bitmap. On a
-                // violation the write is skipped (journaled); a later
-                // duplicate then reads whatever the register held.
-                let _ = pass.access(self.pkt_state, state_idx, |v| *v = residual as u64);
-                drop(pass);
+                let (aggregated, forwarded, residual) = match task.as_deref_mut() {
+                    Some(t) if aggregate => Self::aggregate_slots(
+                        &mut pass,
+                        &self.aas,
+                        &self.config,
+                        ent,
+                        copy,
+                        &mut t.claims[copy],
+                        view,
+                    ),
+                    _ => (0, bitmap.count_ones() as u64, bitmap),
+                };
+                // Final stage: record the post-aggregation bitmap.
+                pass.access(self.pkt_state, state_idx, |v| *v = residual as u64);
                 let empty = residual == 0;
                 // Conformance audit: absorbing tuples from a sequence the
                 // journal has already seen is an exactly-once violation.
                 let dup_absorb = match self.absorbed_seqs.as_mut() {
                     Some(journal) if aggregated > 0 => {
-                        u64::from(!journal.insert((view.channel(), view.seq().0)))
+                        u64::from(!journal.insert((view.channel(), seq)))
                     }
                     _ => 0,
                 };
-                if let Some(t) = self.slot_entry_mut(ent.task_slot) {
-                    t.claims[copy].extend(new_claims);
+                if let Some(t) = task {
                     t.stats.data_packets += 1;
                     t.stats.tuples_aggregated += aggregated;
                     t.stats.tuples_forwarded += forwarded;
@@ -716,15 +663,9 @@ impl AggregatorEngine {
                 }
             }
             Observation::Duplicate => {
-                // Skip the AAs entirely; restore the recorded bitmap. If the
-                // read itself violates (journaled), fall back to forwarding
-                // the whole packet: never re-aggregate a duplicate.
-                let stored = match pass.access(self.pkt_state, state_idx, |v| *v) {
-                    Ok(v) => v as u128,
-                    Err(_) => u128::MAX,
-                };
-                drop(pass);
-                if let Some(t) = self.slot_entry_mut(ent.task_slot) {
+                // Skip the AAs entirely; restore the recorded bitmap.
+                let stored = pass.access(self.pkt_state, state_idx, |v| *v) as u128;
+                if let Some(t) = task {
                     t.stats.duplicates_detected += 1;
                 }
                 if stored == 0 {
@@ -740,21 +681,21 @@ impl AggregatorEngine {
 
     /// Aggregates one packet's occupied slots within one pass, reading each
     /// key and value in place: one register access per aggregator array, in
-    /// stage order. Returns new claims, the aggregated/forwarded tuple
-    /// counts, and the surviving slot bitmap.
+    /// stage order. Pushes new claims onto `claims` and returns the
+    /// aggregated/forwarded tuple counts and the surviving slot bitmap.
     fn aggregate_slots(
         pass: &mut Pass<'_>,
         aas: &[ArrayId],
         config: &AskConfig,
         ent: DispatchEntry,
         copy: usize,
+        claims: &mut Vec<Claim>,
         view: &DataPacketView,
-    ) -> (Vec<Claim>, u64, u64, u128) {
+    ) -> (u64, u64, u128) {
         let layout = &config.layout;
         let base = copy * config.aggregators_per_aa + ent.region.base as usize;
         let short = layout.short_slots();
         let m = layout.medium_segments();
-        let mut claims = Vec::new();
         let mut aggregated = 0u64;
         let mut forwarded = 0u64;
         let mut residual = view.bitmap();
@@ -815,7 +756,7 @@ impl AggregatorEngine {
                 forwarded += 1;
             }
         }
-        (claims, aggregated, forwarded, residual)
+        (aggregated, forwarded, residual)
     }
 
     /// Resolves `(channel, task)` through the direct-mapped dispatch cache:
@@ -888,9 +829,6 @@ impl AggregatorEngine {
                 SegmentOutcome::Conflict
             }
         })
-        // Degraded mode: an unreachable aggregator is a conflict — the
-        // tuple is forwarded to the host, never silently dropped.
-        .unwrap_or(SegmentOutcome::Conflict)
     }
 
     /// Flips the task's copy indicator (Algorithm 1's `Switch()`); data
@@ -904,10 +842,9 @@ impl AggregatorEngine {
         };
         entry.stats.swaps += 1;
         let idx = entry.indicator_idx;
-        let mut pass = self.pipeline.begin_pass();
-        // A violated flip (journaled) leaves the indicator unchanged: both
-        // copies stay consistent, the swap simply did not take effect.
-        let _ = pass.access(self.copy_indicator, idx, |v| *v ^= 1);
+        self.pipeline
+            .begin_pass()
+            .access(self.copy_indicator, idx, |v| *v ^= 1);
     }
 
     /// The task's currently active copy (0 or 1); `None` for unknown tasks.
@@ -946,8 +883,8 @@ impl AggregatorEngine {
                 let entry = self.task_slots[slot].as_mut().expect("present");
                 std::mem::take(&mut entry.claims[copy])
             };
-            self.harvest_claims(&claims, copy, &mut harvest);
-            self.reset_claims(&claims, copy);
+            self.harvest_claims(&claims, &mut harvest);
+            self.reset_claims(&claims);
         }
         let harvest = Arc::new(harvest);
         let entry = self.task_slots[slot].as_mut().expect("present");
@@ -956,7 +893,7 @@ impl AggregatorEngine {
         harvest
     }
 
-    fn harvest_claims(&self, claims: &[Claim], _copy: usize, out: &mut Vec<KvTuple>) {
+    fn harvest_claims(&self, claims: &[Claim], out: &mut Vec<KvTuple>) {
         let layout = &self.config.layout;
         for claim in claims {
             match *claim {
@@ -991,7 +928,7 @@ impl AggregatorEngine {
         }
     }
 
-    fn reset_claims(&mut self, claims: &[Claim], _copy: usize) {
+    fn reset_claims(&mut self, claims: &[Claim]) {
         let layout = self.config.layout;
         for claim in claims {
             match *claim {
@@ -1014,16 +951,12 @@ impl AggregatorEngine {
         self.pipeline.passes_executed()
     }
 
-    /// Register-access/stage-order violations the pipeline journaled,
-    /// including those of pipelines discarded by crash resets. The
-    /// conformance harness's PISA-legality invariant is `== 0`.
+    /// PISA constraint violations: always 0. Every pass touches its arrays
+    /// in an order fixed by this program, and an illegal access panics in
+    /// [`Pass::access`] instead of being counted. Kept for callers that
+    /// report the count (the benchmark's `pisa.violations`).
     pub fn constraint_violations(&self) -> u64 {
-        self.carried_violations + self.pipeline.violation_count()
-    }
-
-    /// The recorded violation journal (bounded; see [`Pipeline::violations`]).
-    pub fn violations(&self) -> &[Violation] {
-        self.pipeline.violations()
+        0
     }
 
     /// Total exactly-once violations seen by the absorption audit, across
@@ -1415,8 +1348,19 @@ mod tests {
         e.swap(TaskId(1));
         e.fetch(TaskId(1), FetchScope::All, 1);
         assert_eq!(e.constraint_violations(), 0);
-        assert!(e.violations().is_empty());
         assert_eq!(e.duplicate_absorptions(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "high-water mark")]
+    fn pkt_state_before_an_aa_is_an_illegal_pass() {
+        // The mutation the legality rule must catch: the switch program with
+        // its final-stage `PktState` write moved ahead of an aggregator.
+        let mut e = engine();
+        let (pkt_state, aa) = (e.pkt_state, e.aas[0]);
+        let mut pass = e.pipeline.begin_pass();
+        pass.access(pkt_state, 0, |v| *v = 1);
+        pass.access(aa, 0, |_| ());
     }
 
     #[test]

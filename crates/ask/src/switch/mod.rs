@@ -68,6 +68,9 @@ pub struct AskSwitch {
     /// Data frames fully absorbed: consumed straight from the wire bytes,
     /// answered with an ACK and nothing else.
     pure_absorb: u64,
+    /// Swap, fetch and release frames dropped because they arrived on
+    /// another port than the one their task was registered from.
+    control_source_drops: u64,
 }
 
 impl AskSwitch {
@@ -83,6 +86,7 @@ impl AskSwitch {
             noagg_relayed: 0,
             foreign_layout_relayed: 0,
             pure_absorb: 0,
+            control_source_drops: 0,
         }
     }
 
@@ -122,6 +126,27 @@ impl AskSwitch {
     /// just an ACK back to the sender.
     pub fn pure_absorb_frames(&self) -> u64 {
         self.pure_absorb
+    }
+
+    /// Swap, fetch and release frames dropped by the control-source gate
+    /// ([`AskSwitch::control_source_admit`]).
+    pub fn control_source_drops(&self) -> u64 {
+        self.control_source_drops
+    }
+
+    /// Control-source gate for a frame that drives `task`'s registers
+    /// (swap, fetch, release): only the port the task was registered from,
+    /// its receiver's, may send one. Anything else is dropped and counted.
+    /// Frames for unregistered tasks pass, because the engine answers them
+    /// without touching any task state.
+    fn control_source_admit(&mut self, task: TaskId, from: NodeId) -> bool {
+        match self.engine.task_receiver(task) {
+            Some(port) if port != from.index() as u32 => {
+                self.control_source_drops += 1;
+                false
+            }
+            _ => true,
+        }
     }
 
     /// Epoch gate for one ingress frame: frames from this epoch (or a
@@ -274,7 +299,9 @@ impl Node for AskSwitch {
     /// switch's layout is one pipeline pass
     /// ([`AggregatorEngine::process_data_view`]); every other kind is
     /// relayed from its raw payload bytes or answered by the control plane.
-    fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
+    /// A region request registers its ingress port as the task's receiver,
+    /// and only that port may swap, fetch or release the task.
+    fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
         let ecn = frame.ecn_marked();
         let wire = frame.wire_bytes();
         // Keep the raw payload around: packets the switch relays
@@ -335,13 +362,18 @@ impl Node for AskSwitch {
                 self.forward_raw(m.dst, m.payload, m.wire, false, ctx);
             }
             PacketView::Swap { task } => {
-                self.engine.swap(task);
+                if self.control_source_admit(task, from) {
+                    self.engine.swap(task);
+                }
             }
             PacketView::FetchRequest {
                 task,
                 scope,
                 fetch_seq,
             } => {
+                if !self.control_source_admit(task, from) {
+                    return;
+                }
                 let entries = self.engine.fetch(task, scope, fetch_seq);
                 let reply = AskPacket::FetchReply {
                     task,
@@ -352,14 +384,17 @@ impl Node for AskSwitch {
             }
             PacketView::Control(msg) => match msg {
                 ControlMsg::RegionRequest { task, op } => {
-                    let reply = match self.engine.register_task_with_op(task, m.src, op) {
+                    let port = from.index() as u32;
+                    let reply = match self.engine.register_task_with_op(task, port, op) {
                         Some(region) => ControlMsg::RegionGrant { task, region },
                         None => ControlMsg::RegionDeny { task },
                     };
                     self.reply(m.src, AskPacket::Control(reply), ctx);
                 }
                 ControlMsg::RegionRelease { task } => {
-                    self.engine.release_task(task);
+                    if self.control_source_admit(task, from) {
+                        self.engine.release_task(task);
+                    }
                 }
                 // Host-to-host control traffic transits the switch.
                 ControlMsg::TaskAnnounce { .. }

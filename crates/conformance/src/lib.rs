@@ -2,7 +2,7 @@
 //!
 //! The full stack (host daemon → wire codec → PISA switch → simulated
 //! network) is run against a trivially-correct in-memory oracle
-//! ([`ask::service::reference_aggregate_op`]), and four end-to-end
+//! ([`ask::service::reference_aggregate_op`]), and three end-to-end
 //! invariants are asserted after every run:
 //!
 //! 1. **Conservation** — the delivered aggregate equals the oracle's
@@ -14,9 +14,12 @@
 //!    e.g. `MAX`);
 //! 3. **Window safety** — no sender channel ever holds more than `W`
 //!    unacknowledged packets, everything drains by completion, and no
-//!    fetched tuple is lost between switch and receiver;
-//! 4. **PISA legality** — no pipeline pass violated the register-access or
-//!    stage-ordering constraints of `ask-pisa`.
+//!    fetched tuple is lost between switch and receiver.
+//!
+//! PISA legality holds by construction: every pass of the switch program
+//! touches its register arrays in a fixed stage order, and `ask-pisa`
+//! panics on any access at or below a pass's high-water mark, so a run that
+//! completes made no illegal access.
 //!
 //! Two drivers feed the harness: a deterministic chaos [`sweep`] over a
 //! loss × duplication × reorder grid (every failure reproducible from its

@@ -20,7 +20,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
     /// Any random scenario — workload shape, Zipf skew, operator, fault
-    /// mix, co-located sender, mid-run restart — satisfies all four
+    /// mix, co-located sender, mid-run restart — satisfies all three
     /// invariants. Corruption flips a single bit, which the CRC always
     /// catches, so to the protocol it must be just more loss.
     #[test]

@@ -93,7 +93,7 @@ fn seeded_max_bitflip_double_absorption_escapes_value_oracle_but_not_audit() {
 
 /// Heavy duplication and loss together force honest retransmissions to
 /// overlap with network-duplicated frames — the scenario where a buggy
-/// dedup gate would double-absorb. All four invariants must still hold.
+/// dedup gate would double-absorb. All three invariants must still hold.
 #[test]
 fn dup_retransmit_overlap_holds_all_invariants() {
     let mut s = Scenario::base(0xD1CE);

@@ -1,4 +1,4 @@
-//! Errors for resource allocation and per-pass access checking.
+//! Errors for resource allocation.
 
 use core::fmt;
 
@@ -66,56 +66,6 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// Error returned when a packet pass violates the PISA access model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessError {
-    /// A register array was accessed twice within one packet pass. Real
-    /// hardware allows exactly one read-modify-write per array per pass
-    /// (§2.2.1), which is the restriction that forces ASK's vectorized
-    /// two-dimensional aggregator layout.
-    DoubleAccess {
-        /// The offending array.
-        array: super::pipeline::ArrayId,
-    },
-    /// An array in an earlier stage was accessed after a later stage; a
-    /// packet traverses the stages strictly in order within one pass.
-    StageOrderViolation {
-        /// Stage of the array being accessed.
-        array_stage: usize,
-        /// Stage the pass has already advanced to.
-        current_stage: usize,
-    },
-    /// Register index outside the array bounds.
-    IndexOutOfBounds {
-        /// Requested index.
-        index: usize,
-        /// Array length.
-        len: usize,
-    },
-}
-
-impl fmt::Display for AccessError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AccessError::DoubleAccess { array } => {
-                write!(f, "register array {array:?} accessed twice in one pass")
-            }
-            AccessError::StageOrderViolation {
-                array_stage,
-                current_stage,
-            } => write!(
-                f,
-                "cannot access stage {array_stage} after advancing to stage {current_stage}"
-            ),
-            AccessError::IndexOutOfBounds { index, len } => {
-                write!(f, "register index {index} out of bounds (len {len})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AccessError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,8 +79,5 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("stage 3") && s.contains("100") && s.contains("10"));
-
-        let e = AccessError::IndexOutOfBounds { index: 9, len: 4 };
-        assert!(e.to_string().contains("9"));
     }
 }

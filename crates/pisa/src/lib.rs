@@ -13,12 +13,15 @@
 //!
 //! This crate models exactly those constraints: [`pipeline::Pipeline`] holds
 //! register arrays inside per-stage SRAM budgets, and every packet is
-//! processed through a [`pipeline::Pass`] that rejects out-of-order or
-//! repeated register access at runtime. Higher layers (the `ask` crate)
-//! implement the paper's switch program on top, so the reproduced design
-//! decisions — two-dimensional aggregator arrays, the compact `seen` window,
-//! shadow copies — are forced by the same constraints that forced them on
-//! real hardware.
+//! processed through a [`pipeline::Pass`] that keeps one high-water mark,
+//! the last array it touched. An access at or below the mark, in stage and
+//! then slot order, panics, which is rules 1 and 2 in one compare. The
+//! arrays a pass touches are fixed by the program, not by traffic, so legal
+//! programs never panic and register access returns plain values. Higher
+//! layers (the `ask` crate) implement the paper's switch program on top, so
+//! the reproduced design decisions — two-dimensional aggregator arrays, the
+//! compact `seen` window, shadow copies — are forced by the same
+//! constraints that forced them on real hardware.
 //!
 //! ## Example
 //!
@@ -31,9 +34,9 @@
 //!
 //! // One packet pass: dedup bit, then aggregate.
 //! let mut pass = pipe.begin_pass();
-//! let seen_before = pass.set_bit(seen, 17)?;
+//! let seen_before = pass.set_bit(seen, 17);
 //! if !seen_before {
-//!     pass.access(agg, 42, |v| *v += 5)?;
+//!     pass.access(agg, 42, |v| *v += 5);
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -48,10 +51,10 @@ pub mod table;
 
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
-    pub use crate::error::{AccessError, AllocError};
-    pub use crate::pipeline::{ArrayId, Pass, Pipeline, ResourceReport, StageUsage, Violation};
+    pub use crate::error::AllocError;
+    pub use crate::pipeline::{ArrayId, Pass, Pipeline, ResourceReport, StageUsage};
     pub use crate::spec::PipelineSpec;
-    pub use crate::table::{TableError, TableId};
+    pub use crate::table::TableId;
 }
 
 #[cfg(test)]
@@ -70,7 +73,7 @@ mod proptests {
             let mut p = Pipeline::new(PipelineSpec::tofino3());
             let a = p.alloc_array(0, 1, width).unwrap();
             for w in writes {
-                p.begin_pass().access(a, 0, |v| *v = v.wrapping_add(w)).unwrap();
+                p.begin_pass().access(a, 0, |v| *v = v.wrapping_add(w));
                 prop_assert!(p.control_read(a, 0) < (1u64 << width));
             }
         }
@@ -83,11 +86,11 @@ mod proptests {
             let bits = p.alloc_array(0, 1, 1).unwrap();
             p.control_write(bits, 0, initial);
             // Even segment: observed == previous bit.
-            let observed = p.begin_pass().set_bit(bits, 0).unwrap();
+            let observed = p.begin_pass().set_bit(bits, 0);
             prop_assert_eq!(observed, initial == 1);
             prop_assert_eq!(p.control_read(bits, 0), 1);
             // Odd segment: observed == !previous bit.
-            let observed = p.begin_pass().clr_bitc(bits, 0).unwrap();
+            let observed = p.begin_pass().clr_bitc(bits, 0);
             prop_assert_eq!(observed, false); // bit was 1 => complement false
             prop_assert_eq!(p.control_read(bits, 0), 0);
         }
@@ -105,7 +108,7 @@ mod proptests {
                     expect += Pipeline::array_footprint_bytes(len, width);
                 }
             }
-            prop_assert_eq!(p.sram_used(0), expect);
+            prop_assert_eq!(p.resource_report().stages[0].sram_used, expect);
             prop_assert!(expect <= PipelineSpec::tofino3().sram_per_stage_bytes());
         }
     }

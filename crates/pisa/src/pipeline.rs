@@ -3,21 +3,24 @@
 //! A PISA pipeline processes one packet per *pass*: the packet traverses the
 //! match-action stages strictly in order, and each register array can be
 //! read-modified-written **at most once** per pass through its stateful ALU
-//! (§2.2.1 of the paper). These constraints are what make in-switch
-//! key-value aggregation hard, so this module enforces them at runtime:
-//! violating code gets an [`AccessError`] instead of silently doing what real
-//! hardware cannot.
+//! (§2.2.1 of the paper). A [`Pass`] enforces both rules with one
+//! high-water mark, the last array it touched: arrays are ordered by
+//! `(stage, slot)`, and an access at or below the mark panics. Which
+//! arrays a pass touches, and in what order, is fixed by the program that
+//! drives the pipeline, never by packet contents, so a violation is a bug
+//! in that program and not a condition to handle at run time.
 
-use crate::error::{AccessError, AllocError};
+use crate::error::AllocError;
 use crate::spec::PipelineSpec;
-use crate::table::{MatchTable, TableError, TableId};
+use crate::table::{self, TableId};
 
 /// Match-action tables one stage may declare (separate resource from the
 /// register-array slots; generous because tables share match crossbars).
 const MAX_TABLES_PER_STAGE: usize = 8;
 
-/// Handle to a register array declared in a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Handle to a register array declared in a pipeline. Handles order by
+/// `(stage, slot)`, the order in which one pass may touch the arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArrayId {
     pub(crate) stage: usize,
     pub(crate) slot: usize,
@@ -34,8 +37,6 @@ impl ArrayId {
 struct RegisterArray {
     cells: Vec<u64>,
     width_bits: u32,
-    /// Pass id of the most recent access, for double-access detection.
-    last_access_pass: u64,
 }
 
 impl RegisterArray {
@@ -51,27 +52,9 @@ impl RegisterArray {
 #[derive(Debug)]
 struct Stage {
     arrays: Vec<RegisterArray>,
-    tables: Vec<MatchTable>,
+    tables: usize,
     sram_used: usize,
 }
-
-/// A recorded violation of the per-pass access model.
-///
-/// Violations are still returned as [`AccessError`]s to the caller, but the
-/// pipeline additionally journals them so a harness can assert after a run
-/// that *no* pass — on any code path — broke the hardware constraints,
-/// without every call site having to thread the errors outward.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Violation {
-    /// The pass (1-based, in execution order) that violated a constraint.
-    pub pass: u64,
-    /// What was violated.
-    pub error: AccessError,
-}
-
-/// Violations kept verbatim in the journal; beyond this only the count
-/// grows (a broken program can violate once per packet).
-const MAX_RECORDED_VIOLATIONS: usize = 64;
 
 /// A programmable packet-processing pipeline.
 ///
@@ -83,7 +66,7 @@ const MAX_RECORDED_VIOLATIONS: usize = 64;
 /// let mut pipe = Pipeline::new(PipelineSpec::tofino3());
 /// let counters = pipe.alloc_array(0, 1024, 32)?;
 /// let mut pass = pipe.begin_pass();
-/// let old = pass.access(counters, 7, |v| { let old = *v; *v += 1; old })?;
+/// let old = pass.access(counters, 7, |v| { let old = *v; *v += 1; old });
 /// assert_eq!(old, 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -91,10 +74,7 @@ const MAX_RECORDED_VIOLATIONS: usize = 64;
 pub struct Pipeline {
     spec: PipelineSpec,
     stages: Vec<Stage>,
-    next_pass: u64,
     passes_executed: u64,
-    violations: Vec<Violation>,
-    violation_count: u64,
 }
 
 impl Pipeline {
@@ -103,43 +83,15 @@ impl Pipeline {
         let stages = (0..spec.stages())
             .map(|_| Stage {
                 arrays: Vec::new(),
-                tables: Vec::new(),
+                tables: 0,
                 sram_used: 0,
             })
             .collect();
         Pipeline {
             spec,
             stages,
-            next_pass: 1,
             passes_executed: 0,
-            violations: Vec::new(),
-            violation_count: 0,
         }
-    }
-
-    /// Total access-model violations since creation (every [`AccessError`]
-    /// any pass ever produced, whether or not the caller handled it).
-    pub fn violation_count(&self) -> u64 {
-        self.violation_count
-    }
-
-    /// The first recorded violations, in occurrence order (the journal keeps
-    /// at most a bounded prefix; [`Pipeline::violation_count`] keeps the
-    /// exact total).
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
-    }
-
-    fn note_violation(&mut self, pass: u64, error: AccessError) {
-        self.violation_count += 1;
-        if self.violations.len() < MAX_RECORDED_VIOLATIONS {
-            self.violations.push(Violation { pass, error });
-        }
-    }
-
-    /// The resource envelope this pipeline was created with.
-    pub fn spec(&self) -> &PipelineSpec {
-        &self.spec
     }
 
     /// Number of packet passes executed so far.
@@ -200,7 +152,6 @@ impl Pipeline {
         st.arrays.push(RegisterArray {
             cells: vec![0; len],
             width_bits,
-            last_access_pass: 0,
         });
         Ok(ArrayId {
             stage,
@@ -209,7 +160,8 @@ impl Pipeline {
     }
 
     /// Declares an exact-match table of `capacity` entries, each carrying
-    /// `action_words` 64-bit action-data words, in `stage`.
+    /// `action_words` 64-bit action-data words, in `stage`, charging its
+    /// SRAM to the stage (see [`crate::table`]).
     ///
     /// # Errors
     ///
@@ -228,14 +180,17 @@ impl Pipeline {
                 stages: self.stages.len(),
             });
         }
+        if capacity == 0 {
+            return Err(AllocError::EmptyArray);
+        }
         let st = &mut self.stages[stage];
-        if st.tables.len() >= MAX_TABLES_PER_STAGE {
+        if st.tables >= MAX_TABLES_PER_STAGE {
             return Err(AllocError::ArraySlotsExhausted {
                 stage,
                 limit: MAX_TABLES_PER_STAGE,
             });
         }
-        let footprint = MatchTable::footprint_bytes(capacity, action_words);
+        let footprint = table::footprint_bytes(capacity, action_words);
         let available = self.spec.sram_per_stage_bytes() - st.sram_used;
         if footprint > available {
             return Err(AllocError::SramExhausted {
@@ -244,41 +199,12 @@ impl Pipeline {
                 available,
             });
         }
-        let table = MatchTable::new(capacity, action_words)?;
         st.sram_used += footprint;
-        st.tables.push(table);
+        st.tables += 1;
         Ok(TableId {
             stage,
-            slot: st.tables.len() - 1,
+            slot: st.tables - 1,
         })
-    }
-
-    /// Control-plane entry installation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TableError`] if the table is full or the action data width
-    /// is wrong.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table id is invalid.
-    pub fn table_insert(
-        &mut self,
-        table: TableId,
-        key: u64,
-        action: Vec<u64>,
-    ) -> Result<(), TableError> {
-        self.stages[table.stage].tables[table.slot].insert(key, action)
-    }
-
-    /// Control-plane entry removal; returns whether the key was present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table id is invalid.
-    pub fn table_remove(&mut self, table: TableId, key: u64) -> bool {
-        self.stages[table.stage].tables[table.slot].remove(key)
     }
 
     /// Per-stage resource usage, for capacity planning and documentation.
@@ -289,7 +215,7 @@ impl Pipeline {
                 .iter()
                 .map(|st| StageUsage {
                     arrays: st.arrays.len(),
-                    tables: st.tables.len(),
+                    tables: st.tables,
                     sram_used: st.sram_used,
                     sram_total: self.spec.sram_per_stage_bytes(),
                 })
@@ -297,25 +223,13 @@ impl Pipeline {
         }
     }
 
-    /// SRAM bytes currently allocated in `stage`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range.
-    pub fn sram_used(&self, stage: usize) -> usize {
-        self.stages[stage].sram_used
-    }
-
     /// Starts processing one packet; the returned [`Pass`] enforces the
     /// stage-order and single-access constraints for the packet's lifetime.
     pub fn begin_pass(&mut self) -> Pass<'_> {
-        let pass_id = self.next_pass;
-        self.next_pass += 1;
         self.passes_executed += 1;
         Pass {
-            pipeline: self,
-            pass_id,
-            current_stage: 0,
+            stages: &mut self.stages,
+            mark: None,
         }
     }
 
@@ -347,25 +261,16 @@ impl Pipeline {
         );
         arr.cells[index] = value;
     }
-
-    /// Length of a register array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array id is invalid.
-    pub fn array_len(&self, array: ArrayId) -> usize {
-        self.stages[array.stage].arrays[array.slot].cells.len()
-    }
 }
 
 /// One packet's traversal of the pipeline.
 ///
+/// The pass remembers only its high-water mark, the last array it touched.
 /// Dropping the pass models the packet leaving the pipeline.
 #[derive(Debug)]
 pub struct Pass<'p> {
-    pipeline: &'p mut Pipeline,
-    pass_id: u64,
-    current_stage: usize,
+    stages: &'p mut [Stage],
+    mark: Option<ArrayId>,
 }
 
 impl Pass<'_> {
@@ -376,62 +281,36 @@ impl Pass<'_> {
     /// register. Returns whatever the closure returns, letting callers
     /// extract the read value ([C-INTERMEDIATE]).
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// - [`AccessError::DoubleAccess`] if this pass already accessed `array`;
-    /// - [`AccessError::StageOrderViolation`] if `array` lives in a stage the
-    ///   pass has already moved beyond;
-    /// - [`AccessError::IndexOutOfBounds`] for a bad register index.
-    pub fn access<T>(
-        &mut self,
-        array: ArrayId,
-        index: usize,
-        f: impl FnOnce(&mut u64) -> T,
-    ) -> Result<T, AccessError> {
-        self.try_access(array, index, f)
-            .inspect_err(|&e| self.pipeline.note_violation(self.pass_id, e))
-    }
-
-    fn try_access<T>(
-        &mut self,
-        array: ArrayId,
-        index: usize,
-        f: impl FnOnce(&mut u64) -> T,
-    ) -> Result<T, AccessError> {
-        if array.stage < self.current_stage {
-            return Err(AccessError::StageOrderViolation {
-                array_stage: array.stage,
-                current_stage: self.current_stage,
-            });
-        }
-        self.current_stage = array.stage;
-        let arr = &mut self.pipeline.stages[array.stage].arrays[array.slot];
-        if arr.last_access_pass == self.pass_id {
-            return Err(AccessError::DoubleAccess { array });
-        }
-        if index >= arr.cells.len() {
-            return Err(AccessError::IndexOutOfBounds {
-                index,
-                len: arr.cells.len(),
-            });
-        }
-        arr.last_access_pass = self.pass_id;
+    /// Panics if `array` is at or below the pass's high-water mark: the
+    /// pass already touched `array`, an array in a later stage, or a
+    /// later slot of the same stage. Also panics for a bad register index.
+    pub fn access<T>(&mut self, array: ArrayId, index: usize, f: impl FnOnce(&mut u64) -> T) -> T {
+        assert!(
+            Some(array) > self.mark,
+            "PISA pass touched {array:?} at or below its high-water mark {:?}",
+            self.mark
+        );
+        self.mark = Some(array);
+        let arr = &mut self.stages[array.stage].arrays[array.slot];
         let mask = arr.mask();
-        let mut value = arr.cells[index] & mask;
+        let cell = &mut arr.cells[index];
+        let mut value = *cell & mask;
         let out = f(&mut value);
-        arr.cells[index] = value & mask;
-        Ok(out)
+        *cell = value & mask;
+        out
     }
 
     /// Atomic `set_bit`: sets the register (width must be 1) and returns the
     /// previous value, exactly as the paper's footnote 4 defines.
     ///
-    /// # Errors
+    /// # Panics
     ///
     /// Same conditions as [`Pass::access`].
-    pub fn set_bit(&mut self, array: ArrayId, index: usize) -> Result<bool, AccessError> {
+    pub fn set_bit(&mut self, array: ArrayId, index: usize) -> bool {
         debug_assert_eq!(
-            self.pipeline.stages[array.stage].arrays[array.slot].width_bits, 1,
+            self.stages[array.stage].arrays[array.slot].width_bits, 1,
             "set_bit requires a 1-bit register array"
         );
         self.access(array, index, |v| {
@@ -445,12 +324,12 @@ impl Pass<'_> {
     /// the *complement* of the previous value, exactly as the paper's
     /// footnote 5 defines.
     ///
-    /// # Errors
+    /// # Panics
     ///
     /// Same conditions as [`Pass::access`].
-    pub fn clr_bitc(&mut self, array: ArrayId, index: usize) -> Result<bool, AccessError> {
+    pub fn clr_bitc(&mut self, array: ArrayId, index: usize) -> bool {
         debug_assert_eq!(
-            self.pipeline.stages[array.stage].arrays[array.slot].width_bits, 1,
+            self.stages[array.stage].arrays[array.slot].width_bits, 1,
             "clr_bitc requires a 1-bit register array"
         );
         self.access(array, index, |v| {
@@ -458,44 +337,6 @@ impl Pass<'_> {
             *v = 0;
             !prev
         })
-    }
-
-    /// Performs this pass's single lookup on a match-action table,
-    /// returning the matched entry's action data (cloned; action data is a
-    /// few words).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pass::access`].
-    pub fn lookup(&mut self, table: TableId, key: u64) -> Result<Option<Vec<u64>>, AccessError> {
-        self.try_lookup(table, key)
-            .inspect_err(|&e| self.pipeline.note_violation(self.pass_id, e))
-    }
-
-    fn try_lookup(&mut self, table: TableId, key: u64) -> Result<Option<Vec<u64>>, AccessError> {
-        if table.stage < self.current_stage {
-            return Err(AccessError::StageOrderViolation {
-                array_stage: table.stage,
-                current_stage: self.current_stage,
-            });
-        }
-        self.current_stage = table.stage;
-        let t = &mut self.pipeline.stages[table.stage].tables[table.slot];
-        if t.last_access_pass == self.pass_id {
-            return Err(AccessError::DoubleAccess {
-                array: super::pipeline::ArrayId {
-                    stage: table.stage,
-                    slot: table.slot,
-                },
-            });
-        }
-        t.last_access_pass = self.pass_id;
-        Ok(t.entries.get(&key).cloned())
-    }
-
-    /// The stage the pass has advanced to so far.
-    pub fn current_stage(&self) -> usize {
-        self.current_stage
     }
 }
 
@@ -541,7 +382,6 @@ impl core::fmt::Display for ResourceReport {
 }
 
 #[cfg(test)]
-#[allow(clippy::drop_non_drop)] // drop(pass) deliberately ends the pass borrow
 mod tests {
     use super::*;
 
@@ -549,52 +389,47 @@ mod tests {
         Pipeline::new(PipelineSpec::tofino3())
     }
 
+    fn sram_used(p: &Pipeline, stage: usize) -> usize {
+        p.resource_report().stages[stage].sram_used
+    }
+
     #[test]
     fn read_modify_write_masks_width() {
         let mut p = pipe();
         let a = p.alloc_array(0, 4, 8).unwrap();
-        let mut pass = p.begin_pass();
-        pass.access(a, 0, |v| *v = 0x1ff).unwrap();
-        drop(pass);
+        p.begin_pass().access(a, 0, |v| *v = 0x1ff);
         assert_eq!(p.control_read(a, 0), 0xff, "write masked to 8 bits");
     }
 
     #[test]
+    #[should_panic(expected = "high-water mark")]
     fn double_access_same_pass_rejected() {
         let mut p = pipe();
         let a = p.alloc_array(0, 4, 32).unwrap();
         let mut pass = p.begin_pass();
-        pass.access(a, 0, |v| *v += 1).unwrap();
-        let err = pass.access(a, 1, |v| *v += 1).unwrap_err();
-        assert_eq!(err, AccessError::DoubleAccess { array: a });
+        pass.access(a, 0, |v| *v += 1);
+        pass.access(a, 1, |v| *v += 1);
     }
 
     #[test]
     fn next_pass_may_access_again() {
         let mut p = pipe();
         let a = p.alloc_array(0, 4, 32).unwrap();
-        p.begin_pass().access(a, 0, |v| *v += 1).unwrap();
-        p.begin_pass().access(a, 0, |v| *v += 1).unwrap();
+        p.begin_pass().access(a, 0, |v| *v += 1);
+        p.begin_pass().access(a, 0, |v| *v += 1);
         assert_eq!(p.control_read(a, 0), 2);
         assert_eq!(p.passes_executed(), 2);
     }
 
     #[test]
+    #[should_panic(expected = "high-water mark")]
     fn stage_order_is_enforced() {
         let mut p = pipe();
         let early = p.alloc_array(0, 4, 32).unwrap();
         let late = p.alloc_array(5, 4, 32).unwrap();
         let mut pass = p.begin_pass();
-        pass.access(late, 0, |_| ()).unwrap();
-        assert_eq!(pass.current_stage(), 5);
-        let err = pass.access(early, 0, |_| ()).unwrap_err();
-        assert_eq!(
-            err,
-            AccessError::StageOrderViolation {
-                array_stage: 0,
-                current_stage: 5
-            }
-        );
+        pass.access(late, 0, |_| ());
+        pass.access(early, 0, |_| ());
     }
 
     #[test]
@@ -603,16 +438,27 @@ mod tests {
         let a = p.alloc_array(3, 4, 32).unwrap();
         let b = p.alloc_array(3, 4, 32).unwrap();
         let mut pass = p.begin_pass();
-        pass.access(a, 0, |v| *v = 1).unwrap();
-        pass.access(b, 0, |v| *v = 2).unwrap();
+        pass.access(a, 0, |v| *v = 1);
+        pass.access(b, 0, |v| *v = 2);
     }
 
     #[test]
+    #[should_panic(expected = "high-water mark")]
+    fn same_stage_arrays_go_in_slot_order() {
+        let mut p = pipe();
+        let a = p.alloc_array(3, 4, 32).unwrap();
+        let b = p.alloc_array(3, 4, 32).unwrap();
+        let mut pass = p.begin_pass();
+        pass.access(b, 0, |_| ());
+        pass.access(a, 0, |_| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
     fn index_bounds_checked() {
         let mut p = pipe();
         let a = p.alloc_array(0, 4, 32).unwrap();
-        let err = p.begin_pass().access(a, 4, |_| ()).unwrap_err();
-        assert_eq!(err, AccessError::IndexOutOfBounds { index: 4, len: 4 });
+        p.begin_pass().access(a, 4, |_| ());
     }
 
     #[test]
@@ -633,7 +479,7 @@ mod tests {
         p.alloc_array(0, full, 32).unwrap();
         let err = p.alloc_array(0, 1, 32).unwrap_err();
         assert!(matches!(err, AllocError::SramExhausted { stage: 0, .. }));
-        assert_eq!(p.sram_used(0), 1280 * 1024);
+        assert_eq!(sram_used(&p, 0), 1280 * 1024);
     }
 
     #[test]
@@ -667,14 +513,8 @@ mod tests {
     fn set_bit_semantics() {
         let mut p = pipe();
         let bits = p.alloc_array(0, 8, 1).unwrap();
-        assert!(
-            !p.begin_pass().set_bit(bits, 3).unwrap(),
-            "first set sees 0"
-        );
-        assert!(
-            p.begin_pass().set_bit(bits, 3).unwrap(),
-            "second set sees 1"
-        );
+        assert!(!p.begin_pass().set_bit(bits, 3), "first set sees 0");
+        assert!(p.begin_pass().set_bit(bits, 3), "second set sees 1");
         assert_eq!(p.control_read(bits, 3), 1);
     }
 
@@ -684,11 +524,11 @@ mod tests {
         let bits = p.alloc_array(0, 8, 1).unwrap();
         // Bit starts 0: clr_bitc returns complement of previous (true) and
         // leaves the bit 0.
-        assert!(p.begin_pass().clr_bitc(bits, 0).unwrap());
+        assert!(p.begin_pass().clr_bitc(bits, 0));
         assert_eq!(p.control_read(bits, 0), 0);
         // Set it, then clr_bitc returns false and clears.
         p.control_write(bits, 0, 1);
-        assert!(!p.begin_pass().clr_bitc(bits, 0).unwrap());
+        assert!(!p.begin_pass().clr_bitc(bits, 0));
         assert_eq!(p.control_read(bits, 0), 0);
     }
 
@@ -699,7 +539,7 @@ mod tests {
         p.control_write(a, 0, 0xffff);
         p.control_write(a, 1, 1);
         assert_eq!(p.control_read(a, 0), 0xffff);
-        assert_eq!(p.array_len(a), 2);
+        assert_eq!(p.control_read(a, 1), 1);
     }
 
     #[test]
@@ -711,51 +551,25 @@ mod tests {
     }
 
     #[test]
-    fn table_lookup_once_per_pass() {
-        let mut p = pipe();
-        let t = p.alloc_table(0, 16, 2).unwrap();
-        p.table_insert(t, 7, vec![10, 20]).unwrap();
-        let mut pass = p.begin_pass();
-        assert_eq!(pass.lookup(t, 7).unwrap(), Some(vec![10, 20]));
-        assert!(matches!(
-            pass.lookup(t, 8),
-            Err(AccessError::DoubleAccess { .. })
-        ));
-        drop(pass);
-        // Next pass: miss on an uninstalled key.
-        assert_eq!(p.begin_pass().lookup(t, 8).unwrap(), None);
-    }
-
-    #[test]
+    #[should_panic(expected = "high-water mark")]
     fn table_respects_stage_order() {
+        // The stage that holds a table (ASK's task table, with the copy
+        // indicator beside it) is still behind every later stage.
         let mut p = pipe();
-        let early = p.alloc_table(0, 4, 1).unwrap();
+        p.alloc_table(0, 4, 1).unwrap();
+        let beside = p.alloc_array(0, 4, 1).unwrap();
         let late = p.alloc_array(3, 4, 32).unwrap();
         let mut pass = p.begin_pass();
-        pass.access(late, 0, |_| ()).unwrap();
-        assert!(matches!(
-            pass.lookup(early, 1),
-            Err(AccessError::StageOrderViolation { .. })
-        ));
-    }
-
-    #[test]
-    fn table_entries_update_and_remove() {
-        let mut p = pipe();
-        let t = p.alloc_table(0, 2, 1).unwrap();
-        p.table_insert(t, 1, vec![5]).unwrap();
-        p.table_insert(t, 1, vec![6]).unwrap(); // update in place
-        assert_eq!(p.begin_pass().lookup(t, 1).unwrap(), Some(vec![6]));
-        assert!(p.table_remove(t, 1));
-        assert_eq!(p.begin_pass().lookup(t, 1).unwrap(), None);
+        pass.access(late, 0, |_| ());
+        pass.access(beside, 0, |_| ());
     }
 
     #[test]
     fn table_sram_charged() {
         let mut p = pipe();
-        let before = p.sram_used(0);
+        let before = sram_used(&p, 0);
         p.alloc_table(0, 256, 3).unwrap();
-        assert_eq!(p.sram_used(0) - before, 256 * (8 + 24));
+        assert_eq!(sram_used(&p, 0) - before, 256 * (8 + 24));
     }
 
     #[test]
@@ -775,47 +589,10 @@ mod tests {
     }
 
     #[test]
-    fn violations_are_journaled() {
-        let mut p = pipe();
-        let a = p.alloc_array(0, 4, 32).unwrap();
-        assert_eq!(p.violation_count(), 0);
-        let mut pass = p.begin_pass();
-        pass.access(a, 0, |v| *v += 1).unwrap();
-        let _ = pass.access(a, 0, |v| *v += 1); // double access
-        let _ = pass.access(a, 99, |_| ()); // double access (recorded first)
-        drop(pass);
-        let _ = p.begin_pass().access(a, 99, |_| ()); // out of bounds
-        assert_eq!(p.violation_count(), 3);
-        assert_eq!(p.violations().len(), 3);
-        assert_eq!(
-            p.violations()[0],
-            Violation {
-                pass: 1,
-                error: AccessError::DoubleAccess { array: a }
-            }
-        );
-        assert_eq!(
-            p.violations()[2].error,
-            AccessError::IndexOutOfBounds { index: 99, len: 4 }
-        );
-    }
-
-    #[test]
-    fn violation_journal_is_bounded() {
-        let mut p = pipe();
-        let a = p.alloc_array(0, 4, 32).unwrap();
-        for _ in 0..(MAX_RECORDED_VIOLATIONS + 10) {
-            let _ = p.begin_pass().access(a, 1000, |_| ());
-        }
-        assert_eq!(p.violation_count() as usize, MAX_RECORDED_VIOLATIONS + 10);
-        assert_eq!(p.violations().len(), MAX_RECORDED_VIOLATIONS);
-    }
-
-    #[test]
     fn sixty_four_bit_registers_work() {
         let mut p = pipe();
         let a = p.alloc_array(0, 1, 64).unwrap();
-        p.begin_pass().access(a, 0, |v| *v = u64::MAX).unwrap();
+        p.begin_pass().access(a, 0, |v| *v = u64::MAX);
         assert_eq!(p.control_read(a, 0), u64::MAX);
     }
 }

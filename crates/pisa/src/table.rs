@@ -1,14 +1,13 @@
 //! Match-action tables.
 //!
-//! Besides register arrays, a PISA stage holds match-action tables: the
-//! control plane installs entries (key → action data), and the data plane
-//! performs at most one lookup per table per packet pass. ASK uses one to
-//! map a packet's task ID to its aggregator-array region and copy-indicator
-//! index ("The ASK switch uses the task ID to identify the aggregator
-//! memory region", §3.1).
-
-use crate::error::AllocError;
-use std::collections::HashMap;
+//! Besides register arrays, a PISA stage holds match-action tables that the
+//! control plane fills with entries (key → action data). ASK declares one
+//! to map a packet's task ID to its aggregator-array region and
+//! copy-indicator index ("The ASK switch uses the task ID to identify the
+//! aggregator memory region", §3.1). The model reserves a table's stage
+//! slot and SRAM and keeps no entries: the switch program reads a task's
+//! action data from the control-plane state that installed it, so no pass
+//! ever looks a table up.
 
 /// Handle to a match-action table declared in a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,85 +23,10 @@ impl TableId {
     }
 }
 
-/// An exact-match table: u64 keys to fixed-width action-data words.
-#[derive(Debug)]
-pub(crate) struct MatchTable {
-    pub(crate) entries: HashMap<u64, Vec<u64>>,
-    pub(crate) capacity: usize,
-    pub(crate) action_words: usize,
-    /// Pass id of the most recent lookup, for double-access detection.
-    pub(crate) last_access_pass: u64,
-}
-
-/// Error installing a table entry from the control plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableError {
-    /// The table is full.
-    CapacityExhausted {
-        /// The table's entry capacity.
-        capacity: usize,
-    },
-    /// The action data has the wrong number of words.
-    ActionWidthMismatch {
-        /// Declared action words.
-        expected: usize,
-        /// Provided action words.
-        got: usize,
-    },
-}
-
-impl core::fmt::Display for TableError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            TableError::CapacityExhausted { capacity } => {
-                write!(f, "table full ({capacity} entries)")
-            }
-            TableError::ActionWidthMismatch { expected, got } => {
-                write!(f, "action data has {got} words, table declares {expected}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TableError {}
-
-impl MatchTable {
-    pub(crate) fn new(capacity: usize, action_words: usize) -> Result<Self, AllocError> {
-        if capacity == 0 {
-            return Err(AllocError::EmptyArray);
-        }
-        Ok(MatchTable {
-            entries: HashMap::with_capacity(capacity),
-            capacity,
-            action_words,
-            last_access_pass: 0,
-        })
-    }
-
-    pub(crate) fn insert(&mut self, key: u64, action: Vec<u64>) -> Result<(), TableError> {
-        if action.len() != self.action_words {
-            return Err(TableError::ActionWidthMismatch {
-                expected: self.action_words,
-                got: action.len(),
-            });
-        }
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            return Err(TableError::CapacityExhausted {
-                capacity: self.capacity,
-            });
-        }
-        self.entries.insert(key, action);
-        Ok(())
-    }
-
-    pub(crate) fn remove(&mut self, key: u64) -> bool {
-        self.entries.remove(&key).is_some()
-    }
-
-    /// SRAM footprint: key (8 B) plus action words per entry, at capacity.
-    pub(crate) fn footprint_bytes(capacity: usize, action_words: usize) -> usize {
-        capacity * (8 + action_words * 8)
-    }
+/// SRAM footprint of an exact-match table: key (8 B) plus action words per
+/// entry, at capacity.
+pub(crate) fn footprint_bytes(capacity: usize, action_words: usize) -> usize {
+    capacity * (8 + action_words * 8)
 }
 
 #[cfg(test)]
@@ -110,49 +34,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_lookup_remove() {
-        let mut t = MatchTable::new(4, 2).unwrap();
-        t.insert(7, vec![1, 2]).unwrap();
-        assert_eq!(t.entries.get(&7), Some(&vec![1, 2]));
-        assert!(t.remove(7));
-        assert!(!t.remove(7));
-    }
-
-    #[test]
-    fn capacity_enforced_but_updates_allowed() {
-        let mut t = MatchTable::new(2, 1).unwrap();
-        t.insert(1, vec![10]).unwrap();
-        t.insert(2, vec![20]).unwrap();
-        assert_eq!(
-            t.insert(3, vec![30]).unwrap_err(),
-            TableError::CapacityExhausted { capacity: 2 }
-        );
-        // Overwriting an existing key is not a new entry.
-        t.insert(1, vec![11]).unwrap();
-        assert_eq!(t.entries.get(&1), Some(&vec![11]));
-    }
-
-    #[test]
-    fn action_width_checked() {
-        let mut t = MatchTable::new(2, 2).unwrap();
-        assert_eq!(
-            t.insert(1, vec![1]).unwrap_err(),
-            TableError::ActionWidthMismatch {
-                expected: 2,
-                got: 1
-            }
-        );
-    }
-
-    #[test]
     fn footprint_formula() {
-        assert_eq!(MatchTable::footprint_bytes(256, 3), 256 * 32);
-    }
-
-    #[test]
-    fn errors_display() {
-        assert!(!TableError::CapacityExhausted { capacity: 1 }
-            .to_string()
-            .is_empty());
+        assert_eq!(footprint_bytes(256, 3), 256 * 32);
     }
 }

