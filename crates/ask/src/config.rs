@@ -33,7 +33,9 @@ pub struct AskConfig {
     /// Sender sliding-window size `W`, in packets.
     pub window: usize,
     /// Retransmission timeout (the paper uses a fine-grained 100 µs instead
-    /// of the 200 ms Linux default, §3.3).
+    /// of the 200 ms Linux default, §3.3). Flat: every retransmission of an
+    /// unacknowledged packet waits exactly this long. A switch crash is
+    /// recovered by the epoch resync, not by the timer.
     pub retransmit_timeout: SimDuration,
     /// Data channels per host daemon.
     pub data_channels: usize,
@@ -75,25 +77,6 @@ pub struct AskConfig {
     /// twice". Pure oracle bookkeeping — no hardware analogue, no effect on
     /// the data path — and off by default.
     pub absorption_audit: bool,
-    /// Per-attempt growth factor of the retransmission delay
-    /// ([`crate::host::backoff::BackoffPolicy`]): the k-th retransmission of
-    /// a packet waits `retransmit_timeout * backoff_factor^k`, capped at
-    /// [`AskConfig::backoff_cap`]. `1` (the default) keeps the paper's flat
-    /// fine-grained timer.
-    pub backoff_factor: u32,
-    /// Upper bound on the backed-off retransmission delay.
-    pub backoff_cap: SimDuration,
-    /// Deterministic jitter applied to every backoff delay, in permille of
-    /// the nominal delay (`0` disables; `250` means ±25%). The jitter is a
-    /// pure function of the policy seed, the packet key, and the attempt
-    /// number, so schedules stay reproducible.
-    pub backoff_jitter_permille: u32,
-    /// After this many retransmissions of a single packet the sender
-    /// declares the aggregation path suspect (dead or restarting switch) and
-    /// enters degraded pass-through mode: data packets are stamped
-    /// no-aggregate and relayed end-to-end unaggregated. `None` (the
-    /// default) never escalates.
-    pub escalate_after: Option<u32>,
 }
 
 impl AskConfig {
@@ -117,10 +100,6 @@ impl AskConfig {
             force_host_only: false,
             congestion_control: false,
             absorption_audit: false,
-            backoff_factor: 1,
-            backoff_cap: SimDuration::from_micros(100).saturating_mul(64),
-            backoff_jitter_permille: 0,
-            escalate_after: None,
         }
     }
 
@@ -144,14 +123,18 @@ impl AskConfig {
     /// # Panics
     ///
     /// Panics if the window is zero (any positive size is accepted, power
-    /// of two or not), the region is empty or exceeds the per-copy
-    /// aggregator space, the layout has more than 64 slots (the width of
-    /// the `PktState` bitmap), any of `max_tasks`, `max_channels`,
-    /// `data_channels` or `long_kv_batch` is zero, the backoff factor is
-    /// zero, the backoff cap undercuts the base timeout, or the jitter
-    /// exceeds 1000 ‰.
+    /// of two or not), the retransmission timeout is zero (every timer
+    /// would re-arm at the instant it fires, forever), the region is empty
+    /// or exceeds the per-copy aggregator space, the layout has more than
+    /// 64 slots (the width of the `PktState` bitmap), or any of
+    /// `max_tasks`, `max_channels`, `data_channels` or `long_kv_batch` is
+    /// zero.
     pub fn validate(&self) {
         assert!(self.window > 0, "window must be positive");
+        assert!(
+            self.retransmit_timeout > SimDuration::ZERO,
+            "retransmit timeout must be positive"
+        );
         assert!(
             self.region_aggregators > 0 && self.region_aggregators <= self.aggregators_per_aa,
             "region must fit the per-copy aggregator space"
@@ -163,15 +146,6 @@ impl AskConfig {
         assert!(self.max_tasks > 0 && self.max_channels > 0, "need capacity");
         assert!(self.data_channels > 0, "need at least one data channel");
         assert!(self.long_kv_batch > 0, "long-kv batch must be positive");
-        assert!(self.backoff_factor >= 1, "backoff factor must be at least 1");
-        assert!(
-            self.backoff_cap >= self.retransmit_timeout,
-            "backoff cap must not undercut the base timeout"
-        );
-        assert!(
-            self.backoff_jitter_permille <= 1000,
-            "jitter is a permille fraction of the delay"
-        );
     }
 }
 
@@ -211,6 +185,14 @@ mod tests {
     fn zero_window_rejected() {
         let mut c = AskConfig::tiny();
         c.window = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "retransmit timeout must be positive")]
+    fn zero_retransmit_timeout_rejected() {
+        let mut c = AskConfig::tiny();
+        c.retransmit_timeout = SimDuration::ZERO;
         c.validate();
     }
 }

@@ -4,7 +4,6 @@
 
 use crate::config::AskConfig;
 use crate::fasthash::FastMap;
-use crate::host::backoff::{splitmix64, BackoffPolicy};
 use crate::host::congestion::CongestionWindow;
 use crate::host::packetizer::{BuiltFrame, Packetizer, PendingStream};
 use crate::host::receiver::ReceiverWindow;
@@ -17,9 +16,7 @@ use crate::switch::epoch_newer;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
 use ask_simnet::time::{SimDuration, SimTime};
-use ask_wire::codec::{
-    ack_frame, encode_envelope_parts, fin_frame, reflag, SendHeader, FLAG_NO_AGGREGATE,
-};
+use ask_wire::codec::{ack_frame, encode_envelope_parts, fin_frame, SendHeader};
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::key::Key;
 use ask_wire::packet::{
@@ -45,8 +42,7 @@ fn token_pump(ch: usize) -> u64 {
 /// A retransmit timer names `(ch, seq)` in the sequence space of one epoch:
 /// a resync restarts every channel at seq 0 and timers cannot be cancelled,
 /// so the token carries the epoch's low byte and a timer from another
-/// generation is dropped when it fires. With `epoch` 0 this is the
-/// generation-free word, the jitter key of [`BackoffPolicy::delay`].
+/// generation is dropped when it fires.
 fn token_retx(ch: usize, epoch: u32, seq: u64) -> u64 {
     debug_assert!(ch < (1 << 8) && seq < (1 << 40), "exceeds token space");
     (TK_RETX << 56) | ((ch as u64) << 48) | ((epoch as u64 & 0xff) << 40) | seq
@@ -219,12 +215,6 @@ pub struct AskDaemon {
     /// Highest switch epoch this daemon has seen. Frames from older epochs
     /// (pre-crash verdicts, ACKs, fetch replies) are dropped at ingress.
     known_epoch: u32,
-    /// True while the retransmit escalation has declared the aggregation
-    /// path suspect: fresh data packets are stamped no-aggregate. Cleared
-    /// when the switch ACKs again or a new epoch resynchronizes.
-    degraded: bool,
-    /// Retransmission schedule (flat with default config).
-    backoff: BackoffPolicy,
     /// When set, wall time spent classifying and building packets is
     /// accumulated into `packetize_ns` (the stick's `service.packetize_share`).
     /// Purely observational: never read by the protocol.
@@ -240,7 +230,6 @@ impl AskDaemon {
         config.validate();
         let packetizer = Packetizer::new(config.layout, config.long_kv_batch);
         let trace = TraceLog::new(config.trace_capacity);
-        let backoff = BackoffPolicy::from_config(&config, 0);
         AskDaemon {
             config,
             switch,
@@ -259,8 +248,6 @@ impl AskDaemon {
             orphan_tuples: 0,
             late_tuples: 0,
             known_epoch: 0,
-            degraded: false,
-            backoff,
             time_phases: false,
             packetize_ns: std::cell::Cell::new(0),
         }
@@ -289,8 +276,6 @@ impl AskDaemon {
             "too many data channels for the id stride"
         );
         self.me = Some(me);
-        // Per-host jitter stream; irrelevant with the default jitter of 0.
-        self.backoff.seed = splitmix64(0x6261_636b_6f66_6621 ^ me.index() as u64);
         self.channels = (0..self.config.data_channels)
             .map(|i| ChannelState {
                 id: ChannelId(me.index() as u32 * CHANNEL_STRIDE + i as u32),
@@ -461,11 +446,6 @@ impl AskDaemon {
         self.known_epoch
     }
 
-    /// True while the daemon is in degraded no-aggregate pass-through mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Simulates the daemon restarting from its crash-consistent state
     /// (window contents and task tables survive; pacing and armed timers do
     /// not): every in-flight packet is retransmitted — the receiver's
@@ -529,7 +509,6 @@ impl AskDaemon {
     ///   (their content is re-delivered by the senders' replays).
     fn resync_to_epoch(&mut self, epoch: u32, ctx: &mut Context<'_>) {
         self.known_epoch = epoch;
-        self.degraded = false;
         for ch in &mut self.channels {
             ch.window.drain_reset();
             ch.queue.clear();
@@ -699,9 +678,8 @@ impl AskDaemon {
             // stream is popped and the loop retries with the next item.
             let (frame, task, dst) = match ch.queue.front_mut() {
                 Some(QueuedItem::Stream { task, dst, stream }) => {
-                    let data_flags = if self.degraded { FLAG_NO_AGGREGATE } else { 0 };
                     let t0 = self.time_phases.then(std::time::Instant::now);
-                    let built = stream.next_frame(&header(*task, *dst), data_flags);
+                    let built = stream.next_frame(&header(*task, *dst));
                     if let Some(t0) = t0 {
                         self.packetize_ns
                             .set(self.packetize_ns.get() + t0.elapsed().as_nanos() as u64);
@@ -780,29 +758,14 @@ impl AskDaemon {
     }
 
     fn retransmit(&mut self, ch_ix: usize, seq: u64, ctx: &mut Context<'_>) {
-        let escalate_after = self.config.escalate_after;
-        let mut escalated = false;
-        // Resend the stored wire bytes verbatim unless this attempt crosses
-        // the escalation threshold, in which case a data frame is re-flagged
-        // once as no-aggregate (degraded end-to-end pass-through).
-        let Some((bytes, wire, attempt)) = self.channels[ch_ix].window.retransmit(seq).map(|e| {
-            if let Some(k) = escalate_after {
-                if !e.degraded && e.retransmits >= k {
-                    e.degraded = true;
-                    escalated = true;
-                    if e.kind == FrameKind::Data {
-                        e.encoded = reflag(&e.encoded, FLAG_NO_AGGREGATE);
-                    }
-                }
-            }
-            (e.encoded.clone(), e.wire, e.retransmits)
-        }) else {
+        // Resend the stored wire bytes verbatim.
+        let Some((bytes, wire)) = self.channels[ch_ix]
+            .window
+            .retransmit(seq)
+            .map(|e| (e.encoded.clone(), e.wire))
+        else {
             return; // already acknowledged
         };
-        if escalated {
-            self.degraded = true;
-            self.stats.degraded_entries += 1;
-        }
         self.stats.retransmissions += 1;
         let channel = self.channels[ch_ix].id;
         self.trace.record(
@@ -818,10 +781,10 @@ impl AskDaemon {
         self.cpu_busy += self.config.cpu_per_packet;
         self.stats.bytes_sent += wire as u64;
         let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, wire));
-        // The delay is keyed without the generation, so a resync moves no
-        // jittered retransmission instant.
-        let delay = self.backoff.delay(token_retx(ch_ix, 0, seq), attempt);
-        ctx.set_timer(delay, token_retx(ch_ix, self.known_epoch, seq));
+        ctx.set_timer(
+            self.config.retransmit_timeout,
+            token_retx(ch_ix, self.known_epoch, seq),
+        );
     }
 
     fn local_channel(&self, channel: ChannelId) -> Option<usize> {
@@ -1293,13 +1256,7 @@ impl Node for AskDaemon {
         }
         let src = view.src();
         match view.packet() {
-            PacketView::Ack { channel, seq, ece } => {
-                if self.degraded && src == self.switch.index() as u32 {
-                    // The switch is absorbing again; resume aggregation.
-                    self.degraded = false;
-                }
-                self.on_ack(*channel, *seq, *ece, ctx)
-            }
+            PacketView::Ack { channel, seq, ece } => self.on_ack(*channel, *seq, *ece, ctx),
             // Any declared layout merges in place: the slot walk follows
             // the frame's own geometry and key hashes do not depend on it.
             PacketView::Data(d) => self.on_data(src, ecn, d, ctx),

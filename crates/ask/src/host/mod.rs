@@ -1,6 +1,5 @@
 //! Host-side components: daemon, packetizer, sliding windows.
 
-pub mod backoff;
 pub mod congestion;
 pub mod daemon;
 pub mod packetizer;
@@ -9,7 +8,6 @@ pub mod table;
 pub mod trace;
 pub mod window;
 
-pub use backoff::BackoffPolicy;
 pub use congestion::CongestionWindow;
 pub use trace::{TraceEvent, TraceLog};
 

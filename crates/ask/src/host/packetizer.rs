@@ -276,11 +276,10 @@ pub struct PendingStream {
 impl PendingStream {
     /// Builds the stream's next frame — data frames first, one record from
     /// every non-empty lane each, then the long-key batches — or `None`
-    /// once everything has been sent. `data_flags` are the envelope flags
-    /// of a data frame; long-kv frames carry none.
-    pub fn next_frame(&mut self, h: &SendHeader, data_flags: u8) -> Option<BuiltFrame> {
+    /// once everything has been sent.
+    pub fn next_frame(&mut self, h: &SendHeader) -> Option<BuiltFrame> {
         if self.live != 0 {
-            return Some(self.next_data_frame(h, data_flags));
+            return Some(self.next_data_frame(h));
         }
         let first = self.long.sent;
         let last = (first + self.long_kv_batch).min(self.long.offsets.len());
@@ -295,7 +294,7 @@ impl PendingStream {
             .get(last)
             .copied()
             .unwrap_or(self.long.bytes.len());
-        let mut frame = FrameWriter::long_kv(h, 0, (last - first) as u32, to - from);
+        let mut frame = FrameWriter::long_kv(h, (last - first) as u32, to - from);
         frame.put(&self.long.bytes[from..to]);
         Some(BuiltFrame {
             kind: FrameKind::LongKv,
@@ -304,7 +303,7 @@ impl PendingStream {
         })
     }
 
-    fn next_data_frame(&mut self, h: &SendHeader, flags: u8) -> BuiltFrame {
+    fn next_data_frame(&mut self, h: &SendHeader) -> BuiltFrame {
         let bitmap = self.live;
         let widths = record_widths(&self.layout);
         let short = self.layout.short_slots();
@@ -313,7 +312,7 @@ impl PendingStream {
         // size minus the overhead.
         let medium = bitmap.checked_shr(short as u32).unwrap_or(0).count_ones() as usize;
         let body_len = (bitmap.count_ones() as usize - medium) * widths[0] + medium * widths[1];
-        let mut frame = FrameWriter::data(h, flags, &self.layout, bitmap, body_len);
+        let mut frame = FrameWriter::data(h, &self.layout, bitmap, body_len);
         let mut left = bitmap;
         while left != 0 {
             let slot = left.trailing_zeros() as usize;
@@ -428,7 +427,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use ask_wire::codec::{encode_envelope_parts, reflag, FLAG_NO_AGGREGATE};
+        use ask_wire::codec::encode_envelope_parts;
         use ask_wire::packet::{AskPacket, ChannelId, DataPacket, SeqNo, TaskId};
         use ask_wire::view::{FrameView, PacketView};
         use proptest::prelude::*;
@@ -466,52 +465,45 @@ mod tests {
             /// The lane path emits, frame for frame, the bytes the owned
             /// codec encodes for the owned packetizer's packets — data
             /// frames, then long-kv batches, same order, same count, same
-            /// nominal wire size — and re-flagging a frame equals encoding
-            /// it with the flag.
+            /// nominal wire size.
             #[test]
             fn lane_frames_match_owned_packetize_and_encode(
                 layout in arb_layout(),
                 long_kv_batch in 1usize..=5,
                 stream in arb_stream(),
-                addressing in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>()),
+                addressing in (any::<u32>(), any::<u32>(), any::<u32>()),
                 ids in (any::<u32>(), any::<u32>(), any::<u64>()),
             ) {
-                let (src, dst, epoch, flags) = addressing;
+                let (src, dst, epoch) = addressing;
                 let (task, channel, first_seq) = (TaskId(ids.0), ChannelId(ids.1), ids.2);
                 let p = Packetizer::new(layout, long_kv_batch);
                 let owned = p.packetize(stream.iter().cloned());
                 let mut pending = p.begin_stream(&stream);
 
                 let data = owned.data_payloads.into_iter().map(|slots| {
-                    (FrameKind::Data, flags, AskPacket::Data(DataPacket {
+                    (FrameKind::Data, AskPacket::Data(DataPacket {
                         task, channel, seq: SeqNo(0), slots,
                     }))
                 });
                 let long = owned.long_batches.into_iter().map(|entries| {
-                    (FrameKind::LongKv, 0, AskPacket::LongKv {
+                    (FrameKind::LongKv, AskPacket::LongKv {
                         task, channel, seq: SeqNo(0), entries,
                     })
                 });
                 let mut seq = SeqNo(first_seq);
-                for (kind, flags, mut packet) in data.chain(long) {
+                for (kind, mut packet) in data.chain(long) {
                     match &mut packet {
                         AskPacket::Data(d) => d.seq = seq,
                         AskPacket::LongKv { seq: s, .. } => *s = seq,
                         _ => unreachable!(),
                     }
                     let h = SendHeader { src, dst, epoch, task, channel, seq };
-                    let frame = pending.next_frame(&h, flags).expect("a frame per owned packet");
+                    let frame = pending.next_frame(&h).expect("a frame per owned packet");
                     prop_assert_eq!(frame.kind, kind);
                     prop_assert_eq!(frame.wire, packet.wire_bytes(&layout));
                     prop_assert_eq!(
                         &frame.bytes,
-                        &encode_envelope_parts(src, dst, epoch, flags, &packet, &layout)
-                    );
-                    prop_assert_eq!(
-                        reflag(&frame.bytes, FLAG_NO_AGGREGATE),
-                        encode_envelope_parts(
-                            src, dst, epoch, flags | FLAG_NO_AGGREGATE, &packet, &layout,
-                        )
+                        &encode_envelope_parts(src, dst, epoch, 0, &packet, &layout)
                     );
                     let view = FrameView::parse(frame.bytes).expect("own frame parses");
                     prop_assert_eq!((view.src(), view.dst(), view.epoch()), (src, dst, epoch));
@@ -528,7 +520,7 @@ mod tests {
                     seq = SeqNo(seq.0.wrapping_add(1));
                 }
                 let h = SendHeader { src, dst, epoch, task, channel, seq };
-                prop_assert!(pending.next_frame(&h, flags).is_none());
+                prop_assert!(pending.next_frame(&h).is_none());
             }
         }
     }

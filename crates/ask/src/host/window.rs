@@ -33,11 +33,6 @@ pub struct InFlight {
     pub dst: u32,
     /// The task the packet belongs to (for FIN gating), if any.
     pub task: Option<TaskId>,
-    /// Number of retransmissions so far.
-    pub retransmits: u32,
-    /// Entry was escalated to degraded no-aggregate pass-through after the
-    /// configured retransmission budget ran out.
-    pub degraded: bool,
 }
 
 /// Sliding send window over one data channel's sequence space.
@@ -168,8 +163,6 @@ impl SenderWindow {
             wire,
             dst,
             task,
-            retransmits: 0,
-            degraded: false,
         });
         seq
     }
@@ -186,14 +179,10 @@ impl SenderWindow {
         Some(entry)
     }
 
-    /// Looks up an in-flight packet (for retransmission), bumping its
-    /// retransmit counter. The entry is mutable so the caller can swap in a
-    /// re-flagged frame (degraded-mode escalation).
-    pub fn retransmit(&mut self, seq: u64) -> Option<&mut InFlight> {
-        let slot = self.slot_in_window(seq)?;
-        let entry = self.ring[slot].as_mut()?;
-        entry.retransmits += 1;
-        Some(entry)
+    /// Looks up an in-flight packet for retransmission (`None` once it is
+    /// acknowledged).
+    pub fn retransmit(&self, seq: u64) -> Option<&InFlight> {
+        self.ring[self.slot_in_window(seq)?].as_ref()
     }
 
     /// True once every transmission has been acknowledged.
@@ -258,11 +247,13 @@ mod tests {
     #[test]
     fn retransmit_counts() {
         let mut w = SenderWindow::new(2);
-        w.register(dummy_packet(0), Bytes::new(), 0, 7, Some(TaskId(3)));
-        assert_eq!(w.retransmit(0).unwrap().retransmits, 1);
-        assert_eq!(w.retransmit(0).unwrap().retransmits, 2);
+        w.register(dummy_packet(0), Bytes::from_static(b"f"), 3, 7, Some(TaskId(3)));
+        for _ in 0..2 {
+            let e = w.retransmit(0).unwrap();
+            assert_eq!((&e.encoded[..], e.wire), (&b"f"[..], 3));
+        }
+        assert_eq!(w.in_flight(), 1, "a retransmission keeps the entry");
         let e = w.ack(0).unwrap();
-        assert_eq!(e.retransmits, 2);
         assert_eq!(e.dst, 7);
         assert_eq!(e.task, Some(TaskId(3)));
         assert!(w.retransmit(0).is_none(), "acked packets are gone");
@@ -361,8 +352,8 @@ mod tests {
             let capacity = w.next_power_of_two() as u64;
             let start = 3 * capacity + 1;
             let mut sw = SenderWindow::with_start_seq(w, start);
-            for _ in 0..3 {
-                sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+            for wire in 0..3 {
+                sw.register(dummy_packet(0), Bytes::new(), wire, 1, None);
             }
             sw.retransmit(start + 1).unwrap();
             for live in [start, start + 1, start + 2] {
@@ -378,14 +369,8 @@ mod tests {
             assert_eq!(sw.in_flight(), 3);
             assert_eq!(sw.oldest_unacked(), Some(start));
             assert_eq!(sw.in_flight_seqs(), vec![start, start + 1, start + 2]);
-            let counts: Vec<u32> = (0..3)
-                .map(|i| sw.ack(start + i).unwrap().retransmits)
-                .collect();
-            assert_eq!(
-                counts,
-                vec![0, 1, 0],
-                "live entries kept their own counters"
-            );
+            let wires: Vec<usize> = (0..3).map(|i| sw.ack(start + i).unwrap().wire).collect();
+            assert_eq!(wires, vec![0, 1, 2], "live entries kept their own frames");
             // Idle: the sequence just retired is now outside the window.
             assert!(sw.ack(start + 2).is_none());
             assert!(sw.retransmit(start + 2).is_none());
@@ -405,7 +390,7 @@ mod tests {
         assert_eq!(sw.register(FrameKind::Fin, Bytes::new(), 13, 1, None), 0);
         assert_eq!(sw.in_flight_seqs(), vec![0]);
         let e = sw.ack(0).expect("slot 0 holds the new entry");
-        assert_eq!((e.kind, e.wire, e.retransmits), (FrameKind::Fin, 13, 0));
+        assert_eq!((e.kind, e.wire), (FrameKind::Fin, 13));
         assert!(sw.is_idle());
     }
 
@@ -474,7 +459,7 @@ mod tests {
             /// Retransmit/ACK lifecycle under duplicate ACKs: a duplicate
             /// ACK never resurrects a packet, never unblocks extra sends,
             /// and a retransmission after a duplicate ACK is a no-op for
-            /// acked packets while unacked ones keep counting attempts.
+            /// acked packets while unacked ones stay retransmittable.
             #[test]
             fn retransmit_after_duplicate_ack(
                 seed in any::<u64>(),
@@ -490,31 +475,26 @@ mod tests {
                 };
                 let mut sw = SenderWindow::with_start_seq(w, start);
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut live: Vec<(u64, u32)> = Vec::new(); // (seq, retransmits)
+                let mut live: Vec<u64> = Vec::new();
                 let mut acked: Vec<u64> = Vec::new();
                 for _ in 0..steps {
                     match rng.gen_range(0..4u8) {
                         0 if sw.can_send() => {
                             let seq =
                                 sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
-                            live.push((seq, 0));
+                            live.push(seq);
                         }
                         1 if !live.is_empty() => {
                             let ix = rng.gen_range(0..live.len());
-                            let (seq, retx) = live.remove(ix);
-                            let entry = sw.ack(seq);
-                            prop_assert!(entry.is_some());
-                            prop_assert_eq!(entry.unwrap().retransmits, retx);
+                            let seq = live.remove(ix);
+                            prop_assert!(sw.ack(seq).is_some());
+                            prop_assert!(sw.retransmit(seq).is_none());
                             acked.push(seq);
                         }
                         2 if !live.is_empty() => {
                             // Timeout fires for an in-flight packet.
-                            let ix = rng.gen_range(0..live.len());
-                            live[ix].1 += 1;
-                            let seq = live[ix].0;
-                            let got = sw.retransmit(seq);
-                            prop_assert!(got.is_some());
-                            prop_assert_eq!(got.unwrap().retransmits, live[ix].1);
+                            let seq = live[rng.gen_range(0..live.len())];
+                            prop_assert!(sw.retransmit(seq).is_some());
                         }
                         _ if !acked.is_empty() => {
                             // Duplicate ACK, then a late timeout for the same

@@ -112,10 +112,6 @@ pub struct HostStats {
     /// transit, truncated, or not ASK traffic) — the host mirror of the
     /// switch's `undecodable` counter.
     pub undecodable: u64,
-    /// In-flight entries escalated to degraded no-aggregate pass-through
-    /// after exhausting [`crate::config::AskConfig::escalate_after`]
-    /// retransmissions.
-    pub degraded_entries: u64,
     /// First-delivery data packets merged via borrowed slot views plus
     /// fetch replies merged via borrowed entry views (the host-side mirror
     /// of the switch's pure-absorb counter).
@@ -143,7 +139,6 @@ impl HostStats {
         self.pool_misses += other.pool_misses;
         self.stale_epoch_drops += other.stale_epoch_drops;
         self.undecodable += other.undecodable;
-        self.degraded_entries += other.degraded_entries;
         self.host_pure_view += other.host_pure_view;
         self.host_view_fallbacks += other.host_view_fallbacks;
     }

@@ -548,34 +548,6 @@ impl AggregatorEngine {
     /// any other layout as bypass traffic and never hands them to the
     /// engine.
     pub fn process_data_view(&mut self, view: &DataPacketView) -> ViewVerdict {
-        self.process(view, true)
-    }
-
-    /// [`AggregatorEngine::process_data_view`] for a packet flagged
-    /// no-aggregate (degraded pass-through): the dedup gate and `PktState`
-    /// bookkeeping run exactly as usual — so a flagged retransmission of a
-    /// packet whose original *was* absorbed still resolves through the
-    /// recorded bitmap and can never double-count — but first sightings
-    /// skip the aggregator arrays entirely and forward every tuple.
-    pub fn process_data_view_no_aggregate(&mut self, view: &DataPacketView) -> ViewVerdict {
-        self.process(view, false)
-    }
-
-    /// [`AggregatorEngine::process_data_view`] on each view in order, one
-    /// verdict appended per view. Kept for callers written against a batch
-    /// entry point (the frozen benchmark drives the switch through it).
-    pub fn process_batch_views(
-        &mut self,
-        views: &[DataPacketView],
-        verdicts: &mut Vec<ViewVerdict>,
-    ) {
-        verdicts.extend(views.iter().map(|v| self.process_data_view(v)));
-    }
-
-    /// The pipeline program for one packet. `aggregate == false` is the
-    /// degraded no-aggregate variant (dedup and `PktState` still run,
-    /// aggregator arrays are skipped).
-    fn process(&mut self, view: &DataPacketView, aggregate: bool) -> ViewVerdict {
         debug_assert!(
             view.matches_layout(&self.config.layout),
             "frames in a foreign slot layout are bypass traffic, not engine input"
@@ -623,7 +595,7 @@ impl AggregatorEngine {
             }
             Observation::First => {
                 let (aggregated, forwarded, residual) = match task.as_deref_mut() {
-                    Some(t) if aggregate => Self::aggregate_slots(
+                    Some(t) => Self::aggregate_slots(
                         &mut pass,
                         &self.aas,
                         &self.config,
@@ -632,7 +604,7 @@ impl AggregatorEngine {
                         &mut t.claims[copy],
                         view,
                     ),
-                    _ => (0, bitmap.count_ones() as u64, bitmap),
+                    None => (0, bitmap.count_ones() as u64, bitmap),
                 };
                 // Final stage: record the post-aggregation bitmap.
                 pass.access(self.pkt_state, state_idx, |v| *v = residual as u64);
@@ -677,6 +649,17 @@ impl AggregatorEngine {
                 }
             }
         }
+    }
+
+    /// [`AggregatorEngine::process_data_view`] on each view in order, one
+    /// verdict appended per view. Kept for callers written against a batch
+    /// entry point (the frozen benchmark drives the switch through it).
+    pub fn process_batch_views(
+        &mut self,
+        views: &[DataPacketView],
+        verdicts: &mut Vec<ViewVerdict>,
+    ) {
+        verdicts.extend(views.iter().map(|v| self.process_data_view(v)));
     }
 
     /// Aggregates one packet's occupied slots within one pass, reading each
@@ -1430,79 +1413,5 @@ mod tests {
             e.process_data_view(&view(1, 0, 0, &[])),
             ViewVerdict::FullyAggregated
         );
-    }
-
-    /// One-aggregator region with "aaa" parked in slot 0's aggregator, so
-    /// any other key in slot 0 conflicts.
-    fn crowded_engine() -> AggregatorEngine {
-        let mut cfg = AskConfig::tiny();
-        cfg.region_aggregators = 1;
-        let mut e = AggregatorEngine::new(cfg);
-        e.register_task(TaskId(1), 9).unwrap();
-        assert_eq!(
-            e.process_data_view(&view(1, 0, 0, &[(0, "aaa", 1)])),
-            ViewVerdict::FullyAggregated
-        );
-        e
-    }
-
-    #[test]
-    fn no_aggregate_first_sighting_forwards_everything_and_records_state() {
-        let mut e = engine();
-        e.register_task(TaskId(1), 9).unwrap();
-        let p = view(1, 0, 0, &[(0, "cat", 3), (4, "maples", 4)]);
-        let all = ViewVerdict::Forward { residual: p.bitmap() };
-        assert_eq!(e.process_data_view_no_aggregate(&p), all);
-        assert!(
-            e.fetch(TaskId(1), FetchScope::All, 1).is_empty(),
-            "no aggregator register was written"
-        );
-        let s = e.task_stats(TaskId(1)).unwrap();
-        assert_eq!((s.data_packets, s.packets_forwarded), (1, 1));
-        assert_eq!((s.tuples_aggregated, s.tuples_forwarded), (0, 2));
-        // PktState holds the full bitmap: a retransmission — flagged or not
-        // — is a duplicate that forwards every slot and absorbs nothing.
-        assert_eq!(e.process_data_view(&p), all);
-        assert_eq!(e.process_data_view_no_aggregate(&p), all);
-        assert_eq!(e.task_stats(TaskId(1)).unwrap().duplicates_detected, 2);
-        assert!(e.fetch(TaskId(1), FetchScope::All, 2).is_empty());
-    }
-
-    #[test]
-    fn no_aggregate_retransmission_of_partial_absorb_carries_recorded_residual() {
-        let mut e = crowded_engine();
-        // Unflagged original: "zzz" conflicts with "aaa", "bbb" claims slot 1.
-        let p = view(1, 0, 1, &[(0, "zzz", 5), (1, "bbb", 7)]);
-        assert_eq!(
-            e.process_data_view(&p),
-            ViewVerdict::Forward { residual: 0b01 },
-            "slot 0 conflicts, slot 1 is absorbed"
-        );
-        // The sender escalates and retransmits the same sequence flagged.
-        assert_eq!(
-            e.process_data_view_no_aggregate(&p),
-            ViewVerdict::Forward { residual: 0b01 },
-            "only the recorded residual travels; bbb is not delivered twice"
-        );
-        let total: u32 = e
-            .fetch(TaskId(1), FetchScope::All, 1)
-            .iter()
-            .map(|t| t.value)
-            .sum();
-        assert_eq!(total, 1 + 7);
-    }
-
-    #[test]
-    fn no_aggregate_retransmission_of_full_absorb_is_acked() {
-        let mut e = crowded_engine();
-        let p = view(1, 0, 1, &[(0, "aaa", 2)]);
-        assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
-        assert_eq!(
-            e.process_data_view_no_aggregate(&p),
-            ViewVerdict::FullyAggregated
-        );
-        let got = e.fetch(TaskId(1), FetchScope::All, 1);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].value, 3, "absorbed once");
     }
 }

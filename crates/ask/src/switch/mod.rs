@@ -8,7 +8,7 @@ use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
-use ask_wire::codec::{ack_frame, encode_envelope_parts, FLAG_NO_AGGREGATE};
+use ask_wire::codec::{ack_frame, encode_envelope_parts};
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::packet::{AskPacket, ChannelId, ControlMsg, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
@@ -60,8 +60,6 @@ pub struct AskSwitch {
     epoch: u32,
     /// Ingress frames dropped by the epoch gate.
     stale_epoch_drops: u64,
-    /// Data packets processed through the degraded no-aggregate path.
-    noagg_relayed: u64,
     /// Data frames relayed as bypass traffic because their declared slot
     /// layout is not this switch's.
     foreign_layout_relayed: u64,
@@ -83,7 +81,6 @@ impl AskSwitch {
             undecodable: 0,
             epoch: 0,
             stale_epoch_drops: 0,
-            noagg_relayed: 0,
             foreign_layout_relayed: 0,
             pure_absorb: 0,
             control_source_drops: 0,
@@ -109,11 +106,6 @@ impl AskSwitch {
     /// Ingress frames dropped because they carried an older epoch.
     pub fn stale_epoch_drops(&self) -> u64 {
         self.stale_epoch_drops
-    }
-
-    /// Data packets that took the degraded no-aggregate pass-through path.
-    pub fn noagg_relayed(&self) -> u64 {
-        self.noagg_relayed
     }
 
     /// Data frames in some other slot layout than this switch's, relayed
@@ -314,7 +306,6 @@ impl Node for AskSwitch {
         if !self.epoch_admit(view.src(), view.epoch(), ctx) {
             return;
         }
-        let flags = view.flags();
         let m = FrameMeta {
             src: view.src(),
             dst: view.dst(),
@@ -332,15 +323,7 @@ impl Node for AskSwitch {
                 }
             }
             PacketView::Data(d) => {
-                let verdict = if flags & FLAG_NO_AGGREGATE != 0 {
-                    // Degraded pass-through: the dedup gate still runs so
-                    // absorbed-but-unacked packets can't double-count, but
-                    // nothing is aggregated — the receiver does all the work.
-                    self.noagg_relayed += 1;
-                    self.engine.process_data_view_no_aggregate(&d)
-                } else {
-                    self.engine.process_data_view(&d)
-                };
+                let verdict = self.engine.process_data_view(&d);
                 self.emit_verdict(verdict, &d, m, ctx);
             }
             PacketView::LongKv {

@@ -128,11 +128,8 @@ struct Engine {
     adjacency: Vec<NodeLinks>,
     queue: EventQueue,
     now: SimTime,
-    /// Fault-model draws come from this dedicated stream, so chaos settings
-    /// can be re-seeded independently of node-visible randomness and a
-    /// `(seed, grid-point)` pair pins down every loss/dup/jitter decision.
-    /// Node-visible randomness lives in per-node streams (see
-    /// [`Context::rng`]).
+    /// Fault-model draws come from this one stream, so a `(seed,
+    /// grid-point)` pair pins down every loss/dup/jitter decision.
     fault_rng: StdRng,
     events_processed: u64,
     trace: Option<FrameTrace>,
@@ -261,7 +258,6 @@ impl std::error::Error for SendError {}
 pub struct Context<'a> {
     engine: &'a mut Engine,
     me: NodeId,
-    rng: &'a mut StdRng,
 }
 
 impl Context<'_> {
@@ -291,13 +287,6 @@ impl Context<'_> {
         let at = self.engine.now + delay;
         let node = self.me;
         self.engine.queue.push(at, EventKind::Timer { node, token });
-    }
-
-    /// Deterministic per-node random stream, split from both the fault RNG
-    /// and every other node's stream, so the draws a node sees depend only
-    /// on the seed and on its own history.
-    pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
     }
 }
 
@@ -335,8 +324,6 @@ pub struct NetworkBuilder {
 #[derive(Debug)]
 struct NodeSlot {
     node: Box<dyn Node>,
-    /// This node's private random stream (see [`Context::rng`]).
-    rng: StdRng,
     /// Wall-clock nanoseconds spent inside this node's handlers, when
     /// dispatch timing is enabled ([`Network::enable_dispatch_timing`]).
     dispatch_ns: u64,
@@ -350,19 +337,8 @@ impl NodeSlot {
         engine: &'a mut Engine,
         me: NodeId,
     ) -> (&'a mut dyn Node, Context<'a>) {
-        let rng = &mut self.rng;
-        (self.node.as_mut(), Context { engine, me, rng })
+        (self.node.as_mut(), Context { engine, me })
     }
-}
-
-/// SplitMix64 finalizer: seeds the per-node RNG streams from
-/// `(seed, node index)` so every node gets an independent, reproducible
-/// stream regardless of execution order.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl std::fmt::Debug for dyn Node {
@@ -372,7 +348,8 @@ impl std::fmt::Debug for dyn Node {
 }
 
 impl NetworkBuilder {
-    /// Creates a builder whose simulation RNG is seeded with `seed`.
+    /// Creates a builder whose fault-model RNG is seeded with `seed` unless
+    /// [`NetworkBuilder::set_fault_seed`] says otherwise.
     pub fn new(seed: u64) -> Self {
         NetworkBuilder {
             nodes: Vec::new(),
@@ -383,8 +360,8 @@ impl NetworkBuilder {
     }
 
     /// Seeds the fault-model RNG independently of the simulation seed, so a
-    /// chaos sweep can vary fault draws while node behaviour stays pinned.
-    /// Defaults to the simulation seed.
+    /// chaos sweep can vary fault draws under one simulation seed. Defaults
+    /// to the simulation seed.
     pub fn set_fault_seed(&mut self, seed: u64) {
         self.fault_seed = Some(seed);
     }
@@ -449,14 +426,11 @@ impl NetworkBuilder {
             entry.map[off] = ix;
         }
         let node_count = self.nodes.len();
-        let seed = self.seed;
         let nodes = self
             .nodes
             .into_iter()
-            .enumerate()
-            .map(|(ix, node)| NodeSlot {
+            .map(|node| NodeSlot {
                 node,
-                rng: StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(ix as u64 + 1))),
                 dispatch_ns: 0,
             })
             .collect();
@@ -467,7 +441,7 @@ impl NetworkBuilder {
                 adjacency,
                 queue: EventQueue::new(),
                 now: SimTime::ZERO,
-                fault_rng: StdRng::seed_from_u64(self.fault_seed.unwrap_or(seed)),
+                fault_rng: StdRng::seed_from_u64(self.fault_seed.unwrap_or(self.seed)),
                 events_processed: 0,
                 trace: None,
                 down: vec![false; node_count],

@@ -45,13 +45,9 @@ pub(crate) const CTRL_REGION_RELEASE: u8 = 3;
 pub(crate) const CTRL_TASK_ANNOUNCE: u8 = 4;
 pub(crate) const CTRL_EPOCH_NOTIFY: u8 = 5;
 
-/// Envelope header length: checksum, source, destination, epoch, flags.
+/// Envelope header length: checksum, source, destination, epoch, and a
+/// reserved flags byte that every writer sets to 0.
 pub const ENVELOPE_HEADER_BYTES: usize = 4 + 4 + 4 + 4 + 1;
-
-/// Envelope flag bit: the carried data packet must not be aggregated by the
-/// switch — relay it to the destination unchanged (degraded pass-through
-/// while the switch is recovering from a crash).
-pub const FLAG_NO_AGGREGATE: u8 = 0b1;
 
 /// Error decoding a byte buffer into an [`AskPacket`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,7 +143,9 @@ fn encoded_size(packet: &AskPacket, layout: &PacketLayout) -> usize {
 /// Data, long-kv, ACK and FIN bodies are written by [`FrameWriter`],
 /// [`ack_frame`] and [`fin_frame`] — the very writers the send path uses —
 /// so the model and the datapath share one body layout per kind. The rare
-/// kinds are written here, into one exactly-sized buffer.
+/// kinds are written here, into one exactly-sized buffer. The writers leave
+/// the reserved flags byte 0; a nonzero `flags` is patched in afterwards,
+/// so the reference codec round-trips whatever the byte holds.
 ///
 /// # Panics
 ///
@@ -170,10 +168,7 @@ pub fn encode_envelope_parts(
         channel,
         seq,
     };
-    // The fixed-size writers stamp no flags; the rare flagged one is
-    // re-flagged.
-    let flagged = |frame: Bytes| if flags == 0 { frame } else { reflag(&frame, flags) };
-    match packet {
+    let frame = match packet {
         AskPacket::Data(d) => {
             assert_eq!(
                 d.slots.len(),
@@ -181,8 +176,7 @@ pub fn encode_envelope_parts(
                 "slot vector must match layout"
             );
             let h = header(d.task, d.channel, d.seq);
-            let mut frame =
-                FrameWriter::data(&h, flags, layout, d.bitmap(), size - DATA_HEADER_BYTES);
+            let mut frame = FrameWriter::data(&h, layout, d.bitmap(), size - DATA_HEADER_BYTES);
             for (i, slot) in d.slots.iter().enumerate() {
                 let Some(t) = slot else { continue };
                 let width = if layout.is_short_slot(i) {
@@ -209,7 +203,7 @@ pub fn encode_envelope_parts(
         } => {
             let h = header(*task, *channel, *seq);
             let count = entries.len() as u32;
-            let mut frame = FrameWriter::long_kv(&h, flags, count, size - LONG_KV_HEADER_BYTES);
+            let mut frame = FrameWriter::long_kv(&h, count, size - LONG_KV_HEADER_BYTES);
             for t in entries {
                 frame.put(&(t.key.len() as u16).to_be_bytes());
                 frame.put(t.key.as_bytes());
@@ -217,21 +211,24 @@ pub fn encode_envelope_parts(
             }
             frame.finish()
         }
-        AskPacket::Ack { channel, seq, ece } => {
-            flagged(ack_frame(src, dst, epoch, *channel, *seq, *ece))
-        }
-        AskPacket::Fin { task, channel, seq } => flagged(fin_frame(&header(*task, *channel, *seq))),
+        AskPacket::Ack { channel, seq, ece } => ack_frame(src, dst, epoch, *channel, *seq, *ece),
+        AskPacket::Fin { task, channel, seq } => fin_frame(&header(*task, *channel, *seq)),
         _ => {
             let mut buf = BytesMut::with_capacity(ENVELOPE_HEADER_BYTES + size);
             buf.put_u32(0); // checksum placeholder
             buf.put_u32(src);
             buf.put_u32(dst);
             buf.put_u32(epoch);
-            buf.put_u8(flags);
+            buf.put_u8(0); // reserved flags
             encode_into(&mut buf, packet);
             seal(&mut buf);
             buf.freeze()
         }
+    };
+    if flags == 0 {
+        frame
+    } else {
+        reflag(&frame, flags)
     }
 }
 
@@ -328,7 +325,7 @@ pub struct Envelope {
     /// crash). `0` is the boot epoch, so crash-free runs never see a
     /// mismatch.
     pub epoch: u32,
-    /// Envelope flag bits (see [`FLAG_NO_AGGREGATE`]).
+    /// The reserved flags byte (0 from every writer).
     pub flags: u8,
     /// The carried packet.
     pub packet: AskPacket,
@@ -418,12 +415,12 @@ const DATA_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 3 + 16;
 /// seq and the entry count.
 const LONG_KV_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 4;
 
-fn put_send_header(buf: &mut Vec<u8>, kind: u8, h: &SendHeader, flags: u8) {
+fn put_send_header(buf: &mut Vec<u8>, kind: u8, h: &SendHeader) {
     buf.extend_from_slice(&[0; 4]); // checksum placeholder
     buf.extend_from_slice(&h.src.to_be_bytes());
     buf.extend_from_slice(&h.dst.to_be_bytes());
     buf.extend_from_slice(&h.epoch.to_be_bytes());
-    buf.push(flags);
+    buf.push(0); // reserved flags
     buf.push(kind);
     buf.extend_from_slice(&h.task.0.to_be_bytes());
     buf.extend_from_slice(&h.channel.0.to_be_bytes());
@@ -452,16 +449,10 @@ impl FrameWriter {
     /// records — for each set bit in ascending order, the key zero-padded
     /// to the slot's width followed by the big-endian value — total
     /// `body_len` bytes.
-    pub fn data(
-        h: &SendHeader,
-        flags: u8,
-        layout: &PacketLayout,
-        bitmap: u128,
-        body_len: usize,
-    ) -> Self {
+    pub fn data(h: &SendHeader, layout: &PacketLayout, bitmap: u128, body_len: usize) -> Self {
         let size = ENVELOPE_HEADER_BYTES + DATA_HEADER_BYTES + body_len;
         let mut buf = Vec::with_capacity(size);
-        put_send_header(&mut buf, KIND_DATA, h, flags);
+        put_send_header(&mut buf, KIND_DATA, h);
         buf.extend_from_slice(&[
             layout.short_slots() as u8,
             layout.medium_groups() as u8,
@@ -473,10 +464,10 @@ impl FrameWriter {
 
     /// Starts a long-kv frame of `count` entries, serialized as
     /// `u16 len · key · u32 value` each and `body_len` bytes in total.
-    pub fn long_kv(h: &SendHeader, flags: u8, count: u32, body_len: usize) -> Self {
+    pub fn long_kv(h: &SendHeader, count: u32, body_len: usize) -> Self {
         let size = ENVELOPE_HEADER_BYTES + LONG_KV_HEADER_BYTES + body_len;
         let mut buf = Vec::with_capacity(size);
-        put_send_header(&mut buf, KIND_LONG_KV, h, flags);
+        put_send_header(&mut buf, KIND_LONG_KV, h);
         buf.extend_from_slice(&count.to_be_bytes());
         FrameWriter { buf, size }
     }
@@ -544,16 +535,11 @@ pub fn fin_frame(h: &SendHeader) -> Bytes {
     Bytes::copy_from_slice(&f)
 }
 
-/// A copy of an encoded frame with `flag` set in the envelope flag byte
-/// and the checksum redone — what re-encoding the packet with that flag
-/// would produce, without the packet.
-///
-/// # Panics
-///
-/// Panics if `frame` is shorter than an envelope header.
-pub fn reflag(frame: &[u8], flag: u8) -> Bytes {
+/// A copy of an encoded frame with its flags byte set to `flags` and the
+/// checksum redone.
+fn reflag(frame: &[u8], flags: u8) -> Bytes {
     let mut out = frame.to_vec();
-    out[ENVELOPE_HEADER_BYTES - 1] |= flag;
+    out[ENVELOPE_HEADER_BYTES - 1] = flags;
     seal(&mut out);
     Bytes::from(out)
 }
@@ -1094,8 +1080,8 @@ mod tests {
 
     #[test]
     fn envelope_epoch_and_flags_roundtrip() {
-        // The flags byte survives every writer: the data and long-kv
-        // writers stamp it, the fixed-size ACK and FIN are re-flagged.
+        // The reserved flags byte round-trips through the reference codec
+        // for every kind, whichever writer built the body.
         let layout = PacketLayout::paper_default();
         let mut slots = vec![None; layout.slot_count()];
         slots[1] = Some(kv("ab", 7));
@@ -1122,9 +1108,9 @@ mod tests {
             AskPacket::Fin { task, channel, seq },
         ];
         for packet in packets {
-            let bytes = encode_envelope_parts(1, 2, 3, FLAG_NO_AGGREGATE, &packet, &layout);
+            let bytes = encode_envelope_parts(1, 2, 3, 0x5a, &packet, &layout);
             let back = decode(bytes).unwrap();
-            assert_eq!((back.epoch, back.flags), (3, FLAG_NO_AGGREGATE), "{packet}");
+            assert_eq!((back.epoch, back.flags), (3, 0x5a), "{packet}");
             assert_eq!(back.packet, packet);
         }
     }

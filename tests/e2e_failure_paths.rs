@@ -361,13 +361,8 @@ mod switch_crash {
 
     /// Builds the standard crash workload: one receiver, two senders, a
     /// 60-key SUM stream per sender. Daemons trace their protocol actions.
-    fn build(
-        escalate: Option<u32>,
-        link: LinkConfig,
-        seed: u64,
-    ) -> (AskService, Vec<NodeId>, TaskId, HashMap<Key, u32>) {
+    fn build(link: LinkConfig, seed: u64) -> (AskService, Vec<NodeId>, TaskId, HashMap<Key, u32>) {
         let mut cfg = AskConfig::tiny();
-        cfg.escalate_after = escalate;
         cfg.trace_capacity = 100_000;
         let mut service = AskServiceBuilder::new(3)
             .config(cfg)
@@ -391,7 +386,7 @@ mod switch_crash {
     /// Completion time of the fault-free golden run (also asserts its
     /// result, so every crash case compares against a verified baseline).
     fn clean_completion(seed: u64) -> SimTime {
-        let (mut service, hosts, task, expected) = build(None, clean_link(), seed);
+        let (mut service, hosts, task, expected) = build(clean_link(), seed);
         let done = service.run_until_complete(task, hosts[0], BUDGET).unwrap();
         assert_eq!(service.result(task, hosts[0]).unwrap(), expected);
         done
@@ -403,11 +398,10 @@ mod switch_crash {
     fn run_with_outage(
         permille: u64,
         outage: SimDuration,
-        escalate: Option<u32>,
         seed: u64,
     ) -> (AskService, Vec<NodeId>, TaskId) {
         let t = clean_completion(seed).as_nanos();
-        let (mut service, hosts, task, expected) = build(escalate, clean_link(), seed);
+        let (mut service, hosts, task, expected) = build(clean_link(), seed);
         let down = SimTime::from_nanos((t * permille / 1000).max(1));
         service.schedule_switch_outage(down, down + outage);
         service.run_until_complete(task, hosts[0], BUDGET).unwrap();
@@ -424,14 +418,14 @@ mod switch_crash {
         // Down at t=1ns: the switch never sees the region request. The
         // announce/region retry timers must carry the whole setup through
         // the restarted epoch.
-        let (mut service, _, _) = run_with_outage(0, SimDuration::from_micros(50), None, 11);
+        let (mut service, _, _) = run_with_outage(0, SimDuration::from_micros(50), 11);
         service.run_to_idle();
         assert_eq!(service.switch_epoch(), 1);
     }
 
     #[test]
     fn crash_mid_window() {
-        let (mut service, _, _) = run_with_outage(500, SimDuration::from_micros(50), None, 12);
+        let (mut service, _, _) = run_with_outage(500, SimDuration::from_micros(50), 12);
         service.run_to_idle();
         assert_eq!(service.switch_epoch(), 1);
         assert!(
@@ -444,7 +438,7 @@ mod switch_crash {
     fn crash_during_fetch_drain() {
         // 90% of the clean runtime: shadow-copy swaps and fetch drains are
         // in flight when the registers vanish.
-        let (mut service, _, _) = run_with_outage(900, SimDuration::from_micros(50), None, 13);
+        let (mut service, _, _) = run_with_outage(900, SimDuration::from_micros(50), 13);
         service.run_to_idle();
         assert_eq!(service.switch_epoch(), 1);
     }
@@ -452,7 +446,7 @@ mod switch_crash {
     #[test]
     fn double_crash_recovers_twice() {
         let t = clean_completion(14).as_nanos();
-        let (mut service, hosts, task, expected) = build(None, clean_link(), 14);
+        let (mut service, hosts, task, expected) = build(clean_link(), 14);
         let outage = SimDuration::from_micros(30);
         let down1 = SimTime::from_nanos((t * 400 / 1000).max(1));
         service.schedule_switch_outage(down1, down1 + outage);
@@ -485,7 +479,7 @@ mod switch_crash {
         // before the replay's own timer. It must not resend the replay.
         use ask::host::trace::TraceEvent;
 
-        let (mut service, hosts, task, expected) = build(None, clean_link(), 18);
+        let (mut service, hosts, task, expected) = build(clean_link(), 18);
         let rto = service.config().retransmit_timeout;
         let step = SimDuration::from_nanos(100);
         let outage = SimDuration::from_micros(50);
@@ -517,10 +511,11 @@ mod switch_crash {
                     TraceEvent::Retransmitted { channel, seq } => {
                         retransmitted += 1;
                         let sent = last_sent.insert((channel.0, seq.0), *at).expect("sent");
-                        assert!(
-                            *at >= sent + rto,
-                            "{host}: {channel:?}/{seq:?} sent at {sent} was resent at {at}, \
-                             before its timeout"
+                        assert_eq!(
+                            *at,
+                            sent + rto,
+                            "{host}: {channel:?}/{seq:?} sent at {sent} was not resent exactly \
+                             one flat timeout later"
                         );
                     }
                     _ => {}
@@ -538,7 +533,7 @@ mod switch_crash {
         // retained streams: the first task's frames are ACKed and counted
         // late, its frozen result does not move, and the second task still
         // converges to the reference.
-        let (mut service, hosts, first, expected_first) = build(None, clean_link(), 16);
+        let (mut service, hosts, first, expected_first) = build(clean_link(), 16);
         service.run_until_complete(first, hosts[0], BUDGET).unwrap();
         let done_first = service.task_result(first, hosts[0]).unwrap();
         assert_eq!(done_first.to_map(), expected_first);
@@ -578,37 +573,35 @@ mod switch_crash {
     }
 
     #[test]
-    fn long_outage_enters_degraded_mode() {
-        // The outage spans several retransmit timeouts with escalation after
-        // two attempts: senders must flag their windows for degraded
-        // pass-through while the switch is dark, and still converge.
-        let (service, hosts, _) = run_with_outage(400, SimDuration::from_micros(600), Some(2), 15);
-        let degraded: u64 = hosts
+    fn long_outage_recovers_exactly_through_the_resync() {
+        // The outage spans six retransmit timeouts: the flat timer keeps
+        // resending into the dark switch, and the epoch resync alone brings
+        // the task to the exact result (checked by `run_with_outage`).
+        let (mut service, hosts, _) = run_with_outage(400, SimDuration::from_micros(600), 15);
+        service.run_to_idle();
+        assert_eq!(service.switch_epoch(), 1);
+        let retransmissions: u64 = hosts[1..]
             .iter()
-            .map(|h| service.host_stats(*h).degraded_entries)
+            .map(|h| service.host_stats(*h).retransmissions)
             .sum();
-        assert!(
-            degraded > 0,
-            "a 6xRTO outage with escalate_after=2 must trip degraded mode"
-        );
+        assert!(retransmissions > 0, "a 6xRTO outage must fire the retransmit timer");
     }
 
     #[test]
-    fn lossy_network_relays_no_aggregate_packets() {
-        // No crash at all: heavy loss plus a hair-trigger escalation
-        // threshold pushes senders into degraded mode, so the switch must
-        // relay flagged packets through the dedup gate without aggregating —
-        // and the result must still be exact.
+    fn heavy_loss_without_a_crash_is_exact_in_epoch_zero() {
+        // No crash at all: 20 % loss is recovered by the flat retransmit
+        // timer and the dedup gates alone, the result is exact, and no host
+        // ever leaves the boot epoch.
         let link = LinkConfig::new(100e9, SimDuration::from_micros(1))
             .with_faults(FaultModel::reliable().with_loss(0.2));
-        let (mut service, hosts, task, expected) = build(Some(1), link, 16);
+        let (mut service, hosts, task, expected) = build(link, 16);
         service.run_until_complete(task, hosts[0], BUDGET).unwrap();
         assert_eq!(service.result(task, hosts[0]).unwrap(), expected);
         assert_eq!(service.switch_epoch(), 0, "no crash was injected");
-        assert!(
-            service.switch_ref().noagg_relayed() > 0,
-            "escalated senders must drive the no-aggregate relay path"
-        );
+        for &host in &hosts {
+            assert_eq!(service.daemon(host).known_epoch(), 0);
+        }
+        assert!(service.host_stats(hosts[1]).retransmissions > 0);
     }
 
     #[test]
@@ -619,7 +612,7 @@ mod switch_crash {
         use ask_wire::codec::encode_envelope_parts;
         use ask_wire::packet::{AskPacket, ChannelId, SeqNo, CHANNEL_STRIDE};
 
-        let (mut service, hosts, _) = run_with_outage(500, SimDuration::from_micros(50), None, 17);
+        let (mut service, hosts, _) = run_with_outage(500, SimDuration::from_micros(50), 17);
         service.run_to_idle();
         assert_eq!(service.daemon(hosts[1]).known_epoch(), 1);
         let before = service.host_stats(hosts[1]).stale_epoch_drops;
@@ -665,7 +658,7 @@ mod switch_crash {
         use ask_wire::codec::encode_envelope_parts;
         use ask_wire::packet::{AskPacket, ChannelId, SeqNo, CHANNEL_STRIDE};
 
-        let (mut service, hosts, task, expected) = build(None, clean_link(), 18);
+        let (mut service, hosts, task, expected) = build(clean_link(), 18);
         let layout = service.config().layout;
         let switch = service.switch_id();
         let target = hosts[1];
@@ -703,7 +696,7 @@ mod switch_crash {
     fn forged_task_control_is_dropped(forged: impl Fn(TaskId) -> ask_wire::packet::AskPacket) {
         use ask_wire::codec::encode_envelope_parts;
 
-        let (mut service, hosts, task, expected) = build(None, clean_link(), 18);
+        let (mut service, hosts, task, expected) = build(clean_link(), 18);
         service.network_mut().run(None, Some(50));
         assert!(
             service.switch_ref().engine().task_receiver(task).is_some(),
