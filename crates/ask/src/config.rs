@@ -66,12 +66,6 @@ pub struct AskConfig {
     /// keeping the identical network stack — the apples-to-apples
     /// comparison the evaluation needs.
     pub force_host_only: bool,
-    /// Enables the loss-based AIMD congestion window on each data channel
-    /// (the paper's §7 discussion: ASK is compatible with loss-based INA
-    /// congestion control, and "the congestion window should not exceed the
-    /// maximum window defined in the reliability mechanism"). Off by
-    /// default, matching the prototype.
-    pub congestion_control: bool,
     /// Keeps an exact `(channel, seq)` absorption journal on the switch so a
     /// conformance harness can prove "no sequence number is aggregated
     /// twice". Pure oracle bookkeeping — no hardware analogue, no effect on
@@ -98,7 +92,6 @@ impl AskConfig {
             max_channels: 256,
             trace_capacity: 0,
             force_host_only: false,
-            congestion_control: false,
             absorption_audit: false,
         }
     }

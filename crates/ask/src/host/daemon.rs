@@ -4,7 +4,6 @@
 
 use crate::config::AskConfig;
 use crate::fasthash::FastMap;
-use crate::host::congestion::CongestionWindow;
 use crate::host::packetizer::{BuiltFrame, Packetizer, PendingStream};
 use crate::host::receiver::ReceiverWindow;
 use crate::host::table::TaskTable;
@@ -84,8 +83,6 @@ struct ChannelState {
     pump_armed: bool,
     /// Unacked data/long-kv packets per task, gating the task's FIN.
     outstanding: FastMap<TaskId, u64>,
-    /// Optional AIMD congestion window (§7 discussion), capped at `W`.
-    cc: Option<CongestionWindow>,
 }
 
 /// State of the receiver's (reliable) fetch exchange with the switch.
@@ -284,10 +281,6 @@ impl AskDaemon {
                 busy_until: SimTime::ZERO,
                 pump_armed: false,
                 outstanding: FastMap::default(),
-                cc: self
-                    .config
-                    .congestion_control
-                    .then(|| CongestionWindow::new(self.config.window)),
             })
             .collect();
     }
@@ -515,10 +508,6 @@ impl AskDaemon {
             ch.outstanding.clear();
             ch.pump_armed = false;
             ch.busy_until = SimTime::ZERO;
-            ch.cc = self
-                .config
-                .congestion_control
-                .then(|| CongestionWindow::new(self.config.window));
         }
         self.recv_windows.clear();
         let mut incomplete: Vec<TaskId> = self
@@ -643,11 +632,6 @@ impl AskDaemon {
             if ch.queue.is_empty() || !ch.window.can_send() {
                 return;
             }
-            if let Some(cc) = &ch.cc {
-                if ch.window.in_flight() >= cc.window() {
-                    return; // congestion-limited; an ACK will re-pump
-                }
-            }
             if ch.busy_until > now {
                 if !ch.pump_armed {
                     ch.pump_armed = true;
@@ -723,7 +707,7 @@ impl AskDaemon {
         }
     }
 
-    fn on_ack(&mut self, channel: ChannelId, seq: SeqNo, ece: bool, ctx: &mut Context<'_>) {
+    fn on_ack(&mut self, channel: ChannelId, seq: SeqNo, ctx: &mut Context<'_>) {
         let Some(ch_ix) = self.local_channel(channel) else {
             return; // not ours
         };
@@ -733,15 +717,6 @@ impl AskDaemon {
         self.stats.acks_received += 1;
         self.trace
             .record(ctx.now(), TraceEvent::AckReceived { channel, seq });
-        if ece {
-            self.stats.ecn_echoes += 1;
-        }
-        if let Some(cc) = &mut self.channels[ch_ix].cc {
-            cc.on_ack();
-            if ece {
-                cc.on_ecn();
-            }
-        }
         if let Some(task) = inflight.task {
             match inflight.kind {
                 FrameKind::Data | FrameKind::LongKv => {
@@ -775,9 +750,6 @@ impl AskDaemon {
                 seq: SeqNo(seq),
             },
         );
-        if let Some(cc) = &mut self.channels[ch_ix].cc {
-            cc.on_timeout();
-        }
         self.cpu_busy += self.config.cpu_per_packet;
         self.stats.bytes_sent += wire as u64;
         let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, wire));
@@ -800,12 +772,40 @@ impl AskDaemon {
     // Receiver side.
     // ------------------------------------------------------------------
 
-    fn observe(&mut self, channel: ChannelId, seq: SeqNo) -> Observation {
-        let w = self.config.window;
-        self.recv_windows
-            .entry(channel)
-            .or_insert_with(|| ReceiverWindow::new(w))
-            .observe(seq.0)
+    /// Classifies `seq` in `channel`'s receive window. A window opens only
+    /// for a channel of one of `task`'s registered senders, so a forged
+    /// channel id cannot make this host allocate one: `None` means the
+    /// frame names a channel no expected sender owns, and it touches no
+    /// window.
+    fn observe(&mut self, task: TaskId, channel: ChannelId, seq: SeqNo) -> Option<Observation> {
+        let window = match self.recv_windows.entry(channel) {
+            Entry::Occupied(open) => open.into_mut(),
+            Entry::Vacant(slot) => {
+                let expected = self
+                    .recv_tasks
+                    .get(&task)
+                    .is_some_and(|rt| rt.senders.contains(&channel.host()));
+                if !expected {
+                    return None;
+                }
+                slot.insert(ReceiverWindow::new(self.config.window))
+            }
+        };
+        Some(window.observe(seq.0))
+    }
+
+    /// ACKs a frame from no expected sender and counts its `tuples` as
+    /// orphans, so the sender stops retransmitting and nothing merges.
+    fn ack_unexpected(
+        &mut self,
+        dst: u32,
+        channel: ChannelId,
+        seq: SeqNo,
+        tuples: u64,
+        ctx: &mut Context<'_>,
+    ) {
+        self.orphan_tuples += tuples;
+        self.reply_ack(dst, channel, seq, ctx);
     }
 
     /// The task whose residual table `tuples` tuples for `task` merge into,
@@ -830,16 +830,9 @@ impl AskDaemon {
         }
     }
 
-    fn reply_ack(
-        &mut self,
-        dst: u32,
-        channel: ChannelId,
-        seq: SeqNo,
-        ece: bool,
-        ctx: &mut Context<'_>,
-    ) {
+    fn reply_ack(&mut self, dst: u32, channel: ChannelId, seq: SeqNo, ctx: &mut Context<'_>) {
         self.cpu_busy += self.config.cpu_per_packet;
-        let bytes = ack_frame(self.my_index(), dst, self.known_epoch, channel, seq, ece);
+        let bytes = ack_frame(self.my_index(), dst, self.known_epoch, channel, seq);
         let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, PACKET_OVERHEAD));
     }
 
@@ -1098,7 +1091,7 @@ impl AskDaemon {
     /// packet, and a first delivery's entries merge off the frame bytes as
     /// a fetch reply's do. Every long-kv frame received counts in
     /// `host_view_fallbacks`.
-    fn on_long_kv(&mut self, ecn: bool, view: &FrameView, ctx: &mut Context<'_>) {
+    fn on_long_kv(&mut self, view: &FrameView, ctx: &mut Context<'_>) {
         self.stats.host_view_fallbacks += 1;
         let PacketView::LongKv {
             task,
@@ -1111,15 +1104,16 @@ impl AskDaemon {
         };
         let src = view.src();
         self.cpu_busy += self.config.cpu_per_packet;
-        match self.observe(channel, seq) {
-            Observation::Stale => {}
-            Observation::Duplicate => {
+        match self.observe(task, channel, seq) {
+            None => self.ack_unexpected(src, channel, seq, entry_count as u64, ctx),
+            Some(Observation::Stale) => {}
+            Some(Observation::Duplicate) => {
                 self.stats.duplicates_dropped += 1;
                 self.trace
                     .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
-                self.reply_ack(src, channel, seq, ecn, ctx);
+                self.reply_ack(src, channel, seq, ctx);
             }
-            Observation::First => {
+            Some(Observation::First) => {
                 self.stats.packets_received += 1;
                 self.trace
                     .record(ctx.now(), TraceEvent::Received { channel, seq });
@@ -1129,7 +1123,7 @@ impl AskDaemon {
                         rt.residual.merge_hashed(e.hash64(), e.key_bytes(), e.value(), op);
                     }
                 }
-                self.reply_ack(src, channel, seq, ecn, ctx);
+                self.reply_ack(src, channel, seq, ctx);
             }
         }
     }
@@ -1155,18 +1149,19 @@ impl AskDaemon {
     /// One data view: the receive window classifies it, a first delivery
     /// merges into its task's residual table in place, and every
     /// non-stale one is ACKed.
-    fn on_data(&mut self, src: u32, ecn: bool, d: &DataPacketView, ctx: &mut Context<'_>) {
+    fn on_data(&mut self, src: u32, d: &DataPacketView, ctx: &mut Context<'_>) {
         self.cpu_busy += self.config.cpu_per_packet;
         let (channel, seq) = (d.channel(), d.seq());
-        match self.observe(channel, seq) {
-            Observation::Stale => {}
-            Observation::Duplicate => {
+        match self.observe(d.task(), channel, seq) {
+            None => self.ack_unexpected(src, channel, seq, d.occupied() as u64, ctx),
+            Some(Observation::Stale) => {}
+            Some(Observation::Duplicate) => {
                 self.stats.duplicates_dropped += 1;
                 self.trace
                     .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
-                self.reply_ack(src, channel, seq, ecn, ctx);
+                self.reply_ack(src, channel, seq, ctx);
             }
-            Observation::First => {
+            Some(Observation::First) => {
                 self.stats.packets_received += 1;
                 self.trace
                     .record(ctx.now(), TraceEvent::Received { channel, seq });
@@ -1177,7 +1172,7 @@ impl AskDaemon {
                         rt.residual.merge_hashed(s.hash64(), s.key_bytes(), s.value(), op);
                     }
                 }
-                self.reply_ack(src, channel, seq, ecn, ctx);
+                self.reply_ack(src, channel, seq, ctx);
                 self.maybe_swap(d.task(), ctx);
             }
         }
@@ -1246,7 +1241,6 @@ impl Node for AskDaemon {
 
     fn on_frame(&mut self, _from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
         self.ensure_init(ctx);
-        let ecn = frame.ecn_marked();
         let Ok(view) = FrameView::parse(frame.into_payload()) else {
             self.stats.undecodable += 1;
             return;
@@ -1256,27 +1250,28 @@ impl Node for AskDaemon {
         }
         let src = view.src();
         match view.packet() {
-            PacketView::Ack { channel, seq, ece } => self.on_ack(*channel, *seq, *ece, ctx),
+            PacketView::Ack { channel, seq } => self.on_ack(*channel, *seq, ctx),
             // Any declared layout merges in place: the slot walk follows
             // the frame's own geometry and key hashes do not depend on it.
-            PacketView::Data(d) => self.on_data(src, ecn, d, ctx),
-            PacketView::LongKv { .. } => self.on_long_kv(ecn, &view, ctx),
+            PacketView::Data(d) => self.on_data(src, d, ctx),
+            PacketView::LongKv { .. } => self.on_long_kv(&view, ctx),
             &PacketView::Fin { task, channel, seq } => {
                 self.cpu_busy += self.config.cpu_per_packet;
-                match self.observe(channel, seq) {
-                    Observation::Stale => {}
+                match self.observe(task, channel, seq) {
+                    None => self.ack_unexpected(src, channel, seq, 0, ctx),
+                    Some(Observation::Stale) => {}
                     // Not counted in `duplicates_dropped`, which counts
                     // payload packets only.
-                    Observation::Duplicate => {
+                    Some(Observation::Duplicate) => {
                         self.trace
                             .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
-                        self.reply_ack(src, channel, seq, ecn, ctx);
+                        self.reply_ack(src, channel, seq, ctx);
                     }
-                    Observation::First => {
+                    Some(Observation::First) => {
                         self.trace
                             .record(ctx.now(), TraceEvent::Received { channel, seq });
                         let sender_host = channel.host();
-                        self.reply_ack(src, channel, seq, ecn, ctx);
+                        self.reply_ack(src, channel, seq, ctx);
                         if let Some(rt) = self.recv_tasks.get_mut(&task) {
                             rt.fins.insert(sender_host);
                         }

@@ -1,6 +1,5 @@
 //! Host-side components: daemon, packetizer, sliding windows.
 
-pub mod congestion;
 pub mod daemon;
 pub mod packetizer;
 pub mod receiver;
@@ -8,7 +7,6 @@ pub mod table;
 pub mod trace;
 pub mod window;
 
-pub use congestion::CongestionWindow;
 pub use trace::{TraceEvent, TraceLog};
 
 pub use daemon::{AskDaemon, ChannelSnapshot, TaskResult, CHANNEL_STRIDE};

@@ -85,8 +85,6 @@ pub struct HostStats {
     pub retransmissions: u64,
     /// ACKs received.
     pub acks_received: u64,
-    /// ACKs carrying an ECN congestion echo.
-    pub ecn_echoes: u64,
     /// Data packets received and processed as the aggregation receiver.
     pub packets_received: u64,
     /// Duplicate packets the receiver window rejected.
@@ -128,7 +126,6 @@ impl HostStats {
         self.packets_sent += other.packets_sent;
         self.retransmissions += other.retransmissions;
         self.acks_received += other.acks_received;
-        self.ecn_echoes += other.ecn_echoes;
         self.packets_received += other.packets_received;
         self.duplicates_dropped += other.duplicates_dropped;
         self.tuples_host_aggregated += other.tuples_host_aggregated;

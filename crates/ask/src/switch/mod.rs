@@ -25,13 +25,12 @@ pub(crate) fn epoch_newer(a: u32, b: u32) -> bool {
 
 /// What the switch needs to answer or relay one ingress frame that the
 /// packet view does not carry: the envelope addressing, the frame's
-/// link-level attributes, and the original payload bytes (for the
+/// nominal wire size, and the original payload bytes (for the
 /// relay-unchanged fast path).
 #[derive(Debug)]
 struct FrameMeta {
     src: u32,
     dst: u32,
-    ecn: bool,
     wire: usize,
     payload: Bytes,
 }
@@ -120,8 +119,8 @@ impl AskSwitch {
         self.pure_absorb
     }
 
-    /// Swap, fetch and release frames dropped by the control-source gate
-    /// ([`AskSwitch::control_source_admit`]).
+    /// Swap, fetch and release frames dropped by the control-source gate:
+    /// they came from another port than their task's receiver.
     pub fn control_source_drops(&self) -> u64 {
         self.control_source_drops
     }
@@ -198,17 +197,13 @@ impl AskSwitch {
     /// packet the switch does not rewrite: the payload `Bytes` handle from
     /// the incoming frame is reused directly (an O(1) reference-count
     /// bump), skipping the per-hop re-encode and checksum entirely.
-    fn forward_raw(&mut self, dst: u32, bytes: Bytes, wire: usize, ecn: bool, ctx: &mut Context<'_>) {
+    fn forward_raw(&mut self, dst: u32, bytes: Bytes, wire: usize, ctx: &mut Context<'_>) {
         let to = self
             .routes
             .get(&dst)
             .copied()
             .unwrap_or_else(|| NodeId::from_index(dst as usize));
-        let mut frame = Frame::with_wire_bytes(bytes, wire);
-        // Propagate a congestion-experienced mark across hops (IP ECN
-        // semantics: once marked, stays marked).
-        frame.set_ecn_marked(ecn);
-        if ctx.send(to, frame).is_err() {
+        if ctx.send(to, Frame::with_wire_bytes(bytes, wire)).is_err() {
             self.unroutable += 1;
         }
     }
@@ -219,7 +214,7 @@ impl AskSwitch {
         let me = ctx.me().index() as u32;
         let bytes = encode_envelope_parts(me, dst, self.epoch, 0, &packet, &layout);
         let wire = packet.wire_bytes(&layout);
-        self.forward_raw(dst, bytes, wire, false, ctx);
+        self.forward_raw(dst, bytes, wire, ctx);
     }
 
     /// Bypass traffic (long-kv, FIN, foreign-layout data) shares its
@@ -237,7 +232,7 @@ impl AskSwitch {
         match self.engine.observe_bypass(channel, seq) {
             Observation::Stale => false,
             Observation::First | Observation::Duplicate => {
-                self.forward_raw(m.dst, m.payload, m.wire, m.ecn, ctx);
+                self.forward_raw(m.dst, m.payload, m.wire, ctx);
                 true
             }
         }
@@ -259,15 +254,14 @@ impl AskSwitch {
             ViewVerdict::Stale => {}
             ViewVerdict::FullyAggregated => {
                 self.pure_absorb += 1;
-                // The switch is the consuming endpoint: echo congestion
-                // marks back to the sender on the ACK.
+                // The switch is the consuming endpoint: it ACKs the sender.
                 let me = ctx.me().index() as u32;
-                let ack = ack_frame(me, m.src, self.epoch, view.channel(), view.seq(), m.ecn);
-                self.forward_raw(m.src, ack, PACKET_OVERHEAD, false, ctx);
+                let ack = ack_frame(me, m.src, self.epoch, view.channel(), view.seq());
+                self.forward_raw(m.src, ack, PACKET_OVERHEAD, ctx);
             }
             ViewVerdict::Forward { residual } => {
                 if residual == view.bitmap() {
-                    self.forward_raw(m.dst, m.payload, m.wire, m.ecn, ctx);
+                    self.forward_raw(m.dst, m.payload, m.wire, ctx);
                 } else {
                     let bytes = view.residual_frame(residual);
                     let layout = self.engine.config().layout;
@@ -278,7 +272,7 @@ impl AskSwitch {
                         wire += layout.slot_bytes(i);
                         bm &= bm - 1;
                     }
-                    self.forward_raw(m.dst, bytes, wire, m.ecn, ctx);
+                    self.forward_raw(m.dst, bytes, wire, ctx);
                 }
             }
         }
@@ -294,7 +288,6 @@ impl Node for AskSwitch {
     /// A region request registers its ingress port as the task's receiver,
     /// and only that port may swap, fetch or release the task.
     fn on_frame(&mut self, from: NodeId, frame: Frame, ctx: &mut Context<'_>) {
-        let ecn = frame.ecn_marked();
         let wire = frame.wire_bytes();
         // Keep the raw payload around: packets the switch relays
         // unmodified are re-sent from these very bytes.
@@ -309,7 +302,6 @@ impl Node for AskSwitch {
         let m = FrameMeta {
             src: view.src(),
             dst: view.dst(),
-            ecn,
             wire,
             payload,
         };
@@ -342,7 +334,7 @@ impl Node for AskSwitch {
                 self.relay_bypass(channel, seq, m, ctx);
             }
             PacketView::Ack { .. } | PacketView::FetchReply { .. } => {
-                self.forward_raw(m.dst, m.payload, m.wire, false, ctx);
+                self.forward_raw(m.dst, m.payload, m.wire, ctx);
             }
             PacketView::Swap { task } => {
                 if self.control_source_admit(task, from) {
@@ -383,9 +375,7 @@ impl Node for AskSwitch {
                 ControlMsg::TaskAnnounce { .. }
                 | ControlMsg::RegionGrant { .. }
                 | ControlMsg::RegionDeny { .. }
-                | ControlMsg::EpochNotify { .. } => {
-                    self.forward_raw(m.dst, m.payload, m.wire, false, ctx)
-                }
+                | ControlMsg::EpochNotify { .. } => self.forward_raw(m.dst, m.payload, m.wire, ctx),
             },
         }
     }

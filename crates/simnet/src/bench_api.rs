@@ -1,4 +1,4 @@
-//! Benchmark-only facade over the internal [`EventQueue`].
+//! Benchmark-only facade over the internal `EventQueue`.
 //!
 //! The queue is deliberately `pub(crate)` — simulation users schedule work
 //! through [`crate::network::Context`], never by touching the scheduler
@@ -8,8 +8,6 @@
 //! pushes at absolute nanosecond instants and pops observed as
 //! `(at_nanos, seq)` pairs. It adds no behavior of its own, so benching
 //! the wrapper is benching the queue.
-//!
-//! [`EventQueue`]: crate::event
 
 use crate::event::{EventKind, EventQueue};
 use crate::frame::NodeId;

@@ -40,7 +40,6 @@ impl fmt::Display for NodeId {
 pub struct Frame {
     payload: Bytes,
     wire_bytes: usize,
-    ecn_marked: bool,
 }
 
 impl Frame {
@@ -50,7 +49,6 @@ impl Frame {
         Frame {
             payload,
             wire_bytes,
-            ecn_marked: false,
         }
     }
 
@@ -69,20 +67,7 @@ impl Frame {
         Frame {
             payload,
             wire_bytes,
-            ecn_marked: false,
         }
-    }
-
-    /// True if a congested link marked this frame (ECN CE codepoint).
-    pub fn ecn_marked(&self) -> bool {
-        self.ecn_marked
-    }
-
-    /// Sets the ECN congestion-experienced mark (links do this when a
-    /// frame's queueing delay exceeds the configured threshold; protocol
-    /// code propagates it when re-encapsulating).
-    pub fn set_ecn_marked(&mut self, marked: bool) {
-        self.ecn_marked = marked;
     }
 
     /// The protocol payload bytes.

@@ -22,10 +22,6 @@ pub struct LinkConfig {
     bits_per_sec: f64,
     propagation: SimDuration,
     faults: FaultModel,
-    ecn_threshold: Option<SimDuration>,
-    /// Maximum queueing delay the transmit queue may hold; frames arriving
-    /// beyond it are tail-dropped. `None` = unbounded (ideal) queue.
-    queue_limit: Option<SimDuration>,
 }
 
 impl LinkConfig {
@@ -43,34 +39,7 @@ impl LinkConfig {
             bits_per_sec,
             propagation,
             faults: FaultModel::reliable(),
-            ecn_threshold: None,
-            queue_limit: None,
         }
-    }
-
-    /// Bounds the transmit queue: a frame that would wait longer than
-    /// `limit` is tail-dropped instead of enqueued — how a real switch port
-    /// behaves when its buffer fills.
-    pub fn with_queue_limit(mut self, limit: SimDuration) -> Self {
-        self.queue_limit = Some(limit);
-        self
-    }
-
-    /// The tail-drop queue bound, if any.
-    pub fn queue_limit(&self) -> Option<SimDuration> {
-        self.queue_limit
-    }
-
-    /// Enables ECN marking: frames whose queueing delay at this link
-    /// exceeds `threshold` get the congestion-experienced mark.
-    pub fn with_ecn(mut self, threshold: SimDuration) -> Self {
-        self.ecn_threshold = Some(threshold);
-        self
-    }
-
-    /// The ECN marking threshold, if enabled.
-    pub fn ecn_threshold(&self) -> Option<SimDuration> {
-        self.ecn_threshold
     }
 
     /// Replaces the fault model (packet loss / duplication / reordering).
@@ -118,49 +87,17 @@ impl LinkState {
         }
     }
 
-    /// Computes the arrival time of a frame enqueued at `now`, advancing the
-    /// transmitter's busy horizon. Does not apply faults. Returns the
-    /// arrival time and whether the frame's queueing delay crossed the ECN
-    /// threshold.
-    pub(crate) fn schedule(&mut self, now: SimTime, wire_bytes: usize) -> ScheduleOutcome {
+    /// Enqueues a frame at `now` behind everything already on the
+    /// transmitter (the queue is unbounded) and returns its arrival time,
+    /// advancing the transmitter's busy horizon. Does not apply faults.
+    pub(crate) fn schedule(&mut self, now: SimTime, wire_bytes: usize) -> SimTime {
         let start = now.max(self.next_free);
-        let queue_delay = start.saturating_since(now);
-        if let Some(limit) = self.config.queue_limit {
-            if queue_delay > limit {
-                self.stats.frames_tail_dropped += 1;
-                return ScheduleOutcome::TailDropped;
-            }
-        }
         let done = start + self.config.serialization_delay(wire_bytes);
         self.next_free = done;
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += wire_bytes as u64;
-        let marked = match self.config.ecn_threshold {
-            Some(thr) => queue_delay > thr,
-            None => false,
-        };
-        if marked {
-            self.stats.frames_ecn_marked += 1;
-        }
-        ScheduleOutcome::Enqueued {
-            arrival: done + self.config.propagation(),
-            ecn: marked,
-        }
+        done + self.config.propagation()
     }
-}
-
-/// Result of handing a frame to a link's transmitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ScheduleOutcome {
-    /// The frame was enqueued and will arrive at `arrival`.
-    Enqueued {
-        /// Delivery time at the receiver.
-        arrival: SimTime,
-        /// Whether the queueing delay crossed the ECN threshold.
-        ecn: bool,
-    },
-    /// The transmit queue was full; the frame is gone.
-    TailDropped,
 }
 
 /// Counters accumulated by a directed link.
@@ -176,10 +113,6 @@ pub struct LinkStats {
     pub frames_dropped: u64,
     /// Extra copies injected by the duplication fault.
     pub frames_duplicated: u64,
-    /// Frames that received the ECN congestion-experienced mark.
-    pub frames_ecn_marked: u64,
-    /// Frames tail-dropped by the bounded transmit queue.
-    pub frames_tail_dropped: u64,
 }
 
 impl LinkStats {
@@ -214,12 +147,8 @@ mod tests {
         let mut link = LinkState::new(cfg());
         let t0 = SimTime::ZERO;
         // Two 1000-byte frames enqueued at t=0: second waits for the first.
-        let ScheduleOutcome::Enqueued { arrival: a1, .. } = link.schedule(t0, 1000) else {
-            panic!("enqueued")
-        };
-        let ScheduleOutcome::Enqueued { arrival: a2, .. } = link.schedule(t0, 1000) else {
-            panic!("enqueued")
-        };
+        let a1 = link.schedule(t0, 1000);
+        let a2 = link.schedule(t0, 1000);
         assert_eq!(a1.as_nanos(), 1000 + 500);
         assert_eq!(a2.as_nanos(), 2000 + 500);
         assert_eq!(link.stats.frames_sent, 2);
@@ -231,11 +160,7 @@ mod tests {
         let mut link = LinkState::new(cfg());
         link.schedule(SimTime::ZERO, 100);
         // After the link drains, a later frame starts at its enqueue time.
-        let ScheduleOutcome::Enqueued { arrival, .. } =
-            link.schedule(SimTime::from_nanos(10_000), 100)
-        else {
-            panic!("enqueued")
-        };
+        let arrival = link.schedule(SimTime::from_nanos(10_000), 100);
         assert_eq!(arrival.as_nanos(), 10_000 + 100 + 500);
     }
 
@@ -243,28 +168,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_bandwidth_rejected() {
         let _ = LinkConfig::new(0.0, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn tail_drop_when_queue_exceeds_limit() {
-        let mut link = LinkState::new(cfg().with_queue_limit(SimDuration::from_nanos(1500)));
-        let t0 = SimTime::ZERO;
-        // Three 1000-byte frames (1 µs each at 8 Gbps): the third would
-        // wait 2 µs > 1.5 µs limit.
-        assert!(matches!(
-            link.schedule(t0, 1000),
-            ScheduleOutcome::Enqueued { .. }
-        ));
-        assert!(matches!(
-            link.schedule(t0, 1000),
-            ScheduleOutcome::Enqueued { .. }
-        ));
-        assert_eq!(link.schedule(t0, 1000), ScheduleOutcome::TailDropped);
-        assert_eq!(link.stats.frames_tail_dropped, 1);
-        assert_eq!(
-            link.stats.frames_sent, 2,
-            "dropped frames never count as sent"
-        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::event::{EventKind, EventQueue};
 use crate::faults::FrameFate;
 use crate::frame::{Frame, NodeId};
-use crate::link::{LinkConfig, LinkState, LinkStats, ScheduleOutcome};
+use crate::link::{LinkConfig, LinkState, LinkStats};
 use crate::time::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,12 +41,9 @@ pub trait Node: Any {
     fn on_restart(&mut self, _ctx: &mut Context<'_>) {}
 }
 
-/// What ultimately happened to one frame offered to a link — the captured
-/// form of [`FrameFate`](crate::faults::FrameFate) plus congestion drops.
+/// What the link's fault model did to one frame offered to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFate {
-    /// The link's queue was full; the frame never entered the fault model.
-    TailDropped,
     /// The fault model dropped the frame.
     Dropped,
     /// The frame was delivered (possibly mangled along the way).
@@ -142,7 +139,7 @@ struct Engine {
 impl Engine {
     /// Enqueues `frame` on the directed link `from -> to`, applying the fault
     /// model. Returns an error if the link does not exist.
-    fn send(&mut self, from: NodeId, to: NodeId, mut frame: Frame) -> Result<(), SendError> {
+    fn send(&mut self, from: NodeId, to: NodeId, frame: Frame) -> Result<(), SendError> {
         let now = self.now;
         let wire_bytes = frame.wire_bytes();
         let trace_fate = |trace: &mut Option<FrameTrace>, fate: TraceFate| {
@@ -162,16 +159,7 @@ impl Engine {
             .and_then(|n| n.get(to.index()))
             .ok_or(SendError { from, to })?;
         let link = &mut self.links[link_ix];
-        let (arrival, ecn) = match link.schedule(now, frame.wire_bytes()) {
-            ScheduleOutcome::Enqueued { arrival, ecn } => (arrival, ecn),
-            ScheduleOutcome::TailDropped => {
-                trace_fate(&mut self.trace, TraceFate::TailDropped);
-                return Ok(()); // congestion loss
-            }
-        };
-        if ecn {
-            frame.set_ecn_marked(true);
-        }
+        let arrival = link.schedule(now, wire_bytes);
         match link.config.faults().draw(&mut self.fault_rng) {
             FrameFate::Dropped => {
                 link.stats.frames_dropped += 1;
@@ -208,10 +196,7 @@ impl Engine {
                         let bit = 1u8 << self.fault_rng.gen_range(0..8);
                         bytes[ix] ^= bit;
                     }
-                    let mut f =
-                        Frame::with_wire_bytes(bytes::Bytes::from(bytes), frame.wire_bytes());
-                    f.set_ecn_marked(frame.ecn_marked());
-                    f
+                    Frame::with_wire_bytes(bytes::Bytes::from(bytes), wire_bytes)
                 } else {
                     frame
                 };
@@ -1015,9 +1000,6 @@ mod tests {
         // 100 sends + echoes of the survivors; ring keeps only the last 64.
         assert_eq!(net.frames_traced(), 100 + (100 - dropped));
         assert_eq!(net.frame_trace().count(), 64);
-        assert!(net
-            .frame_trace()
-            .all(|e| matches!(e.fate, TraceFate::Dropped | TraceFate::Delivered { .. })));
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn encoded_size(packet: &AskPacket, layout: &PacketLayout) -> usize {
             n
         }
         AskPacket::LongKv { entries, .. } => 1 + 4 + 4 + 8 + entries_size(entries),
-        AskPacket::Ack { .. } => 1 + 4 + 8 + 1,
+        AskPacket::Ack { .. } => 1 + 4 + 8,
         AskPacket::Fin { .. } => 1 + 4 + 4 + 8,
         AskPacket::Swap { .. } => 1 + 4,
         AskPacket::FetchRequest { .. } => 1 + 4 + 1 + 4,
@@ -211,7 +211,7 @@ pub fn encode_envelope_parts(
             }
             frame.finish()
         }
-        AskPacket::Ack { channel, seq, ece } => ack_frame(src, dst, epoch, *channel, *seq, *ece),
+        AskPacket::Ack { channel, seq } => ack_frame(src, dst, epoch, *channel, *seq),
         AskPacket::Fin { task, channel, seq } => fin_frame(&header(*task, *channel, *seq)),
         _ => {
             let mut buf = BytesMut::with_capacity(ENVELOPE_HEADER_BYTES + size);
@@ -505,20 +505,12 @@ fn stamp_addressing(frame: &mut [u8], src: u32, dst: u32, epoch: u32) {
 }
 
 /// An ACK frame, written on the stack and copied out once.
-pub fn ack_frame(
-    src: u32,
-    dst: u32,
-    epoch: u32,
-    channel: ChannelId,
-    seq: SeqNo,
-    ece: bool,
-) -> Bytes {
-    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 8 + 1];
+pub fn ack_frame(src: u32, dst: u32, epoch: u32, channel: ChannelId, seq: SeqNo) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 8];
     stamp_addressing(&mut f, src, dst, epoch);
     f[17] = KIND_ACK;
     f[18..22].copy_from_slice(&channel.0.to_be_bytes());
     f[22..30].copy_from_slice(&seq.0.to_be_bytes());
-    f[30] = ece as u8;
     seal(&mut f);
     Bytes::copy_from_slice(&f)
 }
@@ -682,11 +674,10 @@ fn decode_body(buf: &mut Bytes, pool: &mut PacketPool) -> Result<AskPacket, Code
             })
         }
         KIND_ACK => {
-            need(buf, 4 + 8 + 1)?;
+            need(buf, 4 + 8)?;
             Ok(AskPacket::Ack {
                 channel: ChannelId(buf.get_u32()),
                 seq: SeqNo(buf.get_u64()),
-                ece: buf.get_u8() != 0,
             })
         }
         KIND_FIN => {
@@ -896,7 +887,6 @@ mod tests {
             AskPacket::Ack {
                 channel: ChannelId(1),
                 seq: SeqNo(u64::MAX),
-                ece: true,
             },
             AskPacket::Fin {
                 task: TaskId(1),
@@ -982,7 +972,6 @@ mod tests {
             AskPacket::Ack {
                 channel: ChannelId(1),
                 seq: SeqNo(2),
-                ece: true,
             },
             AskPacket::Fin {
                 task: TaskId(1),
@@ -1021,7 +1010,6 @@ mod tests {
         let ack = AskPacket::Ack {
             channel: ChannelId(1),
             seq: SeqNo(2),
-            ece: false,
         };
         let bytes = encode_envelope_parts(1, 2, 0, 0, &ack, &layout);
         for cut in 0..ENVELOPE_HEADER_BYTES {
@@ -1100,11 +1088,7 @@ mod tests {
                 seq,
                 entries: vec![kv("a-very-long-key-beyond-eight", 5)],
             },
-            AskPacket::Ack {
-                channel,
-                seq,
-                ece: true,
-            },
+            AskPacket::Ack { channel, seq },
             AskPacket::Fin { task, channel, seq },
         ];
         for packet in packets {

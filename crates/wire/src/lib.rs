@@ -241,29 +241,28 @@ mod proptests {
         }
 
         /// The fixed-size ACK and FIN writers produce the owned codec's
-        /// bytes (both `ece` values), and the frames parse back.
+        /// bytes, and the frames parse back.
         #[test]
         fn ack_and_fin_writers_match_owned_encode(
             addressing in (any::<u32>(), any::<u32>(), any::<u32>()),
             task in any::<u32>(),
             channel in any::<u32>(),
             seq in any::<u64>(),
-            ece in any::<bool>(),
         ) {
             use crate::codec::{ack_frame, fin_frame, SendHeader};
             let (src, dst, epoch) = addressing;
             let (task, channel, seq) = (TaskId(task), ChannelId(channel), SeqNo(seq));
             let layout = PacketLayout::paper_default();
 
-            let ack = ack_frame(src, dst, epoch, channel, seq, ece);
-            let owned = AskPacket::Ack { channel, seq, ece };
+            let ack = ack_frame(src, dst, epoch, channel, seq);
+            let owned = AskPacket::Ack { channel, seq };
             prop_assert_eq!(&ack, &encode_envelope_parts(src, dst, epoch, 0, &owned, &layout));
             prop_assert_eq!(decode(ack.clone()).unwrap().packet, owned);
             let view = FrameView::parse(ack).unwrap();
             prop_assert_eq!((view.src(), view.dst(), view.epoch()), (src, dst, epoch));
             prop_assert!(matches!(
                 view.packet(),
-                PacketView::Ack { channel: c, seq: s, ece: e } if (*c, *s, *e) == (channel, seq, ece)
+                PacketView::Ack { channel: c, seq: s } if (*c, *s) == (channel, seq)
             ));
 
             let fin = fin_frame(&SendHeader { src, dst, epoch, task, channel, seq });

@@ -364,9 +364,6 @@ pub enum AskPacket {
         channel: ChannelId,
         /// The acknowledged sequence number.
         seq: SeqNo,
-        /// ECN echo: the acknowledged packet carried a congestion mark
-        /// (drives the optional DCTCP-style congestion window, §7).
-        ece: bool,
     },
     /// End-of-stream marker for one task on one channel; reliable like data.
     Fin {
@@ -434,9 +431,7 @@ impl fmt::Display for AskPacket {
                 "LONGKV {task} {channel} {seq} [{} tuples]",
                 entries.len()
             ),
-            AskPacket::Ack { channel, seq, ece } => {
-                write!(f, "ACK {channel} {seq}{}", if *ece { " ECE" } else { "" })
-            }
+            AskPacket::Ack { channel, seq } => write!(f, "ACK {channel} {seq}"),
             AskPacket::Fin { task, channel, seq } => write!(f, "FIN {task} {channel} {seq}"),
             AskPacket::Swap { task } => write!(f, "SWAP {task}"),
             AskPacket::FetchRequest {
@@ -585,7 +580,6 @@ mod tests {
             AskPacket::Ack {
                 channel: ChannelId(1),
                 seq: SeqNo(9),
-                ece: false,
             }
             .wire_bytes(&l),
             78
@@ -598,9 +592,8 @@ mod tests {
         let p = AskPacket::Ack {
             channel: ChannelId(3),
             seq: SeqNo(9),
-            ece: true,
         };
-        assert_eq!(p.to_string(), "ACK ch3 seq9 ECE");
+        assert_eq!(p.to_string(), "ACK ch3 seq9");
         let mut slots = vec![None; 4];
         slots[1] = Some(kv("a", 1));
         let d = AskPacket::Data(DataPacket {

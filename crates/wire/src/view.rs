@@ -106,8 +106,6 @@ pub enum PacketView {
         channel: ChannelId,
         /// Acknowledged sequence number.
         seq: SeqNo,
-        /// Explicit congestion notification echo.
-        ece: bool,
     },
     /// End-of-stream marker.
     Fin {
@@ -148,8 +146,8 @@ pub enum PacketView {
 /// A data packet readable directly from frame bytes.
 ///
 /// Header fields are pre-decoded at parse time (they are read on every
-/// path); slot bytes stay in place and are walked by [`slots`]
-/// (`DataPacketView::slots`). All slots were validated during
+/// path); slot bytes stay in place and are walked by
+/// [`DataPacketView::slots`]. All slots were validated during
 /// [`FrameView::parse`], so accessors never fail.
 #[derive(Debug, Clone)]
 pub struct DataPacketView {
@@ -286,13 +284,12 @@ impl FrameView {
                 }
             }
             KIND_ACK => {
-                need(total, pos, 4 + 8 + 1)?;
+                need(total, pos, 4 + 8)?;
                 let v = PacketView::Ack {
                     channel: ChannelId(rd_u32(b, pos)),
                     seq: SeqNo(rd_u64(b, pos + 4)),
-                    ece: b[pos + 12] != 0,
                 };
-                pos += 13;
+                pos += 12;
                 v
             }
             KIND_FIN => {
@@ -777,7 +774,7 @@ mod tests {
                 seq,
                 entries: entries(),
             },
-            PacketView::Ack { channel, seq, ece } => AskPacket::Ack { channel, seq, ece },
+            PacketView::Ack { channel, seq } => AskPacket::Ack { channel, seq },
             PacketView::Fin { task, channel, seq } => AskPacket::Fin { task, channel, seq },
             PacketView::Swap { task } => AskPacket::Swap { task },
             PacketView::FetchRequest {
@@ -870,7 +867,6 @@ mod tests {
             AskPacket::Ack {
                 channel: ChannelId(1),
                 seq: SeqNo(2),
-                ece: true,
             },
             AskPacket::Fin {
                 task: TaskId(1),
@@ -934,7 +930,6 @@ mod tests {
         let ack = AskPacket::Ack {
             channel: ChannelId(1),
             seq: SeqNo(2),
-            ece: false,
         };
         let bytes = encode_envelope_parts(1, 0, 0, 0, &ack, &layout);
         assert!(FrameView::parse(bytes).unwrap().entries().is_none());

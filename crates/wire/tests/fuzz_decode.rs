@@ -78,7 +78,7 @@ fn read_back(view: &FrameView) -> Envelope {
             seq,
             entries: entries(),
         },
-        PacketView::Ack { channel, seq, ece } => AskPacket::Ack { channel, seq, ece },
+        PacketView::Ack { channel, seq } => AskPacket::Ack { channel, seq },
         PacketView::Fin { task, channel, seq } => AskPacket::Fin { task, channel, seq },
         PacketView::Swap { task } => AskPacket::Swap { task },
         PacketView::FetchRequest {
@@ -191,12 +191,6 @@ fn corpus(layout: &PacketLayout) -> Vec<AskPacket> {
         AskPacket::Ack {
             channel: ChannelId(1),
             seq: SeqNo(42),
-            ece: true,
-        },
-        AskPacket::Ack {
-            channel: ChannelId(1),
-            seq: SeqNo(43),
-            ece: false,
         },
         AskPacket::Fin {
             task: TaskId(3),

@@ -478,38 +478,6 @@ fn chained_pipeline_64_slot_layout() {
 }
 
 #[test]
-fn congestion_control_completes_correctly_and_backs_off() {
-    // With the AIMD window enabled (§7 discussion), the task still
-    // aggregates exactly once on a lossy link, and the sender keeps fewer
-    // packets in flight, cutting retransmissions.
-    let mut with_cc = AskConfig::tiny();
-    with_cc.congestion_control = true;
-    let streams: Vec<Vec<KvTuple>> = (0..2).map(|s| random_stream(70 + s, 1500, 120)).collect();
-
-    let (svc_cc, _) = run_and_check(with_cc, nasty_link(0.05, 0.0), streams.clone(), 21);
-    let (svc_plain, _) = run_and_check(AskConfig::tiny(), nasty_link(0.05, 0.0), streams, 21);
-
-    let retx_cc: u64 = svc_cc
-        .hosts()
-        .iter()
-        .map(|&h| svc_cc.host_stats(h).retransmissions)
-        .sum();
-    let retx_plain: u64 = svc_plain
-        .hosts()
-        .iter()
-        .map(|&h| svc_plain.host_stats(h).retransmissions)
-        .sum();
-    assert!(
-        retx_cc > 0 && retx_plain > 0,
-        "lossy link forces retransmits"
-    );
-    assert!(
-        retx_cc <= retx_plain * 2,
-        "CC must not explode retransmissions: {retx_cc} vs {retx_plain}"
-    );
-}
-
-#[test]
 fn faulty_control_plane_still_completes() {
     // Aggressive loss on every link: region requests, announces, fetches,
     // swaps, and FINs all face drops; retries must win eventually.

@@ -126,17 +126,19 @@ fn misrouted_data_is_orphaned_and_acked() {
     // Forge a data packet for unregistered task 99 from host 1 to host 0,
     // on a channel the real daemon is not using (so its sequence space is
     // untouched).
+    let forged_channel = ChannelId(hosts[1].index() as u32 * CHANNEL_STRIDE + 7);
     let mut slots = vec![None; layout.slot_count()];
     slots[0] = Some(KvTuple::new(Key::from_u64(7), 42));
     let forged = AskPacket::Data(DataPacket {
         task: TaskId(99),
-        channel: ChannelId(hosts[1].index() as u32 * CHANNEL_STRIDE + 7),
+        channel: forged_channel,
         seq: SeqNo(0),
         slots,
     });
     let (src, dst) = (hosts[1].index() as u32, hosts[0].index() as u32);
     let wire = forged.wire_bytes(&layout);
     let bytes = encode_envelope_parts(src, dst, 0, 0, &forged, &layout);
+    let to_forger = service.downlink_stats(hosts[1]).frames_sent;
     service
         .network_mut()
         .with_node::<AskDaemon, _>(hosts[1], |_daemon, ctx| {
@@ -146,6 +148,16 @@ fn misrouted_data_is_orphaned_and_acked() {
 
     let recv = service.daemon(hosts[0]);
     assert_eq!(recv.orphan_tuples(), 1, "forged tuple counted as orphaned");
+    assert_eq!(
+        recv.receiver_max_seq(forged_channel),
+        None,
+        "a frame for a task this host never registered opens no receive window"
+    );
+    assert_eq!(
+        service.downlink_stats(hosts[1]).frames_sent,
+        to_forger + 1,
+        "the forged frame is ACKed, so its sender would stop retransmitting"
+    );
     // The completed result is untouched.
     let result = service.result(task, hosts[0]).unwrap();
     assert_eq!(result.len(), 1);
@@ -624,7 +636,6 @@ mod switch_crash {
         let stale_ack = AskPacket::Ack {
             channel: ChannelId(hosts[1].index() as u32 * CHANNEL_STRIDE),
             seq: SeqNo(0),
-            ece: false,
         };
         let bytes = encode_envelope_parts(
             switch.index() as u32,
@@ -665,7 +676,6 @@ mod switch_crash {
         let forged_ack = AskPacket::Ack {
             channel: ChannelId(target.index() as u32 * CHANNEL_STRIDE),
             seq: SeqNo(0),
-            ece: false,
         };
         let bytes = encode_envelope_parts(
             switch.index() as u32,
