@@ -148,7 +148,8 @@ impl TaskResult {
         self.table.iter()
     }
 
-    /// The entries as an owned key → value map.
+    /// The entries as an owned key → value map, bulk-loaded in the map's
+    /// own bucket order by [`TaskTable::to_map`].
     pub fn to_map(&self) -> HashMap<Key, u32> {
         self.table.to_map()
     }

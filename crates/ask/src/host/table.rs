@@ -24,6 +24,10 @@
 //!   bits, which is all the home index of a rehash needs.
 //! - **Amortized sorted harvest.** Nothing stays ordered during merges;
 //!   [`TaskTable::sorted_entries`] sorts once at harvest time.
+//! - **Bucket-ordered result map.** The application-facing API returns a
+//!   `HashMap<Key, u32>`; [`TaskTable::to_map`] inserts into it in the
+//!   map's own home-bucket order, so building a multi-megabyte map sweeps
+//!   its memory once instead of missing the TLB on every key.
 //!
 //! All aggregation operators are commutative and associative
 //! ([`AggregateOp::combine`]), so merge order never changes the values.
@@ -31,6 +35,7 @@
 use ask_wire::key::Key;
 use ask_wire::packet::AggregateOp;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Smallest allocated capacity (power of two).
 const MIN_CAPACITY: usize = 16;
@@ -238,25 +243,58 @@ impl TaskTable {
         self.lookup(key.hash64(), key.as_bytes())
     }
 
-    /// Every `(key bytes, value)` entry, read in place in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
-        self.slots.iter().filter_map(move |s| {
-            let word = s.word();
-            let key = match word {
-                0 => return None,
-                _ if word & 0xff == 0 => self.arena_key(word),
-                // Keys hold no NUL, so the padding is exactly the zero
-                // high bytes.
-                _ => &s.word[..WORD_BYTES - word.leading_zeros() as usize / 8],
-            };
-            Some((key, s.value))
-        })
+    /// The key bytes a live slot's `word` stands for: its own bytes up to
+    /// the padding — keys hold no NUL, so the padding is exactly the zero
+    /// high bytes — or the arena record it points at.
+    #[inline]
+    fn word_key<'a>(&'a self, word: &'a [u8; WORD_BYTES]) -> &'a [u8] {
+        let w = u64::from_le_bytes(*word);
+        if w & 0xff == 0 {
+            self.arena_key(w)
+        } else {
+            &word[..WORD_BYTES - w.leading_zeros() as usize / 8]
+        }
     }
 
-    /// The entries as the owned map the application-facing API returns.
+    /// Every `(key bytes, value)` entry, read in place in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
+        self.slots
+            .iter()
+            .filter(|s| s.word() != 0)
+            .map(move |s| (self.word_key(&s.word), s.value))
+    }
+
+    /// The entries as the owned map the application-facing API returns —
+    /// the only builder of a result map — loaded in the map's own bucket
+    /// order. One sequential pass writes a 16-byte `(home bucket, value,
+    /// slot word)` record per entry under the map's hasher; the records are
+    /// sorted by bucket and inserted in that order, so the writes sweep the
+    /// map front to back instead of missing the TLB on nearly every key of
+    /// a multi-megabyte table (DESIGN.md §6).
+    ///
+    /// The home bucket assumes the layout of the hashbrown table std's map
+    /// wraps: `hash & (buckets - 1)`, with `buckets` = `capacity + 1` below
+    /// 8 and `capacity / 7 * 8` from there. Should that stop holding, the
+    /// map is still exact, only slower to build.
     pub fn to_map(&self) -> HashMap<Key, u32> {
         let mut out = HashMap::with_capacity(self.len);
-        out.extend(self.iter().map(|(key, value)| (owned_key(key), value)));
+        let capacity = out.capacity();
+        let buckets = if capacity < 8 {
+            capacity + 1
+        } else {
+            capacity / 7 * 8
+        };
+        let mask = buckets as u64 - 1;
+        let hasher = out.hasher();
+        let mut order: Vec<(u32, u32, [u8; WORD_BYTES])> = Vec::with_capacity(self.len);
+        order.extend(self.slots.iter().filter(|s| s.word() != 0).map(|s| {
+            let home = hasher.hash_one(self.word_key(&s.word)) & mask;
+            (home as u32, s.value, s.word)
+        }));
+        order.sort_unstable_by_key(|&(home, ..)| home);
+        for (_, value, word) in &order {
+            out.insert(owned_key(self.word_key(word)), *value);
+        }
         out
     }
 
@@ -416,6 +454,54 @@ mod tests {
             assert_eq!(table.get(&key), Some(3));
             table.merge_hashed(key.hash64(), key.as_bytes(), u32::MAX, AggregateOp::Sum);
             assert_eq!(table.get(&key), Some(2));
+        }
+    }
+
+    /// Key `i` of a deterministic mix, distinct for every `i`: word keys
+    /// of up to three bytes, keys of exactly 8 and 9 bytes either side of
+    /// the word boundary, and arena keys of 9–40 bytes.
+    fn mixed_key(i: u64) -> Key {
+        let text = match i % 4 {
+            0 | 1 => return Key::from_u64(i),
+            2 if i % 8 == 2 => format!("{i:08}"),
+            2 => format!("b{i:08}"),
+            _ => format!("{i}-{}", "x".repeat(40)),
+        };
+        let len = if i % 4 == 3 { 9 + i as usize % 32 } else { text.len() };
+        Key::from_str(&text[..len]).unwrap()
+    }
+
+    /// `to_map` against the map plain `insert`s build from the same keys.
+    fn check_bulk_load(n: u64) {
+        let mut table = TaskTable::new();
+        let mut want = HashMap::new();
+        for i in 0..n {
+            let (key, value) = (mixed_key(i), (i as u32).wrapping_mul(0x9e37_79b9));
+            table.merge(&key, value, AggregateOp::Sum);
+            want.insert(key, value);
+        }
+        assert_eq!(table.len() as u64, n, "the mix has no duplicate keys");
+        assert_eq!(table.to_map(), want, "{n} keys");
+    }
+
+    #[test]
+    fn bucket_ordered_load_is_exact_at_every_size() {
+        // 0..=64 keys spans the map's 4- to 128-bucket tables and its
+        // `capacity() < 8` case; ~200 k keys is a `spill_uniform` task.
+        for n in 0..=64 {
+            check_bulk_load(n);
+        }
+        check_bulk_load(200_003);
+    }
+
+    #[test]
+    fn bucket_order_hashes_what_the_map_hashes() {
+        // `to_map` orders by the hash of the key bytes; the map hashes the
+        // `Key`. They must be the same value, or the order is noise.
+        let map: HashMap<Key, u32> = HashMap::new();
+        let hasher = map.hasher();
+        for key in keys().into_iter().chain((0..64).map(mixed_key)) {
+            assert_eq!(hasher.hash_one(key.as_bytes()), hasher.hash_one(&key), "{key}");
         }
     }
 

@@ -273,7 +273,9 @@ impl AskService {
         self.network.run_to_idle();
     }
 
-    /// The completed result of `task` at `receiver`, as a plain map.
+    /// The completed result of `task` at `receiver`, as a plain map. Each
+    /// call builds a fresh map from the result table
+    /// ([`TaskResult::to_map`]), which stays in place at the receiver.
     pub fn result(&self, task: TaskId, receiver: NodeId) -> Option<HashMap<Key, u32>> {
         self.network
             .node::<AskDaemon>(receiver)

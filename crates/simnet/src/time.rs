@@ -52,11 +52,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Returns the duration elapsed since `earlier`, saturating at zero.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Returns the later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
@@ -191,14 +186,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn from_secs_f64_rejects_negative() {
         let _ = SimDuration::from_secs_f64(-1.0);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let a = SimTime::from_nanos(10);
-        let b = SimTime::from_nanos(30);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a).as_nanos(), 20);
     }
 
     #[test]

@@ -394,11 +394,13 @@ fn one_key_wraps_in_the_switch_in_the_host_merge_and_in_a_fetch_reply() {
 
 #[test]
 fn u32_sums_wrap_alike_on_every_path() {
-    // ROADMAP 1(b). Every key's total passes 2^32, and the keys spread over
-    // all four places a SUM is formed: the switch ALU (absorbed slots), the
-    // receiver's merge of conflict residuals, its merge of long-kv entries,
-    // and its merge of the final fetch. Every tuple is worth more than a
-    // quarter of the value space and every key arrives six times.
+    // ROADMAP 1(b). One task in which every key's total passes 2^32, and the
+    // keys spread over all four places a SUM is formed: the switch ALU
+    // (absorbed short and medium slots), the receiver's merge of conflict
+    // residuals, its merge of long-kv entries, and its merge of the final
+    // fetch. Every tuple is worth more than a quarter of the value space,
+    // every key arrives six times, and no two of its six values are equal,
+    // so each total is a real chain of wrapping adds.
     let mut cfg = AskConfig::tiny();
     cfg.region_aggregators = 2; // 2 aggregators per array: most keys conflict
     const W: u32 = 0x4000_0001;
@@ -407,8 +409,14 @@ fn u32_sums_wrap_alike_on_every_path() {
         .chain((0..8).map(|i| format!("medium{i}"))) // medium
         .chain((0..6).map(|i| format!("a-long-key-number-{i}"))) // long
         .collect();
-    let stream: Vec<KvTuple> = (0..3).flat_map(|_| keys.iter().map(|k| kv(k, W))).collect();
-    let streams = vec![stream.clone(), stream];
+    // Contribution j of 0..6 is W + j: sender s sends j = 2 * round + s.
+    let stream = |s: u32| -> Vec<KvTuple> {
+        (0..3)
+            .flat_map(|round| keys.iter().map(move |k| kv(k, W + 2 * round + s)))
+            .collect()
+    };
+    let streams = vec![stream(0), stream(1)];
+    let expected = reference_aggregate(streams.iter().flatten().cloned());
     assert!(6 * u64::from(W) > u64::from(u32::MAX), "every key's total wraps");
     let (service, task) = run_and_check(cfg, clean_link(), streams, 22);
 
@@ -416,11 +424,15 @@ fn u32_sums_wrap_alike_on_every_path() {
     let receiver = service.host_stats(service.hosts()[0]);
     assert!(switch.tuples_aggregated > 0, "the switch ALU summed some tuples");
     assert!(switch.tuples_forwarded > 0, "conflict residuals reached the host");
+    assert!(receiver.tuples_host_aggregated > 0, "the host merge summed some tuples");
     assert_eq!(switch.tuples_long_forwarded, 6 * 6, "every long tuple bypassed");
     assert!(receiver.tuples_fetched > 0, "the final fetch returned partials");
     let got = service.result(task, service.hosts()[0]).unwrap();
+    assert_eq!(got, expected, "the service and the reference aggregator agree");
+    let total = (0..6).fold(0u32, |sum, j| sum.wrapping_add(W + j));
+    assert_eq!(total, 0x8000_0015, "6 * W + (0 + 1 + ... + 5) = 0x1_8000_0015, wrapped");
     for k in &keys {
-        assert_eq!(got[&Key::from_str(k).unwrap()], W.wrapping_mul(6), "{k}");
+        assert_eq!(got[&Key::from_str(k).unwrap()], total, "{k}");
     }
 }
 
