@@ -55,7 +55,6 @@
 pub mod config;
 pub mod fasthash;
 pub mod host;
-pub mod multirack;
 pub mod service;
 pub mod stats;
 pub mod switch;
@@ -262,12 +261,180 @@ mod engine_proptests {
     }
 }
 
+#[cfg(test)]
+mod multirack {
+    //! The §7 multi-rack fabric built by
+    //! [`AskServiceBuilder::with_racks`](crate::service::AskServiceBuilder::with_racks),
+    //! end to end: rack-local INA, cross-rack bypass, exact results.
+
+    mod tests {
+        use crate::config::AskConfig;
+        use crate::service::{reference_aggregate, AskService, AskServiceBuilder};
+        use ask_simnet::frame::NodeId;
+        use ask_simnet::link::LinkConfig;
+        use ask_simnet::time::SimDuration;
+        use ask_wire::key::Key;
+        use ask_wire::packet::{KvTuple, TaskId};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn stream(seed: u64, n: usize) -> Vec<KvTuple> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..n)
+                .map(|_| KvTuple::new(Key::from_u64(rng.gen_range(0..64)), rng.gen_range(1..9)))
+                .collect()
+        }
+
+        fn run(
+            service: &mut AskService,
+            task: TaskId,
+            receiver: NodeId,
+            streams: Vec<(NodeId, Vec<KvTuple>)>,
+        ) {
+            let senders: Vec<NodeId> = streams.iter().map(|(s, _)| *s).collect();
+            let expected = reference_aggregate(streams.iter().flat_map(|(_, s)| s.iter().cloned()));
+            service.submit_task(task, receiver, &senders);
+            for (sender, s) in streams {
+                service.submit_stream(task, sender, s);
+            }
+            service
+                .run_until_complete(task, receiver, 50_000_000)
+                .expect("completes");
+            let got = service
+                .task_result(task, receiver)
+                .expect("result")
+                .to_map();
+            assert_eq!(got, expected);
+        }
+
+        #[test]
+        fn intra_rack_task_gets_ina() {
+            let mut svc = AskServiceBuilder::with_racks(&[3, 2])
+                .config(AskConfig::tiny())
+                .build();
+            let rack0 = svc.rack(0).to_vec();
+            run(
+                &mut svc,
+                TaskId(1),
+                rack0[0],
+                vec![(rack0[1], stream(1, 500)), (rack0[2], stream(2, 500))],
+            );
+            let stats = svc.switch_stats(TaskId(1)).expect("tor served it");
+            assert!(
+                stats.tuples_aggregated > 0,
+                "rack-local senders aggregate at the ToR"
+            );
+        }
+
+        #[test]
+        fn cross_rack_task_bypasses_switch_aggregation() {
+            let mut svc = AskServiceBuilder::with_racks(&[2, 2])
+                .config(AskConfig::tiny())
+                .build();
+            let (r0, r1) = (svc.rack(0).to_vec(), svc.rack(1).to_vec());
+            // Receiver in rack 0; both senders in rack 1 → pure forwarding.
+            run(
+                &mut svc,
+                TaskId(1),
+                r0[0],
+                vec![(r1[0], stream(3, 400)), (r1[1], stream(4, 400))],
+            );
+            let stats = svc.switch_stats(TaskId(1)).expect("region granted");
+            assert_eq!(
+                stats.tuples_aggregated, 0,
+                "cross-rack channels are not tracked by the receiver's ToR"
+            );
+        }
+
+        #[test]
+        fn mixed_rack_senders_split_ina_and_bypass() {
+            let mut svc = AskServiceBuilder::with_racks(&[2, 2])
+                .config(AskConfig::tiny())
+                .build();
+            let (r0, r1) = (svc.rack(0).to_vec(), svc.rack(1).to_vec());
+            run(
+                &mut svc,
+                TaskId(1),
+                r0[0],
+                vec![(r0[1], stream(5, 600)), (r1[0], stream(6, 600))],
+            );
+            let stats = svc.switch_stats(TaskId(1)).expect("stats");
+            assert!(stats.tuples_aggregated > 0, "local sender gets INA");
+            // The remote sender's ~600 tuples were never switch-aggregated.
+            assert!(
+                stats.tuples_aggregated + stats.tuples_forwarded <= 600,
+                "only the local sender's tuples enter the aggregation path"
+            );
+        }
+
+        #[test]
+        fn cross_rack_under_faults_is_still_exact() {
+            use ask_simnet::faults::FaultModel;
+            let access = LinkConfig::new(100e9, SimDuration::from_micros(1)).with_faults(
+                FaultModel::reliable()
+                    .with_loss(0.04)
+                    .with_duplication(0.03),
+            );
+            let mut svc = AskServiceBuilder::with_racks(&[2, 2])
+                .config(AskConfig::tiny())
+                .link(access)
+                .seed(9)
+                .build();
+            let (r0, r1) = (svc.rack(0).to_vec(), svc.rack(1).to_vec());
+            run(
+                &mut svc,
+                TaskId(1),
+                r0[0],
+                vec![(r0[1], stream(7, 700)), (r1[0], stream(8, 700))],
+            );
+        }
+
+        #[test]
+        fn concurrent_tasks_in_different_racks() {
+            let mut svc = AskServiceBuilder::with_racks(&[2, 2, 2])
+                .config(AskConfig::tiny())
+                .build();
+            let racks: Vec<Vec<NodeId>> = (0..3).map(|r| svc.rack(r).to_vec()).collect();
+            let t = [TaskId(1), TaskId(2), TaskId(3)];
+            let mut expected = Vec::new();
+            for r in 0..3 {
+                let s = stream(10 + r as u64, 300);
+                expected.push(reference_aggregate(s.iter().cloned()));
+                svc.submit_task(t[r], racks[r][0], &[racks[r][1]]);
+                svc.submit_stream(t[r], racks[r][1], s);
+            }
+            for r in 0..3 {
+                svc.run_until_complete(t[r], racks[r][0], 50_000_000)
+                    .expect("completes");
+                let got = svc.task_result(t[r], racks[r][0]).unwrap().to_map();
+                assert_eq!(got, expected[r], "rack {r}");
+                // Each rack's ToR aggregated its own task.
+                let stats = svc.switch_stats(t[r]).unwrap();
+                assert!(stats.tuples_aggregated > 0, "rack {r}");
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "non-empty")]
+        fn empty_rack_rejected() {
+            let _ = AskServiceBuilder::with_racks(&[2, 0]).build();
+        }
+
+        #[test]
+        #[should_panic(expected = "one-rack deployments only")]
+        fn switch_outage_in_a_fabric_is_rejected() {
+            use ask_simnet::time::SimTime;
+            let mut svc = AskServiceBuilder::with_racks(&[2, 1]).build();
+            svc.schedule_switch_outage(SimTime::from_nanos(1), SimTime::from_nanos(2));
+        }
+    }
+}
+
 /// Convenient glob import of the commonly used types.
 pub mod prelude {
     pub use crate::config::AskConfig;
     pub use crate::host::daemon::{AskDaemon, TaskResult};
     pub use crate::host::packetizer::{PacketizedStream, Packetizer};
-    pub use crate::multirack::{MultiRackBuilder, MultiRackService};
     pub use crate::service::{
         reference_aggregate, reference_aggregate_op, AskService, AskServiceBuilder, RunError,
     };

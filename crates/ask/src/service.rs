@@ -1,7 +1,8 @@
-//! End-to-end harness: a rack of hosts around one ASK switch.
+//! End-to-end harness: racks of hosts around ASK switches.
 //!
 //! [`AskService`] assembles the star topology the paper evaluates (§5.1:
-//! hosts on 100 Gbps links to one programmable ToR switch), exposes the
+//! hosts on 100 Gbps links to one programmable ToR switch) or the §7
+//! multi-rack fabric (a spine over per-rack ToRs), exposes the
 //! task-submission API, and drives the simulation until tasks complete.
 
 use crate::config::AskConfig;
@@ -15,36 +16,50 @@ use ask_simnet::time::{SimDuration, SimTime};
 use ask_wire::key::Key;
 use ask_wire::packet::{AggregateOp, KvTuple, TaskId};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Builder for an [`AskService`] deployment.
 #[derive(Debug)]
 pub struct AskServiceBuilder {
     config: AskConfig,
-    hosts: usize,
+    hosts_per_rack: Vec<usize>,
     link: LinkConfig,
     seed: u64,
     fault_seed: Option<u64>,
 }
 
 impl AskServiceBuilder {
-    /// Starts a deployment with `hosts` hosts (≥ 1).
+    /// Starts a one-rack deployment: `hosts` hosts (≥ 1) around one switch.
     pub fn new(hosts: usize) -> Self {
+        Self::with_racks(&[hosts])
+    }
+
+    /// Starts a §7 multi-rack deployment with `hosts_per_rack[r]` hosts in
+    /// rack `r`. With more than one rack a spine switch interconnects the
+    /// per-rack ToR switches (400 Gbit/s, 2 µs links). Each ToR provides
+    /// the aggregation service *only to its own rack*: it keeps
+    /// reliability state for local data channels and aggregates tasks
+    /// whose receiver lives in the rack, while cross-rack traffic passes
+    /// every switch as plain forwarding and is aggregated at the receiving
+    /// host. No switch ever tracks another rack's channels. One rack is
+    /// the star of [`AskServiceBuilder::new`].
+    pub fn with_racks(hosts_per_rack: &[usize]) -> Self {
         AskServiceBuilder {
             config: AskConfig::paper_default(),
-            hosts,
+            hosts_per_rack: hosts_per_rack.to_vec(),
             link: LinkConfig::new(100e9, SimDuration::from_micros(1)),
             seed: 1,
             fault_seed: None,
         }
     }
 
-    /// Overrides the ASK configuration.
+    /// Overrides the ASK configuration (applied to every switch and host).
     pub fn config(mut self, config: AskConfig) -> Self {
         self.config = config;
         self
     }
 
-    /// Overrides the host↔switch link (bandwidth, latency, faults).
+    /// Overrides every host↔ToR link (bandwidth, latency, faults).
     pub fn link(mut self, link: LinkConfig) -> Self {
         self.link = link;
         self
@@ -64,52 +79,133 @@ impl AskServiceBuilder {
         self
     }
 
-    /// Builds the deployment.
+    /// Builds the deployment. Node ids follow creation order: the spine
+    /// (multi-rack only), then each rack's ToR followed by its hosts.
     ///
     /// # Panics
     ///
-    /// Panics if `hosts == 0`.
+    /// Panics if there are no racks or a rack has no hosts.
     pub fn build(self) -> AskService {
-        assert!(self.hosts > 0, "need at least one host");
+        assert!(
+            !self.hosts_per_rack.is_empty() && self.hosts_per_rack.iter().all(|&h| h > 0),
+            "need at least one rack, and racks must be non-empty"
+        );
         let mut b = NetworkBuilder::new(self.seed);
         if let Some(fault_seed) = self.fault_seed {
             b.set_fault_seed(fault_seed);
         }
-        let switch = b.add_node(AskSwitch::new(self.config.clone()));
-        let hosts: Vec<NodeId> = (0..self.hosts)
-            .map(|_| {
-                let id = b.add_node(AskDaemon::new(self.config.clone(), switch));
-                b.connect(id, switch, self.link.clone());
-                id
-            })
-            .collect();
+        let spine = (self.hosts_per_rack.len() > 1)
+            .then(|| b.add_node(AskSwitch::new(self.config.clone())));
+        let mut hosts = Vec::new();
+        let mut racks = Vec::new();
+        for &n in &self.hosts_per_rack {
+            let tor = b.add_node(AskSwitch::new(self.config.clone()));
+            if let Some(spine) = spine {
+                b.connect(
+                    tor,
+                    spine,
+                    LinkConfig::new(400e9, SimDuration::from_micros(2)),
+                );
+            }
+            let start = hosts.len();
+            for _ in 0..n {
+                let h = b.add_node(AskDaemon::new(self.config.clone(), tor));
+                b.connect(h, tor, self.link.clone());
+                hosts.push(h);
+            }
+            racks.push(Rack {
+                tor,
+                hosts: start..hosts.len(),
+            });
+        }
+        let mut network = b.build();
+
+        // Program routing and rack locality.
+        if let Some(spine) = spine {
+            let index = |h: &NodeId| h.index() as u32;
+            for rack in &racks {
+                let local = &hosts[rack.hosts.clone()];
+                let tor: &mut AskSwitch = network.node_mut(rack.tor);
+                tor.set_local_hosts(local.iter().map(index));
+                for h in hosts.iter().filter(|h| !local.contains(h)) {
+                    tor.set_route(index(h), spine);
+                }
+            }
+            let sw: &mut AskSwitch = network.node_mut(spine);
+            sw.set_local_hosts(std::iter::empty()); // spine never aggregates
+            for rack in &racks {
+                for h in &hosts[rack.hosts.clone()] {
+                    sw.set_route(index(h), rack.tor);
+                }
+            }
+        }
         AskService {
-            network: b.build(),
-            switch,
+            network,
+            spine,
+            racks,
             hosts,
             config: self.config,
         }
     }
 }
 
-/// A running ASK deployment: one switch, N hosts, and the simulation clock.
+/// One rack: its ToR switch and its slice of [`AskService::hosts`].
+#[derive(Debug)]
+struct Rack {
+    tor: NodeId,
+    hosts: Range<usize>,
+}
+
+/// A running ASK deployment: racks of hosts, their switches, and the
+/// simulation clock.
 #[derive(Debug)]
 pub struct AskService {
     network: Network,
-    switch: NodeId,
+    /// The switch between the ToRs; `None` for a one-rack deployment.
+    spine: Option<NodeId>,
+    racks: Vec<Rack>,
     hosts: Vec<NodeId>,
     config: AskConfig,
 }
 
 impl AskService {
-    /// Node ids of the hosts, in creation order.
+    /// Node ids of the hosts, in creation order (rack by rack).
     pub fn hosts(&self) -> &[NodeId] {
         &self.hosts
     }
 
-    /// The switch's node id.
+    /// Node ids of rack `r`'s hosts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rack index is out of range.
+    pub fn rack(&self, r: usize) -> &[NodeId] {
+        &self.hosts[self.racks[r].hosts.clone()]
+    }
+
+    /// Node ids of every switch: the ToRs in rack order, then the spine.
+    fn switch_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.racks.iter().map(|r| r.tor).chain(self.spine)
+    }
+
+    /// Every switch: the ToRs in rack order, then the spine.
+    pub fn switches(&self) -> impl Iterator<Item = &AskSwitch> + '_ {
+        self.switch_ids().map(|sw| self.network.node(sw))
+    }
+
+    /// The ToR switch `host` hangs off.
+    fn tor_of(&self, host: NodeId) -> NodeId {
+        let rack = self
+            .racks
+            .iter()
+            .find(|r| self.hosts[r.hosts.clone()].contains(&host));
+        rack.unwrap_or_else(|| panic!("unknown host {host}")).tor
+    }
+
+    /// Rack 0's ToR switch id — the only switch of a one-rack deployment,
+    /// which the single-switch accessors below address.
     pub fn switch_id(&self) -> NodeId {
-        self.switch
+        self.racks[0].tor
     }
 
     /// The service configuration.
@@ -137,14 +233,14 @@ impl AskService {
         self.network.node(host)
     }
 
-    /// Read-only access to the switch node (engine and gate counters).
+    /// Read-only access to rack 0's switch (engine and gate counters).
     pub fn switch_ref(&self) -> &AskSwitch {
-        self.network.node(self.switch)
+        self.network.node(self.switch_id())
     }
 
-    /// Mutable access to the switch node (chaos injection hooks).
+    /// Mutable access to rack 0's switch (chaos injection hooks).
     pub fn switch_mut(&mut self) -> &mut AskSwitch {
-        self.network.node_mut(self.switch)
+        self.network.node_mut(self.switch_id())
     }
 
     /// Schedules a switch outage: the switch drops off the network at
@@ -155,14 +251,23 @@ impl AskService {
     ///
     /// # Panics
     ///
-    /// Panics if `up_at <= down_at`.
+    /// Panics if `up_at <= down_at`, or if the deployment has more than one
+    /// rack: every switch keeps its own epoch but a host tracks only one,
+    /// so a crash anywhere in a fabric leaves hosts dropping their own
+    /// ToR's frames (DESIGN.md §8) and the run never finishes.
     pub fn schedule_switch_outage(&mut self, down_at: SimTime, up_at: SimTime) {
         assert!(up_at > down_at, "outage must end after it starts");
-        self.network.schedule_node_down(self.switch, down_at);
-        self.network.schedule_node_up(self.switch, up_at);
+        assert!(
+            self.spine.is_none(),
+            "switch outages are defined for one-rack deployments only"
+        );
+        let switch = self.switch_id();
+        self.network.schedule_node_down(switch, down_at);
+        self.network.schedule_node_up(switch, up_at);
     }
 
-    /// The switch's current incarnation number (starts at 0, +1 per crash).
+    /// Rack 0's switch's current incarnation number (starts at 0, +1 per
+    /// crash).
     pub fn switch_epoch(&self) -> u32 {
         self.switch_ref().epoch()
     }
@@ -247,22 +352,23 @@ impl AskService {
         receiver: NodeId,
         max_events: u64,
     ) -> Result<SimTime, RunError> {
+        let completed_at = |network: &Network| {
+            network
+                .node::<AskDaemon>(receiver)
+                .task_result(task)
+                .map(|r| r.completed_at)
+        };
         loop {
-            if let Some(result) = self.network.node::<AskDaemon>(receiver).task_result(task) {
-                return Ok(result.completed_at);
+            if let Some(at) = completed_at(&self.network) {
+                return Ok(at);
             }
             match self.network.run(None, Some(max_events.min(100_000))) {
-                StopReason::Idle => {
-                    return match self.network.node::<AskDaemon>(receiver).task_result(task) {
-                        Some(r) => Ok(r.completed_at),
-                        None => Err(RunError::Stalled),
-                    };
+                StopReason::Idle => return completed_at(&self.network).ok_or(RunError::Stalled),
+                // The task may have finished inside the last chunk.
+                StopReason::EventBudget if self.network.events_processed() >= max_events => {
+                    return completed_at(&self.network).ok_or(RunError::EventBudgetExhausted);
                 }
-                StopReason::EventBudget => {
-                    if self.network.events_processed() >= max_events {
-                        return Err(RunError::EventBudgetExhausted);
-                    }
-                }
+                StopReason::EventBudget => {}
                 StopReason::Deadline => unreachable!("no deadline set"),
             }
         }
@@ -291,9 +397,10 @@ impl AskService {
             .cloned()
     }
 
-    /// Switch counters for `task`.
+    /// Switch counters for `task` from whichever switch served it (the
+    /// receiver's ToR).
     pub fn switch_stats(&self, task: TaskId) -> Option<SwitchTaskStats> {
-        self.network.node::<AskSwitch>(self.switch).task_stats(task)
+        self.switches().find_map(|sw| sw.task_stats(task))
     }
 
     /// Host counters for one host.
@@ -306,14 +413,14 @@ impl AskService {
         self.network.node::<AskDaemon>(host).cpu_busy()
     }
 
-    /// Wire/goodput counters of the directed link `host → switch`.
+    /// Wire/goodput counters of the directed link `host → ToR`.
     pub fn uplink_stats(&self, host: NodeId) -> ask_simnet::link::LinkStats {
-        self.network.link_stats(host, self.switch)
+        self.network.link_stats(host, self.tor_of(host))
     }
 
-    /// Wire/goodput counters of the directed link `switch → host`.
+    /// Wire/goodput counters of the directed link `ToR → host`.
     pub fn downlink_stats(&self, host: NodeId) -> ask_simnet::link::LinkStats {
-        self.network.link_stats(self.switch, host)
+        self.network.link_stats(self.tor_of(host), host)
     }
 
     /// Turns on wall-time phase accounting (what the `benchmark/` stick
@@ -335,7 +442,10 @@ impl AskService {
     /// `drain` is the run time not spent inside any node handler: event
     /// queue operations, link/fault modeling and frame delivery.
     pub fn phase_timing(&self) -> PhaseTiming {
-        let switch_ns = self.network.dispatch_ns(self.switch);
+        let switch_ns = self
+            .switch_ids()
+            .map(|sw| self.network.dispatch_ns(sw))
+            .sum();
         let mut host_dispatch_ns = 0u64;
         let mut packetize_ns = 0u64;
         for &host in &self.hosts {
@@ -360,7 +470,8 @@ impl AskService {
 pub struct PhaseTiming {
     /// Classifying tuples and building packet payloads in the senders.
     pub packetize_ns: u64,
-    /// Switch node dispatch (decode, aggregate, verdicts, fetch drain).
+    /// Switch node dispatch, over every switch (decode, aggregate,
+    /// verdicts, fetch drain).
     pub switch_ns: u64,
     /// Host daemon dispatch minus the packetize share.
     pub host_ns: u64,
@@ -435,4 +546,51 @@ pub fn reference_aggregate_op(
             .or_insert(t.value);
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ask_wire::key::Key;
+
+    fn stream(n: u64) -> Vec<KvTuple> {
+        (0..n)
+            .map(|i| KvTuple::new(Key::from_u64(i % 97 + 1), 1))
+            .collect()
+    }
+
+    /// Builds one star with two tasks into the same receiver: a short one
+    /// and a long one that keeps the network busy after the short one is
+    /// done.
+    fn two_tasks() -> (AskService, NodeId) {
+        let mut svc = AskServiceBuilder::new(3).config(AskConfig::tiny()).build();
+        let h = svc.hosts().to_vec();
+        for (task, sender, n) in [(TaskId(1), h[1], 50), (TaskId(2), h[2], 20_000)] {
+            svc.submit_task(task, h[0], &[sender]);
+            svc.submit_stream(task, sender, stream(n));
+        }
+        (svc, h[0])
+    }
+
+    #[test]
+    fn a_task_finished_inside_the_last_chunk_is_not_out_of_budget() {
+        let (mut probe, receiver) = two_tasks();
+        while probe.task_result(TaskId(1), receiver).is_none() {
+            probe.network_mut().run(None, Some(1));
+        }
+        let done_after = probe.network_mut().events_processed();
+        let done_at = probe.task_result(TaskId(1), receiver).unwrap().completed_at;
+
+        let (mut svc, receiver) = two_tasks();
+        let budget = done_after + 1_000;
+        assert_eq!(
+            svc.run_until_complete(TaskId(1), receiver, budget),
+            Ok(done_at)
+        );
+        assert_eq!(svc.network_mut().events_processed(), budget);
+        assert!(
+            svc.task_result(TaskId(2), receiver).is_none(),
+            "the long task was still running when the budget ran out"
+        );
+    }
 }

@@ -90,6 +90,13 @@ pub struct Scenario {
     pub fault_seed: Option<u64>,
     /// Remote sending hosts (the receiver is an additional host).
     pub senders: usize,
+    /// Racks of the §7 fabric; 1 is the single-switch star. With more
+    /// than one, the receiver sits in rack 0 and the senders are dealt
+    /// round-robin over the racks from rack 0, so rack 0 holds at least
+    /// one rack-local sender and every other rack a cross-rack one. Needs
+    /// `senders >= racks`, and no [`Scenario::crash`] (switch outages are
+    /// one-rack only).
+    pub racks: usize,
     /// Whether the receiver also feeds a co-located stream (§5.5).
     pub colocated_sender: bool,
     /// Tuples per sending host.
@@ -127,6 +134,7 @@ impl Scenario {
             seed,
             fault_seed: None,
             senders: 3,
+            racks: 1,
             colocated_sender: false,
             tuples_per_sender: 400,
             distinct_keys: 64,
@@ -206,12 +214,28 @@ impl Scenario {
         self.run_with_outage(Some((down, up)))
     }
 
+    /// Hosts per rack: the receiver in rack 0, then one sender per rack in
+    /// turn.
+    fn hosts_per_rack(&self) -> Vec<usize> {
+        assert!(
+            self.racks == 1 || self.senders >= self.racks,
+            "{} senders cannot fill {} racks",
+            self.senders,
+            self.racks
+        );
+        let mut hosts = vec![0; self.racks];
+        hosts[0] = 1;
+        for k in 0..self.senders {
+            hosts[k % self.racks] += 1;
+        }
+        hosts
+    }
+
     fn run_with_outage(&self, outage: Option<(SimTime, SimTime)>) -> RunReport {
         let task = TaskId(7);
-        let hosts_needed = self.senders + 1;
         let link = LinkConfig::new(100e9, SimDuration::from_micros(1))
             .with_faults(self.faults.model());
-        let mut builder = AskServiceBuilder::new(hosts_needed)
+        let mut builder = AskServiceBuilder::with_racks(&self.hosts_per_rack())
             .config(self.config())
             .link(link)
             .seed(self.seed);
@@ -284,7 +308,10 @@ impl Scenario {
                 .checked_div(eligible)
                 .unwrap_or(0),
             switch_epoch: service.switch_epoch(),
-            stale_epoch_drops: service.switch_ref().stale_epoch_drops()
+            stale_epoch_drops: service
+                .switches()
+                .map(|sw| sw.stale_epoch_drops())
+                .sum::<u64>()
                 + host.stale_epoch_drops,
         }
     }
@@ -312,7 +339,7 @@ pub struct RunReport {
     pub switch_aggregation_permille: u64,
     /// Switch incarnation at end of run (0 = never crashed).
     pub switch_epoch: u32,
-    /// Old-epoch frames rejected across the switch and every host.
+    /// Old-epoch frames rejected across every switch and every host.
     pub stale_epoch_drops: u64,
 }
 

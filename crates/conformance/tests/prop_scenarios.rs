@@ -45,6 +45,7 @@ proptest! {
             seed,
             fault_seed: None,
             senders,
+            racks: 1,
             colocated_sender: colocated,
             tuples_per_sender: tuples,
             distinct_keys: distinct,
@@ -77,6 +78,47 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
+
+    /// The §7 fabric under the same oracle: 2–3 racks, the receiver in
+    /// rack 0 with rack-local and cross-rack senders, any fault mix,
+    /// co-located sender, mid-run daemon restart and operator. Only the
+    /// receiver's ToR aggregates; every cross-rack stream is merged at the
+    /// receiver, and the result must still be exact.
+    #[test]
+    fn multirack_scenarios_conform(
+        seed in any::<u64>(),
+        racks in 2usize..4,
+        extra_senders in 0usize..2,
+        colocated in any::<bool>(),
+        op in op_strategy(),
+        loss_permille in 0u64..200,
+        dup_permille in 0u64..250,
+        reorder_permille in 0u64..500,
+        corrupt_permille in 0u64..30,
+        restart in any::<bool>(),
+    ) {
+        let mut scenario = Scenario::base(seed);
+        scenario.racks = racks;
+        scenario.senders = racks + extra_senders;
+        scenario.colocated_sender = colocated;
+        scenario.tuples_per_sender = 150;
+        scenario.op = op;
+        scenario.faults = FaultSpec {
+            loss: loss_permille as f64 / 1000.0,
+            duplication: dup_permille as f64 / 1000.0,
+            reorder: reorder_permille as f64 / 1000.0,
+            reorder_jitter_us: 10,
+            corruption: corrupt_permille as f64 / 1000.0,
+        };
+        scenario.restart_mid_run = restart;
+        let report = scenario.run();
+        prop_assert!(
+            report.ok(),
+            "multi-rack scenario {:?} violated invariants: {:?}",
+            scenario,
+            report.violations
+        );
+    }
 
     /// SUM/MAX/MIN conservation holds for every random crash instant
     /// crossed with loss and reorder: the switch dies somewhere between 0

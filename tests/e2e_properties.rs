@@ -91,14 +91,13 @@ proptest! {
         distinct in 1u64..60,
         loss in 0.0f64..0.05,
     ) {
-        use ask::prelude::{MultiRackBuilder};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
 
-        let mut svc = MultiRackBuilder::new(&[rack_a, rack_b])
+        let mut svc = AskServiceBuilder::with_racks(&[rack_a, rack_b])
             .config(AskConfig::tiny())
-            .access_link(link(loss, 0.0, 0.0))
+            .link(link(loss, 0.0, 0.0))
             .seed(seed ^ 0x77)
             .build();
         let hosts: Vec<_> = (0..2).flat_map(|r| svc.rack(r).to_vec()).collect();
