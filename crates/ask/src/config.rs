@@ -1,7 +1,7 @@
 //! Service-wide configuration.
 
 use ask_simnet::time::SimDuration;
-use ask_wire::packet::PacketLayout;
+use ask_wire::packet::{PacketLayout, CHANNEL_STRIDE};
 
 /// Configuration shared by the ASK switch program and host daemons.
 ///
@@ -119,9 +119,10 @@ impl AskConfig {
     /// of two or not), the retransmission timeout is zero (every timer
     /// would re-arm at the instant it fires, forever), the region is empty
     /// or exceeds the per-copy aggregator space, the layout has more than
-    /// 64 slots (the width of the `PktState` bitmap), or any of
+    /// 64 slots (the width of the `PktState` bitmap), any of
     /// `max_tasks`, `max_channels`, `data_channels` or `long_kv_batch` is
-    /// zero.
+    /// zero, or `data_channels` exceeds [`CHANNEL_STRIDE`] (a host's channel
+    /// ids would run into the next host's).
     pub fn validate(&self) {
         assert!(self.window > 0, "window must be positive");
         assert!(
@@ -138,6 +139,10 @@ impl AskConfig {
         );
         assert!(self.max_tasks > 0 && self.max_channels > 0, "need capacity");
         assert!(self.data_channels > 0, "need at least one data channel");
+        assert!(
+            self.data_channels <= CHANNEL_STRIDE as usize,
+            "too many data channels for the id stride"
+        );
         assert!(self.long_kv_batch > 0, "long-kv batch must be positive");
     }
 }
@@ -170,6 +175,14 @@ mod tests {
     fn oversized_region_rejected() {
         let mut c = AskConfig::tiny();
         c.region_aggregators = c.aggregators_per_aa + 1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "too many data channels")]
+    fn data_channels_beyond_the_id_stride_rejected() {
+        let mut c = AskConfig::tiny();
+        c.data_channels = CHANNEL_STRIDE as usize + 1;
         c.validate();
     }
 

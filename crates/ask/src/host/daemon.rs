@@ -15,13 +15,14 @@ use crate::switch::epoch_newer;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
 use ask_simnet::time::{SimDuration, SimTime};
-use ask_wire::codec::{ack_frame, encode_envelope_parts, fin_frame, SendHeader};
+use ask_wire::codec::{
+    ack_frame, control_frame, fetch_request_frame, fin_frame, swap_frame, SendHeader,
+};
 use ask_wire::constants::PACKET_OVERHEAD;
 use ask_wire::key::Key;
-use ask_wire::packet::{
-    AggregateOp, AskPacket, ChannelId, ControlMsg, FetchScope, KvTuple, SeqNo, TaskId,
-};
+use ask_wire::packet::{AggregateOp, ChannelId, ControlMsg, FetchScope, KvTuple, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
+use bytes::Bytes;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -269,10 +270,6 @@ impl AskDaemon {
             return;
         }
         let me = ctx.me();
-        assert!(
-            (self.config.data_channels as u32) <= CHANNEL_STRIDE,
-            "too many data channels for the id stride"
-        );
         self.me = Some(me);
         self.channels = (0..self.config.data_channels)
             .map(|i| ChannelState {
@@ -333,9 +330,7 @@ impl AskDaemon {
                 result: None,
             },
         );
-        let req = AskPacket::Control(ControlMsg::RegionRequest { task, op });
-        self.send_to(self.switch.index() as u32, req, ctx);
-        ctx.set_timer(self.config.fetch_timeout, token_region(task));
+        self.request_region(task, op, ctx);
     }
 
     /// Submits this host's key-value stream for `task`. The data is held
@@ -358,11 +353,6 @@ impl AskDaemon {
     /// The completed result of a receive task, if finished.
     pub fn task_result(&self, task: TaskId) -> Option<&TaskResult> {
         self.recv_tasks.get(&task)?.result.as_ref()
-    }
-
-    /// True once this host's FIN for `task` was acknowledged.
-    pub fn send_complete(&self, task: TaskId) -> bool {
-        self.send_done.contains_key(&task)
     }
 
     /// When this host's FIN for `task` was acknowledged (end of its sending
@@ -472,16 +462,7 @@ impl AskDaemon {
             .collect();
         pending.sort_unstable_by_key(|&(task, ..)| task.0);
         for (task, fetch_seq, scope) in pending {
-            self.send_to(
-                self.switch.index() as u32,
-                AskPacket::FetchRequest {
-                    task,
-                    scope,
-                    fetch_seq,
-                },
-                ctx,
-            );
-            ctx.set_timer(self.config.fetch_timeout, token_fetch(task, fetch_seq));
+            self.request_fetch(task, scope, fetch_seq, ctx);
         }
     }
 
@@ -527,12 +508,7 @@ impl AskDaemon {
             rt.fetch = FetchState::Idle;
             rt.want_final = false;
             let op = rt.op;
-            self.send_to(
-                self.switch.index() as u32,
-                AskPacket::Control(ControlMsg::RegionRequest { task, op }),
-                ctx,
-            );
-            ctx.set_timer(self.config.fetch_timeout, token_region(task));
+            self.request_region(task, op, ctx);
         }
         let mut replay: Vec<(TaskId, u32, Arc<Vec<KvTuple>>)> = self
             .sent_streams
@@ -833,8 +809,10 @@ impl AskDaemon {
 
     fn reply_ack(&mut self, dst: u32, channel: ChannelId, seq: SeqNo, ctx: &mut Context<'_>) {
         self.cpu_busy += self.config.cpu_per_packet;
-        let bytes = ack_frame(self.my_index(), dst, self.known_epoch, channel, seq);
-        let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, PACKET_OVERHEAD));
+        self.send_to(
+            ack_frame(self.my_index(), dst, self.known_epoch, channel, seq),
+            ctx,
+        );
     }
 
     /// Counts one first-delivery data packet towards `task`'s next shadow
@@ -864,21 +842,12 @@ impl AskDaemon {
             scope: FetchScope::Inactive,
             is_final: false,
         };
-        let sw = self.switch.index() as u32;
         self.trace.record(ctx.now(), TraceEvent::SwapSent { task });
         self.trace
             .record(ctx.now(), TraceEvent::FetchSent { task, fetch_seq });
-        self.send_to(sw, AskPacket::Swap { task }, ctx);
-        self.send_to(
-            sw,
-            AskPacket::FetchRequest {
-                task,
-                scope: FetchScope::Inactive,
-                fetch_seq,
-            },
-            ctx,
-        );
-        ctx.set_timer(self.config.fetch_timeout, token_fetch(task, fetch_seq));
+        let swap = swap_frame(self.my_index(), self.switch_index(), self.known_epoch, task);
+        self.send_to(swap, ctx);
+        self.request_fetch(task, FetchScope::Inactive, fetch_seq, ctx);
     }
 
     fn check_completion(&mut self, task: TaskId, ctx: &mut Context<'_>) {
@@ -919,16 +888,7 @@ impl AskDaemon {
         rt.want_final = false;
         self.trace
             .record(ctx.now(), TraceEvent::FetchSent { task, fetch_seq });
-        self.send_to(
-            self.switch.index() as u32,
-            AskPacket::FetchRequest {
-                task,
-                scope: FetchScope::All,
-                fetch_seq,
-            },
-            ctx,
-        );
-        ctx.set_timer(self.config.fetch_timeout, token_fetch(task, fetch_seq));
+        self.request_fetch(task, FetchScope::All, fetch_seq, ctx);
     }
 
     fn complete(&mut self, task: TaskId, ctx: &mut Context<'_>) {
@@ -948,9 +908,9 @@ impl AskDaemon {
         };
         if ina {
             // Return the switch memory region (§3.1 step ⑫).
-            self.send_to(
-                self.switch.index() as u32,
-                AskPacket::Control(ControlMsg::RegionRelease { task }),
+            self.send_control(
+                self.switch_index(),
+                &ControlMsg::RegionRelease { task },
                 ctx,
             );
         }
@@ -969,16 +929,7 @@ impl AskDaemon {
         if fetch_seq & 0xff_ffff != fetch_seq_low {
             return; // timer for an older fetch
         }
-        self.send_to(
-            self.switch.index() as u32,
-            AskPacket::FetchRequest {
-                task,
-                scope,
-                fetch_seq,
-            },
-            ctx,
-        );
-        ctx.set_timer(self.config.fetch_timeout, token_fetch(task, fetch_seq));
+        self.request_fetch(task, scope, fetch_seq, ctx);
     }
 
     // ------------------------------------------------------------------
@@ -1001,20 +952,7 @@ impl AskDaemon {
         // Sorted so announce order (and thus the event schedule) does not
         // depend on HashSet iteration order, which varies per process.
         senders.sort_unstable();
-        let me = self.my_index();
-        for sender in senders {
-            self.send_to(
-                sender,
-                AskPacket::Control(ControlMsg::TaskAnnounce { task, receiver: me }),
-                ctx,
-            );
-        }
-        // Announcements are not acknowledged; retry until the task finishes
-        // (idempotent at the senders) so a lost announce cannot hang it.
-        ctx.set_timer(
-            self.config.retransmit_timeout.saturating_mul(8),
-            token_announce(task),
-        );
+        self.announce(task, &senders, ctx);
         // A co-located sender may already have recorded its FIN.
         self.check_completion(task, ctx);
     }
@@ -1027,16 +965,10 @@ impl AskDaemon {
             return; // reply arrived
         }
         let op = rt.op;
-        self.send_to(
-            self.switch.index() as u32,
-            AskPacket::Control(ControlMsg::RegionRequest { task, op }),
-            ctx,
-        );
-        ctx.set_timer(self.config.fetch_timeout, token_region(task));
+        self.request_region(task, op, ctx);
     }
 
     fn on_announce_timer(&mut self, task: TaskId, ctx: &mut Context<'_>) {
-        let me = self.my_index();
         let mut pending: Vec<u32> = {
             let Some(rt) = self.recv_tasks.get(&task) else {
                 return;
@@ -1047,17 +979,7 @@ impl AskDaemon {
             rt.senders.difference(&rt.fins).copied().collect()
         };
         pending.sort_unstable(); // deterministic retry order (see on_region_reply)
-        for sender in pending {
-            self.send_to(
-                sender,
-                AskPacket::Control(ControlMsg::TaskAnnounce { task, receiver: me }),
-                ctx,
-            );
-        }
-        ctx.set_timer(
-            self.config.retransmit_timeout.saturating_mul(8),
-            token_announce(task),
-        );
+        self.announce(task, &pending, ctx);
     }
 
     fn on_announce(&mut self, task: TaskId, receiver: u32, ctx: &mut Context<'_>) {
@@ -1071,13 +993,60 @@ impl AskDaemon {
     // Plumbing.
     // ------------------------------------------------------------------
 
-    fn send_to(&mut self, dst: u32, packet: AskPacket, ctx: &mut Context<'_>) {
-        let layout = self.config.layout;
-        let wire = packet.wire_bytes(&layout);
-        let bytes =
-            encode_envelope_parts(self.my_index(), dst, self.known_epoch, 0, &packet, &layout);
-        // Everything leaves through the uplink to the switch.
-        let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, wire));
+    fn switch_index(&self) -> u32 {
+        self.switch.index() as u32
+    }
+
+    /// Sends a header-only frame (ACK, swap, fetch request, control) built
+    /// by its writer. Everything leaves through the uplink to the switch.
+    fn send_to(&self, frame: Bytes, ctx: &mut Context<'_>) {
+        let _ = ctx.send(self.switch, Frame::with_wire_bytes(frame, PACKET_OVERHEAD));
+    }
+
+    fn send_control(&self, dst: u32, msg: &ControlMsg, ctx: &mut Context<'_>) {
+        self.send_to(
+            control_frame(self.my_index(), dst, self.known_epoch, msg),
+            ctx,
+        );
+    }
+
+    /// Sends `task`'s fetch request and arms its retry timer.
+    fn request_fetch(
+        &self,
+        task: TaskId,
+        scope: FetchScope,
+        fetch_seq: u32,
+        ctx: &mut Context<'_>,
+    ) {
+        let (me, sw, epoch) = (self.my_index(), self.switch_index(), self.known_epoch);
+        let request = fetch_request_frame(me, sw, epoch, task, scope, fetch_seq);
+        self.send_to(request, ctx);
+        ctx.set_timer(self.config.fetch_timeout, token_fetch(task, fetch_seq));
+    }
+
+    /// Asks the switch controller for `task`'s region and arms the retry
+    /// timer.
+    fn request_region(&self, task: TaskId, op: AggregateOp, ctx: &mut Context<'_>) {
+        let request = ControlMsg::RegionRequest { task, op };
+        self.send_control(self.switch_index(), &request, ctx);
+        ctx.set_timer(self.config.fetch_timeout, token_region(task));
+    }
+
+    /// Announces `task` to each of `senders` in order and arms the retry.
+    /// Announcements are not acknowledged; they repeat until the task
+    /// finishes (idempotent at the senders) so a lost one cannot hang it.
+    fn announce(&self, task: TaskId, senders: &[u32], ctx: &mut Context<'_>) {
+        let announce = ControlMsg::TaskAnnounce {
+            task,
+            receiver: self.my_index(),
+        };
+        for &sender in senders {
+            self.send_control(sender, &announce, ctx);
+        }
+        ctx.set_timer(
+            self.config.retransmit_timeout.saturating_mul(8),
+            token_announce(task),
+        );
     }
 
     // ------------------------------------------------------------------

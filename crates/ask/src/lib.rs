@@ -77,6 +77,15 @@ pub(crate) fn data_view(
     }
 }
 
+/// A harvest's entries as owned tuples — how unit tests inspect what a
+/// fetch returned.
+#[cfg(test)]
+pub(crate) fn harvest_tuples(harvest: &switch::Harvest) -> Vec<ask_wire::packet::KvTuple> {
+    use ask_wire::{key::Key, packet::KvTuple};
+    let tuple = |(key, value)| KvTuple::new(Key::from_slice(key).expect("valid key"), value);
+    harvest.iter().map(tuple).collect()
+}
+
 #[cfg(test)]
 mod engine_proptests {
     //! Engine-level property tests: the switch program plus a software
@@ -85,11 +94,11 @@ mod engine_proptests {
     //! patterns, and shadow-copy swap schedules.
 
     use crate::config::AskConfig;
-    use crate::data_view;
     use crate::host::packetizer::Packetizer;
     use crate::host::receiver::ReceiverWindow;
     use crate::service::reference_aggregate;
     use crate::switch::aggregator::{AggregatorEngine, Observation, ViewVerdict};
+    use crate::{data_view, harvest_tuples};
     use ask_wire::key::Key;
     use ask_wire::packet::{ChannelId, DataPacket, FetchScope, KvTuple, SeqNo, TaskId};
     use ask_wire::view::DataPacketView;
@@ -179,8 +188,8 @@ mod engine_proptests {
                 if swap_every > 0 && seq.is_multiple_of(swap_every) {
                     engine.swap(task);
                     fetch_seq += 1;
-                    for t in engine.fetch(task, FetchScope::Inactive, fetch_seq).iter() {
-                        let slot = residual.entry(t.key.clone()).or_insert(0);
+                    for t in harvest_tuples(&engine.fetch(task, FetchScope::Inactive, fetch_seq)) {
+                        let slot = residual.entry(t.key).or_insert(0);
                         *slot = slot.wrapping_add(t.value);
                     }
                 }
@@ -199,8 +208,8 @@ mod engine_proptests {
                 }
             }
             fetch_seq += 1;
-            for t in engine.fetch(task, FetchScope::All, fetch_seq).iter() {
-                let slot = residual.entry(t.key.clone()).or_insert(0);
+            for t in harvest_tuples(&engine.fetch(task, FetchScope::All, fetch_seq)) {
+                let slot = residual.entry(t.key).or_insert(0);
                 *slot = slot.wrapping_add(t.value);
             }
             residual.retain(|_, v| *v != 0);
@@ -250,8 +259,7 @@ mod engine_proptests {
                 }
             }
             for (ix, task) in [TaskId(1), TaskId(2)].into_iter().enumerate() {
-                let fetched: u64 = engine
-                    .fetch(task, FetchScope::All, 1)
+                let fetched: u64 = harvest_tuples(&engine.fetch(task, FetchScope::All, 1))
                     .iter()
                     .map(|t| t.value as u64)
                     .sum();

@@ -238,11 +238,6 @@ impl AskService {
         self.network.node(self.switch_id())
     }
 
-    /// Mutable access to rack 0's switch (chaos injection hooks).
-    pub fn switch_mut(&mut self) -> &mut AskSwitch {
-        self.network.node_mut(self.switch_id())
-    }
-
     /// Schedules a switch outage: the switch drops off the network at
     /// `down_at` (frames and timers addressed to it are discarded) and
     /// comes back at `up_at` through [`AskSwitch::crash`] — empty data

@@ -33,11 +33,10 @@ use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
 use ask_pisa::pipeline::{ArrayId, Pass, Pipeline};
 use ask_pisa::spec::PipelineSpec;
-use ask_wire::key::Key;
-use ask_wire::packet::{AaRegion, AggregateOp, ChannelId, FetchScope, KvTuple, SeqNo, TaskId};
+use ask_wire::packet::{AaRegion, AggregateOp, ChannelId, FetchScope, SeqNo, TaskId};
 use ask_wire::view::DataPacketView;
+use bytes::Bytes;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 /// Mixes a 64-bit key hash into an aggregator index (splitmix64
 /// finalizer), decorrelated from the subspace-partition hash (which uses
@@ -79,6 +78,41 @@ pub enum ViewVerdict {
     },
 }
 
+/// One fetch's harvest in fetch-reply wire form: the entry list a reply
+/// frame carries behind its count, `u16 len · key · u32 value` per entry
+/// ([`FrameWriter::fetch_reply`](ask_wire::codec::FrameWriter::fetch_reply)).
+/// Clones share the bytes, so the fetch cache and every replay of a reply
+/// hold one buffer.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Harvest {
+    pub(crate) entries: u32,
+    pub(crate) body: Bytes,
+}
+
+impl Harvest {
+    /// Number of harvested entries.
+    pub fn len(&self) -> usize {
+        self.entries as usize
+    }
+
+    /// True when nothing was harvested.
+    pub fn is_empty(&self) -> bool {
+        self.entries == 0
+    }
+
+    /// Every harvested `(key bytes, value)` entry, in harvest order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
+        let mut rest = &self.body[..];
+        (0..self.entries).map(move |_| {
+            let len = u16::from_be_bytes([rest[0], rest[1]]) as usize;
+            let (key, tail) = rest[2..].split_at(len);
+            let value = u32::from_be_bytes([tail[0], tail[1], tail[2], tail[3]]);
+            rest = &tail[4..];
+            (key, value)
+        })
+    }
+}
+
 /// Where a claimed aggregator lives, for fast harvest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Claim {
@@ -97,10 +131,8 @@ struct TaskEntry {
     op: AggregateOp,
     /// Claims per shadow copy.
     claims: [Vec<Claim>; 2],
-    /// Last served fetch sequence and its cached reply. The harvest is
-    /// behind an `Arc` so cache replays and the outgoing reply packet
-    /// share one buffer instead of cloning the tuple vector.
-    fetch_cache: Option<(u32, Arc<Vec<KvTuple>>)>,
+    /// Last served fetch sequence and its harvest, replayed to a retry.
+    fetch_cache: Option<(u32, Harvest)>,
     stats: SwitchTaskStats,
 }
 
@@ -840,17 +872,16 @@ impl AggregatorEngine {
     }
 
     /// Reliable fetch (Algorithm 1's `Read()` plus reset): harvests the
-    /// requested copies when `fetch_seq` advances, replays the cached reply
-    /// otherwise. Returns the entries to send back, shared with the fetch
-    /// cache (replays are an `Arc` clone, not a tuple-vector copy).
-    pub fn fetch(&mut self, task: TaskId, scope: FetchScope, fetch_seq: u32) -> Arc<Vec<KvTuple>> {
+    /// requested copies when `fetch_seq` advances, replays the cached
+    /// harvest otherwise (a clone sharing its bytes, not a re-read).
+    pub fn fetch(&mut self, task: TaskId, scope: FetchScope, fetch_seq: u32) -> Harvest {
         let Some(&slot) = self.task_index.get(&task) else {
-            return Arc::new(Vec::new());
+            return Harvest::default();
         };
         let entry = self.task_slots[slot].as_ref().expect("indexed task present");
         if let Some((cached_seq, ref cached)) = entry.fetch_cache {
             if fetch_seq <= cached_seq {
-                return Arc::clone(cached);
+                return cached.clone();
             }
         }
         let active = self
@@ -860,55 +891,62 @@ impl AggregatorEngine {
             FetchScope::Inactive => vec![1 - active],
             FetchScope::All => vec![0, 1],
         };
-        let mut harvest = Vec::new();
+        let mut body = Vec::new();
+        let mut entries = 0;
         for copy in copies {
             let claims = {
                 let entry = self.task_slots[slot].as_mut().expect("present");
                 std::mem::take(&mut entry.claims[copy])
             };
-            self.harvest_claims(&claims, &mut harvest);
+            entries += self.harvest_claims(&claims, &mut body);
             self.reset_claims(&claims);
         }
-        let harvest = Arc::new(harvest);
+        let harvest = Harvest {
+            entries,
+            body: Bytes::from(body),
+        };
         let entry = self.task_slots[slot].as_mut().expect("present");
-        entry.stats.tuples_fetched += harvest.len() as u64;
-        entry.fetch_cache = Some((fetch_seq, Arc::clone(&harvest)));
+        entry.stats.tuples_fetched += u64::from(entries);
+        entry.fetch_cache = Some((fetch_seq, harvest.clone()));
         harvest
     }
 
-    fn harvest_claims(&self, claims: &[Claim], out: &mut Vec<KvTuple>) {
+    /// Appends one entry per live claim to `out`, straight from the
+    /// registers: the claim's `kPart` segments with the trailing zero
+    /// padding stripped are the key, the last segment's `vPart` the value.
+    /// Returns the number of entries written.
+    fn harvest_claims(&self, claims: &[Claim], out: &mut Vec<u8>) -> u32 {
         let layout = &self.config.layout;
+        let mut harvested = 0;
         for claim in claims {
-            match *claim {
-                Claim::Short { aa, idx } => {
-                    let raw = self.pipeline.control_read(self.aas[aa], idx);
-                    let kpart = (raw >> 32) as u32;
-                    if kpart == 0 {
-                        continue;
-                    }
-                    let key = Key::from_segments(&[kpart]).expect("stored keys are valid");
-                    out.push(KvTuple::new(key, raw as u32));
-                }
+            let (aas, idx) = match *claim {
+                Claim::Short { aa, idx } => (&self.aas[aa..=aa], idx),
                 Claim::Medium { group, idx } => {
                     let m = layout.medium_segments();
                     let base_aa = layout.short_slots() + group * m;
-                    let mut segs = Vec::with_capacity(m);
-                    let mut value = 0u32;
-                    for s in 0..m {
-                        let raw = self.pipeline.control_read(self.aas[base_aa + s], idx);
-                        segs.push((raw >> 32) as u32);
-                        if s == m - 1 {
-                            value = raw as u32;
-                        }
-                    }
-                    if segs[0] == 0 {
-                        continue;
-                    }
-                    let key = Key::from_segments(&segs).expect("stored keys are valid");
-                    out.push(KvTuple::new(key, value));
+                    (&self.aas[base_aa..base_aa + m], idx)
                 }
+            };
+            if self.pipeline.control_read(aas[0], idx) >> 32 == 0 {
+                continue;
             }
+            let at = out.len();
+            out.extend_from_slice(&[0, 0]); // key length, patched below
+            let mut value = 0;
+            for &aa in aas {
+                let raw = self.pipeline.control_read(aa, idx);
+                out.extend_from_slice(&((raw >> 32) as u32).to_be_bytes());
+                value = raw as u32;
+            }
+            let key = &out[at + 2..];
+            let key_len = key.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+            assert!(!key[..key_len].contains(&0), "stored keys are valid");
+            out.truncate(at + 2 + key_len);
+            out[at..at + 2].copy_from_slice(&(key_len as u16).to_be_bytes());
+            out.extend_from_slice(&value.to_be_bytes());
+            harvested += 1;
         }
+        harvested
     }
 
     fn reset_claims(&mut self, claims: &[Claim]) {
@@ -984,8 +1022,9 @@ enum SegmentOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data_view;
-    use ask_wire::packet::DataPacket;
+    use crate::{data_view, harvest_tuples};
+    use ask_wire::key::Key;
+    use ask_wire::packet::{DataPacket, KvTuple};
 
     fn engine() -> AggregatorEngine {
         AggregatorEngine::new(AskConfig::tiny())
@@ -1013,7 +1052,7 @@ mod tests {
         e.register_task(TaskId(1), 9).expect("region");
         let v = e.process_data_view(&view(1, 0, 0, &[(0, "cat", 3), (1, "dog", 4)]));
         assert_eq!(v, ViewVerdict::FullyAggregated);
-        let got = e.fetch(TaskId(1), FetchScope::All, 1);
+        let got = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1));
         let mut got: Vec<(String, u32)> = got
             .iter()
             .map(|t| {
@@ -1035,7 +1074,7 @@ mod tests {
             let v = e.process_data_view(&view(1, 0, seq, &[(0, "cat", 2)]));
             assert_eq!(v, ViewVerdict::FullyAggregated);
         }
-        let got = e.fetch(TaskId(1), FetchScope::All, 1);
+        let got = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].value, 20);
     }
@@ -1071,7 +1110,7 @@ mod tests {
         let p = view(1, 0, 0, &[(0, "cat", 5)]);
         assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
         assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
-        let got = e.fetch(TaskId(1), FetchScope::All, 1);
+        let got = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1));
         assert_eq!(got[0].value, 5, "retransmission must not double-count");
         assert_eq!(e.task_stats(TaskId(1)).unwrap().duplicates_detected, 1);
     }
@@ -1098,8 +1137,7 @@ mod tests {
         // touching the aggregators.
         let v2 = e.process_data_view(&conflict);
         assert_eq!(v1, v2);
-        let total: u32 = e
-            .fetch(TaskId(1), FetchScope::All, 1)
+        let total: u32 = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1))
             .iter()
             .map(|t| t.value)
             .sum();
@@ -1136,7 +1174,7 @@ mod tests {
             e.process_data_view(&view(1, 0, 1, &[(4, "maples", 4)])),
             ViewVerdict::FullyAggregated
         );
-        let got = e.fetch(TaskId(1), FetchScope::All, 1);
+        let got = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].key.as_bytes(), b"maples");
         assert_eq!(got[0].value, 10);
@@ -1162,7 +1200,7 @@ mod tests {
             e.process_data_view(&view(1, 0, 1, &[(4, "yourxy", 2)])),
             ViewVerdict::Forward { residual: 1 << 4 }
         );
-        let got = e.fetch(TaskId(1), FetchScope::All, 1);
+        let got = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].key.as_bytes(), b"yoursa");
         assert_eq!(got[0].value, 1);
@@ -1178,11 +1216,11 @@ mod tests {
         assert_eq!(e.active_copy(TaskId(1)), Some(1));
         e.process_data_view(&view(1, 0, 1, &[(0, "cat", 2)]));
         // Inactive copy now holds the pre-swap value.
-        let old = e.fetch(TaskId(1), FetchScope::Inactive, 1);
+        let old = harvest_tuples(&e.fetch(TaskId(1), FetchScope::Inactive, 1));
         assert_eq!(old.len(), 1);
         assert_eq!(old[0].value, 1);
         // Remaining copy holds the post-swap value.
-        let rest = e.fetch(TaskId(1), FetchScope::All, 2);
+        let rest = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 2));
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].value, 2);
     }
@@ -1213,8 +1251,14 @@ mod tests {
         assert_ne!(r1.base, r2.base);
         e.process_data_view(&view(1, 0, 0, &[(0, "cat", 1)]));
         e.process_data_view(&view(2, 1, 0, &[(0, "cat", 10)]));
-        assert_eq!(e.fetch(TaskId(1), FetchScope::All, 1)[0].value, 1);
-        assert_eq!(e.fetch(TaskId(2), FetchScope::All, 1)[0].value, 10);
+        assert_eq!(
+            harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1))[0].value,
+            1
+        );
+        assert_eq!(
+            harvest_tuples(&e.fetch(TaskId(2), FetchScope::All, 1))[0].value,
+            10
+        );
     }
 
     #[test]
@@ -1245,7 +1289,7 @@ mod tests {
             e.process_data_view(&view(2, 1, 0, &[(0, "dog", 1)])),
             ViewVerdict::FullyAggregated
         );
-        let got = e.fetch(TaskId(2), FetchScope::All, 1);
+        let got = harvest_tuples(&e.fetch(TaskId(2), FetchScope::All, 1));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].key.as_bytes(), b"dog");
     }
@@ -1265,7 +1309,7 @@ mod tests {
                 assert_eq!(o, Observation::First, "seq {seq}");
             }
         }
-        let got = e.fetch(TaskId(1), FetchScope::All, 1);
+        let got = harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1));
         assert_eq!(got[0].value as u64, 3 * w / 2);
     }
 
@@ -1288,7 +1332,10 @@ mod tests {
                 "dup seq {seq}"
             );
         }
-        assert_eq!(e.fetch(TaskId(1), FetchScope::All, 1)[0].value as u64, w);
+        assert_eq!(
+            harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1))[0].value as u64,
+            w
+        );
     }
 
     #[test]
@@ -1307,7 +1354,7 @@ mod tests {
         // The retransmission now passes the corrupted dedup gate.
         assert_eq!(e.process_data_view(&p), ViewVerdict::FullyAggregated);
         assert_eq!(
-            e.fetch(TaskId(1), FetchScope::All, 1)[0].value,
+            harvest_tuples(&e.fetch(TaskId(1), FetchScope::All, 1))[0].value,
             7,
             "value oracle is blind to the double absorption"
         );

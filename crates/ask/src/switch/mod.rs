@@ -2,15 +2,15 @@
 
 pub mod aggregator;
 
-pub use aggregator::{AggregatorEngine, Observation, ViewVerdict};
+pub use aggregator::{AggregatorEngine, Harvest, Observation, ViewVerdict};
 
 use crate::config::AskConfig;
 use crate::stats::SwitchTaskStats;
 use ask_simnet::frame::{Frame, NodeId};
 use ask_simnet::network::{Context, Node};
-use ask_wire::codec::{ack_frame, encode_envelope_parts};
+use ask_wire::codec::{ack_frame, control_frame, FrameWriter};
 use ask_wire::constants::PACKET_OVERHEAD;
-use ask_wire::packet::{AskPacket, ChannelId, ControlMsg, SeqNo, TaskId};
+use ask_wire::packet::{ChannelId, ControlMsg, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use bytes::Bytes;
 
@@ -149,8 +149,7 @@ impl AskSwitch {
             return true;
         }
         self.stale_epoch_drops += 1;
-        let notify = AskPacket::Control(ControlMsg::EpochNotify { epoch: self.epoch });
-        self.reply(src, notify, ctx);
+        self.reply(src, &ControlMsg::EpochNotify { epoch: self.epoch }, ctx);
         false
     }
 
@@ -208,13 +207,11 @@ impl AskSwitch {
         }
     }
 
-    /// Sends a packet the switch itself originates, stamped with its epoch.
-    fn reply(&mut self, dst: u32, packet: AskPacket, ctx: &mut Context<'_>) {
-        let layout = self.engine.config().layout;
-        let me = ctx.me().index() as u32;
-        let bytes = encode_envelope_parts(me, dst, self.epoch, 0, &packet, &layout);
-        let wire = packet.wire_bytes(&layout);
-        self.forward_raw(dst, bytes, wire, ctx);
+    /// Sends a control message the switch itself originates, stamped with
+    /// its epoch.
+    fn reply(&mut self, dst: u32, msg: &ControlMsg, ctx: &mut Context<'_>) {
+        let frame = control_frame(ctx.me().index() as u32, dst, self.epoch, msg);
+        self.forward_raw(dst, frame, PACKET_OVERHEAD, ctx);
     }
 
     /// Bypass traffic (long-kv, FIN, foreign-layout data) shares its
@@ -349,13 +346,22 @@ impl Node for AskSwitch {
                 if !self.control_source_admit(task, from) {
                     return;
                 }
-                let entries = self.engine.fetch(task, scope, fetch_seq);
-                let reply = AskPacket::FetchReply {
+                // The harvest is already the reply body in wire form, so a
+                // reply, first or replayed, writes the header and copies the
+                // body. Each entry's nominal bytes are its wire bytes.
+                let harvest = self.engine.fetch(task, scope, fetch_seq);
+                let (me, body) = (ctx.me().index() as u32, &harvest.body);
+                let mut reply = FrameWriter::fetch_reply(
+                    me,
+                    m.src,
+                    self.epoch,
                     task,
                     fetch_seq,
-                    entries,
-                };
-                self.reply(m.src, reply, ctx);
+                    harvest.entries,
+                    body.len(),
+                );
+                reply.put(body);
+                self.forward_raw(m.src, reply.finish(), PACKET_OVERHEAD + body.len(), ctx);
             }
             PacketView::Control(msg) => match msg {
                 ControlMsg::RegionRequest { task, op } => {
@@ -364,7 +370,7 @@ impl Node for AskSwitch {
                         Some(region) => ControlMsg::RegionGrant { task, region },
                         None => ControlMsg::RegionDeny { task },
                     };
-                    self.reply(m.src, AskPacket::Control(reply), ctx);
+                    self.reply(m.src, &reply, ctx);
                 }
                 ControlMsg::RegionRelease { task } => {
                     if self.control_source_admit(task, from) {
@@ -393,7 +399,9 @@ mod tests {
     use ask_simnet::link::LinkConfig;
     use ask_simnet::network::{Network, NetworkBuilder};
     use ask_simnet::time::SimDuration;
-    use ask_wire::packet::AggregateOp;
+    use ask_wire::codec::encode_envelope_parts;
+    use ask_wire::key::Key;
+    use ask_wire::packet::{AggregateOp, AskPacket, DataPacket, FetchScope, KvTuple};
 
     /// Records every payload it is handed.
     #[derive(Default)]
@@ -403,6 +411,81 @@ mod tests {
         fn on_frame(&mut self, _from: NodeId, frame: Frame, _ctx: &mut Context<'_>) {
             self.0.push(frame.into_payload());
         }
+    }
+
+    #[test]
+    fn fetch_reply_from_registers_equals_the_model() {
+        // Keys of every harvested width: short, exactly 4 bytes, medium,
+        // and exactly 8 bytes (the tiny layout's medium limit, no padding).
+        let cfg = AskConfig::tiny();
+        let layout = cfg.layout;
+        let mut b = NetworkBuilder::new(1);
+        let host = b.add_node(Sink::default());
+        let switch = b.add_node(AskSwitch::new(cfg));
+        b.connect(host, switch, LinkConfig::new(100e9, SimDuration::from_micros(1)));
+        let mut net = b.build();
+        let (src, dst) = (host.index() as u32, switch.index() as u32);
+        let task = TaskId(3);
+        let deliver = |net: &mut Network, packet: AskPacket| {
+            let bytes = encode_envelope_parts(src, dst, 0, 0, &packet, &layout);
+            net.with_node::<AskSwitch, _>(switch, |sw, ctx| {
+                sw.on_frame(host, Frame::new(bytes), ctx)
+            });
+            net.run_to_idle();
+        };
+        let request = ControlMsg::RegionRequest {
+            task,
+            op: AggregateOp::Sum,
+        };
+        deliver(&mut net, AskPacket::Control(request));
+
+        let keys = [(0, "ab"), (1, "wxyz"), (4, "maple"), (5, "abcdefgh")];
+        let kv = |key: &str, value| KvTuple::new(Key::from_str(key).unwrap(), value);
+        for seq in 0..2u32 {
+            let mut slots = vec![None; layout.slot_count()];
+            for (i, &(slot, key)) in keys.iter().enumerate() {
+                slots[slot] = Some(kv(key, 10 * seq + i as u32 + 1));
+            }
+            let data = DataPacket {
+                task,
+                channel: ChannelId(src * ask_wire::packet::CHANNEL_STRIDE),
+                seq: SeqNo(seq.into()),
+                slots,
+            };
+            deliver(&mut net, AskPacket::Data(data));
+        }
+        let fetch = AskPacket::FetchRequest {
+            task,
+            scope: FetchScope::All,
+            fetch_seq: 1,
+        };
+        // The first request harvests and resets; the retry replays.
+        deliver(&mut net, fetch.clone());
+        deliver(&mut net, fetch);
+
+        let entries = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, key))| kv(key, 2 * (i as u32 + 1) + 10))
+            .collect();
+        let model = AskPacket::FetchReply {
+            task,
+            fetch_seq: 1,
+            entries,
+        };
+        let want = encode_envelope_parts(dst, src, 0, 0, &model, &layout);
+        let replies: Vec<Bytes> = net
+            .node_mut::<Sink>(host)
+            .0
+            .drain(..)
+            .filter(|f| {
+                matches!(
+                    FrameView::parse(f.clone()).unwrap().packet(),
+                    PacketView::FetchReply { .. }
+                )
+            })
+            .collect();
+        assert_eq!(replies, vec![want.clone(), want]);
     }
 
     #[test]
@@ -423,7 +506,11 @@ mod tests {
         let mut b = NetworkBuilder::new(1);
         let host = b.add_node(Sink::default());
         let switch = b.add_node(AskSwitch::new(cfg));
-        b.connect(host, switch, LinkConfig::new(100e9, SimDuration::from_micros(1)));
+        b.connect(
+            host,
+            switch,
+            LinkConfig::new(100e9, SimDuration::from_micros(1)),
+        );
         let mut net = b.build();
         net.with_node::<AskSwitch, _>(switch, |sw, _| {
             sw.epoch = u32::MAX;

@@ -178,9 +178,9 @@ proptest! {
 
         for t in 0..TASKS {
             let mut fetched: HashMap<Key, u32> = HashMap::new();
-            for e in engine.fetch(TaskId(t), FetchScope::All, 1).iter() {
-                let sum = fetched.entry(e.key.clone()).or_insert(0);
-                *sum = sum.wrapping_add(e.value);
+            for (key, value) in engine.fetch(TaskId(t), FetchScope::All, 1).iter() {
+                let sum = fetched.entry(Key::from_slice(key).unwrap()).or_insert(0);
+                *sum = sum.wrapping_add(value);
             }
             prop_assert_eq!(&fetched, &absorbed[t as usize], "task {} switch memory", t);
         }

@@ -79,7 +79,7 @@ fn seeded_max_bitflip_double_absorption_escapes_value_oracle_but_not_audit() {
     let harvest: HashMap<Key, u32> = engine
         .fetch(TaskId(1), FetchScope::All, 1)
         .iter()
-        .map(|t| (t.key.clone(), t.value))
+        .map(|(key, value)| (Key::from_slice(key).unwrap(), value))
         .collect();
     assert_eq!(harvest, reference, "MAX hides the double absorption");
 

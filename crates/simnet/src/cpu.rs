@@ -84,11 +84,6 @@ impl CpuPool {
         let capacity = horizon.as_secs_f64() * self.cores.len() as f64;
         (self.busy_total.as_secs_f64() / capacity).min(1.0)
     }
-
-    /// The earliest time any core is free.
-    pub fn earliest_free(&self) -> SimTime {
-        *self.cores.iter().min().expect("pool is non-empty")
-    }
 }
 
 /// Converts a per-item processing rate (items per second per core) into the

@@ -14,8 +14,9 @@ use rand::Rng;
 /// ```
 /// use ask_simnet::faults::FaultModel;
 ///
+/// assert!(FaultModel::reliable().is_reliable());
 /// let lossy = FaultModel::reliable().with_loss(0.01);
-/// assert_eq!(lossy.loss_probability(), 0.01);
+/// assert!(!lossy.is_reliable());
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultModel {
@@ -93,16 +94,6 @@ impl FaultModel {
         self.reorder = p;
         self.reorder_jitter = jitter;
         self
-    }
-
-    /// The per-frame loss probability.
-    pub fn loss_probability(&self) -> f64 {
-        self.loss
-    }
-
-    /// The per-frame duplication probability.
-    pub fn duplication_probability(&self) -> f64 {
-        self.duplication
     }
 
     /// True if no fault can ever fire.

@@ -1,14 +1,16 @@
 //! The wire format of every frame, written and read two ways.
 //!
-//! The hot kinds — data, long-kv, ACK and FIN — have exactly one body
-//! writer each ([`FrameWriter`], [`ack_frame`], [`fin_frame`]), which
-//! writes the frame straight into the bytes it travels in, and they are
-//! read in place by [`FrameView`](crate::view::FrameView). Beside them sits
-//! the owned reference model: [`encode_envelope_parts`], the one encoder of
-//! an [`AskPacket`] (it hands the hot kinds to those writers and writes only
-//! the rare control, swap and fetch kinds itself), and
+//! Every kind has exactly one body writer, which writes the frame straight
+//! into the bytes it travels in: [`FrameWriter`] for the variable-size data,
+//! long-kv and fetch-reply frames, and [`ack_frame`], [`fin_frame`],
+//! [`swap_frame`], [`fetch_request_frame`] and [`control_frame`] for the
+//! fixed-size ones, written on the stack. Hosts and the switch send through
+//! these writers and read frames in place with
+//! [`FrameView`](crate::view::FrameView). Beside them sits the owned
+//! reference model: [`encode_envelope_parts`], the one encoder of an
+//! [`AskPacket`] (it hands every kind to its writer), and
 //! [`decode_envelope_pooled`], the one decoder back to an owned
-//! [`Envelope`]. Views are checked against that model.
+//! [`Envelope`]. Writers and views are checked against that model.
 //!
 //! The encoding is compact enough that the serialized size never exceeds the
 //! *nominal* wire size used for bandwidth accounting
@@ -25,9 +27,8 @@ use crate::packet::{
     PacketLayout, SeqNo, TaskId,
 };
 use crate::pool::PacketPool;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use core::fmt;
-use std::sync::Arc;
 
 pub(crate) const KIND_DATA: u8 = 0;
 pub(crate) const KIND_LONG_KV: u8 = 1;
@@ -99,40 +100,17 @@ impl From<KeyError> for CodecError {
     }
 }
 
-/// Exact serialized size of `packet` from its kind byte on, so every frame
-/// is written into an exactly-sized buffer.
-fn encoded_size(packet: &AskPacket, layout: &PacketLayout) -> usize {
-    fn entries_size(entries: &[KvTuple]) -> usize {
-        4 + entries.iter().map(|t| 2 + t.key.len() + 4).sum::<usize>()
-    }
-    match packet {
-        AskPacket::Data(d) => {
-            let mut n = DATA_HEADER_BYTES;
-            for (i, slot) in d.slots.iter().enumerate() {
-                if slot.is_some() {
-                    let width = if layout.is_short_slot(i) {
-                        KPART_BYTES
-                    } else {
-                        layout.medium_max_key_len()
-                    };
-                    n += width + 4;
-                }
-            }
-            n
-        }
-        AskPacket::LongKv { entries, .. } => 1 + 4 + 4 + 8 + entries_size(entries),
-        AskPacket::Ack { .. } => 1 + 4 + 8,
-        AskPacket::Fin { .. } => 1 + 4 + 4 + 8,
-        AskPacket::Swap { .. } => 1 + 4,
-        AskPacket::FetchRequest { .. } => 1 + 4 + 1 + 4,
-        AskPacket::FetchReply { entries, .. } => 1 + 4 + 4 + entries_size(entries),
-        AskPacket::Control(msg) => match msg {
-            ControlMsg::RegionRequest { .. } => 2 + 4 + 1,
-            ControlMsg::RegionGrant { .. } => 2 + 4 + 8,
-            ControlMsg::RegionDeny { .. } | ControlMsg::RegionRelease { .. } => 2 + 4,
-            ControlMsg::TaskAnnounce { .. } => 2 + 4 + 4,
-            ControlMsg::EpochNotify { .. } => 2 + 4,
-        },
+/// Serialized bytes of an entry list (`u16 len · key · u32 value` each),
+/// the body of a long-kv or fetch-reply frame behind its entry count.
+fn entries_len(entries: &[KvTuple]) -> usize {
+    entries.iter().map(|t| 2 + t.key.len() + 4).sum()
+}
+
+fn put_entries(frame: &mut FrameWriter, entries: &[KvTuple]) {
+    for t in entries {
+        frame.put(&(t.key.len() as u16).to_be_bytes());
+        frame.put(t.key.as_bytes());
+        frame.put(&t.value.to_be_bytes());
     }
 }
 
@@ -140,12 +118,13 @@ fn encoded_size(packet: &AskPacket, layout: &PacketLayout) -> usize {
 /// behind it, so in-transit corruption is detected at the next hop and the
 /// frame is treated as lost (recovered by retransmission).
 ///
-/// Data, long-kv, ACK and FIN bodies are written by [`FrameWriter`],
-/// [`ack_frame`] and [`fin_frame`] — the very writers the send path uses —
-/// so the model and the datapath share one body layout per kind. The rare
-/// kinds are written here, into one exactly-sized buffer. The writers leave
-/// the reserved flags byte 0; a nonzero `flags` is patched in afterwards,
-/// so the reference codec round-trips whatever the byte holds.
+/// Every kind is handed to its one body writer — [`FrameWriter`],
+/// [`ack_frame`], [`fin_frame`], [`swap_frame`], [`fetch_request_frame`]
+/// and [`control_frame`] — the very writers the hosts and the switch send
+/// through, so the model and the datapath share one body layout per kind.
+/// The writers leave the reserved flags byte 0; a nonzero `flags` is
+/// patched in afterwards, so the reference codec round-trips whatever the
+/// byte holds.
 ///
 /// # Panics
 ///
@@ -159,7 +138,6 @@ pub fn encode_envelope_parts(
     packet: &AskPacket,
     layout: &PacketLayout,
 ) -> Bytes {
-    let size = encoded_size(packet, layout);
     let header = |task, channel, seq| SendHeader {
         src,
         dst,
@@ -175,15 +153,22 @@ pub fn encode_envelope_parts(
                 layout.slot_count(),
                 "slot vector must match layout"
             );
-            let h = header(d.task, d.channel, d.seq);
-            let mut frame = FrameWriter::data(&h, layout, d.bitmap(), size - DATA_HEADER_BYTES);
-            for (i, slot) in d.slots.iter().enumerate() {
-                let Some(t) = slot else { continue };
-                let width = if layout.is_short_slot(i) {
+            let slot_width = |i| {
+                if layout.is_short_slot(i) {
                     KPART_BYTES
                 } else {
                     layout.medium_max_key_len()
-                };
+                }
+            };
+            let body_len = (0..d.slots.len())
+                .filter(|&i| d.slots[i].is_some())
+                .map(|i| slot_width(i) + 4)
+                .sum();
+            let h = header(d.task, d.channel, d.seq);
+            let mut frame = FrameWriter::data(&h, layout, d.bitmap(), body_len);
+            for (i, slot) in d.slots.iter().enumerate() {
+                let Some(t) = slot else { continue };
+                let width = slot_width(i);
                 assert!(
                     t.key.len() <= width,
                     "key {} too long for slot {i} (width {width})",
@@ -203,108 +188,36 @@ pub fn encode_envelope_parts(
         } => {
             let h = header(*task, *channel, *seq);
             let count = entries.len() as u32;
-            let mut frame = FrameWriter::long_kv(&h, count, size - LONG_KV_HEADER_BYTES);
-            for t in entries {
-                frame.put(&(t.key.len() as u16).to_be_bytes());
-                frame.put(t.key.as_bytes());
-                frame.put(&t.value.to_be_bytes());
-            }
+            let mut frame = FrameWriter::long_kv(&h, count, entries_len(entries));
+            put_entries(&mut frame, entries);
             frame.finish()
         }
         AskPacket::Ack { channel, seq } => ack_frame(src, dst, epoch, *channel, *seq),
         AskPacket::Fin { task, channel, seq } => fin_frame(&header(*task, *channel, *seq)),
-        _ => {
-            let mut buf = BytesMut::with_capacity(ENVELOPE_HEADER_BYTES + size);
-            buf.put_u32(0); // checksum placeholder
-            buf.put_u32(src);
-            buf.put_u32(dst);
-            buf.put_u32(epoch);
-            buf.put_u8(0); // reserved flags
-            encode_into(&mut buf, packet);
-            seal(&mut buf);
-            buf.freeze()
-        }
-    };
-    if flags == 0 {
-        frame
-    } else {
-        reflag(&frame, flags)
-    }
-}
-
-/// Appends the body of a swap, fetch or control packet — the kinds no
-/// writer covers — to `buf`.
-fn encode_into(buf: &mut BytesMut, packet: &AskPacket) {
-    match packet {
-        AskPacket::Swap { task } => {
-            buf.put_u8(KIND_SWAP);
-            buf.put_u32(task.0);
-        }
+        AskPacket::Swap { task } => swap_frame(src, dst, epoch, *task),
         AskPacket::FetchRequest {
             task,
             scope,
             fetch_seq,
-        } => {
-            buf.put_u8(KIND_FETCH_REQ);
-            buf.put_u32(task.0);
-            buf.put_u8(match scope {
-                FetchScope::Inactive => 0,
-                FetchScope::All => 1,
-            });
-            buf.put_u32(*fetch_seq);
-        }
+        } => fetch_request_frame(src, dst, epoch, *task, *scope, *fetch_seq),
         AskPacket::FetchReply {
             task,
             fetch_seq,
             entries,
         } => {
-            buf.put_u8(KIND_FETCH_REPLY);
-            buf.put_u32(task.0);
-            buf.put_u32(*fetch_seq);
-            buf.put_u32(entries.len() as u32);
-            for t in entries.iter() {
-                buf.put_u16(t.key.len() as u16);
-                buf.put_slice(t.key.as_bytes());
-                buf.put_u32(t.value);
-            }
+            let count = entries.len() as u32;
+            let body_len = entries_len(entries);
+            let mut frame =
+                FrameWriter::fetch_reply(src, dst, epoch, *task, *fetch_seq, count, body_len);
+            put_entries(&mut frame, entries);
+            frame.finish()
         }
-        AskPacket::Control(msg) => {
-            buf.put_u8(KIND_CONTROL);
-            match msg {
-                ControlMsg::RegionRequest { task, op } => {
-                    buf.put_u8(CTRL_REGION_REQUEST);
-                    buf.put_u32(task.0);
-                    buf.put_u8(op.to_code());
-                }
-                ControlMsg::RegionGrant { task, region } => {
-                    buf.put_u8(CTRL_REGION_GRANT);
-                    buf.put_u32(task.0);
-                    buf.put_u32(region.base);
-                    buf.put_u32(region.aggregators);
-                }
-                ControlMsg::RegionDeny { task } => {
-                    buf.put_u8(CTRL_REGION_DENY);
-                    buf.put_u32(task.0);
-                }
-                ControlMsg::RegionRelease { task } => {
-                    buf.put_u8(CTRL_REGION_RELEASE);
-                    buf.put_u32(task.0);
-                }
-                ControlMsg::TaskAnnounce { task, receiver } => {
-                    buf.put_u8(CTRL_TASK_ANNOUNCE);
-                    buf.put_u32(task.0);
-                    buf.put_u32(*receiver);
-                }
-                ControlMsg::EpochNotify { epoch } => {
-                    buf.put_u8(CTRL_EPOCH_NOTIFY);
-                    buf.put_u32(*epoch);
-                }
-            }
-        }
-        AskPacket::Data(_)
-        | AskPacket::LongKv { .. }
-        | AskPacket::Ack { .. }
-        | AskPacket::Fin { .. } => unreachable!("hot kinds are written by their writers"),
+        AskPacket::Control(msg) => control_frame(src, dst, epoch, msg),
+    };
+    if flags == 0 {
+        frame
+    } else {
+        reflag(&frame, flags)
     }
 }
 
@@ -415,13 +328,21 @@ const DATA_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 3 + 16;
 /// seq and the entry count.
 const LONG_KV_HEADER_BYTES: usize = 1 + 4 + 4 + 8 + 4;
 
-fn put_send_header(buf: &mut Vec<u8>, kind: u8, h: &SendHeader) {
+/// Serialized size of a fetch reply's fixed header: kind, task, fetch
+/// sequence and the entry count.
+const FETCH_REPLY_HEADER_BYTES: usize = 1 + 4 + 4 + 4;
+
+fn put_envelope(buf: &mut Vec<u8>, kind: u8, src: u32, dst: u32, epoch: u32) {
     buf.extend_from_slice(&[0; 4]); // checksum placeholder
-    buf.extend_from_slice(&h.src.to_be_bytes());
-    buf.extend_from_slice(&h.dst.to_be_bytes());
-    buf.extend_from_slice(&h.epoch.to_be_bytes());
+    buf.extend_from_slice(&src.to_be_bytes());
+    buf.extend_from_slice(&dst.to_be_bytes());
+    buf.extend_from_slice(&epoch.to_be_bytes());
     buf.push(0); // reserved flags
     buf.push(kind);
+}
+
+fn put_send_header(buf: &mut Vec<u8>, kind: u8, h: &SendHeader) {
+    put_envelope(buf, kind, h.src, h.dst, h.epoch);
     buf.extend_from_slice(&h.task.0.to_be_bytes());
     buf.extend_from_slice(&h.channel.0.to_be_bytes());
     buf.extend_from_slice(&h.seq.0.to_be_bytes());
@@ -433,11 +354,11 @@ fn seal(frame: &mut [u8]) {
     frame[..4].copy_from_slice(&sum.to_be_bytes());
 }
 
-/// Writes a data or long-kv frame once, from body bytes that are already
-/// in wire form, straight into the buffer the frame keeps: headers, then
-/// one [`FrameWriter::put`] per body piece, then the checksum. It is the
-/// one body writer of both kinds: the send path and
-/// [`encode_envelope_parts`] alike write through it.
+/// Writes a data, long-kv or fetch-reply frame once, from body bytes that
+/// are already in wire form, straight into the buffer the frame keeps:
+/// headers, then one [`FrameWriter::put`] per body piece, then the
+/// checksum. It is the one body writer of these kinds: the send path, the
+/// switch and [`encode_envelope_parts`] alike write through it.
 #[derive(Debug)]
 pub struct FrameWriter {
     buf: Vec<u8>,
@@ -468,6 +389,26 @@ impl FrameWriter {
         let size = ENVELOPE_HEADER_BYTES + LONG_KV_HEADER_BYTES + body_len;
         let mut buf = Vec::with_capacity(size);
         put_send_header(&mut buf, KIND_LONG_KV, h);
+        buf.extend_from_slice(&count.to_be_bytes());
+        FrameWriter { buf, size }
+    }
+
+    /// Starts a fetch reply of `count` entries, serialized as
+    /// `u16 len · key · u32 value` each and `body_len` bytes in total.
+    pub fn fetch_reply(
+        src: u32,
+        dst: u32,
+        epoch: u32,
+        task: TaskId,
+        fetch_seq: u32,
+        count: u32,
+        body_len: usize,
+    ) -> Self {
+        let size = ENVELOPE_HEADER_BYTES + FETCH_REPLY_HEADER_BYTES + body_len;
+        let mut buf = Vec::with_capacity(size);
+        put_envelope(&mut buf, KIND_FETCH_REPLY, src, dst, epoch);
+        buf.extend_from_slice(&task.0.to_be_bytes());
+        buf.extend_from_slice(&fetch_seq.to_be_bytes());
         buf.extend_from_slice(&count.to_be_bytes());
         FrameWriter { buf, size }
     }
@@ -525,6 +466,70 @@ pub fn fin_frame(h: &SendHeader) -> Bytes {
     f[26..34].copy_from_slice(&h.seq.0.to_be_bytes());
     seal(&mut f);
     Bytes::copy_from_slice(&f)
+}
+
+/// A swap frame, written on the stack and copied out once.
+pub fn swap_frame(src: u32, dst: u32, epoch: u32, task: TaskId) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4];
+    stamp_addressing(&mut f, src, dst, epoch);
+    f[17] = KIND_SWAP;
+    f[18..22].copy_from_slice(&task.0.to_be_bytes());
+    seal(&mut f);
+    Bytes::copy_from_slice(&f)
+}
+
+/// A fetch request, written on the stack and copied out once.
+pub fn fetch_request_frame(
+    src: u32,
+    dst: u32,
+    epoch: u32,
+    task: TaskId,
+    scope: FetchScope,
+    fetch_seq: u32,
+) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 1 + 4 + 1 + 4];
+    stamp_addressing(&mut f, src, dst, epoch);
+    f[17] = KIND_FETCH_REQ;
+    f[18..22].copy_from_slice(&task.0.to_be_bytes());
+    f[22] = match scope {
+        FetchScope::Inactive => 0,
+        FetchScope::All => 1,
+    };
+    f[23..27].copy_from_slice(&fetch_seq.to_be_bytes());
+    seal(&mut f);
+    Bytes::copy_from_slice(&f)
+}
+
+/// A control frame, written on the stack and copied out once. Every
+/// message is a sub-kind byte and a 32-bit word (a task id, or the epoch of
+/// a [`ControlMsg::EpochNotify`]), then 0, 1, 4 or 8 bytes more.
+pub fn control_frame(src: u32, dst: u32, epoch: u32, msg: &ControlMsg) -> Bytes {
+    let mut f = [0u8; ENVELOPE_HEADER_BYTES + 2 + 4 + 8];
+    stamp_addressing(&mut f, src, dst, epoch);
+    f[17] = KIND_CONTROL;
+    let (ctrl, word, tail) = match *msg {
+        ControlMsg::RegionRequest { task, op } => {
+            f[23] = op.to_code();
+            (CTRL_REGION_REQUEST, task.0, 1)
+        }
+        ControlMsg::RegionGrant { task, region } => {
+            f[23..27].copy_from_slice(&region.base.to_be_bytes());
+            f[27..31].copy_from_slice(&region.aggregators.to_be_bytes());
+            (CTRL_REGION_GRANT, task.0, 8)
+        }
+        ControlMsg::RegionDeny { task } => (CTRL_REGION_DENY, task.0, 0),
+        ControlMsg::RegionRelease { task } => (CTRL_REGION_RELEASE, task.0, 0),
+        ControlMsg::TaskAnnounce { task, receiver } => {
+            f[23..27].copy_from_slice(&receiver.to_be_bytes());
+            (CTRL_TASK_ANNOUNCE, task.0, 4)
+        }
+        ControlMsg::EpochNotify { epoch } => (CTRL_EPOCH_NOTIFY, epoch, 0),
+    };
+    f[18] = ctrl;
+    f[19..23].copy_from_slice(&word.to_be_bytes());
+    let frame = &mut f[..23 + tail];
+    seal(frame);
+    Bytes::copy_from_slice(frame)
 }
 
 /// A copy of an encoded frame with its flags byte set to `flags` and the
@@ -665,7 +670,7 @@ fn decode_body(buf: &mut Bytes, pool: &mut PacketPool) -> Result<AskPacket, Code
             let task = TaskId(buf.get_u32());
             let channel = ChannelId(buf.get_u32());
             let seq = SeqNo(buf.get_u64());
-            let entries = get_entries(buf, Some(pool))?;
+            let entries = get_entries(buf, pool)?;
             Ok(AskPacket::LongKv {
                 task,
                 channel,
@@ -712,9 +717,7 @@ fn decode_body(buf: &mut Bytes, pool: &mut PacketPool) -> Result<AskPacket, Code
             need(buf, 8)?;
             let task = TaskId(buf.get_u32());
             let fetch_seq = buf.get_u32();
-            // Fetch-reply entries go behind a shared `Arc` (fetch cache,
-            // replayed replies), so their backing store cannot be recycled.
-            let entries = Arc::new(get_entries(buf, None)?);
+            let entries = get_entries(buf, pool)?;
             Ok(AskPacket::FetchReply {
                 task,
                 fetch_seq,
@@ -774,16 +777,10 @@ fn decode_body(buf: &mut Bytes, pool: &mut PacketPool) -> Result<AskPacket, Code
     }
 }
 
-fn get_entries(
-    buf: &mut Bytes,
-    pool: Option<&mut PacketPool>,
-) -> Result<Vec<KvTuple>, CodecError> {
+fn get_entries(buf: &mut Bytes, pool: &mut PacketPool) -> Result<Vec<KvTuple>, CodecError> {
     need(buf, 4)?;
     let count = buf.get_u32() as usize;
-    let mut entries = match pool {
-        Some(p) => p.take_tuples(count.min(4096)),
-        None => Vec::with_capacity(count.min(4096)),
-    };
+    let mut entries = pool.take_tuples(count.min(4096));
     for _ in 0..count {
         need(buf, 2)?;
         let len = buf.get_u16() as usize;
@@ -798,6 +795,7 @@ fn get_entries(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::{BufMut, BytesMut};
 
     fn kv(s: &str, v: u32) -> KvTuple {
         KvTuple::new(Key::from_str(s).unwrap(), v)
@@ -944,7 +942,7 @@ mod tests {
             &AskPacket::FetchReply {
                 task: TaskId(1),
                 fetch_seq: 3,
-                entries: Arc::new(vec![kv("x", 1)]),
+                entries: vec![kv("x", 1)],
             },
             &layout,
         );
@@ -952,54 +950,98 @@ mod tests {
 
     #[test]
     fn encoded_size_is_exact() {
+        // Each frame is exactly its header and body, counted by hand: the
+        // 17-byte envelope, the kind's fixed fields, then the payload.
         let layout = PacketLayout::paper_default();
         let mut slots = vec![None; layout.slot_count()];
-        slots[0] = Some(kv("ab", 7));
-        slots[17] = Some(kv("mediumk", 42));
+        slots[0] = Some(kv("ab", 7)); // short: 4-byte segment + value
+        slots[17] = Some(kv("mediumk", 42)); // medium: 8-byte field + value
         let packets = vec![
-            AskPacket::Data(DataPacket {
-                task: TaskId(5),
-                channel: ChannelId(2),
-                seq: SeqNo(99),
-                slots,
-            }),
-            AskPacket::LongKv {
-                task: TaskId(1),
-                channel: ChannelId(1),
-                seq: SeqNo(12),
-                entries: vec![kv("a-very-long-key", 5)],
-            },
-            AskPacket::Ack {
-                channel: ChannelId(1),
-                seq: SeqNo(2),
-            },
-            AskPacket::Fin {
-                task: TaskId(1),
-                channel: ChannelId(2),
-                seq: SeqNo(3),
-            },
-            AskPacket::Swap { task: TaskId(9) },
-            AskPacket::FetchRequest {
-                task: TaskId(4),
-                scope: FetchScope::All,
-                fetch_seq: 2,
-            },
-            AskPacket::FetchReply {
-                task: TaskId(1),
-                fetch_seq: 3,
-                entries: Arc::new(vec![kv("x", 1), kv("yy", 2)]),
-            },
-            AskPacket::Control(ControlMsg::TaskAnnounce {
-                task: TaskId(7),
-                receiver: 3,
-            }),
-            AskPacket::Control(ControlMsg::EpochNotify { epoch: 9 }),
+            (
+                AskPacket::Data(DataPacket {
+                    task: TaskId(5),
+                    channel: ChannelId(2),
+                    seq: SeqNo(99),
+                    slots,
+                }),
+                36 + 8 + 12,
+            ),
+            (
+                AskPacket::LongKv {
+                    task: TaskId(1),
+                    channel: ChannelId(1),
+                    seq: SeqNo(12),
+                    entries: vec![kv("a-very-long-key", 5)],
+                },
+                21 + 2 + 15 + 4,
+            ),
+            (
+                AskPacket::Ack {
+                    channel: ChannelId(1),
+                    seq: SeqNo(2),
+                },
+                13,
+            ),
+            (
+                AskPacket::Fin {
+                    task: TaskId(1),
+                    channel: ChannelId(2),
+                    seq: SeqNo(3),
+                },
+                17,
+            ),
+            (AskPacket::Swap { task: TaskId(9) }, 5),
+            (
+                AskPacket::FetchRequest {
+                    task: TaskId(4),
+                    scope: FetchScope::All,
+                    fetch_seq: 2,
+                },
+                10,
+            ),
+            (
+                AskPacket::FetchReply {
+                    task: TaskId(1),
+                    fetch_seq: 3,
+                    entries: vec![kv("x", 1), kv("yy", 2)],
+                },
+                13 + (2 + 1 + 4) + (2 + 2 + 4),
+            ),
+            (
+                AskPacket::Control(ControlMsg::RegionRequest {
+                    task: TaskId(7),
+                    op: AggregateOp::Min,
+                }),
+                7,
+            ),
+            (
+                AskPacket::Control(ControlMsg::RegionGrant {
+                    task: TaskId(7),
+                    region: AaRegion {
+                        base: 0,
+                        aggregators: 8,
+                    },
+                }),
+                14,
+            ),
+            (
+                AskPacket::Control(ControlMsg::RegionDeny { task: TaskId(7) }),
+                6,
+            ),
+            (
+                AskPacket::Control(ControlMsg::TaskAnnounce {
+                    task: TaskId(7),
+                    receiver: 3,
+                }),
+                10,
+            ),
+            (AskPacket::Control(ControlMsg::EpochNotify { epoch: 9 }), 6),
         ];
-        for p in &packets {
+        for (p, body) in &packets {
             assert_eq!(
                 encode_envelope_parts(1, 2, 0, 0, p, &layout).len(),
-                ENVELOPE_HEADER_BYTES + encoded_size(p, &layout),
-                "size mismatch for {p}"
+                ENVELOPE_HEADER_BYTES + body,
+                "size mismatch for {p:?}"
             );
         }
     }
@@ -1094,7 +1136,7 @@ mod tests {
         for packet in packets {
             let bytes = encode_envelope_parts(1, 2, 3, 0x5a, &packet, &layout);
             let back = decode(bytes).unwrap();
-            assert_eq!((back.epoch, back.flags), (3, 0x5a), "{packet}");
+            assert_eq!((back.epoch, back.flags), (3, 0x5a), "{packet:?}");
             assert_eq!(back.packet, packet);
         }
     }

@@ -4,9 +4,11 @@
 //! short/medium/long classification (§3.2.3 of the paper), the slotted
 //! [`packet::DataPacket`] whose bitmap the switch rewrites as it consumes
 //! tuples (Figure 5), control-plane messages for task setup and switch
-//! memory management, and a compact binary [`codec`]: frames are written
-//! once by the codec's writers and read in place as a [`view::FrameView`],
-//! with one owned encoder and one owned decoder as the reference model.
+//! memory management, and a compact binary [`codec`]: every frame kind is
+//! written once, by its one writer in the codec, and read in place as a
+//! [`view::FrameView`]. The owned [`packet::AskPacket`] with its one encoder
+//! and one decoder is the reference model the writers and views are
+//! checked against; the datapath never builds one.
 //!
 //! Size accounting follows the paper's §5.3 model: every packet costs
 //! [`constants::PACKET_OVERHEAD`] = 78 bytes of framing/headers plus its
@@ -74,6 +76,24 @@ mod proptests {
     /// `p` through the one encoder and back through the one decoder.
     fn roundtrip(p: &AskPacket, layout: &PacketLayout) -> Result<AskPacket, CodecError> {
         decode(encode_envelope_parts(1, 2, 0, 0, p, layout)).map(|env| env.packet)
+    }
+
+    /// `frame` is byte for byte the owned encoding of `owned`, the owned
+    /// decoder reads `owned` back, and the view reads the same addressing.
+    fn matches_model(
+        frame: &Bytes,
+        owned: &AskPacket,
+        (src, dst, epoch): (u32, u32, u32),
+    ) -> FrameView {
+        let layout = PacketLayout::paper_default();
+        prop_assert_eq!(
+            frame,
+            &encode_envelope_parts(src, dst, epoch, 0, owned, &layout)
+        );
+        prop_assert_eq!(&decode(frame.clone()).unwrap().packet, owned);
+        let view = FrameView::parse(frame.clone()).unwrap();
+        prop_assert_eq!((view.src(), view.dst(), view.epoch()), (src, dst, epoch));
+        view
     }
 
     fn arb_key() -> impl Strategy<Value = Key> {
@@ -240,38 +260,89 @@ mod proptests {
             }
         }
 
-        /// The fixed-size ACK and FIN writers produce the owned codec's
-        /// bytes, and the frames parse back.
+        /// Every writer produces the owned codec's bytes, and its frame
+        /// parses back to the same fields: ACK, FIN, swap, fetch request,
+        /// each control message, and a fetch reply of random entries.
         #[test]
-        fn ack_and_fin_writers_match_owned_encode(
+        fn writers_match_owned_encode(
             addressing in (any::<u32>(), any::<u32>(), any::<u32>()),
             task in any::<u32>(),
             channel in any::<u32>(),
             seq in any::<u64>(),
+            words in (any::<u32>(), any::<u32>(), any::<u32>()),
+            op in (0u8..3).prop_map(AggregateOp::from_code),
+            scope in prop_oneof![Just(FetchScope::Inactive), Just(FetchScope::All)],
+            entries in proptest::collection::vec((arb_key(), any::<u32>()), 0..20),
         ) {
-            use crate::codec::{ack_frame, fin_frame, SendHeader};
+            use crate::codec::{
+                ack_frame, control_frame, fetch_request_frame, fin_frame, swap_frame,
+                FrameWriter, SendHeader,
+            };
             let (src, dst, epoch) = addressing;
             let (task, channel, seq) = (TaskId(task), ChannelId(channel), SeqNo(seq));
-            let layout = PacketLayout::paper_default();
+            let (fetch_seq, base, aggregators) = words;
 
             let ack = ack_frame(src, dst, epoch, channel, seq);
-            let owned = AskPacket::Ack { channel, seq };
-            prop_assert_eq!(&ack, &encode_envelope_parts(src, dst, epoch, 0, &owned, &layout));
-            prop_assert_eq!(decode(ack.clone()).unwrap().packet, owned);
-            let view = FrameView::parse(ack).unwrap();
-            prop_assert_eq!((view.src(), view.dst(), view.epoch()), (src, dst, epoch));
+            let view = matches_model(&ack, &AskPacket::Ack { channel, seq }, addressing);
             prop_assert!(matches!(
                 view.packet(),
                 PacketView::Ack { channel: c, seq: s } if (*c, *s) == (channel, seq)
             ));
 
             let fin = fin_frame(&SendHeader { src, dst, epoch, task, channel, seq });
-            let owned = AskPacket::Fin { task, channel, seq };
-            prop_assert_eq!(&fin, &encode_envelope_parts(src, dst, epoch, 0, &owned, &layout));
+            let view = matches_model(&fin, &AskPacket::Fin { task, channel, seq }, addressing);
             prop_assert!(matches!(
-                FrameView::parse(fin).unwrap().packet(),
+                view.packet(),
                 PacketView::Fin { task: t, channel: c, seq: s } if (*t, *c, *s) == (task, channel, seq)
             ));
+
+            let swap = swap_frame(src, dst, epoch, task);
+            let view = matches_model(&swap, &AskPacket::Swap { task }, addressing);
+            prop_assert!(matches!(view.packet(), PacketView::Swap { task: t } if *t == task));
+
+            let request = fetch_request_frame(src, dst, epoch, task, scope, fetch_seq);
+            let owned = AskPacket::FetchRequest { task, scope, fetch_seq };
+            let view = matches_model(&request, &owned, addressing);
+            prop_assert!(matches!(
+                view.packet(),
+                PacketView::FetchRequest { task: t, scope: s, fetch_seq: f }
+                    if (*t, *s, *f) == (task, scope, fetch_seq)
+            ));
+
+            let region = AaRegion { base, aggregators };
+            for msg in [
+                ControlMsg::RegionRequest { task, op },
+                ControlMsg::RegionGrant { task, region },
+                ControlMsg::RegionDeny { task },
+                ControlMsg::RegionRelease { task },
+                ControlMsg::TaskAnnounce { task, receiver: base },
+                ControlMsg::EpochNotify { epoch: aggregators },
+            ] {
+                let frame = control_frame(src, dst, epoch, &msg);
+                let view = matches_model(&frame, &AskPacket::Control(msg.clone()), addressing);
+                prop_assert!(matches!(view.packet(), PacketView::Control(m) if *m == msg));
+            }
+
+            let entries: Vec<KvTuple> =
+                entries.into_iter().map(|(k, v)| KvTuple::new(k, v)).collect();
+            let body_len = entries.iter().map(|t| 2 + t.key.len() + 4).sum();
+            let count = entries.len() as u32;
+            let mut reply =
+                FrameWriter::fetch_reply(src, dst, epoch, task, fetch_seq, count, body_len);
+            for t in &entries {
+                reply.put(&(t.key.len() as u16).to_be_bytes());
+                reply.put(t.key.as_bytes());
+                reply.put(&t.value.to_be_bytes());
+            }
+            let owned = AskPacket::FetchReply { task, fetch_seq, entries: entries.clone() };
+            let view = matches_model(&reply.finish(), &owned, addressing);
+            prop_assert!(matches!(
+                view.packet(),
+                PacketView::FetchReply { task: t, fetch_seq: f, entry_count: n }
+                    if (*t, *f, *n) == (task, fetch_seq, count)
+            ));
+            let read = view.entries().unwrap().map(|e| KvTuple::new(e.key(), e.value()));
+            prop_assert_eq!(read.collect::<Vec<_>>(), entries);
         }
 
         /// Decoding arbitrary garbage never panics, even when it carries a

@@ -4,7 +4,6 @@
 use crate::constants::PACKET_OVERHEAD;
 use crate::key::{Key, KPART_BYTES};
 use core::fmt;
-use std::sync::Arc;
 
 /// Identifier of one aggregation task (unique per receiver daemon).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -214,19 +213,11 @@ impl DataPacket {
         self.occupied() == 0
     }
 
-    /// Nominal payload bytes given `layout` (only occupied slots count).
-    pub fn payload_bytes(&self, layout: &PacketLayout) -> usize {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| layout.slot_bytes(i))
-            .sum()
-    }
-
-    /// Nominal wire bytes: payload plus the fixed 78-byte overhead.
+    /// Nominal wire bytes given `layout`: the fixed 78-byte overhead plus
+    /// the nominal bytes of each occupied slot.
     pub fn wire_bytes(&self, layout: &PacketLayout) -> usize {
-        PACKET_OVERHEAD + self.payload_bytes(layout)
+        let slots = self.slots.iter().enumerate().filter(|(_, s)| s.is_some());
+        PACKET_OVERHEAD + slots.map(|(i, _)| layout.slot_bytes(i)).sum::<usize>()
     }
 }
 
@@ -399,74 +390,11 @@ pub enum AskPacket {
         task: TaskId,
         /// Echo of the request's fetch sequence number.
         fetch_seq: u32,
-        /// Reconstructed (key, aggregated value) pairs. Shared so the
-        /// switch's fetch cache, the reply packet, and any retransmitted
-        /// replay all reference one harvest buffer instead of cloning it.
-        entries: Arc<Vec<KvTuple>>,
+        /// Reconstructed (key, aggregated value) pairs.
+        entries: Vec<KvTuple>,
     },
     /// Daemon/controller control-plane message.
     Control(ControlMsg),
-}
-
-impl fmt::Display for AskPacket {
-    /// One-line tcpdump-style summary, for logs and debugging.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AskPacket::Data(d) => write!(
-                f,
-                "DATA {} {} {} [{} of {} slots]",
-                d.task,
-                d.channel,
-                d.seq,
-                d.occupied(),
-                d.slots.len()
-            ),
-            AskPacket::LongKv {
-                task,
-                channel,
-                seq,
-                entries,
-            } => write!(
-                f,
-                "LONGKV {task} {channel} {seq} [{} tuples]",
-                entries.len()
-            ),
-            AskPacket::Ack { channel, seq } => write!(f, "ACK {channel} {seq}"),
-            AskPacket::Fin { task, channel, seq } => write!(f, "FIN {task} {channel} {seq}"),
-            AskPacket::Swap { task } => write!(f, "SWAP {task}"),
-            AskPacket::FetchRequest {
-                task,
-                scope,
-                fetch_seq,
-            } => write!(f, "FETCH {task} {scope:?} #{fetch_seq}"),
-            AskPacket::FetchReply {
-                task,
-                fetch_seq,
-                entries,
-            } => write!(
-                f,
-                "FETCH-REPLY {task} #{fetch_seq} [{} tuples]",
-                entries.len()
-            ),
-            AskPacket::Control(msg) => match msg {
-                ControlMsg::RegionRequest { task, op } => {
-                    write!(f, "CTRL region-request {task} {op:?}")
-                }
-                ControlMsg::RegionGrant { task, region } => write!(
-                    f,
-                    "CTRL region-grant {task} [{}..{})",
-                    region.base,
-                    region.base + region.aggregators
-                ),
-                ControlMsg::RegionDeny { task } => write!(f, "CTRL region-deny {task}"),
-                ControlMsg::RegionRelease { task } => write!(f, "CTRL region-release {task}"),
-                ControlMsg::TaskAnnounce { task, receiver } => {
-                    write!(f, "CTRL announce {task} -> n{receiver}")
-                }
-                ControlMsg::EpochNotify { epoch } => write!(f, "CTRL epoch-notify e{epoch}"),
-            },
-        }
-    }
 }
 
 impl AskPacket {
@@ -474,10 +402,7 @@ impl AskPacket {
     pub fn wire_bytes(&self, layout: &PacketLayout) -> usize {
         match self {
             AskPacket::Data(d) => d.wire_bytes(layout),
-            AskPacket::LongKv { entries, .. } => {
-                PACKET_OVERHEAD + entries.iter().map(|t| 2 + t.key.len() + 4).sum::<usize>()
-            }
-            AskPacket::FetchReply { entries, .. } => {
+            AskPacket::LongKv { entries, .. } | AskPacket::FetchReply { entries, .. } => {
                 PACKET_OVERHEAD + entries.iter().map(|t| 2 + t.key.len() + 4).sum::<usize>()
             }
             // Pure header packets.
@@ -585,32 +510,6 @@ mod tests {
             78
         );
         assert_eq!(AskPacket::Swap { task: TaskId(0) }.wire_bytes(&l), 78);
-    }
-
-    #[test]
-    fn display_summaries_are_informative() {
-        let p = AskPacket::Ack {
-            channel: ChannelId(3),
-            seq: SeqNo(9),
-        };
-        assert_eq!(p.to_string(), "ACK ch3 seq9");
-        let mut slots = vec![None; 4];
-        slots[1] = Some(kv("a", 1));
-        let d = AskPacket::Data(DataPacket {
-            task: TaskId(2),
-            channel: ChannelId(0),
-            seq: SeqNo(5),
-            slots,
-        });
-        assert_eq!(d.to_string(), "DATA task2 ch0 seq5 [1 of 4 slots]");
-        let c = AskPacket::Control(ControlMsg::RegionGrant {
-            task: TaskId(1),
-            region: AaRegion {
-                base: 8,
-                aggregators: 8,
-            },
-        });
-        assert_eq!(c.to_string(), "CTRL region-grant task1 [8..16)");
     }
 
     #[test]

@@ -445,11 +445,6 @@ impl FrameView {
         self.packet
     }
 
-    /// The underlying frame bytes (envelope header included).
-    pub fn frame_bytes(&self) -> &Bytes {
-        &self.bytes
-    }
-
     /// Iterates the `(key, value)` entries of a long-kv or fetch-reply body
     /// straight off the frame bytes — how the host daemon merges both.
     /// Entries were validated during [`FrameView::parse`]; `None` for packet
@@ -733,7 +728,6 @@ mod tests {
     use crate::codec::{decode_envelope_pooled, encode_envelope_parts, Envelope};
     use crate::packet::{AskPacket, DataPacket, KvTuple};
     use crate::pool::PacketPool;
-    use std::sync::Arc;
 
     fn kv(s: &str, v: u32) -> KvTuple {
         KvTuple::new(Key::from_str(s).unwrap(), v)
@@ -791,7 +785,7 @@ mod tests {
             } => AskPacket::FetchReply {
                 task,
                 fetch_seq,
-                entries: Arc::new(entries()),
+                entries: entries(),
             },
             PacketView::Control(msg) => AskPacket::Control(msg),
         };
@@ -882,7 +876,7 @@ mod tests {
             AskPacket::FetchReply {
                 task: TaskId(1),
                 fetch_seq: 3,
-                entries: Arc::new(vec![kv("x", 1)]),
+                entries: vec![kv("x", 1)],
             },
             AskPacket::Control(ControlMsg::EpochNotify { epoch: 42 }),
         ];
@@ -911,7 +905,7 @@ mod tests {
             AskPacket::FetchReply {
                 task: TaskId(4),
                 fetch_seq: 5,
-                entries: Arc::new(entries.clone()),
+                entries: entries.clone(),
             },
         ];
         for p in packets {

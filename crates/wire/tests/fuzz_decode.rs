@@ -23,7 +23,6 @@ use ask_wire::packet::{
 use ask_wire::pool::PacketPool;
 use ask_wire::view::{FrameView, PacketView};
 use bytes::Bytes;
-use std::sync::Arc;
 
 fn decode(bytes: Bytes) -> Result<Envelope, CodecError> {
     decode_envelope_pooled(bytes, &mut PacketPool::new())
@@ -95,7 +94,7 @@ fn read_back(view: &FrameView) -> Envelope {
         } => AskPacket::FetchReply {
             task,
             fetch_seq,
-            entries: Arc::new(entries()),
+            entries: entries(),
         },
         PacketView::Control(msg) => AskPacket::Control(msg),
     };
@@ -211,7 +210,7 @@ fn corpus(layout: &PacketLayout) -> Vec<AskPacket> {
         AskPacket::FetchReply {
             task: TaskId(3),
             fetch_seq: 2,
-            entries: Arc::new(vec![tuple("fetched", 77)]),
+            entries: vec![tuple("fetched", 77)],
         },
         AskPacket::Control(ControlMsg::RegionRequest {
             task: TaskId(3),
@@ -245,7 +244,7 @@ fn every_truncation_of_every_packet_is_an_error_not_a_panic() {
                 let truncated = restamped(bytes[..cut].to_vec());
                 assert!(
                     decode(truncated.clone()).is_err(),
-                    "truncating {packet} to {cut} of {} bytes must fail",
+                    "truncating {packet:?} to {cut} of {} bytes must fail",
                     bytes.len(),
                 );
                 assert_view_agrees_with_decode(truncated);
@@ -279,7 +278,7 @@ fn every_single_bit_flip_in_an_envelope_is_caught_by_the_crc() {
                 let flipped = Bytes::from(flipped);
                 assert!(
                     decode(flipped.clone()).is_err(),
-                    "flipping bit {bit} of byte {byte_ix} in {packet} must be rejected",
+                    "flipping bit {bit} of byte {byte_ix} in {packet:?} must be rejected",
                 );
                 assert_view_agrees_with_decode(flipped);
             }

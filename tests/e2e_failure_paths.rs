@@ -286,7 +286,7 @@ mod foreign_layout {
             .engine_mut()
             .fetch(honest, FetchScope::All, 1)
             .iter()
-            .map(|t| (t.key.as_bytes().to_vec(), t.value))
+            .map(|(key, value)| (key.to_vec(), value))
             .collect();
         got.sort();
         assert_eq!(got, vec![(b"cat".to_vec(), 7), (b"dog".to_vec(), 5)]);
