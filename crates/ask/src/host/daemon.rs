@@ -637,7 +637,7 @@ impl AskDaemon {
             // A stream writes its next frame here, straight into the bytes
             // both the simulator frame and the window hold; a drained
             // stream is popped and the loop retries with the next item.
-            let (frame, task, dst) = match ch.queue.front_mut() {
+            let (frame, task) = match ch.queue.front_mut() {
                 Some(QueuedItem::Stream { task, dst, stream }) => {
                     let t0 = self.time_phases.then(std::time::Instant::now);
                     let built = stream.next_frame(&header(*task, *dst));
@@ -646,7 +646,7 @@ impl AskDaemon {
                             .set(self.packetize_ns.get() + t0.elapsed().as_nanos() as u64);
                     }
                     match built {
-                        Some(frame) => (frame, *task, *dst),
+                        Some(frame) => (frame, *task),
                         None => {
                             ch.queue.pop_front();
                             continue;
@@ -661,7 +661,7 @@ impl AskDaemon {
                         bytes: fin_frame(&header(task, dst)),
                         wire: PACKET_OVERHEAD,
                     };
-                    (fin, task, dst)
+                    (fin, task)
                 }
                 None => unreachable!("queue checked non-empty"),
             };
@@ -669,8 +669,7 @@ impl AskDaemon {
             if kind != FrameKind::Fin {
                 *ch.outstanding.entry(task).or_insert(0) += 1;
             }
-            ch.window
-                .register(kind, bytes.clone(), wire, dst, Some(task));
+            ch.window.register(kind, bytes.clone(), wire, task);
             ch.busy_until = now + self.config.cpu_per_packet;
             self.cpu_busy += self.config.cpu_per_packet;
             self.stats.packets_sent += 1;
@@ -694,16 +693,15 @@ impl AskDaemon {
         self.stats.acks_received += 1;
         self.trace
             .record(ctx.now(), TraceEvent::AckReceived { channel, seq });
-        if let Some(task) = inflight.task {
-            match inflight.kind {
-                FrameKind::Data | FrameKind::LongKv => {
-                    let ch = &mut self.channels[ch_ix];
-                    let left = ch.outstanding.entry(task).or_insert(1);
-                    *left = left.saturating_sub(1);
-                }
-                FrameKind::Fin => {
-                    self.send_done.insert(task, ctx.now());
-                }
+        let task = inflight.task;
+        match inflight.kind {
+            FrameKind::Data | FrameKind::LongKv => {
+                let ch = &mut self.channels[ch_ix];
+                let left = ch.outstanding.entry(task).or_insert(1);
+                *left = left.saturating_sub(1);
+            }
+            FrameKind::Fin => {
+                self.send_done.insert(task, ctx.now());
             }
         }
         self.pump(ch_ix, ctx);

@@ -29,10 +29,8 @@ pub struct InFlight {
     pub encoded: Bytes,
     /// On-wire size of the frame carrying `encoded`.
     pub wire: usize,
-    /// Destination node index.
-    pub dst: u32,
-    /// The task the packet belongs to (for FIN gating), if any.
-    pub task: Option<TaskId>,
+    /// The task the packet belongs to (for FIN gating).
+    pub task: TaskId,
 }
 
 /// Sliding send window over one data channel's sequence space.
@@ -143,14 +141,7 @@ impl SenderWindow {
     /// # Panics
     ///
     /// Panics if the window is full ([`SenderWindow::can_send`] is false).
-    pub fn register(
-        &mut self,
-        kind: FrameKind,
-        encoded: Bytes,
-        wire: usize,
-        dst: u32,
-        task: Option<TaskId>,
-    ) -> u64 {
+    pub fn register(&mut self, kind: FrameKind, encoded: Bytes, wire: usize, task: TaskId) -> u64 {
         assert!(self.can_send(), "window full");
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
@@ -161,7 +152,6 @@ impl SenderWindow {
             kind,
             encoded,
             wire,
-            dst,
             task,
         });
         seq
@@ -190,16 +180,16 @@ impl SenderWindow {
         self.in_flight == 0
     }
 
-    /// Empties the window and restarts the sequence space at 0, returning
+    /// Empties the window and restarts the sequence space at 0, dropping
     /// the abandoned entries (newest-epoch resynchronization: the switch's
     /// dedup registers were wiped, and their even/odd phase encoding only
     /// reads correctly for a sequence space that starts from zero). The
     /// peak-in-flight high-water mark is preserved across the reset.
-    pub fn drain_reset(&mut self) -> Vec<InFlight> {
+    pub fn drain_reset(&mut self) {
         self.next_seq = 0;
         self.oldest = 0;
         self.in_flight = 0;
-        self.ring.iter_mut().filter_map(Option::take).collect()
+        self.ring.fill(None);
     }
 }
 
@@ -216,7 +206,7 @@ mod tests {
         let mut w = SenderWindow::new(4);
         for i in 0..4 {
             assert!(w.can_send());
-            assert_eq!(w.register(dummy_packet(i), Bytes::new(), 0, 1, None), i);
+            assert_eq!(w.register(dummy_packet(i), Bytes::new(), 0, TaskId(0)), i);
         }
         assert!(!w.can_send());
         assert_eq!(w.in_flight(), 4);
@@ -225,8 +215,8 @@ mod tests {
     #[test]
     fn acking_oldest_slides_window() {
         let mut w = SenderWindow::new(2);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
-        w.register(dummy_packet(1), Bytes::new(), 0, 1, None);
+        w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
+        w.register(dummy_packet(1), Bytes::new(), 0, TaskId(0));
         assert!(!w.can_send());
         // Acking the *newest* does not slide (oldest still pins the window).
         assert!(w.ack(1).is_some());
@@ -239,7 +229,7 @@ mod tests {
     #[test]
     fn duplicate_ack_returns_none() {
         let mut w = SenderWindow::new(2);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+        w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
         assert!(w.ack(0).is_some());
         assert!(w.ack(0).is_none());
     }
@@ -247,38 +237,36 @@ mod tests {
     #[test]
     fn retransmit_counts() {
         let mut w = SenderWindow::new(2);
-        w.register(dummy_packet(0), Bytes::from_static(b"f"), 3, 7, Some(TaskId(3)));
+        w.register(dummy_packet(0), Bytes::from_static(b"f"), 3, TaskId(3));
         for _ in 0..2 {
             let e = w.retransmit(0).unwrap();
             assert_eq!((&e.encoded[..], e.wire), (&b"f"[..], 3));
         }
         assert_eq!(w.in_flight(), 1, "a retransmission keeps the entry");
-        let e = w.ack(0).unwrap();
-        assert_eq!(e.dst, 7);
-        assert_eq!(e.task, Some(TaskId(3)));
+        assert_eq!(w.ack(0).unwrap().task, TaskId(3));
         assert!(w.retransmit(0).is_none(), "acked packets are gone");
     }
 
     #[test]
     fn drain_reset_restarts_sequence_space() {
         let mut w = SenderWindow::with_start_seq(4, 1000);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, Some(TaskId(3)));
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+        w.register(dummy_packet(0), Bytes::new(), 0, TaskId(3));
+        w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
         assert_eq!(w.peak_in_flight(), 2);
-        let drained = w.drain_reset();
-        assert_eq!(drained.len(), 2);
+        assert_eq!(w.in_flight(), 2);
+        w.drain_reset();
         assert!(w.is_idle());
         assert_eq!(w.next_seq(), 0, "sequence space restarts at zero");
         assert_eq!(w.peak_in_flight(), 2, "high-water mark survives the reset");
-        assert_eq!(w.register(dummy_packet(0), Bytes::new(), 0, 1, None), 0);
+        assert_eq!(w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0)), 0);
     }
 
     #[test]
     #[should_panic(expected = "window full")]
     fn register_past_full_panics() {
         let mut w = SenderWindow::new(1);
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
-        w.register(dummy_packet(1), Bytes::new(), 0, 1, None);
+        w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
+        w.register(dummy_packet(1), Bytes::new(), 0, TaskId(0));
     }
 
     #[test]
@@ -296,7 +284,7 @@ mod tests {
         let mut expected = u64::MAX - 2;
         for _ in 0..16 {
             assert!(w.can_send());
-            let seq = w.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+            let seq = w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
             assert_eq!(seq, expected);
             assert!(w.ack(seq).is_some());
             expected = expected.wrapping_add(1);
@@ -308,15 +296,15 @@ mod tests {
     #[test]
     fn oldest_unacked_is_wraparound_aware() {
         let mut w = SenderWindow::with_start_seq(4, u64::MAX - 1);
-        let a = w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // MAX-1
-        let b = w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // MAX
-        let c = w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // 0
+        let a = w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0)); // MAX-1
+        let b = w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0)); // MAX
+        let c = w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0)); // 0
         assert_eq!((a, b, c), (u64::MAX - 1, u64::MAX, 0));
         // Numerically the smallest key is 0, but logically MAX-1 is oldest.
         assert_eq!(w.oldest_unacked(), Some(u64::MAX - 1));
         assert_eq!(w.in_flight_seqs(), vec![u64::MAX - 1, u64::MAX, 0]);
         assert!(w.can_send(), "3 of 4 slots used");
-        w.register(dummy_packet(0), Bytes::new(), 0, 1, None); // 1
+        w.register(dummy_packet(0), Bytes::new(), 0, TaskId(0)); // 1
         assert!(!w.can_send(), "window full across the wrap");
         assert!(w.ack(u64::MAX - 1).is_some());
         assert!(w.can_send(), "acking the oldest slides the window");
@@ -330,7 +318,7 @@ mod tests {
             let mut sw = SenderWindow::with_start_seq(w, u64::MAX - 2);
             for _ in 0..w {
                 assert!(sw.can_send());
-                sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+                sw.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
             }
             assert!(!sw.can_send(), "W = {w}: full at W");
             assert_eq!(sw.in_flight(), w);
@@ -353,7 +341,7 @@ mod tests {
             let start = 3 * capacity + 1;
             let mut sw = SenderWindow::with_start_seq(w, start);
             for wire in 0..3 {
-                sw.register(dummy_packet(0), Bytes::new(), wire, 1, None);
+                sw.register(dummy_packet(0), Bytes::new(), wire, TaskId(0));
             }
             sw.retransmit(start + 1).unwrap();
             for live in [start, start + 1, start + 2] {
@@ -380,14 +368,15 @@ mod tests {
     #[test]
     fn drain_reset_then_register_reuses_slot_zero() {
         let mut sw = SenderWindow::with_start_seq(6, 8); // seq 8 sits in slot 0
-        sw.register(dummy_packet(0), Bytes::new(), 11, 1, None);
-        sw.register(dummy_packet(0), Bytes::new(), 12, 1, None);
+        sw.register(dummy_packet(0), Bytes::new(), 11, TaskId(0));
+        sw.register(dummy_packet(0), Bytes::new(), 12, TaskId(0));
         sw.retransmit(8).unwrap();
-        assert_eq!(sw.drain_reset().len(), 2);
+        assert_eq!(sw.in_flight(), 2);
+        sw.drain_reset();
         assert_eq!(sw.oldest_unacked(), None);
         assert!(sw.in_flight_seqs().is_empty());
         assert!(sw.ack(8).is_none(), "pre-reset sequence numbers are gone");
-        assert_eq!(sw.register(FrameKind::Fin, Bytes::new(), 13, 1, None), 0);
+        assert_eq!(sw.register(FrameKind::Fin, Bytes::new(), 13, TaskId(0)), 0);
         assert_eq!(sw.in_flight_seqs(), vec![0]);
         let e = sw.ack(0).expect("slot 0 holds the new entry");
         assert_eq!((e.kind, e.wire), (FrameKind::Fin, 13));
@@ -433,7 +422,7 @@ mod tests {
                     prop_assert_eq!(sw.can_send(), model_can_send);
                     prop_assert!(sw.in_flight() <= w);
                     if model_can_send && (inflight_virt.is_empty() || rng.gen_bool(0.6)) {
-                        let seq = sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+                        let seq = sw.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
                         prop_assert_eq!(seq, start.wrapping_add(next_virt));
                         inflight_virt.push(next_virt);
                         next_virt += 1;
@@ -481,7 +470,7 @@ mod tests {
                     match rng.gen_range(0..4u8) {
                         0 if sw.can_send() => {
                             let seq =
-                                sw.register(dummy_packet(0), Bytes::new(), 0, 1, None);
+                                sw.register(dummy_packet(0), Bytes::new(), 0, TaskId(0));
                             live.push(seq);
                         }
                         1 if !live.is_empty() => {

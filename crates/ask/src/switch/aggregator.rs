@@ -9,8 +9,7 @@
 //! Pipeline memory map (stage → register arrays):
 //!
 //! ```text
-//! stage 0      task_table      (match: task → region, indicator, op;
-//!                               SRAM only, see `fill_dispatch`)
+//! stage 0      task_table      (match: task → region, indicator, op)
 //!              copy_indicator  (1 bit  × max_tasks)
 //!              max_seq         (64 bit × max_channels)
 //!              seen            (1 bit  × max_channels × W)   compact §3.3
@@ -24,12 +23,13 @@
 //! ```
 //!
 //! One [`process_data_view`](AggregatorEngine::process_data_view) call is
-//! one packet pass: dedup gate first, then one access per aggregator array
-//! in stage order, then the `PktState` read-or-write. Keys and values are
-//! read in place from the frame bytes ([`DataPacketView`]); the engine never
-//! owns a decoded packet.
+//! one packet pass: a task-table lookup, the dedup gate, then one access
+//! per aggregator array in stage order, then the `PktState` read-or-write.
+//! Keys and values are read in place from the frame bytes
+//! ([`DataPacketView`]); the engine never owns a decoded packet.
 
 use crate::config::AskConfig;
+use crate::fasthash::{FastMap, FastSet};
 use crate::stats::SwitchTaskStats;
 use ask_pisa::pipeline::{ArrayId, Pass, Pipeline};
 use ask_pisa::spec::PipelineSpec;
@@ -136,58 +136,8 @@ struct TaskEntry {
     stats: SwitchTaskStats,
 }
 
-/// "No slot" sentinel in a [`DispatchEntry`]: the channel is pure-forwarded
-/// or the task is not registered.
-const SLOT_NONE: u32 = u32::MAX;
-
 /// "Region size is not a power of two" sentinel: fall back to modulo mixing.
 const MASK_MODULO: u64 = u64::MAX;
-
-/// One line of the direct-mapped per-channel dispatch cache: everything
-/// the data path needs that would otherwise cost a `HashMap` probe — the
-/// channel's reliability slot, the task's match-table action data (region,
-/// indicator, operator), and the task's dense slot for stats updates. The
-/// action data is latched here at fill time, which is sound because it is
-/// written only by the control plane (install/release), and both paths bump
-/// `dispatch_gen` to invalidate every line. The copy indicator is *not*
-/// cached: it changes per-pass on shadow swaps and stays a register access.
-#[derive(Debug, Clone, Copy)]
-struct DispatchEntry {
-    /// Stamp of the generation this line was filled in; any control-plane
-    /// change bumps the engine's generation and thereby invalidates it.
-    gen: u64,
-    channel: ChannelId,
-    task: TaskId,
-    /// Channel's dedup-state slot, or [`SLOT_NONE`] for pure forwarding.
-    ch_slot: u32,
-    /// Task's slot in the dense task store, or [`SLOT_NONE`] if unknown.
-    task_slot: u32,
-    region: AaRegion,
-    indicator_idx: u32,
-    op: AggregateOp,
-    /// `aggregators - 1` when the region size is a power of two (index
-    /// mixing becomes an AND), else [`MASK_MODULO`].
-    index_mask: u64,
-}
-
-impl DispatchEntry {
-    fn invalid() -> Self {
-        DispatchEntry {
-            gen: 0,
-            channel: ChannelId(u32::MAX),
-            task: TaskId(u32::MAX),
-            ch_slot: SLOT_NONE,
-            task_slot: SLOT_NONE,
-            region: AaRegion {
-                base: 0,
-                aggregators: 1,
-            },
-            indicator_idx: 0,
-            op: AggregateOp::Sum,
-            index_mask: MASK_MODULO,
-        }
-    }
-}
 
 /// The switch aggregation engine. Pure computation — no networking — so
 /// benchmarks (e.g. Figure 9's prioritization sweep) can drive it directly.
@@ -200,29 +150,24 @@ pub struct AggregatorEngine {
     max_seq: ArrayId,
     seen: ArrayId,
     pkt_state: ArrayId,
-    /// Dense task store indexed by indicator index — the indicator pool is
-    /// already a recycled `0..max_tasks` space, so it doubles as the slot
-    /// allocator. The data path reaches entries by slot; only control-plane
-    /// calls go through `task_index`.
-    task_slots: Vec<Option<TaskEntry>>,
-    /// Task id → slot in `task_slots`.
-    task_index: HashMap<TaskId, usize>,
+    /// The task table's entries: task id → region, indicator, operator,
+    /// plus the task's claims, fetch cache and counters.
+    tasks: FastMap<TaskId, TaskEntry>,
     /// Counters of released tasks, kept for post-mortem inspection.
     finished_stats: HashMap<TaskId, SwitchTaskStats>,
-    channel_slots: HashMap<ChannelId, usize>,
-    /// Direct-mapped dispatch cache, indexed by the channel id's low bits.
-    dispatch: Vec<DispatchEntry>,
-    dispatch_mask: usize,
-    /// Current dispatch generation; bumped on task install/release and on
-    /// `set_local_hosts`, which invalidates every cache line at once.
-    dispatch_gen: u64,
+    channel_slots: FastMap<ChannelId, usize>,
+    /// `region_aggregators - 1` when every region's length is a power of
+    /// two (index mixing becomes an AND), else [`MASK_MODULO`].
+    index_mask: u64,
+    /// Copy-indicator indices not held by a live task; also caps live
+    /// tasks at `max_tasks`.
     free_indicators: Vec<usize>,
     /// Free `[base, len)` slices of the per-copy aggregator space.
     free_regions: Vec<(u32, u32)>,
     /// If set, only channels whose owning host is in this set get
     /// reliability state and aggregation; other (cross-rack) channels are
     /// pure-forwarded (§7 "Deployment in Multi-rack networks").
-    local_hosts: Option<std::collections::HashSet<u32>>,
+    local_hosts: Option<FastSet<u32>>,
     /// Exact `(channel, seq)` absorption journal, kept only when
     /// [`AskConfig::absorption_audit`] is set. Oracle bookkeeping for the
     /// conformance harness — real hardware has no analogue.
@@ -253,8 +198,11 @@ impl AggregatorEngine {
         let free_indicators: Vec<usize> = (0..config.max_tasks).rev().collect();
         let free_regions = vec![(0, config.aggregators_per_aa as u32)];
         let absorbed_seqs = config.absorption_audit.then(HashSet::new);
-        let dispatch_lines = config.max_channels.next_power_of_two().max(64);
-        let task_slots = (0..config.max_tasks).map(|_| None).collect();
+        let index_mask = if config.region_aggregators.is_power_of_two() {
+            (config.region_aggregators - 1) as u64
+        } else {
+            MASK_MODULO
+        };
         AggregatorEngine {
             config,
             pipeline: alloc.pipeline,
@@ -263,13 +211,10 @@ impl AggregatorEngine {
             max_seq: alloc.max_seq,
             seen: alloc.seen,
             pkt_state: alloc.pkt_state,
-            task_slots,
-            task_index: HashMap::new(),
+            tasks: FastMap::default(),
             finished_stats: HashMap::new(),
-            channel_slots: HashMap::new(),
-            dispatch: vec![DispatchEntry::invalid(); dispatch_lines],
-            dispatch_mask: dispatch_lines - 1,
-            dispatch_gen: 1,
+            channel_slots: FastMap::default(),
+            index_mask,
             free_indicators,
             free_regions,
             local_hosts: None,
@@ -288,9 +233,8 @@ impl AggregatorEngine {
 
         // The task table maps task id → (region base, region length,
         // copy-indicator index, operator) ("the switch uses the task ID to
-        // identify the aggregator memory region", §3.1). Its action data is
-        // latched into the dispatch cache at install time, so the model
-        // only reserves its SRAM.
+        // identify the aggregator memory region", §3.1). Its entries live in
+        // the engine's `tasks` map, so the model only reserves its SRAM.
         pipeline
             .alloc_table(0, config.max_tasks, 4)
             .expect("task table fits stage 0");
@@ -326,20 +270,17 @@ impl AggregatorEngine {
     }
 
     /// Power-failure semantics: every register array, match table, dedup
-    /// window, task region, and cached verdict is gone; only control-plane
+    /// window and task region is gone; only control-plane
     /// software state that would live off-switch survives (finished-task
     /// counters and the host-locality config). Live tasks' counters are
     /// banked into the finished set so observability spans the crash.
     pub fn crash_reset(&mut self) {
-        for (&task, &slot) in &self.task_index {
-            if let Some(entry) = self.task_slots[slot].take() {
-                self.finished_stats
-                    .entry(task)
-                    .or_default()
-                    .merge(&entry.stats);
-            }
+        for (task, entry) in self.tasks.drain() {
+            self.finished_stats
+                .entry(task)
+                .or_default()
+                .merge(&entry.stats);
         }
-        self.task_index.clear();
         let alloc = Self::build_pipeline(&self.config);
         self.pipeline = alloc.pipeline;
         self.aas = alloc.aas;
@@ -347,11 +288,7 @@ impl AggregatorEngine {
         self.max_seq = alloc.max_seq;
         self.seen = alloc.seen;
         self.pkt_state = alloc.pkt_state;
-        for slot in &mut self.task_slots {
-            *slot = None;
-        }
         self.channel_slots.clear();
-        self.dispatch_gen += 1; // every cached dispatch line is now wrong
         self.free_indicators = (0..self.config.max_tasks).rev().collect();
         self.free_regions = vec![(0, self.config.aggregators_per_aa as u32)];
         // The audit journal is per-epoch: sequence spaces restart at zero
@@ -364,13 +301,6 @@ impl AggregatorEngine {
     /// own rack and cross-rack traffic bypasses it as plain forwarding.
     pub fn set_local_hosts(&mut self, hosts: impl IntoIterator<Item = u32>) {
         self.local_hosts = Some(hosts.into_iter().collect());
-        self.dispatch_gen += 1; // cached channel verdicts may have changed
-    }
-
-    /// Looks up a live task entry by id (control-plane path).
-    fn task_entry(&self, task: TaskId) -> Option<&TaskEntry> {
-        let &slot = self.task_index.get(&task)?;
-        self.task_slots[slot].as_ref()
     }
 
     /// The configuration the engine was built with.
@@ -383,7 +313,7 @@ impl AggregatorEngine {
         // A task can have both a live entry and banked counters: a crash
         // banks the pre-crash stats while the re-registered epoch keeps its
         // own. Observability spans the crash, so sum them.
-        let live = self.task_entry(task).map(|t| t.stats);
+        let live = self.tasks.get(&task).map(|t| t.stats);
         let finished = self.finished_stats.get(&task).copied();
         match (live, finished) {
             (Some(mut l), Some(f)) => {
@@ -399,7 +329,7 @@ impl AggregatorEngine {
     /// [`AskSwitch`](crate::switch::AskSwitch) takes its swap, fetch and
     /// release frames from.
     pub fn task_receiver(&self, task: TaskId) -> Option<u32> {
-        self.task_entry(task).map(|t| t.receiver)
+        self.tasks.get(&task).map(|t| t.receiver)
     }
 
     /// Registers a task with the paper's default SUM operator.
@@ -421,7 +351,7 @@ impl AggregatorEngine {
         if self.config.force_host_only {
             return None;
         }
-        if let Some(entry) = self.task_entry(task) {
+        if let Some(entry) = self.tasks.get(&task) {
             return Some(entry.region);
         }
         let want = self.config.region_aggregators as u32;
@@ -439,17 +369,18 @@ impl AggregatorEngine {
         };
         self.pipeline
             .control_write(self.copy_indicator, indicator_idx, 0);
-        self.task_slots[indicator_idx] = Some(TaskEntry {
-            region,
-            indicator_idx,
-            receiver,
-            op,
-            claims: [Vec::new(), Vec::new()],
-            fetch_cache: None,
-            stats: SwitchTaskStats::default(),
-        });
-        self.task_index.insert(task, indicator_idx);
-        self.dispatch_gen += 1; // "unknown task" cache lines are now wrong
+        self.tasks.insert(
+            task,
+            TaskEntry {
+                region,
+                indicator_idx,
+                receiver,
+                op,
+                claims: [Vec::new(), Vec::new()],
+                fetch_cache: None,
+                stats: SwitchTaskStats::default(),
+            },
+        );
         Some(region)
     }
 
@@ -457,11 +388,9 @@ impl AggregatorEngine {
     /// in the region are zeroed (the receiver is expected to have fetched
     /// them first).
     pub fn release_task(&mut self, task: TaskId) {
-        let Some(slot) = self.task_index.remove(&task) else {
+        let Some(entry) = self.tasks.remove(&task) else {
             return;
         };
-        let entry = self.task_slots[slot].take().expect("indexed task present");
-        self.dispatch_gen += 1; // drop every cached line naming this task
         for claims in &entry.claims {
             self.reset_claims(claims);
         }
@@ -561,11 +490,9 @@ impl AggregatorEngine {
 
     /// Records a forwarded long-key bypass packet in the task's counters.
     pub fn note_longkv_forwarded(&mut self, task: TaskId, tuples: u64) {
-        if let Some(&slot) = self.task_index.get(&task) {
-            if let Some(t) = self.task_slots[slot].as_mut() {
-                t.stats.longkv_packets_forwarded += 1;
-                t.stats.tuples_long_forwarded += tuples;
-            }
+        if let Some(t) = self.tasks.get_mut(&task) {
+            t.stats.longkv_packets_forwarded += 1;
+            t.stats.tuples_long_forwarded += tuples;
         }
     }
 
@@ -584,35 +511,21 @@ impl AggregatorEngine {
             view.matches_layout(&self.config.layout),
             "frames in a foreign slot layout are bypass traffic, not engine input"
         );
-        let ent = self.dispatch_entry(view.channel(), view.task());
         let bitmap = view.bitmap();
-        if ent.ch_slot == SLOT_NONE {
+        let Some(ch_slot) = self.channel_slot(view.channel()) else {
             // No reliability state available: best-effort pure forwarding.
             return ViewVerdict::Forward { residual: bitmap };
-        }
-        let ch_slot = ent.ch_slot as usize;
-        let window = self.config.window;
-        // The dispatch entry names a live task slot or none (install and
-        // release invalidate the cache). Its claim vector is a field apart
-        // from the pipeline, so the pass pushes claims straight into it.
-        let mut task = if ent.task_slot == SLOT_NONE {
-            None
-        } else {
-            self.task_slots[ent.task_slot as usize].as_mut()
         };
+        let window = self.config.window;
+        // Stage 0: the task-table match yields the task's region, indicator
+        // and operator. The entry is a field apart from the pipeline, so the
+        // pass pushes claims straight into it.
+        let mut task = self.tasks.get_mut(&view.task());
 
         let mut pass = self.pipeline.begin_pass();
-
-        // Stage 0: the task's match-table action data (region, indicator,
-        // operator) was latched into the dispatch entry at install time —
-        // only the control plane writes it, and install/release invalidate
-        // the cache — so the pass starts at the copy indicator, which does
-        // change mid-task (shadow swaps) and stays a per-packet register
-        // access.
-        let copy = if task.is_some() {
-            pass.access(self.copy_indicator, ent.indicator_idx as usize, |v| *v) as usize
-        } else {
-            0
+        let copy = match &task {
+            Some(t) => pass.access(self.copy_indicator, t.indicator_idx, |v| *v) as usize,
+            None => 0,
         };
         let seq = view.seq().0;
         let obs = Self::observe_in_pass(&mut pass, self.max_seq, self.seen, ch_slot, window, seq);
@@ -631,9 +544,9 @@ impl AggregatorEngine {
                         &mut pass,
                         &self.aas,
                         &self.config,
-                        ent,
+                        self.index_mask,
+                        t,
                         copy,
-                        &mut t.claims[copy],
                         view,
                     ),
                     None => (0, bitmap.count_ones() as u64, bitmap),
@@ -696,19 +609,21 @@ impl AggregatorEngine {
 
     /// Aggregates one packet's occupied slots within one pass, reading each
     /// key and value in place: one register access per aggregator array, in
-    /// stage order. Pushes new claims onto `claims` and returns the
-    /// aggregated/forwarded tuple counts and the surviving slot bitmap.
+    /// stage order. Pushes new claims onto the task's claims for `copy` and
+    /// returns the aggregated/forwarded tuple counts and the surviving slot
+    /// bitmap.
     fn aggregate_slots(
         pass: &mut Pass<'_>,
         aas: &[ArrayId],
         config: &AskConfig,
-        ent: DispatchEntry,
+        index_mask: u64,
+        task: &mut TaskEntry,
         copy: usize,
-        claims: &mut Vec<Claim>,
         view: &DataPacketView,
     ) -> (u64, u64, u128) {
         let layout = &config.layout;
-        let base = copy * config.aggregators_per_aa + ent.region.base as usize;
+        let base = copy * config.aggregators_per_aa + task.region.base as usize;
+        let (op, claims) = (task.op, &mut task.claims[copy]);
         let short = layout.short_slots();
         let m = layout.medium_segments();
         let mut aggregated = 0u64;
@@ -722,16 +637,16 @@ impl AggregatorEngine {
             // Power-of-two regions reduce the index mix to an AND with the
             // precomputed mask; the modulo fallback yields the same index
             // whenever both paths are defined.
-            let spread = if ent.index_mask == MASK_MODULO {
-                mix % ent.region.aggregators as u64
+            let spread = if index_mask == MASK_MODULO {
+                mix % task.region.aggregators as u64
             } else {
-                mix & ent.index_mask
+                mix & index_mask
             };
             let idx = base + spread as usize;
             let ok = if slot_ix < short {
                 let seg = s.segment(0);
                 debug_assert_ne!(seg, 0, "valid keys have non-zero segments");
-                match Self::aggregate_segment(pass, aas[slot_ix], idx, seg, value, true, ent.op) {
+                match Self::aggregate_segment(pass, aas[slot_ix], idx, seg, value, true, op) {
                     SegmentOutcome::Claimed => {
                         claims.push(Claim::Short { aa: slot_ix, idx });
                         true
@@ -746,7 +661,7 @@ impl AggregatorEngine {
                 let mut failed = false;
                 for j in 0..m {
                     let (aa, seg, is_last) = (aas[base_aa + j], s.segment(j), j == m - 1);
-                    match Self::aggregate_segment(pass, aa, idx, seg, value, is_last, ent.op) {
+                    match Self::aggregate_segment(pass, aa, idx, seg, value, is_last, op) {
                         SegmentOutcome::Claimed => claimed_any = true,
                         SegmentOutcome::Matched => {}
                         SegmentOutcome::Conflict => {
@@ -772,49 +687,6 @@ impl AggregatorEngine {
             }
         }
         (aggregated, forwarded, residual)
-    }
-
-    /// Resolves `(channel, task)` through the direct-mapped dispatch cache:
-    /// on a warm hit the whole control lookup is one array read and three
-    /// compares, no hashing.
-    fn dispatch_entry(&mut self, channel: ChannelId, task: TaskId) -> DispatchEntry {
-        let line = channel.0 as usize & self.dispatch_mask;
-        let cached = self.dispatch[line];
-        if cached.gen == self.dispatch_gen && cached.channel == channel && cached.task == task {
-            cached
-        } else {
-            let fresh = self.fill_dispatch(channel, task);
-            self.dispatch[line] = fresh;
-            fresh
-        }
-    }
-
-    /// Builds a dispatch line for `(channel, task)` the slow way — the
-    /// hash lookups the cache exists to amortize. Assigns the channel a
-    /// dedup slot if it does not have one yet.
-    fn fill_dispatch(&mut self, channel: ChannelId, task: TaskId) -> DispatchEntry {
-        let mut ent = DispatchEntry {
-            gen: self.dispatch_gen,
-            channel,
-            task,
-            ..DispatchEntry::invalid()
-        };
-        if let Some(slot) = self.channel_slot(channel) {
-            ent.ch_slot = slot as u32;
-        }
-        if let Some(&slot) = self.task_index.get(&task) {
-            let entry = self.task_slots[slot].as_ref().expect("indexed task present");
-            ent.task_slot = slot as u32;
-            ent.region = entry.region;
-            ent.indicator_idx = entry.indicator_idx as u32;
-            ent.op = entry.op;
-            ent.index_mask = if entry.region.aggregators.is_power_of_two() {
-                (entry.region.aggregators - 1) as u64
-            } else {
-                MASK_MODULO
-            };
-        }
-        ent
     }
 
     /// One stateful-ALU operation on one aggregator register: claim if
@@ -849,10 +721,7 @@ impl AggregatorEngine {
     /// Flips the task's copy indicator (Algorithm 1's `Switch()`); data
     /// packets processed after this pass aggregate into the other copy.
     pub fn swap(&mut self, task: TaskId) {
-        let Some(&slot) = self.task_index.get(&task) else {
-            return;
-        };
-        let Some(entry) = self.task_slots[slot].as_mut() else {
+        let Some(entry) = self.tasks.get_mut(&task) else {
             return;
         };
         entry.stats.swaps += 1;
@@ -864,7 +733,7 @@ impl AggregatorEngine {
 
     /// The task's currently active copy (0 or 1); `None` for unknown tasks.
     pub fn active_copy(&self, task: TaskId) -> Option<usize> {
-        let entry = self.task_entry(task)?;
+        let entry = self.tasks.get(&task)?;
         Some(
             self.pipeline
                 .control_read(self.copy_indicator, entry.indicator_idx) as usize,
@@ -875,10 +744,9 @@ impl AggregatorEngine {
     /// requested copies when `fetch_seq` advances, replays the cached
     /// harvest otherwise (a clone sharing its bytes, not a re-read).
     pub fn fetch(&mut self, task: TaskId, scope: FetchScope, fetch_seq: u32) -> Harvest {
-        let Some(&slot) = self.task_index.get(&task) else {
+        let Some(entry) = self.tasks.get_mut(&task) else {
             return Harvest::default();
         };
-        let entry = self.task_slots[slot].as_ref().expect("indexed task present");
         if let Some((cached_seq, ref cached)) = entry.fetch_cache {
             if fetch_seq <= cached_seq {
                 return cached.clone();
@@ -887,25 +755,21 @@ impl AggregatorEngine {
         let active = self
             .pipeline
             .control_read(self.copy_indicator, entry.indicator_idx) as usize;
-        let copies: Vec<usize> = match scope {
-            FetchScope::Inactive => vec![1 - active],
-            FetchScope::All => vec![0, 1],
+        let taken = match scope {
+            FetchScope::Inactive => [std::mem::take(&mut entry.claims[1 - active]), Vec::new()],
+            FetchScope::All => std::mem::take(&mut entry.claims),
         };
         let mut body = Vec::new();
         let mut entries = 0;
-        for copy in copies {
-            let claims = {
-                let entry = self.task_slots[slot].as_mut().expect("present");
-                std::mem::take(&mut entry.claims[copy])
-            };
-            entries += self.harvest_claims(&claims, &mut body);
-            self.reset_claims(&claims);
+        for claims in &taken {
+            entries += self.harvest_claims(claims, &mut body);
+            self.reset_claims(claims);
         }
         let harvest = Harvest {
             entries,
             body: Bytes::from(body),
         };
-        let entry = self.task_slots[slot].as_mut().expect("present");
+        let entry = self.tasks.get_mut(&task).expect("fetched task is live");
         entry.stats.tuples_fetched += u64::from(entries);
         entry.fetch_cache = Some((fetch_seq, harvest.clone()));
         harvest
@@ -983,9 +847,8 @@ impl AggregatorEngine {
     /// Total exactly-once violations seen by the absorption audit, across
     /// live and released tasks. Always 0 when the audit is disabled.
     pub fn duplicate_absorptions(&self) -> u64 {
-        self.task_slots
-            .iter()
-            .flatten()
+        self.tasks
+            .values()
             .map(|t| t.stats.duplicate_absorptions)
             .chain(self.finished_stats.values().map(|s| s.duplicate_absorptions))
             .sum()
@@ -1394,31 +1257,28 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_cache_invalidates_on_install_and_release() {
+    fn control_plane_changes_take_effect_on_the_next_packet() {
         let mut e = engine();
-        // Warm the cache with an "unknown task" line.
         assert_eq!(
             e.process_data_view(&view(1, 0, 0, &[(0, "cat", 1)])),
             ViewVerdict::Forward { residual: 0b1 },
             "unknown task must forward"
         );
-        // Installing the task must invalidate that line: the same
-        // (channel, task) pair now aggregates.
+        // Installing the task: the same (channel, task) pair now aggregates.
         e.register_task(TaskId(1), 9).expect("region");
         assert_eq!(
             e.process_data_view(&view(1, 0, 1, &[(0, "cat", 2)])),
             ViewVerdict::FullyAggregated
         );
-        // Releasing must invalidate again: back to pure forwarding, even
-        // though the warm line still names the released task.
+        // Releasing it: back to pure forwarding.
         e.release_task(TaskId(1));
         assert_eq!(
             e.process_data_view(&view(1, 0, 2, &[(0, "cat", 3)])),
             ViewVerdict::Forward { residual: 0b1 },
             "released task must forward"
         );
-        // A different task reusing the freed slot must not inherit stats or
-        // claims through a stale cache line.
+        // A different task reusing the freed indicator and region must not
+        // inherit the released task's stats or claims.
         e.register_task(TaskId(2), 9).expect("region");
         assert_eq!(
             e.process_data_view(&view(2, 0, 3, &[(0, "dog", 4)])),
@@ -1426,6 +1286,31 @@ mod tests {
         );
         assert_eq!(e.task_stats(TaskId(2)).unwrap().data_packets, 1);
         assert_eq!(e.fetch(TaskId(2), FetchScope::All, 1).len(), 1);
+        // A crash forgets the task: its next frame is forwarded whole and
+        // counted nowhere.
+        e.crash_reset();
+        assert_eq!(
+            e.process_data_view(&view(2, 0, 0, &[(0, "dog", 5), (1, "cat", 6)])),
+            ViewVerdict::Forward { residual: 0b11 },
+            "a crashed-away task must forward"
+        );
+        assert_eq!(e.task_stats(TaskId(2)).unwrap().data_packets, 1);
+        // Excluding the host of a channel that already holds a dedup slot:
+        // that channel's next frame is forwarded whole and changes no
+        // task counter.
+        e.register_task(TaskId(3), 9).expect("region");
+        assert_eq!(
+            e.process_data_view(&view(3, 0, 1, &[(0, "eel", 7)])),
+            ViewVerdict::FullyAggregated
+        );
+        let before = e.task_stats(TaskId(3));
+        e.set_local_hosts([ChannelId(0).host() + 1]);
+        assert_eq!(
+            e.process_data_view(&view(3, 0, 2, &[(0, "eel", 8), (1, "fox", 9)])),
+            ViewVerdict::Forward { residual: 0b11 },
+            "a channel of a non-local host must forward"
+        );
+        assert_eq!(e.task_stats(TaskId(3)), before);
     }
 
     #[test]
