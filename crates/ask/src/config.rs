@@ -58,9 +58,6 @@ pub struct AskConfig {
     /// Maximum data channels the switch keeps reliability state for
     /// (§3.3 bounds this at 64 servers × 4 channels in 264 KB SRAM).
     pub max_channels: usize,
-    /// Protocol-trace ring-buffer capacity per daemon (0 disables tracing;
-    /// see [`crate::host::trace`]).
-    pub trace_capacity: usize,
     /// Makes the controller deny every region request, so all tasks run
     /// host-only. Turns a deployment into the "no-INA" baseline while
     /// keeping the identical network stack — the apples-to-apples
@@ -90,7 +87,6 @@ impl AskConfig {
             cpu_per_tuple: SimDuration::from_nanos(25),
             max_tasks: 256,
             max_channels: 256,
-            trace_capacity: 0,
             force_host_only: false,
             absorption_audit: false,
         }

@@ -7,7 +7,6 @@ use crate::fasthash::FastMap;
 use crate::host::packetizer::{BuiltFrame, Packetizer, PendingStream};
 use crate::host::receiver::ReceiverWindow;
 use crate::host::table::TaskTable;
-use crate::host::trace::{TraceEvent, TraceLog};
 use crate::host::window::{FrameKind, SenderWindow};
 use crate::stats::HostStats;
 use crate::switch::aggregator::Observation;
@@ -204,7 +203,6 @@ pub struct AskDaemon {
     recv_windows: FastMap<ChannelId, ReceiverWindow>,
     recv_tasks: FastMap<TaskId, RecvTask>,
     stats: HostStats,
-    trace: TraceLog,
     cpu_busy: SimDuration,
     /// Tuples received for tasks this daemon never registered (misrouted).
     orphan_tuples: u64,
@@ -228,7 +226,6 @@ impl AskDaemon {
     pub fn new(config: AskConfig, switch: NodeId) -> Self {
         config.validate();
         let packetizer = Packetizer::new(config.layout, config.long_kv_batch);
-        let trace = TraceLog::new(config.trace_capacity);
         AskDaemon {
             config,
             switch,
@@ -241,7 +238,6 @@ impl AskDaemon {
             send_done: FastMap::default(),
             recv_windows: FastMap::default(),
             recv_tasks: FastMap::default(),
-            trace,
             stats: HostStats::default(),
             cpu_busy: SimDuration::ZERO,
             orphan_tuples: 0,
@@ -382,12 +378,6 @@ impl AskDaemon {
     /// counted here, never merged — the result is frozen.
     pub fn late_tuples(&self) -> u64 {
         self.late_tuples
-    }
-
-    /// The protocol trace (empty unless
-    /// [`AskConfig::trace_capacity`](crate::config::AskConfig) is set).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
     }
 
     /// Snapshots every data channel's window state (empty before the daemon
@@ -675,8 +665,6 @@ impl AskDaemon {
             self.stats.packets_sent += 1;
             self.stats.bytes_sent += wire as u64;
             self.stats.goodput_bytes_sent += (wire - PACKET_OVERHEAD) as u64;
-            self.trace
-                .record(now, TraceEvent::PacketSent { channel, seq, task });
             let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, wire));
             let token = token_retx(ch_ix, epoch, seq.0);
             ctx.set_timer(self.config.retransmit_timeout, token);
@@ -691,14 +679,17 @@ impl AskDaemon {
             return; // duplicate ACK
         };
         self.stats.acks_received += 1;
-        self.trace
-            .record(ctx.now(), TraceEvent::AckReceived { channel, seq });
         let task = inflight.task;
         match inflight.kind {
             FrameKind::Data | FrameKind::LongKv => {
-                let ch = &mut self.channels[ch_ix];
-                let left = ch.outstanding.entry(task).or_insert(1);
-                *left = left.saturating_sub(1);
+                // A task's entry lives while it has unacked packets.
+                match self.channels[ch_ix].outstanding.entry(task) {
+                    Entry::Occupied(last) if *last.get() == 1 => {
+                        last.remove();
+                    }
+                    Entry::Occupied(mut left) => *left.get_mut() -= 1,
+                    Entry::Vacant(_) => debug_assert!(false, "an in-flight packet counts"),
+                }
             }
             FrameKind::Fin => {
                 self.send_done.insert(task, ctx.now());
@@ -717,14 +708,6 @@ impl AskDaemon {
             return; // already acknowledged
         };
         self.stats.retransmissions += 1;
-        let channel = self.channels[ch_ix].id;
-        self.trace.record(
-            ctx.now(),
-            TraceEvent::Retransmitted {
-                channel,
-                seq: SeqNo(seq),
-            },
-        );
         self.cpu_busy += self.config.cpu_per_packet;
         self.stats.bytes_sent += wire as u64;
         let _ = ctx.send(self.switch, Frame::with_wire_bytes(bytes, wire));
@@ -840,9 +823,6 @@ impl AskDaemon {
             scope: FetchScope::Inactive,
             is_final: false,
         };
-        self.trace.record(ctx.now(), TraceEvent::SwapSent { task });
-        self.trace
-            .record(ctx.now(), TraceEvent::FetchSent { task, fetch_seq });
         let swap = swap_frame(self.my_index(), self.switch_index(), self.known_epoch, task);
         self.send_to(swap, ctx);
         self.request_fetch(task, FetchScope::Inactive, fetch_seq, ctx);
@@ -884,14 +864,11 @@ impl AskDaemon {
             is_final: true,
         };
         rt.want_final = false;
-        self.trace
-            .record(ctx.now(), TraceEvent::FetchSent { task, fetch_seq });
         self.request_fetch(task, FetchScope::All, fetch_seq, ctx);
     }
 
     fn complete(&mut self, task: TaskId, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        self.trace.record(now, TraceEvent::TaskCompleted { task });
         let ina = {
             let rt = self.recv_tasks.get_mut(&task).expect("task present");
             debug_assert!(rt.result.is_none());
@@ -943,8 +920,6 @@ impl AskDaemon {
                 return; // duplicate reply
             }
             rt.ina = Some(granted);
-            self.trace
-                .record(ctx.now(), TraceEvent::RegionResolved { task, granted });
             rt.senders.iter().copied().collect()
         };
         // Sorted so announce order (and thus the event schedule) does not
@@ -1077,14 +1052,10 @@ impl AskDaemon {
             Some(Observation::Stale) => {}
             Some(Observation::Duplicate) => {
                 self.stats.duplicates_dropped += 1;
-                self.trace
-                    .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
                 self.reply_ack(src, channel, seq, ctx);
             }
             Some(Observation::First) => {
                 self.stats.packets_received += 1;
-                self.trace
-                    .record(ctx.now(), TraceEvent::Received { channel, seq });
                 if let Some(rt) = self.merge_target(task, entry_count as u64) {
                     let op = rt.op;
                     for e in view.entries().expect("long-kv frames carry entries") {
@@ -1125,14 +1096,10 @@ impl AskDaemon {
             Some(Observation::Stale) => {}
             Some(Observation::Duplicate) => {
                 self.stats.duplicates_dropped += 1;
-                self.trace
-                    .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
                 self.reply_ack(src, channel, seq, ctx);
             }
             Some(Observation::First) => {
                 self.stats.packets_received += 1;
-                self.trace
-                    .record(ctx.now(), TraceEvent::Received { channel, seq });
                 self.stats.host_pure_view += 1;
                 if let Some(rt) = self.merge_target(d.task(), d.occupied() as u64) {
                     let op = rt.op;
@@ -1172,8 +1139,6 @@ impl AskDaemon {
         }
         rt.fetch = FetchState::Idle;
         let n = entry_count as u64;
-        self.trace
-            .record(ctx.now(), TraceEvent::FetchMerged { task, entries: n });
         self.stats.tuples_fetched += n;
         self.stats.host_pure_view += 1;
         let rt = self.recv_tasks.get_mut(&task).expect("task present");
@@ -1231,13 +1196,9 @@ impl Node for AskDaemon {
                     // Not counted in `duplicates_dropped`, which counts
                     // payload packets only.
                     Some(Observation::Duplicate) => {
-                        self.trace
-                            .record(ctx.now(), TraceEvent::DuplicateDropped { channel, seq });
                         self.reply_ack(src, channel, seq, ctx);
                     }
                     Some(Observation::First) => {
-                        self.trace
-                            .record(ctx.now(), TraceEvent::Received { channel, seq });
                         let sender_host = channel.host();
                         self.reply_ack(src, channel, seq, ctx);
                         if let Some(rt) = self.recv_tasks.get_mut(&task) {
@@ -1334,6 +1295,32 @@ mod tests {
         for i in 0..4 {
             let id = ChannelId(base + i);
             assert_eq!(id.0 / CHANNEL_STRIDE, 3, "host recoverable from id");
+        }
+    }
+
+    #[test]
+    fn finished_tasks_leave_no_outstanding_entry() {
+        // A long-lived sender runs one task after another (one per window
+        // in `apps::streaming`): its FIN-gating map must not keep one entry
+        // per task it ever sent.
+        use crate::service::AskServiceBuilder;
+        let mut service = AskServiceBuilder::new(2).config(AskConfig::tiny()).build();
+        let (receiver, sender) = (service.hosts()[0], service.hosts()[1]);
+        for t in 1..=5 {
+            let tuples = (0..40u64)
+                .map(|i| KvTuple::new(Key::from_u64(i % 20), 1))
+                .collect();
+            service.submit_task(TaskId(t), receiver, &[sender]);
+            service.submit_stream(TaskId(t), sender, tuples);
+            service
+                .run_until_complete(TaskId(t), receiver, 10_000_000)
+                .expect("completes");
+        }
+        service.run_to_idle();
+        let daemon = service.daemon(sender);
+        assert_eq!(daemon.send_done.len(), 5);
+        for ch in &daemon.channels {
+            assert!(ch.outstanding.is_empty(), "{:?}", ch.outstanding);
         }
     }
 }

@@ -223,7 +223,7 @@ impl AskService {
         &mut self.network
     }
 
-    /// Read-only access to a host's daemon (traces, detailed state).
+    /// Read-only access to a host's daemon (detailed state).
     ///
     /// # Panics
     ///

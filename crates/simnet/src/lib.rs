@@ -274,7 +274,7 @@ mod proptests {
         }
         while net.run(None, chunk) != StopReason::Idle {}
         Observed {
-            trace: net.frame_trace().copied().collect(),
+            trace: net.frame_trace().cloned().collect(),
             events: net.events_processed(),
             now: net.now(),
             echoes: net.node::<EchoHub>(hub).echoes,

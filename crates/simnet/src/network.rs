@@ -58,7 +58,7 @@ pub enum TraceFate {
 }
 
 /// One captured frame transmission (see [`Network::enable_frame_trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameTraceEntry {
     /// Simulated time of the send.
     pub at: SimTime,
@@ -66,8 +66,9 @@ pub struct FrameTraceEntry {
     pub from: NodeId,
     /// Receiving node.
     pub to: NodeId,
-    /// On-wire size of the frame.
-    pub wire_bytes: usize,
+    /// The frame as offered to the link (payload bytes and wire size),
+    /// before any corruption.
+    pub frame: Frame,
     /// What happened to it.
     pub fate: TraceFate,
 }
@@ -142,13 +143,13 @@ impl Engine {
     fn send(&mut self, from: NodeId, to: NodeId, frame: Frame) -> Result<(), SendError> {
         let now = self.now;
         let wire_bytes = frame.wire_bytes();
-        let trace_fate = |trace: &mut Option<FrameTrace>, fate: TraceFate| {
+        let trace_fate = |trace: &mut Option<FrameTrace>, frame: &Frame, fate: TraceFate| {
             if let Some(t) = trace.as_mut() {
                 t.record(FrameTraceEntry {
                     at: now,
                     from,
                     to,
-                    wire_bytes,
+                    frame: frame.clone(),
                     fate,
                 });
             }
@@ -163,7 +164,7 @@ impl Engine {
         match link.config.faults().draw(&mut self.fault_rng) {
             FrameFate::Dropped => {
                 link.stats.frames_dropped += 1;
-                trace_fate(&mut self.trace, TraceFate::Dropped);
+                trace_fate(&mut self.trace, &frame, TraceFate::Dropped);
             }
             FrameFate::Delivered {
                 duplicated,
@@ -181,6 +182,7 @@ impl Engine {
                 });
                 trace_fate(
                     &mut self.trace,
+                    &frame,
                     TraceFate::Delivered {
                         duplicated,
                         corrupted,
@@ -487,10 +489,10 @@ impl Network {
         self.engine.events_processed
     }
 
-    /// Starts capturing per-frame fate records into a ring holding the most
-    /// recent `capacity` entries (replacing any previous capture). With a
-    /// seeded fault RNG this turns a failing run into a readable packet
-    /// timeline.
+    /// Starts capturing each frame offered to a link, with its fate, into a
+    /// ring holding the most recent `capacity` entries (replacing any
+    /// previous capture). With a seeded fault RNG this turns a failing run
+    /// into a readable packet timeline.
     ///
     /// # Panics
     ///
@@ -985,14 +987,24 @@ mod tests {
 
     #[test]
     fn frame_trace_captures_fates_in_bounded_ring() {
-        let mut b = NetworkBuilder::new(3);
-        let echo = b.add_node(pinger(None, 0));
-        let ping = b.add_node(pinger(Some(echo), 100));
-        let faulty = LinkConfig::new(8e9, SimDuration::ZERO)
-            .with_faults(crate::faults::FaultModel::reliable().with_loss(0.3));
-        b.connect_directed(ping, echo, faulty);
-        b.connect_directed(echo, ping, LinkConfig::new(8e9, SimDuration::ZERO));
-        let mut net = b.build();
+        let build = || {
+            let mut b = NetworkBuilder::new(3);
+            let echo = b.add_node(pinger(None, 0));
+            let ping = b.add_node(pinger(Some(echo), 100));
+            let faulty = LinkConfig::new(8e9, SimDuration::ZERO)
+                .with_faults(crate::faults::FaultModel::reliable().with_loss(0.3));
+            b.connect_directed(ping, echo, faulty);
+            b.connect_directed(echo, ping, LinkConfig::new(8e9, SimDuration::ZERO));
+            (b.build(), ping, echo)
+        };
+        // Off: frames flow and nothing is recorded.
+        let (mut net, ping, echo) = build();
+        net.run_to_idle();
+        assert!(net.link_stats(echo, ping).frames_delivered > 0);
+        assert_eq!(net.frames_traced(), 0);
+        assert_eq!(net.frame_trace().count(), 0);
+
+        let (mut net, ping, echo) = build();
         net.enable_frame_trace(64);
         net.run_to_idle();
         let dropped = net.link_stats(ping, echo).frames_dropped;
@@ -1000,6 +1012,9 @@ mod tests {
         // 100 sends + echoes of the survivors; ring keeps only the last 64.
         assert_eq!(net.frames_traced(), 100 + (100 - dropped));
         assert_eq!(net.frame_trace().count(), 64);
+        // Each entry keeps the frame itself: the pinger's payload and size.
+        let sent = Frame::new(Bytes::from_static(b"ping"));
+        assert!(net.frame_trace().all(|e| e.frame == sent));
     }
 
     #[test]
@@ -1119,7 +1134,7 @@ mod tests {
         let mut net = b.build();
         net.enable_frame_trace(8192);
         while net.run(None, chunk) != StopReason::Idle {}
-        let trace: Vec<FrameTraceEntry> = net.frame_trace().copied().collect();
+        let trace: Vec<FrameTraceEntry> = net.frame_trace().cloned().collect();
         let echoes = pingers
             .iter()
             .map(|&p| net.node::<Pinger>(p).echoes)

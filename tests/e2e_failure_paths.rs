@@ -1,6 +1,8 @@
 //! Defensive paths: garbage frames, misrouted packets, and orphan data
 //! must be counted and contained, never panicking or corrupting results.
 
+mod common;
+
 use ask::prelude::*;
 use ask::switch::AskSwitch;
 use ask_simnet::frame::Frame;
@@ -372,12 +374,10 @@ mod switch_crash {
     }
 
     /// Builds the standard crash workload: one receiver, two senders, a
-    /// 60-key SUM stream per sender. Daemons trace their protocol actions.
+    /// 60-key SUM stream per sender.
     fn build(link: LinkConfig, seed: u64) -> (AskService, Vec<NodeId>, TaskId, HashMap<Key, u32>) {
-        let mut cfg = AskConfig::tiny();
-        cfg.trace_capacity = 100_000;
         let mut service = AskServiceBuilder::new(3)
-            .config(cfg)
+            .config(AskConfig::tiny())
             .link(link)
             .seed(seed)
             .build();
@@ -489,9 +489,8 @@ mod switch_crash {
         // replayed first window, so the replayed seq 0 is still in flight
         // when the re-armed epoch-0 timer for "seq 0" fires — a round trip
         // before the replay's own timer. It must not resend the replay.
-        use ask::host::trace::TraceEvent;
-
         let (mut service, hosts, task, expected) = build(clean_link(), 18);
+        crate::common::enable(&mut service);
         let rto = service.config().retransmit_timeout;
         let step = SimDuration::from_nanos(100);
         let outage = SimDuration::from_micros(50);
@@ -512,25 +511,20 @@ mod switch_crash {
         service.run_to_idle();
         assert_eq!(service.switch_epoch(), 2);
 
+        let frames = crate::common::frames(&mut service);
         for &host in &hosts[1..] {
-            let mut last_sent: HashMap<(u32, u64), SimTime> = HashMap::new();
+            let mut last_sent: HashMap<_, SimTime> = HashMap::new();
             let mut retransmitted = 0;
-            for (at, event) in service.daemon(host).trace().events() {
-                match event {
-                    TraceEvent::PacketSent { channel, seq, .. } => {
-                        last_sent.insert((channel.0, seq.0), *at);
-                    }
-                    TraceEvent::Retransmitted { channel, seq } => {
-                        retransmitted += 1;
-                        let sent = last_sent.insert((channel.0, seq.0), *at).expect("sent");
-                        assert_eq!(
-                            *at,
-                            sent + rto,
-                            "{host}: {channel:?}/{seq:?} sent at {sent} was not resent exactly \
-                             one flat timeout later"
-                        );
-                    }
-                    _ => {}
+            for f in frames.iter().filter(|f| f.from == host) {
+                let Some(key) = f.sent_seq() else { continue };
+                if let Some(sent) = last_sent.insert(key, f.at) {
+                    retransmitted += 1;
+                    assert_eq!(
+                        f.at,
+                        sent + rto,
+                        "{host}: {key:?} sent at {sent} was not resent exactly one flat \
+                         timeout later"
+                    );
                 }
             }
             assert_eq!(retransmitted, service.host_stats(host).retransmissions);
@@ -759,24 +753,4 @@ mod switch_crash {
             fetch_seq: u32::MAX,
         });
     }
-}
-
-#[test]
-fn trace_ring_buffer_bounds_memory() {
-    let mut cfg = AskConfig::tiny();
-    cfg.trace_capacity = 16; // absurdly small: must drop, not grow
-    let mut service = AskServiceBuilder::new(2).config(cfg).seed(3).build();
-    let hosts = service.hosts().to_vec();
-    let task = TaskId(1);
-    let stream: Vec<KvTuple> = (0..500)
-        .map(|i| KvTuple::new(Key::from_u64(i % 50), 1))
-        .collect();
-    service.submit_task(task, hosts[0], &[hosts[1]]);
-    service.submit_stream(task, hosts[1], stream);
-    service
-        .run_until_complete(task, hosts[0], 10_000_000)
-        .unwrap();
-    let trace = service.daemon(hosts[1]).trace();
-    assert_eq!(trace.len(), 16);
-    assert!(trace.dropped() > 0, "the ring must have evicted");
 }
