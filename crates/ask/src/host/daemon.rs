@@ -4,9 +4,9 @@
 
 use crate::config::AskConfig;
 use crate::fasthash::FastMap;
+use crate::host::merge::Merger;
 use crate::host::packetizer::{BuiltFrame, Packetizer, PendingStream};
 use crate::host::receiver::ReceiverWindow;
-use crate::host::table::TaskTable;
 use crate::host::window::{FrameKind, SenderWindow};
 use crate::stats::HostStats;
 use crate::switch::aggregator::Observation;
@@ -18,14 +18,14 @@ use ask_wire::codec::{
     ack_frame, control_frame, fetch_request_frame, fin_frame, swap_frame, SendHeader,
 };
 use ask_wire::constants::PACKET_OVERHEAD;
-use ask_wire::key::Key;
 use ask_wire::packet::{AggregateOp, ChannelId, ControlMsg, FetchScope, KvTuple, SeqNo, TaskId};
 use ask_wire::view::{DataPacketView, FrameView, PacketView};
 use bytes::Bytes;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
+pub use crate::host::merge::TaskResult;
 pub use ask_wire::packet::CHANNEL_STRIDE;
 
 // Timer token kinds (packed into the token's top byte).
@@ -115,46 +115,6 @@ pub struct ChannelSnapshot {
     pub outstanding: u64,
 }
 
-/// Completed aggregation result, exposed to the application: the task's
-/// residual table itself, frozen at completion and read in place (the
-/// paper's shared-memory result buffer, §4). Cloning shares the table.
-#[derive(Debug, Clone)]
-pub struct TaskResult {
-    /// The finished task.
-    pub task: TaskId,
-    /// Simulated completion time.
-    pub completed_at: SimTime,
-    table: Arc<TaskTable>,
-}
-
-impl TaskResult {
-    /// Number of distinct keys aggregated.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True when the task aggregated no key.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// The aggregated value of `key` (wrapping 32-bit sums), if present.
-    pub fn get(&self, key: &Key) -> Option<u32> {
-        self.table.get(key)
-    }
-
-    /// Every `(key bytes, value)` entry, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
-        self.table.iter()
-    }
-
-    /// The entries as an owned key → value map, bulk-loaded in the map's
-    /// own bucket order by [`TaskTable::to_map`].
-    pub fn to_map(&self) -> HashMap<Key, u32> {
-        self.table.to_map()
-    }
-}
-
 #[derive(Debug)]
 struct RecvTask {
     senders: HashSet<u32>,
@@ -163,7 +123,6 @@ struct RecvTask {
     /// `Some(true)` once a region is granted, `Some(false)` on deny
     /// (host-only fallback), `None` while the controller RPC is in flight.
     ina: Option<bool>,
-    residual: TaskTable,
     fins: HashSet<u32>,
     packets_since_swap: u64,
     fetch_seq: u32,
@@ -202,6 +161,9 @@ pub struct AskDaemon {
     /// Receiver side.
     recv_windows: FastMap<ChannelId, ReceiverWindow>,
     recv_tasks: FastMap<TaskId, RecvTask>,
+    /// Receiver side: ships residual tuples to the merge worker that owns
+    /// the tasks' tables.
+    merger: Merger,
     stats: HostStats,
     cpu_busy: SimDuration,
     /// Tuples received for tasks this daemon never registered (misrouted).
@@ -238,6 +200,7 @@ impl AskDaemon {
             send_done: FastMap::default(),
             recv_windows: FastMap::default(),
             recv_tasks: FastMap::default(),
+            merger: Merger::default(),
             stats: HostStats::default(),
             cpu_busy: SimDuration::ZERO,
             orphan_tuples: 0,
@@ -317,7 +280,6 @@ impl AskDaemon {
                 senders: senders.iter().copied().collect(),
                 op,
                 ina: None,
-                residual: TaskTable::new(),
                 fins: HashSet::new(),
                 packets_since_swap: 0,
                 fetch_seq: 0,
@@ -492,7 +454,7 @@ impl AskDaemon {
         for task in incomplete {
             let rt = self.recv_tasks.get_mut(&task).expect("listed above");
             rt.ina = None;
-            rt.residual.clear();
+            self.merger.clear(task);
             rt.fins.clear();
             rt.packets_since_swap = 0;
             rt.fetch = FetchState::Idle;
@@ -558,12 +520,12 @@ impl AskDaemon {
         if receiver == self.my_index() {
             // Co-located sender: aggregate straight into the receiver's
             // shared-memory table (§5.5 — "these mappers' data needs to be
-            // aggregated by the local reducers").
-            if let Some(rt) = self.merge_target(task, tuples.len() as u64) {
-                let op = rt.op;
+            // aggregated by the local reducers"), through its merge worker.
+            if let Some(op) = self.merge_target(task, tuples.len() as u64) {
                 for t in tuples {
-                    rt.residual.merge(&t.key, t.value, op);
+                    self.merger.push(task, op, t.key.as_bytes(), t.value);
                 }
+                let rt = self.recv_tasks.get_mut(&task).expect("a merge target");
                 rt.fins.insert(receiver);
                 self.check_completion(task, ctx);
             }
@@ -766,16 +728,16 @@ impl AskDaemon {
         self.reply_ack(dst, channel, seq, ctx);
     }
 
-    /// The task whose residual table `tuples` tuples for `task` merge into,
-    /// charged as host-aggregated; `None` once they have been counted as
-    /// orphans (no such task) or late (the task completed — its table is
-    /// the frozen result).
-    fn merge_target(&mut self, task: TaskId, tuples: u64) -> Option<&mut RecvTask> {
-        match self.recv_tasks.get_mut(&task) {
+    /// The operator `tuples` tuples for `task` merge under, charged as
+    /// host-aggregated; `None` once they have been counted as orphans (no
+    /// such task) or late (the task completed — its table is the frozen
+    /// result).
+    fn merge_target(&mut self, task: TaskId, tuples: u64) -> Option<AggregateOp> {
+        match self.recv_tasks.get(&task) {
             Some(rt) if rt.result.is_none() => {
                 self.stats.tuples_host_aggregated += tuples;
                 self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(tuples);
-                Some(rt)
+                Some(rt.op)
             }
             Some(_) => {
                 self.late_tuples += tuples;
@@ -872,13 +834,9 @@ impl AskDaemon {
         let ina = {
             let rt = self.recv_tasks.get_mut(&task).expect("task present");
             debug_assert!(rt.result.is_none());
-            // The table moves into the result; what the task keeps is an
-            // empty one that late frames never touch (`merge_target`).
-            rt.result = Some(TaskResult {
-                task,
-                completed_at: now,
-                table: Arc::new(std::mem::take(&mut rt.residual)),
-            });
+            // The worker hands the table over; late frames never push to
+            // it again (`merge_target`).
+            rt.result = Some(self.merger.finish(task, now));
             rt.ina == Some(true)
         };
         if ina {
@@ -1027,7 +985,7 @@ impl AskDaemon {
     //
     // Inbound frames parse once into borrowed `FrameView`s, one frame per
     // call; every payload — data slots, long-kv and fetch-reply entries —
-    // is merged straight from the wire bytes.
+    // is copied straight from the wire bytes into the merge worker's batch.
     // ------------------------------------------------------------------
 
     /// One long-kv view: classified by the receive window like a data
@@ -1056,10 +1014,9 @@ impl AskDaemon {
             }
             Some(Observation::First) => {
                 self.stats.packets_received += 1;
-                if let Some(rt) = self.merge_target(task, entry_count as u64) {
-                    let op = rt.op;
+                if let Some(op) = self.merge_target(task, entry_count as u64) {
                     for e in view.entries().expect("long-kv frames carry entries") {
-                        rt.residual.merge_hashed(e.hash64(), e.key_bytes(), e.value(), op);
+                        self.merger.push(task, op, e.key_bytes(), e.value());
                     }
                 }
                 self.reply_ack(src, channel, seq, ctx);
@@ -1085,9 +1042,8 @@ impl AskDaemon {
         }
     }
 
-    /// One data view: the receive window classifies it, a first delivery
-    /// merges into its task's residual table in place, and every
-    /// non-stale one is ACKed.
+    /// One data view: the receive window classifies it, a first delivery's
+    /// slots go to the merge worker, and every non-stale one is ACKed.
     fn on_data(&mut self, src: u32, d: &DataPacketView, ctx: &mut Context<'_>) {
         self.cpu_busy += self.config.cpu_per_packet;
         let (channel, seq) = (d.channel(), d.seq());
@@ -1101,10 +1057,9 @@ impl AskDaemon {
             Some(Observation::First) => {
                 self.stats.packets_received += 1;
                 self.stats.host_pure_view += 1;
-                if let Some(rt) = self.merge_target(d.task(), d.occupied() as u64) {
-                    let op = rt.op;
+                if let Some(op) = self.merge_target(d.task(), d.occupied() as u64) {
                     for s in d.slots() {
-                        rt.residual.merge_hashed(s.hash64(), s.key_bytes(), s.value(), op);
+                        self.merger.push(d.task(), op, s.key_bytes(), s.value());
                     }
                 }
                 self.reply_ack(src, channel, seq, ctx);
@@ -1113,8 +1068,8 @@ impl AskDaemon {
         }
     }
 
-    /// Merges a fetch reply's entries straight off the frame bytes — no
-    /// `Arc<Vec<KvTuple>>` is ever built for the body.
+    /// Hands a fetch reply's entries to the merge worker straight off the
+    /// frame bytes — no `Arc<Vec<KvTuple>>` is ever built for the body.
     fn on_fetch_reply(
         &mut self,
         task: TaskId,
@@ -1141,15 +1096,12 @@ impl AskDaemon {
         let n = entry_count as u64;
         self.stats.tuples_fetched += n;
         self.stats.host_pure_view += 1;
-        let rt = self.recv_tasks.get_mut(&task).expect("task present");
-        let op = rt.op;
+        let (op, want_final) = (rt.op, rt.want_final);
         for e in view.entries().expect("fetch replies carry entries") {
-            rt.residual.merge_hashed(e.hash64(), e.key_bytes(), e.value(), op);
+            self.merger.push(task, op, e.key_bytes(), e.value());
         }
         self.stats.tuples_host_aggregated += n;
         self.cpu_busy += self.config.cpu_per_tuple.saturating_mul(n);
-        let rt = self.recv_tasks.get_mut(&task).expect("task present");
-        let want_final = rt.want_final;
         if is_final {
             self.complete(task, ctx);
         } else if want_final {
@@ -1304,6 +1256,7 @@ mod tests {
         // in `apps::streaming`): its FIN-gating map must not keep one entry
         // per task it ever sent.
         use crate::service::AskServiceBuilder;
+        use ask_wire::key::Key;
         let mut service = AskServiceBuilder::new(2).config(AskConfig::tiny()).build();
         let (receiver, sender) = (service.hosts()[0], service.hosts()[1]);
         for t in 1..=5 {

@@ -1,6 +1,7 @@
 //! Host-side components: daemon, packetizer, sliding windows.
 
 pub mod daemon;
+mod merge;
 pub mod packetizer;
 pub mod receiver;
 pub mod table;

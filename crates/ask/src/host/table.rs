@@ -5,9 +5,10 @@
 //! view path reads straight off the wire, long-key bypass tuples, fetch
 //! replies, and co-located sender streams. The paper's host daemon (§4)
 //! merges these into a shared-memory buffer the application then reads in
-//! place, so the structure is built for the merge loop and handed over
-//! whole at completion ([`TaskResult`](crate::host::daemon::TaskResult)),
-//! never drained:
+//! place, so the structure is built for the merge loop, which runs on the
+//! receiving daemon's merge worker, and is handed over whole by that
+//! worker at completion
+//! ([`TaskResult`](crate::host::daemon::TaskResult)), never drained:
 //!
 //! - **Open addressing, linear probing, power-of-two capacity.** One flat
 //!   slot array, four slots per cache line, no per-entry boxes.

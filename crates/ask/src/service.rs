@@ -376,7 +376,9 @@ impl AskService {
 
     /// The completed result of `task` at `receiver`, as a plain map. Each
     /// call builds a fresh map from the result table
-    /// ([`TaskResult::to_map`]), which stays in place at the receiver.
+    /// ([`TaskResult::to_map`]), which the receiver's merge worker handed
+    /// over at completion and which stays in place at the receiver. The
+    /// first read of a task waits for the worker to finish its merges.
     pub fn result(&self, task: TaskId, receiver: NodeId) -> Option<HashMap<Key, u32>> {
         self.network
             .node::<AskDaemon>(receiver)
@@ -460,7 +462,10 @@ impl AskService {
 
 /// Per-phase wall-time breakdown of a run (see
 /// [`AskService::phase_timing`]). All figures are nanoseconds of host wall
-/// time, not simulated time.
+/// time, not simulated time. The residual merge is in none of the four
+/// shares: it runs on the receivers' merge workers, beside the simulation
+/// thread. `host_ns` holds only the copy of each residual tuple into a
+/// worker's batch, and any wait for a full channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTiming {
     /// Classifying tuples and building packet payloads in the senders.
@@ -470,7 +475,7 @@ pub struct PhaseTiming {
     pub switch_ns: u64,
     /// Host daemon dispatch minus the packetize share.
     pub host_ns: u64,
-    /// Everything outside node handlers: queue ops, links, delivery, merge.
+    /// Everything outside node handlers: queue ops, links, delivery.
     pub drain_ns: u64,
     /// Total wall time spent inside `Network::run`.
     pub total_ns: u64,
