@@ -71,7 +71,10 @@ pub(crate) fn data_view(
     use ask_wire::view::{FrameView, PacketView};
     let packet = ask_wire::packet::AskPacket::Data(pkt);
     let bytes = ask_wire::codec::encode_envelope_parts(1, 0, 0, 0, &packet, layout);
-    match FrameView::parse(bytes).expect("freshly encoded").into_packet() {
+    match FrameView::parse(bytes)
+        .expect("freshly encoded")
+        .into_packet()
+    {
         PacketView::Data(d) => d,
         _ => unreachable!("data frames parse to data views"),
     }

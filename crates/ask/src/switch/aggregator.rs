@@ -850,7 +850,11 @@ impl AggregatorEngine {
         self.tasks
             .values()
             .map(|t| t.stats.duplicate_absorptions)
-            .chain(self.finished_stats.values().map(|s| s.duplicate_absorptions))
+            .chain(
+                self.finished_stats
+                    .values()
+                    .map(|s| s.duplicate_absorptions),
+            )
             .sum()
     }
 
@@ -1323,18 +1327,32 @@ mod tests {
         let q = u64::MAX / w;
         let start = (q - q % 2 - 2) * w;
         for seq in start..u64::MAX - 1 {
-            assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(seq)), Observation::First);
+            assert_eq!(
+                e.observe_bypass(ChannelId(0), SeqNo(seq)),
+                Observation::First
+            );
         }
         for seq in [u64::MAX - 1, u64::MAX] {
-            assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(seq)), Observation::First, "{seq}");
-            assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(seq)), Observation::Duplicate, "{seq}");
+            assert_eq!(
+                e.observe_bypass(ChannelId(0), SeqNo(seq)),
+                Observation::First,
+                "{seq}"
+            );
+            assert_eq!(
+                e.observe_bypass(ChannelId(0), SeqNo(seq)),
+                Observation::Duplicate,
+                "{seq}"
+            );
         }
         assert_eq!(
             e.observe_bypass(ChannelId(0), SeqNo(u64::MAX - w)),
             Observation::Stale,
             "W behind the maximum is stale, as everywhere else"
         );
-        assert_eq!(e.observe_bypass(ChannelId(0), SeqNo(u64::MAX - w + 1)), Observation::Duplicate);
+        assert_eq!(
+            e.observe_bypass(ChannelId(0), SeqNo(u64::MAX - w + 1)),
+            Observation::Duplicate
+        );
     }
 
     #[test]

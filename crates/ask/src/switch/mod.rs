@@ -422,7 +422,11 @@ mod tests {
         let mut b = NetworkBuilder::new(1);
         let host = b.add_node(Sink::default());
         let switch = b.add_node(AskSwitch::new(cfg));
-        b.connect(host, switch, LinkConfig::new(100e9, SimDuration::from_micros(1)));
+        b.connect(
+            host,
+            switch,
+            LinkConfig::new(100e9, SimDuration::from_micros(1)),
+        );
         let mut net = b.build();
         let (src, dst) = (host.index() as u32, switch.index() as u32);
         let task = TaskId(3);

@@ -85,15 +85,33 @@ pub fn run(scale: Scale) -> String {
     let streams = [
         (
             "Uniform",
-            packetize_ranks(&zipf_stream(&mut rng, distinct, total, 0.0, StreamOrder::Shuffled)),
+            packetize_ranks(&zipf_stream(
+                &mut rng,
+                distinct,
+                total,
+                0.0,
+                StreamOrder::Shuffled,
+            )),
         ),
         (
             "Zipf",
-            packetize_ranks(&zipf_stream(&mut rng, distinct, total, 1.0, StreamOrder::HotFirst)),
+            packetize_ranks(&zipf_stream(
+                &mut rng,
+                distinct,
+                total,
+                1.0,
+                StreamOrder::HotFirst,
+            )),
         ),
         (
             "Zipf-rev",
-            packetize_ranks(&zipf_stream(&mut rng, distinct, total, 1.0, StreamOrder::ColdFirst)),
+            packetize_ranks(&zipf_stream(
+                &mut rng,
+                distinct,
+                total,
+                1.0,
+                StreamOrder::ColdFirst,
+            )),
         ),
     ];
 
@@ -125,7 +143,10 @@ pub fn run(scale: Scale) -> String {
                 })
                 .map(|(prio, frames)| scope.spawn(move || measure(frames, aggs, prio)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("measure")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("measure"))
+                .collect()
         });
         cells.extend(ratios.into_iter().map(pct));
         t.row(&cells);
@@ -146,11 +167,23 @@ mod tests {
         [
             (
                 StreamOrder::HotFirst,
-                packetize_ranks(&zipf_stream(&mut rng, distinct, total, 1.0, StreamOrder::HotFirst)),
+                packetize_ranks(&zipf_stream(
+                    &mut rng,
+                    distinct,
+                    total,
+                    1.0,
+                    StreamOrder::HotFirst,
+                )),
             ),
             (
                 StreamOrder::ColdFirst,
-                packetize_ranks(&zipf_stream(&mut rng, distinct, total, 1.0, StreamOrder::ColdFirst)),
+                packetize_ranks(&zipf_stream(
+                    &mut rng,
+                    distinct,
+                    total,
+                    1.0,
+                    StreamOrder::ColdFirst,
+                )),
             ),
         ]
     }
@@ -179,7 +212,13 @@ mod tests {
         // overwhelming majority of tuples.
         let distinct = 1 << 10;
         let mut rng = StdRng::seed_from_u64(2);
-        let ranks = packetize_ranks(&zipf_stream(&mut rng, distinct, 1 << 15, 1.3, StreamOrder::Shuffled));
+        let ranks = packetize_ranks(&zipf_stream(
+            &mut rng,
+            distinct,
+            1 << 15,
+            1.3,
+            StreamOrder::Shuffled,
+        ));
         let with = measure(&ranks, distinct / 16, true);
         let without = measure(&ranks, distinct / 16, false);
         assert!(with > 0.70, "got {with}");
@@ -203,7 +242,13 @@ mod tests {
     fn ample_memory_aggregates_everything() {
         let distinct = 1 << 8;
         let mut rng = StdRng::seed_from_u64(3);
-        let ranks = packetize_ranks(&zipf_stream(&mut rng, distinct, 1 << 12, 0.0, StreamOrder::Shuffled));
+        let ranks = packetize_ranks(&zipf_stream(
+            &mut rng,
+            distinct,
+            1 << 12,
+            0.0,
+            StreamOrder::Shuffled,
+        ));
         // 16x more aggregators than keys: hash collisions are rare.
         let ratio = measure(&ranks, distinct * 16, false);
         assert!(ratio > 0.95, "got {ratio}");

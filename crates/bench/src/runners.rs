@@ -13,7 +13,10 @@ use ask_wire::view::{DataPacketView, FrameView, PacketView};
 /// drive the switch engine directly, without a network.
 pub fn data_view(pkt: DataPacket, layout: &PacketLayout) -> DataPacketView {
     let frame = encode_envelope_parts(1, 0, 0, 0, &AskPacket::Data(pkt), layout);
-    match FrameView::parse(frame).expect("freshly encoded").into_packet() {
+    match FrameView::parse(frame)
+        .expect("freshly encoded")
+        .into_packet()
+    {
         PacketView::Data(d) => d,
         _ => unreachable!("data frames parse to data views"),
     }

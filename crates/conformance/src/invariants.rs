@@ -137,9 +137,7 @@ fn check_window_safety(
     if service.daemon(receiver).fetch_pending(task) {
         violations.push("window safety: fetch still pending at end of run".to_string());
     }
-    let fetched_by_switch = service
-        .switch_stats(task)
-        .map_or(0, |s| s.tuples_fetched);
+    let fetched_by_switch = service.switch_stats(task).map_or(0, |s| s.tuples_fetched);
     // With a crash, fetch replies harvested by the dead epoch may never
     // reach a host; without one, the counts must balance exactly.
     let lost_fetch = if crashed {

@@ -233,8 +233,8 @@ impl Scenario {
 
     fn run_with_outage(&self, outage: Option<(SimTime, SimTime)>) -> RunReport {
         let task = TaskId(7);
-        let link = LinkConfig::new(100e9, SimDuration::from_micros(1))
-            .with_faults(self.faults.model());
+        let link =
+            LinkConfig::new(100e9, SimDuration::from_micros(1)).with_faults(self.faults.model());
         let mut builder = AskServiceBuilder::with_racks(&self.hosts_per_rack())
             .config(self.config())
             .link(link)

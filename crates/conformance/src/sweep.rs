@@ -344,8 +344,7 @@ fn render_crash_point(base_seed: u64, point: &CrashGridPoint, report: &RunReport
 
 /// Derives a grid point's scenario seed from the sweep seed and indices.
 pub fn point_seed(base: u64, ix: (usize, usize, usize)) -> u64 {
-    let packed =
-        ((ix.0 as u64) << 42) | ((ix.1 as u64) << 21) | ix.2 as u64;
+    let packed = ((ix.0 as u64) << 42) | ((ix.1 as u64) << 21) | ix.2 as u64;
     splitmix64(base ^ splitmix64(packed))
 }
 

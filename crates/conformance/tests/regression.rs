@@ -106,7 +106,10 @@ fn dup_retransmit_overlap_holds_all_invariants() {
     };
     let report = s.run();
     assert!(report.ok(), "violations: {:?}", report.violations);
-    assert!(report.retransmissions > 0, "loss must force retransmissions");
+    assert!(
+        report.retransmissions > 0,
+        "loss must force retransmissions"
+    );
     assert!(
         report.duplicates_detected > 0,
         "duplication must exercise the dedup gate"

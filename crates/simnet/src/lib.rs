@@ -158,7 +158,10 @@ mod proptests {
         }
         fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
             let hub = self.hub;
-            let _ = ctx.send(hub, Frame::new(Bytes::copy_from_slice(&token.to_be_bytes())));
+            let _ = ctx.send(
+                hub,
+                Frame::new(Bytes::copy_from_slice(&token.to_be_bytes())),
+            );
         }
     }
 
@@ -170,10 +173,7 @@ mod proptests {
     }
     impl Node for EchoHub {
         fn on_frame(&mut self, from: NodeId, _: Frame, ctx: &mut Context<'_>) {
-            ctx.set_timer(
-                SimDuration::from_nanos(self.delay_ns),
-                from.index() as u64,
-            );
+            ctx.set_timer(SimDuration::from_nanos(self.delay_ns), from.index() as u64);
         }
         fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
             self.echoes += 1;
@@ -249,10 +249,7 @@ mod proptests {
         let faults = FaultModel::reliable()
             .with_loss(sc.loss)
             .with_duplication(sc.dup)
-            .with_reordering(
-                sc.reorder,
-                SimDuration::from_nanos(sc.jitter_ns),
-            );
+            .with_reordering(sc.reorder, SimDuration::from_nanos(sc.jitter_ns));
         let link = LinkConfig::new(100e9, SimDuration::from_micros(1));
         let leaves: Vec<NodeId> = (0..sc.leaves)
             .map(|_| {
@@ -278,10 +275,7 @@ mod proptests {
             events: net.events_processed(),
             now: net.now(),
             echoes: net.node::<EchoHub>(hub).echoes,
-            got: leaves
-                .iter()
-                .map(|&l| net.node::<Pinger>(l).got)
-                .collect(),
+            got: leaves.iter().map(|&l| net.node::<Pinger>(l).got).collect(),
         }
     }
 

@@ -214,7 +214,11 @@ impl Engine {
                     // The copy trails the original by one propagation delay.
                     self.queue.push(
                         arrival + delay + extra,
-                        EventKind::Deliver { from, to, frame: copy },
+                        EventKind::Deliver {
+                            from,
+                            to,
+                            frame: copy,
+                        },
                     );
                 }
             }
@@ -398,8 +402,9 @@ impl NetworkBuilder {
             .map(|((a, b), state)| ((a.index(), b.index()), state))
             .collect();
         pairs.sort_unstable_by_key(|(key, _)| *key);
-        let mut adjacency: Vec<NodeLinks> =
-            (0..self.nodes.len()).map(|_| NodeLinks::default()).collect();
+        let mut adjacency: Vec<NodeLinks> = (0..self.nodes.len())
+            .map(|_| NodeLinks::default())
+            .collect();
         let mut links = Vec::with_capacity(pairs.len());
         for ((src, dst), state) in pairs {
             let ix = links.len() as u32;
@@ -1043,7 +1048,11 @@ mod tests {
             timers: 0,
         });
         let ping = b.add_node(pinger(Some(echo), 0));
-        b.connect(ping, echo, LinkConfig::new(8e9, SimDuration::from_nanos(100)));
+        b.connect(
+            ping,
+            echo,
+            LinkConfig::new(8e9, SimDuration::from_nanos(100)),
+        );
         let mut net = b.build();
         // A timer the echo arms before the crash, firing during the outage.
         net.with_node::<CrashyEcho, _>(echo, |_n, ctx| {

@@ -579,10 +579,7 @@ pub(crate) fn check_envelope_header(bytes: &[u8]) -> Result<EnvelopeHeader, Code
 /// [`CodecError::ChecksumMismatch`] for corrupted frames; otherwise
 /// [`CodecError`] on truncation, unknown kinds, invalid keys, an impossible
 /// declared layout, or trailing bytes.
-pub fn decode_envelope_pooled(
-    bytes: Bytes,
-    pool: &mut PacketPool,
-) -> Result<Envelope, CodecError> {
+pub fn decode_envelope_pooled(bytes: Bytes, pool: &mut PacketPool) -> Result<Envelope, CodecError> {
     let h = check_envelope_header(&bytes)?;
     let mut body = bytes.slice(ENVELOPE_HEADER_BYTES..);
     let packet = decode_body(&mut body, pool)?;

@@ -112,10 +112,7 @@ mod proptests {
 
     fn arb_raw_slots() -> impl Strategy<Value = Vec<RawSlot>> {
         proptest::collection::vec(
-            proptest::option::of((
-                proptest::collection::vec(1u8..=255, 1..=16),
-                any::<u32>(),
-            )),
+            proptest::option::of((proptest::collection::vec(1u8..=255, 1..=16), any::<u32>())),
             1..=40,
         )
     }

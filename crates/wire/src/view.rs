@@ -573,7 +573,11 @@ impl DataPacketView {
     ///
     /// Debug-asserts that `residual` only keeps slots this packet carries.
     pub fn residual_frame(&self, residual: u128) -> Bytes {
-        debug_assert_eq!(residual & !self.bitmap, 0, "residual must shrink the bitmap");
+        debug_assert_eq!(
+            residual & !self.bitmap,
+            0,
+            "residual must shrink the bitmap"
+        );
         let slot_count = self.short_slots as usize + self.medium_groups as usize;
         let mut size = SLOTS_OFFSET;
         for i in 0..slot_count {
@@ -758,10 +762,7 @@ mod tests {
                 })
             }
             PacketView::LongKv {
-                task,
-                channel,
-                seq,
-                ..
+                task, channel, seq, ..
             } => AskPacket::LongKv {
                 task,
                 channel,
@@ -819,7 +820,10 @@ mod tests {
         let pkt = sample_data(&layout);
         let bytes = encode_envelope_parts(3, 9, 4, 0, &pkt, &layout);
         let view = FrameView::parse(bytes).unwrap();
-        assert_eq!((view.src(), view.dst(), view.epoch(), view.flags()), (3, 9, 4, 0));
+        assert_eq!(
+            (view.src(), view.dst(), view.epoch(), view.flags()),
+            (3, 9, 4, 0)
+        );
         let PacketView::Data(d) = view.packet() else {
             panic!("expected data view");
         };

@@ -381,11 +381,23 @@ fn one_key_wraps_in_the_switch_in_the_host_merge_and_in_a_fetch_reply() {
     let in_switch = (switch.tuples_aggregated - 1) as u32;
     let in_host_merge = (receiver.tuples_host_aggregated - receiver.tuples_fetched) as u32;
     assert_eq!(in_switch + in_host_merge, 40);
-    assert!(in_switch >= 2, "w wrapped in the switch ALU ({in_switch} absorbed)");
-    assert!(in_host_merge >= 2, "w wrapped in the host merge ({in_host_merge} residual)");
-    assert_eq!((switch.swaps, receiver.tuples_fetched), (1, 2), "v, then w, was fetched");
     assert!(
-        W.wrapping_mul(in_host_merge).checked_add(W.wrapping_mul(in_switch)).is_none(),
+        in_switch >= 2,
+        "w wrapped in the switch ALU ({in_switch} absorbed)"
+    );
+    assert!(
+        in_host_merge >= 2,
+        "w wrapped in the host merge ({in_host_merge} residual)"
+    );
+    assert_eq!(
+        (switch.swaps, receiver.tuples_fetched),
+        (1, 2),
+        "v, then w, was fetched"
+    );
+    assert!(
+        W.wrapping_mul(in_host_merge)
+            .checked_add(W.wrapping_mul(in_switch))
+            .is_none(),
         "merging the fetched partial into the host's wrapped once more"
     );
     let got = service.result(task, service.hosts()[0]).unwrap();
@@ -417,20 +429,45 @@ fn u32_sums_wrap_alike_on_every_path() {
     };
     let streams = vec![stream(0), stream(1)];
     let expected = reference_aggregate(streams.iter().flatten().cloned());
-    assert!(6 * u64::from(W) > u64::from(u32::MAX), "every key's total wraps");
+    assert!(
+        6 * u64::from(W) > u64::from(u32::MAX),
+        "every key's total wraps"
+    );
     let (service, task) = run_and_check(cfg, clean_link(), streams, 22);
 
     let switch = service.switch_stats(task).unwrap();
     let receiver = service.host_stats(service.hosts()[0]);
-    assert!(switch.tuples_aggregated > 0, "the switch ALU summed some tuples");
-    assert!(switch.tuples_forwarded > 0, "conflict residuals reached the host");
-    assert!(receiver.tuples_host_aggregated > 0, "the host merge summed some tuples");
-    assert_eq!(switch.tuples_long_forwarded, 6 * 6, "every long tuple bypassed");
-    assert!(receiver.tuples_fetched > 0, "the final fetch returned partials");
+    assert!(
+        switch.tuples_aggregated > 0,
+        "the switch ALU summed some tuples"
+    );
+    assert!(
+        switch.tuples_forwarded > 0,
+        "conflict residuals reached the host"
+    );
+    assert!(
+        receiver.tuples_host_aggregated > 0,
+        "the host merge summed some tuples"
+    );
+    assert_eq!(
+        switch.tuples_long_forwarded,
+        6 * 6,
+        "every long tuple bypassed"
+    );
+    assert!(
+        receiver.tuples_fetched > 0,
+        "the final fetch returned partials"
+    );
     let got = service.result(task, service.hosts()[0]).unwrap();
-    assert_eq!(got, expected, "the service and the reference aggregator agree");
+    assert_eq!(
+        got, expected,
+        "the service and the reference aggregator agree"
+    );
     let total = (0..6).fold(0u32, |sum, j| sum.wrapping_add(W + j));
-    assert_eq!(total, 0x8000_0015, "6 * W + (0 + 1 + ... + 5) = 0x1_8000_0015, wrapped");
+    assert_eq!(
+        total, 0x8000_0015,
+        "6 * W + (0 + 1 + ... + 5) = 0x1_8000_0015, wrapped"
+    );
     for k in &keys {
         assert_eq!(got[&Key::from_str(k).unwrap()], total, "{k}");
     }

@@ -181,9 +181,7 @@ mod foreign_layout {
     use ask_simnet::network::{Context, NetworkBuilder, Node};
     use ask_simnet::time::SimDuration;
     use ask_wire::codec::encode_envelope_parts;
-    use ask_wire::packet::{
-        AskPacket, ChannelId, DataPacket, FetchScope, SeqNo, CHANNEL_STRIDE,
-    };
+    use ask_wire::packet::{AskPacket, ChannelId, DataPacket, FetchScope, SeqNo, CHANNEL_STRIDE};
     use bytes::Bytes;
 
     /// Records every payload it is handed.
@@ -249,7 +247,14 @@ mod foreign_layout {
             // be partially absorbed (slot 0 conflicts, slot 1 claims) and
             // its residual re-encoded in a layout it does not fit.
             data_frame(ends, narrow, forged, ch_f, 0, &[(0, "aaa", 1)]),
-            data_frame(ends, narrow, forged, ch_f, 1, &[(0, "bbb", 2), (1, "ccc", 3)]),
+            data_frame(
+                ends,
+                narrow,
+                forged,
+                ch_f,
+                1,
+                &[(0, "bbb", 2), (1, "ccc", 3)],
+            ),
             // Slot 11 addresses an aggregator array the switch does not have.
             data_frame(ends, wide, forged, ch_f, 2, &[(11, "ddd", 4)]),
         ];
@@ -276,7 +281,11 @@ mod foreign_layout {
             foreign,
             "every foreign frame reaches the receiver byte for byte, and nothing else does"
         );
-        assert_eq!(net.node::<Sink>(sender).0.len(), 2, "one ACK per absorbed honest frame");
+        assert_eq!(
+            net.node::<Sink>(sender).0.len(),
+            2,
+            "one ACK per absorbed honest frame"
+        );
         let sw = net.node_mut::<AskSwitch>(switch);
         assert_eq!(sw.foreign_layout_relayed(), 3);
         assert_eq!(sw.undecodable(), 0);
@@ -303,7 +312,10 @@ mod foreign_layout {
             });
         }
         net.run_to_idle();
-        assert_eq!(net.node::<Sink>(receiver).0[3..], [foreign[0].clone(), ahead]);
+        assert_eq!(
+            net.node::<Sink>(receiver).0[3..],
+            [foreign[0].clone(), ahead]
+        );
         assert_eq!(net.node::<AskSwitch>(switch).foreign_layout_relayed(), 5);
     }
 
@@ -323,18 +335,32 @@ mod foreign_layout {
         let ends = (hosts[1].index() as u32, hosts[0].index() as u32);
         let channel = ChannelId(ends.0 * CHANNEL_STRIDE + 7);
         let wide = PacketLayout::short_only(12);
-        let frame = data_frame(ends, wide, task, channel, 0, &[(3, "abc", 40), (11, "zz", 2)]);
+        let frame = data_frame(
+            ends,
+            wide,
+            task,
+            channel,
+            0,
+            &[(3, "abc", 40), (11, "zz", 2)],
+        );
         service
             .network_mut()
             .with_node::<AskDaemon, _>(hosts[0], |d, ctx| {
                 d.on_frame(switch, Frame::new(frame.clone()), ctx)
             });
         let stats = service.host_stats(hosts[0]);
-        assert_eq!(stats.host_pure_view, 1, "merged in place like any data view");
+        assert_eq!(
+            stats.host_pure_view, 1,
+            "merged in place like any data view"
+        );
         assert_eq!(stats.host_view_fallbacks, 0, "not a long-kv frame");
         assert_eq!(stats.tuples_host_aggregated, 2);
 
-        service.submit_stream(task, hosts[1], vec![KvTuple::new(Key::from_str("zz").unwrap(), 5)]);
+        service.submit_stream(
+            task,
+            hosts[1],
+            vec![KvTuple::new(Key::from_str("zz").unwrap(), 5)],
+        );
         service
             .run_until_complete(task, hosts[0], 5_000_000)
             .unwrap();
@@ -548,7 +574,11 @@ mod switch_crash {
         let second = TaskId(8);
         let st: Vec<Vec<KvTuple>> = streams()
             .into_iter()
-            .map(|s| s.into_iter().map(|t| KvTuple::new(t.key, t.value + 3)).collect())
+            .map(|s| {
+                s.into_iter()
+                    .map(|t| KvTuple::new(t.key, t.value + 3))
+                    .collect()
+            })
             .collect();
         let expected_second = reference_aggregate(st.iter().flatten().cloned());
         service.submit_task(second, hosts[0], &[hosts[1], hosts[2]]);
@@ -556,7 +586,9 @@ mod switch_crash {
         service.submit_stream(second, hosts[2], st[1].clone());
         let down = service.now() + SimDuration::from_micros(3);
         service.schedule_switch_outage(down, down + SimDuration::from_micros(50));
-        service.run_until_complete(second, hosts[0], BUDGET).unwrap();
+        service
+            .run_until_complete(second, hosts[0], BUDGET)
+            .unwrap();
         service.run_to_idle();
 
         assert_eq!(service.switch_epoch(), 1);
@@ -570,7 +602,11 @@ mod switch_crash {
         assert_eq!(receiver.orphan_tuples(), 0);
         let after = service.task_result(first, hosts[0]).unwrap();
         assert_eq!(after.completed_at, done_first.completed_at);
-        assert_eq!(after.to_map(), expected_first, "a frozen result never moves");
+        assert_eq!(
+            after.to_map(),
+            expected_first,
+            "a frozen result never moves"
+        );
         assert_eq!(service.result(second, hosts[0]).unwrap(), expected_second);
         assert!(
             service.host_stats(hosts[0]).tuples_host_aggregated - aggregated_first < replayed,
@@ -590,7 +626,10 @@ mod switch_crash {
             .iter()
             .map(|h| service.host_stats(*h).retransmissions)
             .sum();
-        assert!(retransmissions > 0, "a 6xRTO outage must fire the retransmit timer");
+        assert!(
+            retransmissions > 0,
+            "a 6xRTO outage must fire the retransmit timer"
+        );
     }
 
     #[test]
@@ -684,7 +723,9 @@ mod switch_crash {
             .with_node::<AskSwitch, _>(switch, |_sw, ctx| {
                 let _ = ctx.send(target, Frame::new(bytes));
             });
-        service.run_until_complete(task, hosts[0], 5_000_000).unwrap();
+        service
+            .run_until_complete(task, hosts[0], 5_000_000)
+            .unwrap();
         assert_eq!(service.result(task, hosts[0]).unwrap(), expected);
         assert_eq!(service.daemon(target).known_epoch(), 0);
         assert_eq!(
