@@ -8,35 +8,39 @@
 //! one up. So the daemon only copies each residual tuple into a batch
 //! ([`Merger::push`]) and the worker applies the batches in the order they
 //! were pushed. Every table therefore sees the merge sequence an inline
-//! table would, and ends with the same capacity, layout and `iter()` order.
+//! table would.
 //!
 //! - **Batches** are byte records `u32 task · u8 op · u16 len · key · u32
-//!   value`, shipped every [`BATCH_TUPLES`] tuples over a channel that
-//!   holds [`QUEUED_BATCHES`]: a worker that falls behind holds the
-//!   simulation back instead of queueing a whole run.
+//!   value`, shipped every [`BATCH_TUPLES`] tuples through a queue that
+//!   holds [`QUEUED_BATCHES`] messages: a worker that falls behind holds
+//!   the simulation back instead of queueing a whole run.
+//! - **Handoff.** The queue is a ring allocated when the worker starts,
+//!   behind a mutex with one condition variable. Neither a send nor a wait
+//!   allocates, so what a run allocates does not depend on which thread
+//!   happens to wait for the other.
 //! - **Order.** An epoch resync flushes the batch, then clears the task's
 //!   table ([`Merger::clear`]); completion flushes, then asks for the table
 //!   ([`Merger::finish`]), which the [`TaskResult`] resolves on first read.
 //! - **Lifecycle.** The thread starts with the first batch shipped, so a
-//!   daemon that never merges starts none. Dropping the [`Merger`] closes
-//!   the channel and joins the thread. A panic on the worker is re-raised
-//!   on the thread that next sends to it, waits for one of its tables, or
-//!   drops it — unless that thread is already panicking.
+//!   daemon that never merges starts none. Dropping the [`Merger`] hangs
+//!   up and joins the thread once it has applied every queued message. A
+//!   panic on the worker is re-raised on the thread that next sends to it,
+//!   waits for one of its tables, or drops it — unless that thread is
+//!   already panicking.
 
 use crate::fasthash::FastMap;
 use crate::host::table::TaskTable;
 use ask_simnet::time::SimTime;
-use ask_wire::key::{fnv1a, Key};
+use ask_wire::key::Key;
 use ask_wire::packet::{AggregateOp, TaskId};
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 /// Tuples per shipped batch.
 const BATCH_TUPLES: usize = 1024;
 
-/// Batches in flight to the worker before a push waits for it.
+/// Messages queued for the worker before a send waits for it.
 const QUEUED_BATCHES: usize = 16;
 
 /// Bytes of a batch record besides the key: task, op, length and value.
@@ -50,19 +54,57 @@ enum Msg {
     /// Empties the task's table, keeping its capacity (epoch resync).
     Clear(TaskId),
     /// Hands the task's table over; nothing merges into it afterwards.
-    Finish(TaskId, Sender<TaskTable>),
+    Finish(TaskId, Arc<OnceLock<TaskTable>>),
 }
 
-/// The worker thread, shared by the merger that feeds it and by every
-/// result still waiting for a table from it.
+/// The queue between the daemon and its worker.
 #[derive(Debug)]
-struct Worker(Mutex<Option<JoinHandle<()>>>);
+struct Queue {
+    msgs: VecDeque<Msg>,
+    /// The daemon dropped its [`Merger`]: nothing more will be queued.
+    hung_up: bool,
+    /// The worker returned or panicked: nothing more will be applied.
+    stopped: bool,
+    /// Taken by the first join.
+    thread: Option<JoinHandle<()>>,
+}
+
+/// The worker thread and its queue, shared by the merger that feeds it
+/// and by every result still waiting for a table from it.
+#[derive(Debug)]
+struct Worker {
+    queue: Mutex<Queue>,
+    /// Signalled when the queue changes or a message has been applied.
+    changed: Condvar,
+}
 
 impl Worker {
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until `done` holds for the queue, then returns the guard —
+    /// or, once the worker has stopped, joins it and panics.
+    fn wait_until(&self, mut done: impl FnMut(&Queue) -> bool) -> MutexGuard<'_, Queue> {
+        let mut queue = self.queue();
+        while !done(&queue) {
+            if queue.stopped {
+                drop(queue);
+                self.join();
+                panic!("the merge worker stopped");
+            }
+            queue = self
+                .changed
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        queue
+    }
+
     /// Waits for the thread to end and re-raises its panic, unless this
     /// thread is already panicking. Only the first call joins.
     fn join(&self) {
-        let handle = self.0.lock().unwrap_or_else(PoisonError::into_inner).take();
+        let handle = self.queue().thread.take();
         if let Some(Err(payload)) = handle.map(JoinHandle::join) {
             if !std::thread::panicking() {
                 std::panic::resume_unwind(payload);
@@ -72,12 +114,12 @@ impl Worker {
 }
 
 /// The daemon's side of the merge worker: the batch being filled and, once
-/// one has shipped, the channel to the thread.
+/// one has shipped, the worker.
 #[derive(Debug, Default)]
 pub(crate) struct Merger {
     batch: Vec<u8>,
     tuples: usize,
-    worker: Option<(SyncSender<Msg>, Arc<Worker>)>,
+    worker: Option<Arc<Worker>>,
 }
 
 impl Merger {
@@ -110,26 +152,18 @@ impl Merger {
     /// becomes the result. Tuples pushed for it afterwards are lost.
     pub(crate) fn finish(&mut self, task: TaskId, completed_at: SimTime) -> TaskResult {
         self.flush();
-        let handover = match &self.worker {
+        let table = Arc::new(OnceLock::new());
+        if self.worker.is_some() {
+            self.send(Msg::Finish(task, Arc::clone(&table)));
+        } else {
             // Nothing ever merged on this host: the table is empty.
-            None => Handover {
-                table: OnceLock::from(TaskTable::new()),
-                reply: None,
-            },
-            Some((_, worker)) => {
-                let (tx, rx) = channel();
-                let reply = Some((Mutex::new(rx), Arc::clone(worker)));
-                self.send(Msg::Finish(task, tx));
-                Handover {
-                    table: OnceLock::new(),
-                    reply,
-                }
-            }
-        };
+            let _ = table.set(TaskTable::new());
+        }
         TaskResult {
             task,
             completed_at,
-            table: Arc::new(handover),
+            table,
+            worker: self.worker.clone(),
         }
     }
 
@@ -144,39 +178,68 @@ impl Merger {
         self.send(Msg::Batch(batch));
     }
 
-    /// Sends `msg` to the worker, starting it on first use.
+    /// Queues `msg` for the worker, starting it on first use.
     fn send(&mut self, msg: Msg) {
-        let (tx, worker) = self.worker.get_or_insert_with(spawn);
-        if tx.send(msg).is_err() {
-            worker.join();
-            panic!("the merge worker stopped");
-        }
+        let worker = self.worker.get_or_insert_with(spawn);
+        let room = |q: &Queue| !q.stopped && q.msgs.len() < QUEUED_BATCHES;
+        let mut queue = worker.wait_until(room);
+        queue.msgs.push_back(msg);
+        drop(queue);
+        worker.changed.notify_all();
     }
 }
 
 impl Drop for Merger {
     fn drop(&mut self) {
-        if let Some((tx, worker)) = self.worker.take() {
-            drop(tx);
+        if let Some(worker) = self.worker.take() {
+            worker.queue().hung_up = true;
+            worker.changed.notify_all();
             worker.join();
         }
     }
 }
 
-fn spawn() -> (SyncSender<Msg>, Arc<Worker>) {
-    let (tx, rx) = sync_channel(QUEUED_BATCHES);
+fn spawn() -> Arc<Worker> {
+    let worker = Arc::new(Worker {
+        queue: Mutex::new(Queue {
+            msgs: VecDeque::with_capacity(QUEUED_BATCHES),
+            hung_up: false,
+            stopped: false,
+            thread: None,
+        }),
+        changed: Condvar::new(),
+    });
+    let shared = Arc::clone(&worker);
     let thread = std::thread::Builder::new()
         .name("ask-merge".into())
-        .spawn(move || work(rx))
+        .spawn(move || work(&shared))
         .expect("the merge worker starts");
-    (tx, Arc::new(Worker(Mutex::new(Some(thread)))))
+    worker.queue().thread = Some(thread);
+    worker
+}
+
+/// Marks the worker stopped when its loop ends, by return or by panic, and
+/// wakes everyone waiting on it.
+struct Stopped<'a>(&'a Worker);
+
+impl Drop for Stopped<'_> {
+    fn drop(&mut self) {
+        self.0.queue().stopped = true;
+        self.0.changed.notify_all();
+    }
 }
 
 /// The worker's loop: applies every message in order until the daemon
 /// hangs up, then drops the tables of tasks that never finished.
-fn work(rx: Receiver<Msg>) {
+fn work(worker: &Worker) {
+    let _stopped = Stopped(worker);
     let mut tables: FastMap<TaskId, TaskTable> = FastMap::default();
-    for msg in rx {
+    loop {
+        let msg = worker
+            .wait_until(|q| q.hung_up || !q.msgs.is_empty())
+            .msgs
+            .pop_front();
+        let Some(msg) = msg else { return };
         match msg {
             Msg::Batch(batch) => merge_batch(&mut tables, &batch),
             Msg::Clear(task) => {
@@ -184,11 +247,14 @@ fn work(rx: Receiver<Msg>) {
                     table.clear();
                 }
             }
-            Msg::Finish(task, reply) => {
-                // A result nobody reads may already be gone.
-                let _ = reply.send(tables.remove(&task).unwrap_or_default());
+            Msg::Finish(task, result) => {
+                let _ = result.set(tables.remove(&task).unwrap_or_default());
             }
         }
+        // Taken under the lock, so a waiter that saw neither room nor its
+        // table is already waiting when the signal comes.
+        let _queue = worker.queue();
+        worker.changed.notify_all();
     }
 }
 
@@ -199,31 +265,8 @@ fn merge_batch(tables: &mut FastMap<TaskId, TaskTable>, mut rest: &[u8]) {
         let (value, tail) = tail.split_at(4);
         let value = u32::from_le_bytes(value.try_into().expect("four bytes"));
         let table = tables.entry(task).or_default();
-        table.merge_hashed(fnv1a(key), key, value, AggregateOp::from_code(*op));
+        table.merge(key, value, AggregateOp::from_code(*op));
         rest = tail;
-    }
-}
-
-/// A task's table on its way from the worker: resolved on first access.
-#[derive(Debug)]
-struct Handover {
-    table: OnceLock<TaskTable>,
-    /// The worker's reply and the worker, `None` when the table was set at
-    /// completion. `get_or_init` runs one receive at a time; the mutex only
-    /// lets the result be shared between threads.
-    reply: Option<(Mutex<Receiver<TaskTable>>, Arc<Worker>)>,
-}
-
-impl Handover {
-    fn table(&self) -> &TaskTable {
-        self.table.get_or_init(|| {
-            let (rx, worker) = self.reply.as_ref().expect("an unset table has a reply");
-            let got = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-            got.unwrap_or_else(|_| {
-                worker.join();
-                panic!("the merge worker stopped before handing a table over");
-            })
-        })
     }
 }
 
@@ -238,34 +281,45 @@ pub struct TaskResult {
     pub task: TaskId,
     /// Simulated completion time.
     pub completed_at: SimTime,
-    table: Arc<Handover>,
+    table: Arc<OnceLock<TaskTable>>,
+    /// The worker that sets `table`, `None` when it was set at completion.
+    worker: Option<Arc<Worker>>,
 }
 
 impl TaskResult {
+    fn table(&self) -> &TaskTable {
+        if let Some(table) = self.table.get() {
+            return table;
+        }
+        let worker = self.worker.as_ref().expect("an unset table has a worker");
+        drop(worker.wait_until(|_| self.table.get().is_some()));
+        self.table.get().expect("the worker set the table")
+    }
+
     /// Number of distinct keys aggregated.
     pub fn len(&self) -> usize {
-        self.table.table().len()
+        self.table().len()
     }
 
     /// True when the task aggregated no key.
     pub fn is_empty(&self) -> bool {
-        self.table.table().is_empty()
+        self.table().is_empty()
     }
 
     /// The aggregated value of `key` (wrapping 32-bit sums), if present.
     pub fn get(&self, key: &Key) -> Option<u32> {
-        self.table.table().get(key)
+        self.table().get(key)
     }
 
     /// Every `(key bytes, value)` entry, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
-        self.table.table().iter()
+        self.table().iter()
     }
 
-    /// The entries as an owned key → value map, bulk-loaded in the map's
-    /// own bucket order by [`TaskTable::to_map`].
+    /// The entries as an owned key → value map, built in one sweep by
+    /// [`TaskTable::to_map`].
     pub fn to_map(&self) -> HashMap<Key, u32> {
-        self.table.table().to_map()
+        self.table().to_map()
     }
 }
 
@@ -277,6 +331,7 @@ mod tests {
     use ask_wire::packet::{ChannelId, KvTuple, PacketLayout, SeqNo};
     use ask_wire::view::{FrameView, PacketView};
     use bytes::Bytes;
+    use std::hash::RandomState;
     use std::panic::AssertUnwindSafe;
 
     const TASKS: [(TaskId, AggregateOp); 2] =
@@ -329,33 +384,39 @@ mod tests {
         reply.finish()
     }
 
-    /// The worker and an inline table per task, fed the same merges.
+    /// One step of a task's inline merge sequence.
+    enum Inline {
+        Merge(Vec<u8>, u32),
+        Clear,
+    }
+
+    /// The worker, and per task the merge sequence an inline table gets.
     #[derive(Default)]
     struct Both {
         merger: Merger,
-        inline: [TaskTable; 2],
+        inline: [Vec<Inline>; 2],
     }
 
     impl Both {
         /// Merges one received frame's slots or entries as the daemon's
-        /// merge sites read them: the inline table takes the wire hash,
-        /// the worker only key bytes and value.
+        /// merge sites read them.
         fn frame(&mut self, ix: usize, frame: Bytes) {
             let (task, op) = TASKS[ix];
             let view = FrameView::parse(frame).expect("a valid frame");
-            let inline = &mut self.inline[ix];
+            let mut merge = |key: &[u8], value: u32| {
+                self.merger.push(task, op, key, value);
+                self.inline[ix].push(Inline::Merge(key.to_vec(), value));
+            };
             match view.packet() {
                 PacketView::Data(d) => {
                     assert_eq!(d.task(), task);
                     for s in d.slots() {
-                        self.merger.push(task, op, s.key_bytes(), s.value());
-                        inline.merge_hashed(s.hash64(), s.key_bytes(), s.value(), op);
+                        merge(s.key_bytes(), s.value());
                     }
                 }
                 _ => {
                     for e in view.entries().expect("a long-kv frame or fetch reply") {
-                        self.merger.push(task, op, e.key_bytes(), e.value());
-                        inline.merge_hashed(e.hash64(), e.key_bytes(), e.value(), op);
+                        merge(e.key_bytes(), e.value());
                     }
                 }
             }
@@ -366,8 +427,20 @@ mod tests {
             let (task, op) = TASKS[ix];
             for t in tuples {
                 self.merger.push(task, op, t.key.as_bytes(), t.value);
-                self.inline[ix].merge(&t.key, t.value, op);
+                self.inline[ix].push(Inline::Merge(t.key.as_bytes().to_vec(), t.value));
             }
+        }
+
+        /// Task `ix`'s inline sequence applied to a table under `state`.
+        fn inline_table(&self, ix: usize, state: &RandomState) -> TaskTable {
+            let mut table = TaskTable::with_hasher(state.clone());
+            for step in &self.inline[ix] {
+                match step {
+                    Inline::Merge(key, value) => table.merge(key, *value, TASKS[ix].1),
+                    Inline::Clear => table.clear(),
+                }
+            }
+            table
         }
     }
 
@@ -403,7 +476,7 @@ mod tests {
         // An epoch resync wipes task 1 mid-stream, keeping its capacity;
         // the sender's replay starts over.
         both.merger.clear(TASKS[0].0);
-        both.inline[0].clear();
+        both.inline[0].push(Inline::Clear);
         for frame in &streams[0] {
             both.frame(0, frame.clone());
         }
@@ -419,7 +492,9 @@ mod tests {
         // alive: the read waits for the complete table.
         for (ix, &(task, _)) in TASKS.iter().enumerate() {
             let result = both.merger.finish(task, SimTime::from_nanos(ix as u64));
-            let inline = &both.inline[ix];
+            // Under the handed-over table's own hasher, the inline table
+            // must match slot for slot.
+            let inline = &both.inline_table(ix, result.to_map().hasher());
             assert!(inline.len() > 1_000);
             assert_eq!(result.len(), inline.len());
             let got: Vec<(&[u8], u32)> = result.iter().collect();

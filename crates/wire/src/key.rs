@@ -318,9 +318,8 @@ impl AsRef<[u8]> for Key {
     }
 }
 
-/// FNV-1a over a byte slice: [`Key::hash64`] of the key the bytes spell,
-/// without building the key.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte slice.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
