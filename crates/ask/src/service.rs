@@ -325,7 +325,8 @@ impl AskService {
     ///
     /// # Panics
     ///
-    /// Panics if `sender` is not a host of this deployment.
+    /// Panics if `sender` is not a host of this deployment, or if it
+    /// already supplied a stream for `task`.
     pub fn submit_stream(&mut self, task: TaskId, sender: NodeId, tuples: Vec<KvTuple>) {
         assert!(self.hosts.contains(&sender), "unknown sender {sender}");
         self.network
